@@ -55,4 +55,4 @@ class DegenerateModelError(LedgerError, ValueError):
 
 
 class StateError(LedgerError, RuntimeError):
-    """A CLI command was invoked before its required snapshot exists."""
+    """A CLI command needs a snapshot that is missing or unreadable."""

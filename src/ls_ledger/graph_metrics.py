@@ -23,12 +23,6 @@ class DegreeReport:
     in_degree: dict[int, int]
     out_degree: dict[int, int]
 
-    def in_histogram(self) -> Counter[int]:
-        return Counter(self.in_degree.values())
-
-    def out_histogram(self) -> Counter[int]:
-        return Counter(self.out_degree.values())
-
 
 def degree_report(g: InducedGraph) -> DegreeReport:
     """Exact in/out degrees of every node on the deduplicated edge set."""
@@ -86,14 +80,6 @@ class ClusteringReport:
     coefficients: dict[int, float]
     average: float
     average_active: float
-
-    def histogram(self, bins: int = 10) -> Counter[int]:
-        """Coefficient counts per [i/bins, (i+1)/bins) bucket; 1.0 lands in
-        the last bucket."""
-        hist: Counter[int] = Counter()
-        for c in self.coefficients.values():
-            hist[min(int(c * bins), bins - 1)] += 1
-        return hist
 
 
 def clustering(g: InducedGraph) -> ClusteringReport:
@@ -226,32 +212,77 @@ def _degree_sequence(edges: list[tuple[int, int]], nodes: Iterable[int]) -> tupl
 def _double_edge_swap(
     edges: list[tuple[int, int]], rng: random.Random, attempts: int
 ) -> list[tuple[int, int]]:
-    edges = list(edges)
-    present = set(edges)
+    """Apply ``attempts`` double-edge swap attempts to a copy of ``edges``.
+
+    Each attempt picks edges i and j and a random orientation of j, then
+    proposes (u, x) and (v, y) in place of (u, v) and (x, y); proposals that
+    would create a self-loop or a duplicate edge are skipped.
+
+    The generator is consumed exactly as two ``rng.randrange(m)`` calls and
+    one ``rng.random()`` per attempt would consume it, so a seed yields the
+    same samples as the tuple-based reference in ``tests/oracles.py`` and
+    the null-model CSVs stay pinned to CPython's Mersenne Twister stream.
+    Index draws inline the rejection loop ``randrange`` runs (CPython 3.10
+    and later): ``getrandbits`` of ``m.bit_length()`` bits until the value
+    falls below ``m``, without the per-call overhead. ``random()`` takes two
+    32-bit words and stays a call in its place in the sequence.
+
+    Edges live in two int columns with a key ``u * n + v`` per edge, where
+    ``n`` exceeds every node id, so the duplicate check hashes one int
+    instead of a tuple. Node ids must be non-negative.
+    """
     m = len(edges)
+    n = max(max(e) for e in edges) + 1
+    us = [u for u, _ in edges]
+    vs = [v for _, v in edges]
+    keys = [u * n + v for u, v in edges]
+    present = set(keys)
+    bits = m.bit_length()
+    getrandbits = rng.getrandbits
+    coin = rng.random
     for _ in range(attempts):
-        i = rng.randrange(m)
-        j = rng.randrange(m)
+        i = getrandbits(bits)
+        while i >= m:
+            i = getrandbits(bits)
+        j = getrandbits(bits)
+        while j >= m:
+            j = getrandbits(bits)
         if i == j:
             continue
-        u, v = edges[i]
-        x, y = edges[j]
-        if rng.random() < 0.5:
-            x, y = y, x
+        u = us[i]
+        v = vs[i]
+        if coin() < 0.5:
+            x = vs[j]
+            y = us[j]
+        else:
+            x = us[j]
+            y = vs[j]
         # propose (u, x) and (v, y)
         if u == x or v == y:
             continue
-        e1 = (min(u, x), max(u, x))
-        e2 = (min(v, y), max(v, y))
+        if u < x:
+            a, b = u, x
+        else:
+            a, b = x, u
+        if v < y:
+            c, d = v, y
+        else:
+            c, d = y, v
+        e1 = a * n + b
+        e2 = c * n + d
         if e1 in present or e2 in present:
             continue
-        present.discard(edges[i])
-        present.discard(edges[j])
+        present.discard(keys[i])
+        present.discard(keys[j])
         present.add(e1)
         present.add(e2)
-        edges[i] = e1
-        edges[j] = e2
-    return edges
+        keys[i] = e1
+        keys[j] = e2
+        us[i] = a
+        vs[i] = b
+        us[j] = c
+        vs[j] = d
+    return list(zip(us, vs))
 
 
 def _triangles_in_edges(edges: list[tuple[int, int]], nodes: Iterable[int]) -> int:

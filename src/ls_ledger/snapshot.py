@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -118,10 +119,22 @@ def _link_indices(parent: LinkStream, sub: LinkStream) -> list[int]:
 
 
 def load_bundle(out_dir: str | Path) -> StreamBundle:
-    """Rebuild the bundle from ``out_dir``; raises StateError when missing."""
+    """Rebuild the bundle from ``out_dir``; raises StateError when the
+    snapshot is missing or unreadable (truncated, not a zip, arrays missing)."""
     path = Path(out_dir) / SNAPSHOT_NAME
     if not path.exists():
         raise StateError(f"no snapshot at {path}; run the ingest command first")
+    try:
+        return _bundle_from(path)
+    except (
+        OSError, EOFError, ValueError, LookupError, zipfile.BadZipFile, zlib.error
+    ) as err:
+        raise StateError(
+            f"unreadable snapshot at {path} ({err}); run the ingest command again"
+        ) from err
+
+
+def _bundle_from(path: Path) -> StreamBundle:
     with np.load(path, allow_pickle=False) as data:
         table = NodeTable(str(k) for k in data["keys"])
         members = frozenset(int(n) for n in data["members"])

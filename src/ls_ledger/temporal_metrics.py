@@ -82,10 +82,6 @@ class ClosureResult:
     k: int
     lookback: int | None  # None marks an infinite closure
 
-    @property
-    def is_finite(self) -> bool:
-        return self.lookback is not None
-
 
 class _StreamIndex:
     """Per-pair sorted times plus in/out adjacency; built once per stream

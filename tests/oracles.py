@@ -7,6 +7,7 @@ other side of every dual-route check.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 
@@ -63,3 +64,37 @@ def triangles_through(node, nodes, und_edges: set[tuple[int, int]]) -> int:
 
 def undirected_edge_set(directed_edges) -> set[tuple[int, int]]:
     return {(min(u, v), max(u, v)) for u, v in directed_edges}
+
+
+def double_edge_swap(
+    edges: list[tuple[int, int]], rng: random.Random, attempts: int
+) -> list[tuple[int, int]]:
+    """Tuple-based double-edge swap: ``randrange`` draws and ``min``/``max``
+    ordering. ``graph_metrics._double_edge_swap`` must match it sample for
+    sample."""
+    edges = list(edges)
+    present = set(edges)
+    m = len(edges)
+    for _ in range(attempts):
+        i = rng.randrange(m)
+        j = rng.randrange(m)
+        if i == j:
+            continue
+        u, v = edges[i]
+        x, y = edges[j]
+        if rng.random() < 0.5:
+            x, y = y, x
+        # propose (u, x) and (v, y)
+        if u == x or v == y:
+            continue
+        e1 = (min(u, x), max(u, x))
+        e2 = (min(v, y), max(v, y))
+        if e1 in present or e2 in present:
+            continue
+        present.discard(edges[i])
+        present.discard(edges[j])
+        present.add(e1)
+        present.add(e2)
+        edges[i] = e1
+        edges[j] = e2
+    return edges

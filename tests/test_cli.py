@@ -1,4 +1,5 @@
 import hashlib
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -184,3 +185,34 @@ def test_fixture_module_writes_ledger(tmp_path):
     assert fixtures_main([str(path)]) == 0
     assert path.read_text().count("\n") == 30  # 4 ids + 12 certs + 14 txs
     assert fixtures_main([str(tmp_path / "rand.jsonl"), "5"]) == 0
+
+
+def _truncate(path: Path) -> None:
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _empty(path: Path) -> None:
+    path.write_bytes(b"")
+
+
+def _drop_arrays(path: Path) -> None:
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr("keys.npy", b"")
+
+
+@pytest.mark.parametrize("damage", [_truncate, _empty, _drop_arrays])
+def test_corrupt_snapshot_is_clean_state_error(ledger_file, tmp_path, damage):
+    runner = CliRunner()
+    out = tmp_path / "o"
+    result = runner.invoke(main, ["ingest", "--input", str(ledger_file), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    damage(out / "snapshot.npz")
+
+    result = runner.invoke(main, ["graph", "--out", str(out)])
+    assert result.exit_code != 0
+    # a ClickException exits through SystemExit; anything else is a traceback
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output
+    assert str(out / "snapshot.npz") in result.output
+    with pytest.raises(StateError, match="unreadable snapshot"):
+        load_bundle(out)
