@@ -88,6 +88,9 @@ def cmd_ingest(cfg: RunConfig) -> None:
         click.echo(f"warning: skipped line {line_no}: {message}", err=True)
 
     cls = ledger_ingest.classify_keys(records.identities, records.transactions)
+    # checked before anything is written, so a bad key leaves --out untouched
+    if cfg.remuniter and cfg.remuniter not in cls.table:
+        raise LedgerError(f"--remuniter key {cfg.remuniter!r} not present in the ledger")
     cert, tx = ledger_ingest.build_streams(records, cls)
     bundle = snapshot.build_bundle(cls.table, cls, cert, tx)
     snapshot.save_bundle(cfg.out_dir, bundle)
@@ -432,33 +435,30 @@ def cmd_neighborhoods(cfg: RunConfig) -> None:
     """Aggregated neighborhoods per stream and the inclusion of transaction
     neighborhoods within certification neighborhoods."""
     bundle = _load(cfg)
-    cert, tx_mm = bundle.cert, bundle.tx_mm
-
-    rows = []
-    for name, stream in (("cert", cert), ("txmm", tx_mm)):
-        for node in sorted(stream.nodes):
-            for nbr in sorted(temporal_metrics.aggregated_neighborhood(stream, node)):
-                rows.append(
-                    (bundle.table.key_of(node), name, bundle.table.key_of(nbr))
-                )
+    adj = {
+        "cert": stream_core.induced_graph(bundle.cert).undirected_adjacency(),
+        "txmm": stream_core.induced_graph(bundle.tx_mm).undirected_adjacency(),
+    }
+    key_of = bundle.table.key_of
     _write_csv(
         cfg.out_dir / "neighborhoods.csv",
         _comments("neighborhoods", cfg),
         "node,stream,neighbor",
-        rows,
+        (
+            (key_of(node), name, key_of(nbr))
+            for name, nbrs_of in adj.items()
+            for node in sorted(nbrs_of)
+            for nbr in sorted(nbrs_of[node])
+        ),
     )
-
-    overlap_rows = []
-    for node in sorted(cert.nodes | tx_mm.nodes):
-        res = temporal_metrics.neighborhood_overlap(node, cert, tx_mm)
-        overlap_rows.append(
-            (bundle.table.key_of(node), _fmt(res.inclusion), _fmt(res.jaccard))
-        )
     _write_csv(
         cfg.out_dir / "overlap.csv",
         _comments("neighborhoods", cfg, "inclusion of txmm neighborhood in cert neighborhood"),
         "node,inclusion,jaccard",
-        overlap_rows,
+        (
+            (key_of(res.node), _fmt(res.inclusion), _fmt(res.jaccard))
+            for res in temporal_metrics.neighborhood_overlaps(adj["cert"], adj["txmm"])
+        ),
     )
 
 
@@ -478,12 +478,10 @@ def _common_options(fn):
         type=click.Path(file_okay=False, path_type=Path),
         help="Output directory (env: LS_LEDGER_OUT).",
     )(fn)
-    fn = click.option("--remuniter", default=None, help="Donation wallet key.")(fn)
     fn = click.option("--window", default=DEFAULT_WINDOW, show_default=True, help="Rolling window (s).")(fn)
     fn = click.option("--bin", "bin_width", default=DEFAULT_BIN, show_default=True, help="Bin width (s).")(fn)
     fn = click.option("--samples", default=DEFAULT_SAMPLES, show_default=True, help="Null-model samples.")(fn)
     fn = click.option("--seed", default=0, show_default=True, help="Null-model seed.")(fn)
-    fn = click.option("--strict", is_flag=True, help="Abort on the first malformed line.")(fn)
     fn = click.option(
         "--ordered-pairs",
         is_flag=True,
@@ -520,8 +518,10 @@ def main():
     type=click.Path(exists=True, dir_okay=False, path_type=Path),
     help="Line-delimited ledger records.",
 )
+@click.option("--remuniter", default=None, help="Donation wallet key.")
+@click.option("--strict", is_flag=True, help="Abort on the first malformed line.")
 @_common_options
-def ingest_command(input_path, out_dir, remuniter, window, bin_width, samples, seed, strict, ordered_pairs):
+def ingest_command(input_path, remuniter, strict, out_dir, window, bin_width, samples, seed, ordered_pairs):
     """Parse records, build all streams, and persist the snapshot."""
     cfg = _config(
         out_dir,
@@ -540,15 +540,13 @@ def ingest_command(input_path, out_dir, remuniter, window, bin_width, samples, s
 def _metric_command(name, fn, help_text):
     @main.command(name, help=help_text)
     @_common_options
-    def _command(out_dir, remuniter, window, bin_width, samples, seed, strict, ordered_pairs):
+    def _command(out_dir, window, bin_width, samples, seed, ordered_pairs):
         cfg = _config(
             out_dir,
-            remuniter=remuniter,
             window=window,
             bin_width=bin_width,
             samples=samples,
             seed=seed,
-            strict=strict,
             ordered_pairs=ordered_pairs,
         )
         _run(fn, cfg)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
@@ -294,34 +293,10 @@ def _triangles_in_edges(edges: list[tuple[int, int]], nodes: Iterable[int]) -> i
 
 
 def pair_distance(g: InducedGraph, u: int, v: int) -> int | None:
-    """Breadth-first shortest path length between u and v on the undirected
-    view; None when unreachable."""
-    if u not in g.nodes or v not in g.nodes:
-        missing = u if u not in g.nodes else v
-        raise KeyError(f"node {missing} not in graph")
-    return _bfs_from(g.undirected_adjacency(), u, targets={v}).get(v)
-
-
-def _bfs_from(
-    adj: Mapping[int, set[int]], source: int, targets: set[int] | None = None
-) -> dict[int, int]:
-    """Hop counts from source; stops early once all targets are found."""
-    dist = {source: 0}
-    remaining = set(targets) - {source} if targets is not None else None
-    frontier = [source]
-    d = 0
-    while frontier and (remaining is None or remaining):
-        d += 1
-        nxt = []
-        for node in frontier:
-            for nbr in adj[node]:
-                if nbr not in dist:
-                    dist[nbr] = d
-                    nxt.append(nbr)
-                    if remaining is not None:
-                        remaining.discard(nbr)
-        frontier = nxt
-    return dist
+    """Shortest path length between u and v on the undirected view; None
+    when unreachable."""
+    counts = distance_distribution([(u, v)], g).counts
+    return next(iter(counts), None)
 
 
 @dataclass(frozen=True)
@@ -342,24 +317,57 @@ def distance_distribution(
 ) -> DistanceDistribution:
     """Histogram of undirected shortest-path distances over node pairs.
 
-    One BFS per distinct source, cut off as soon as that source's targets
-    are all reached; intended for the pairs that transact without a
-    certification, measured in the undirected certification graph.
+    Every breadth-first search runs at once, one bit per distinct source
+    (multi-source BFS; Then et al., PVLDB 2014): ``reach[v]`` holds the
+    sources whose search has reached v, ``want[v]`` the sources paired with
+    v and not yet found. Each level ORs the newly reached bits of every
+    neighbor into v, and the bits that are new at v and wanted there are
+    the pairs at that distance. The search stops once every pair is found
+    or a level reaches nothing new; pairs never found are unreachable.
+    Duplicate pairs count once; (u, v) and (v, u) count separately. The
+    masks take n * S bits for n nodes and S distinct sources. Intended for
+    the pairs that transact without a certification, measured in the
+    undirected certification graph.
     """
-    by_source: dict[int, set[int]] = {}
+    pair_set = set()
     for u, v in pairs:
         if u not in g.nodes or v not in g.nodes:
             missing = u if u not in g.nodes else v
             raise KeyError(f"node {missing} not in graph")
-        by_source.setdefault(u, set()).add(v)
+        pair_set.add((u, v))
+    bit = {s: 1 << i for i, s in enumerate(sorted({u for u, _ in pair_set}))}
+    want = dict.fromkeys(g.nodes, 0)
+    for u, v in pair_set:
+        want[v] |= bit[u]
     adj = g.undirected_adjacency()
-    counts: Counter[int] = Counter()
-    unreachable = 0
-    for source, targets in by_source.items():
-        dist = _bfs_from(adj, source, targets=targets)
-        for v in targets:
-            if v in dist:
-                counts[dist[v]] += 1
-            else:
-                unreachable += 1
-    return DistanceDistribution(counts=dict(sorted(counts.items())), unreachable=unreachable)
+
+    counts: dict[int, int] = {}
+    frontier = dict(bit)  # node -> source bits first reached there this level
+    reach = dict.fromkeys(g.nodes, 0)
+    reach.update(bit)
+    remaining = len(pair_set)
+    d = 0
+    while frontier:
+        found = 0
+        for v, new in frontier.items():
+            hit = new & want[v]
+            if hit:
+                want[v] ^= hit
+                found += hit.bit_count()
+        if found:
+            counts[d] = found
+            remaining -= found
+        if not remaining:
+            break
+        d += 1
+        offered: dict[int, int] = {}
+        for v, new in frontier.items():
+            for u in adj[v]:
+                offered[u] = offered.get(u, 0) | new
+        frontier = {}
+        for u, bits in offered.items():
+            new = bits & ~reach[u]
+            if new:
+                reach[u] |= new
+                frontier[u] = new
+    return DistanceDistribution(counts=counts, unreachable=remaining)

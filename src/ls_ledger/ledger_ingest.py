@@ -8,6 +8,9 @@ analytics from any blockchain access:
     {"type":"tx","time":<int>,"from":"<str>","to":"<str>","amount":<int>}
 
 Amounts are integers in currency centimes; no floating-point money anywhere.
+Keys are written unquoted into CSV rows and ``src|dst`` pair labels, so a
+key containing ``,``, ``|``, whitespace or a control character, or starting
+with ``#``, is a malformed line.
 Lenient parsing skips malformed lines and reports them with line numbers;
 strict parsing raises on the first one.
 """
@@ -15,6 +18,7 @@ strict parsing raises on the first one.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -29,6 +33,10 @@ from .stream_core import (
 )
 
 SUBSTREAM_LABELS = ("MM", "MA", "AM", "AA")
+
+# a key must not split a CSV row or a "src|dst" pair label, nor read as a
+# "#" comment line; base58 keys never match
+_BAD_KEY = re.compile(r"^#|[,|\s\x00-\x1f\x7f-\x9f]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,6 +91,19 @@ def _str_field(obj: dict, name: str, line_no: int) -> str:
     return v
 
 
+def _key_field(obj: dict, name: str, line_no: int, valid_keys: set[str]) -> str:
+    """A key string; each distinct key is checked once, then remembered in
+    ``valid_keys``."""
+    v = _str_field(obj, name, line_no)
+    if v not in valid_keys:
+        bad = _BAD_KEY.search(v)
+        if bad:
+            what = "starts with '#'" if bad.group() == "#" else f"contains {bad.group()!r}"
+            raise ParseError(f"key {v!r} in field {name!r} {what}", line_no)
+        valid_keys.add(v)
+    return v
+
+
 def parse_records(lines: Iterable[str | bytes], strict: bool = False) -> ParsedRecords:
     """Single-pass parse of line-delimited records.
 
@@ -97,6 +118,7 @@ def parse_records(lines: Iterable[str | bytes], strict: bool = False) -> ParsedR
     issues: list[tuple[int, str]] = []
     seen_keys: set[str] = set()
     seen_uids: set[str] = set()
+    valid_keys: set[str] = set()
 
     for line_no, raw in enumerate(lines, start=1):
         if isinstance(raw, bytes):
@@ -105,7 +127,7 @@ def parse_records(lines: Iterable[str | bytes], strict: bool = False) -> ParsedR
         if not line:
             continue
         try:
-            rec = _parse_line(line, line_no, seen_keys, seen_uids)
+            rec = _parse_line(line, line_no, seen_keys, seen_uids, valid_keys)
         except ParseError as err:
             if strict:
                 raise
@@ -121,7 +143,11 @@ def parse_records(lines: Iterable[str | bytes], strict: bool = False) -> ParsedR
 
 
 def _parse_line(
-    line: str, line_no: int, seen_keys: set[str], seen_uids: set[str]
+    line: str,
+    line_no: int,
+    seen_keys: set[str],
+    seen_uids: set[str],
+    valid_keys: set[str],
 ) -> IdentityRecord | CertRecord | TxRecord:
     try:
         obj = json.loads(line)
@@ -136,7 +162,7 @@ def _parse_line(
         raise ParseError(f"negative time {t}", line_no)
 
     if kind == "identity":
-        key = _str_field(obj, "key", line_no)
+        key = _key_field(obj, "key", line_no, valid_keys)
         uid = _str_field(obj, "uid", line_no)
         if key in seen_keys:
             raise ParseError(f"duplicate identity key {key!r}", line_no)
@@ -146,14 +172,14 @@ def _parse_line(
         seen_uids.add(uid)
         return IdentityRecord(t, key, uid)
     if kind == "cert":
-        src = _str_field(obj, "from", line_no)
-        dst = _str_field(obj, "to", line_no)
+        src = _key_field(obj, "from", line_no, valid_keys)
+        dst = _key_field(obj, "to", line_no, valid_keys)
         if src == dst:
             raise ParseError(f"self-certification by {src!r}", line_no)
         return CertRecord(t, src, dst)
     if kind == "tx":
-        src = _str_field(obj, "from", line_no)
-        dst = _str_field(obj, "to", line_no)
+        src = _key_field(obj, "from", line_no, valid_keys)
+        dst = _key_field(obj, "to", line_no, valid_keys)
         amount = _int_field(obj, "amount", line_no)
         if src == dst:
             raise ParseError(f"self-transaction by {src!r}", line_no)

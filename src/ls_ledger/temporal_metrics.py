@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 
 from .stream_core import Link, LinkStream, pair_times
@@ -46,12 +47,6 @@ def neighborhood(s: LinkStream, v: int) -> NeighborhoodCluster:
     return NeighborhoodCluster(owner=v, elements=frozenset(elems))
 
 
-def aggregated_neighborhood(s: LinkStream, v: int) -> frozenset[int]:
-    """Node projection of the temporal neighborhood: everyone who ever
-    interacted with v. Equals v's undirected neighborhood in the induced graph."""
-    return neighborhood(s, v).node_projection()
-
-
 @dataclass(frozen=True)
 class OverlapResult:
     node: int
@@ -59,21 +54,32 @@ class OverlapResult:
     jaccard: float | None  # |N2 & N1| / |N2 | N1|, None when both empty
 
 
-def neighborhood_overlap(v: int, s1: LinkStream, s2: LinkStream) -> OverlapResult:
-    """How much of v's neighborhood in ``s2`` lies inside its neighborhood
-    in ``s1``. A node absent from one stream has an empty neighborhood
-    there; empty denominators yield None markers."""
-    if v not in s1.nodes and v not in s2.nodes:
-        raise KeyError(f"node {v} not in either stream")
-    n1 = aggregated_neighborhood(s1, v) if v in s1.nodes else frozenset()
-    n2 = aggregated_neighborhood(s2, v) if v in s2.nodes else frozenset()
-    inter = len(n1 & n2)
-    union = len(n1 | n2)
-    return OverlapResult(
-        node=v,
-        inclusion=inter / len(n2) if n2 else None,
-        jaccard=inter / union if union else None,
-    )
+def neighborhood_overlaps(
+    n1: Mapping[int, Set[int]], n2: Mapping[int, Set[int]]
+) -> list[OverlapResult]:
+    """For every node of either map, in node order, how much of its
+    neighborhood in ``n2`` lies inside its neighborhood in ``n1``.
+
+    The maps take a node to its aggregated neighborhood in a stream, as
+    ``induced_graph(s).undirected_adjacency()`` gives it: everyone who ever
+    interacted with the node. A node absent from a map has an empty
+    neighborhood there; empty denominators yield None markers.
+    """
+    empty: frozenset[int] = frozenset()
+    results = []
+    for v in sorted(n1.keys() | n2.keys()):
+        a = n1.get(v, empty)
+        b = n2.get(v, empty)
+        inter = len(a & b)
+        union = len(a) + len(b) - inter
+        results.append(
+            OverlapResult(
+                node=v,
+                inclusion=inter / len(b) if b else None,
+                jaccard=inter / union if union else None,
+            )
+        )
+    return results
 
 
 @dataclass(frozen=True)

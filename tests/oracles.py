@@ -98,3 +98,58 @@ def double_edge_swap(
         edges[i] = e1
         edges[j] = e2
     return edges
+
+
+def aggregated_neighborhood(s, v: int) -> frozenset[int]:
+    """One scan of every link per call: everyone who ever interacted with v."""
+    return frozenset(
+        ln.target if ln.source == v else ln.source
+        for ln in s.links
+        if v in (ln.source, ln.target)
+    )
+
+
+def neighborhood_overlap(v: int, s1, s2) -> tuple[float | None, float | None]:
+    """(inclusion, jaccard) of v's neighborhood in ``s2`` within its
+    neighborhood in ``s1``, each rescanned from the links; None for an empty
+    denominator."""
+    n1 = aggregated_neighborhood(s1, v)
+    n2 = aggregated_neighborhood(s2, v)
+    inter = len(n1 & n2)
+    union = len(n1 | n2)
+    return (inter / len(n2) if n2 else None, inter / union if union else None)
+
+
+def bfs_from(nodes, und_edges: set[tuple[int, int]], source: int) -> dict[int, int]:
+    """Hop counts from ``source``, one plain breadth-first search."""
+    adj = {n: set() for n in nodes}
+    for u, v in und_edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    dist = {source: 0}
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for nbr in adj[node]:
+                if nbr not in dist:
+                    dist[nbr] = dist[node] + 1
+                    nxt.append(nbr)
+        frontier = nxt
+    return dist
+
+
+def distance_distribution(
+    pairs, nodes, und_edges: set[tuple[int, int]]
+) -> tuple[dict[int, int], int]:
+    """(distance -> count, unreachable) over the distinct pairs, one full
+    BFS per pair."""
+    counts: dict[int, int] = {}
+    unreachable = 0
+    for u, v in set(pairs):
+        d = bfs_from(nodes, und_edges, u).get(v)
+        if d is None:
+            unreachable += 1
+        else:
+            counts[d] = counts.get(d, 0) + 1
+    return dict(sorted(counts.items())), unreachable

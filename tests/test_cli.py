@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from ls_ledger.cli import main
 from ls_ledger.errors import StateError
 from ls_ledger.fixtures import example_records, write_records
+from ls_ledger.ledger_ingest import format_record
 from ls_ledger.snapshot import load_bundle
 
 ALL_COMMANDS = ("overview", "graph", "closures", "match", "relations", "neighborhoods")
@@ -159,6 +160,58 @@ def test_remuniter_flow(tmp_path):
     assert result.exit_code == 0, result.output
     assert "miners:2" in result.output
     assert (out / "repartition_filtered.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["a,b", "#x"])
+def test_key_that_breaks_csv_rows_is_skipped_or_fatal(tmp_path, key):
+    ledger = tmp_path / "ledger.jsonl"
+    lines = [format_record(r) for r in example_records()]
+    lines.insert(4, f'{{"type":"identity","time":0,"key":"{key}","uid":"bad"}}')
+    ledger.write_text("\n".join(lines) + "\n")
+    runner = CliRunner()
+
+    lenient = runner.invoke(
+        main, ["ingest", "--input", str(ledger), "--out", str(tmp_path / "o")]
+    )
+    assert lenient.exit_code == 0, lenient.output
+    assert "skipped line 5" in lenient.output and repr(key) in lenient.output
+    assert "identities:4 certs:12 txs:14" in lenient.output
+    overview = runner.invoke(main, ["overview", "--out", str(tmp_path / "o")])
+    assert overview.exit_code == 0, overview.output
+    rows = (tmp_path / "o" / "degrees.csv").read_text().splitlines()
+    header, *data = [r for r in rows if not r.startswith("#")]
+    assert header == "node,in,out"
+    assert [r.split(",")[0] for r in data] == ["a", "b", "c", "d"]
+    assert all(len(r.split(",")) == 3 for r in data)
+
+    strict = runner.invoke(
+        main, ["ingest", "--input", str(ledger), "--out", str(tmp_path / "s"), "--strict"]
+    )
+    assert strict.exit_code != 0
+    assert "line 5" in strict.output and "Traceback" not in strict.output
+
+
+def test_unknown_remuniter_writes_nothing(ledger_file, tmp_path):
+    out = tmp_path / "o"
+    out.mkdir()
+    runner = CliRunner()
+    result = runner.invoke(
+        main,
+        ["ingest", "--input", str(ledger_file), "--out", str(out), "--remuniter", "nope"],
+    )
+    assert result.exit_code == 1
+    assert result.output == "Error: --remuniter key 'nope' not present in the ledger\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+@pytest.mark.parametrize("option", [["--strict"], ["--remuniter", "w"]])
+def test_metric_commands_reject_ingest_options(tmp_path, command, option):
+    runner = CliRunner()
+    result = runner.invoke(main, [command, "--out", str(tmp_path / "o"), *option])
+    assert result.exit_code == 2  # click usage error
+    assert "No such option" in result.output
+    assert not (tmp_path / "o").exists()
 
 
 def test_overview_correlation_of_identical_streams(ledger_file, tmp_path):

@@ -65,6 +65,38 @@ def test_parse_malformed_lines(bad):
     assert err.value.line_no == 4
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"type":"identity","time":0,"key":"a,b","uid":"ab"}',
+        '{"type":"identity","time":0,"key":"#x","uid":"x"}',
+        '{"type":"cert","time":0,"from":"A","to":"B|C"}',
+        '{"type":"cert","time":0,"from":"B C","to":"A"}',
+        '{"type":"tx","time":0,"from":"A","to":"B\\tC","amount":1}',
+        '{"type":"tx","time":0,"from":"A\\u0085","to":"B","amount":1}',
+        '{"type":"tx","time":0,"from":"A","to":"B\\u0000","amount":1}',
+        '{"type":"tx","time":0,"from":"A","to":"B\\u2003","amount":1}',
+    ],
+)
+def test_parse_rejects_keys_that_break_csv_rows(record):
+    lines = LINES + [record]
+    parsed = parse_records(lines)
+    assert [line for line, _ in parsed.issues] == [4]
+    assert "key" in parsed.issues[0][1]
+    assert len(parsed.identities) + len(parsed.certifications) + len(parsed.transactions) == 3
+    with pytest.raises(ParseError) as err:
+        parse_records(lines, strict=True)
+    assert err.value.line_no == 4
+
+
+def test_parse_accepts_keys_inside_and_after_hash():
+    # "#" only reads as a comment at the start of a row
+    lines = ['{"type":"tx","time":0,"from":"A#1","to":"M000","amount":1}'] * 2
+    parsed = parse_records(lines)
+    assert parsed.issues == []
+    assert [(r.src, r.dst) for r in parsed.transactions] == [("A#1", "M000")] * 2
+
+
 def test_parse_duplicate_identity_rejected():
     lines = [
         '{"type":"identity","time":0,"key":"A","uid":"alice"}',

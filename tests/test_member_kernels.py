@@ -1,0 +1,174 @@
+"""The two bulk member kernels against their brute-force references.
+
+``graph_metrics.distance_distribution`` (bit-parallel multi-source BFS)
+must give the counts of one plain BFS per pair, and
+``temporal_metrics.neighborhood_overlaps`` over induced adjacencies must
+give what a link rescan per node gives, on seeded random graphs with sparse
+handles, isolated nodes and several components.
+"""
+
+import random
+
+import pytest
+
+import oracles
+from ls_ledger.graph_metrics import distance_distribution, pair_distance
+from ls_ledger.stream_core import InducedGraph, Link, LinkStream, induced_graph
+from ls_ledger.temporal_metrics import neighborhood_overlaps
+
+TRIALS = 2_000
+
+
+def random_handles(rng: random.Random, n: int) -> list[int]:
+    """n distinct node handles: dense, multiples of 3, or scattered."""
+    style = rng.randrange(3)
+    if style == 0:
+        return list(range(n))
+    if style == 1:
+        return [3 * i for i in range(n)]
+    return sorted(rng.sample(range(10 * n + 5), n))
+
+
+def random_components(rng: random.Random, nodes: list[int]) -> set[tuple[int, int]]:
+    """Directed edges within up to three groups of the nodes, each group a
+    random sparse or dense graph or a long thin tree; some nodes end up
+    isolated."""
+    shuffled = rng.sample(nodes, len(nodes))
+    cuts = sorted(rng.sample(range(len(nodes) + 1), min(2, len(nodes) + 1)))
+    groups = [shuffled[:cuts[0]], shuffled[cuts[0]:cuts[-1]], shuffled[cuts[-1]:]]
+    edges = set()
+    for group in groups:
+        if len(group) < 2:
+            continue
+        if rng.random() < 0.3:
+            # each node hangs off one of the two before it: long paths
+            for i in range(1, len(group)):
+                parent = group[i - 1 - rng.randrange(min(i, 2))]
+                edges.add(rng.choice(((group[i], parent), (parent, group[i]))))
+            continue
+        p = rng.choice((0.1, 0.25, 0.6))
+        for u in group:
+            for v in group:
+                if u != v and rng.random() < p / 2:
+                    edges.add((u, v))
+    return edges
+
+
+def random_pairs(rng: random.Random, nodes: list[int]) -> list[tuple[int, int]]:
+    """Pairs including (u, u), both orientations and duplicates; sometimes none."""
+    if rng.random() < 0.05:
+        return []
+    pairs = [tuple(rng.choices(nodes, k=2)) for _ in range(rng.randint(1, 3 * len(nodes)))]
+    pairs += [(u, u) for u in rng.sample(nodes, min(2, len(nodes)))]
+    pairs += [(v, u) for u, v in rng.sample(pairs, len(pairs) // 3)]
+    pairs += rng.sample(pairs, len(pairs) // 4)
+    rng.shuffle(pairs)
+    return pairs
+
+
+def test_distance_distribution_matches_per_pair_bfs():
+    rng = random.Random(301)
+    for trial in range(TRIALS):
+        nodes = random_handles(rng, rng.randint(1, 16))
+        edges = random_components(rng, nodes)
+        g = InducedGraph(nodes=frozenset(nodes), directed_edges=frozenset(edges))
+        pairs = random_pairs(rng, nodes)
+        dist = distance_distribution(pairs, g)
+        und = oracles.undirected_edge_set(edges)
+        counts, unreachable = oracles.distance_distribution(pairs, nodes, und)
+        assert (dist.counts, dist.unreachable) == (counts, unreachable), (trial, pairs, edges)
+        assert list(dist.counts) == sorted(dist.counts)
+
+
+def test_pair_distance_matches_bfs():
+    rng = random.Random(302)
+    for trial in range(TRIALS):
+        nodes = random_handles(rng, rng.randint(1, 16))
+        edges = random_components(rng, nodes)
+        g = InducedGraph(nodes=frozenset(nodes), directed_edges=frozenset(edges))
+        u, v = rng.choices(nodes, k=2)
+        expected = oracles.bfs_from(nodes, oracles.undirected_edge_set(edges), u).get(v)
+        assert pair_distance(g, u, v) == expected, (trial, u, v, edges)
+
+
+def test_distance_distribution_edge_cases():
+    path = InducedGraph(
+        nodes=frozenset({0, 3, 6, 9, 12}),
+        directed_edges=frozenset({(0, 3), (6, 3), (6, 9)}),
+    )
+    dist = distance_distribution([], path)
+    assert dist.counts == {} and dist.unreachable == 0
+
+    # (u, u) is distance 0; both orientations count; duplicates count once
+    pairs = [(0, 0), (0, 9), (9, 0), (0, 9), (3, 12), (12, 12)]
+    dist = distance_distribution(pairs, path)
+    assert dist.counts == {0: 2, 3: 2} and dist.unreachable == 1
+
+    single = InducedGraph(nodes=frozenset({7}), directed_edges=frozenset())
+    assert distance_distribution([(7, 7)], single).counts == {0: 1}
+    assert pair_distance(single, 7, 7) == 0
+
+    with pytest.raises(KeyError, match="node 5 not in graph"):
+        distance_distribution([(0, 5)], path)
+    with pytest.raises(KeyError, match="node 5 not in graph"):
+        pair_distance(path, 5, 0)
+
+
+def random_stream(rng: random.Random, nodes: list[int]) -> LinkStream:
+    """A stream over a random subset of ``nodes`` (at least one), part of
+    which gets no link at all."""
+    own = rng.sample(nodes, rng.randint(1, len(nodes)))
+    links = []
+    if len(own) >= 2:
+        for _ in range(rng.randint(0, 3 * len(own))):
+            u, v = rng.sample(own, 2)
+            links.append(Link(rng.randint(0, 20), u, v))
+    links.sort(key=Link.sort_key)
+    return LinkStream(interval=(0, 20), nodes=frozenset(own), links=tuple(links))
+
+
+def test_neighborhood_overlaps_match_per_node_rescan():
+    rng = random.Random(303)
+    for trial in range(TRIALS):
+        nodes = random_handles(rng, rng.randint(1, 14))
+        s1, s2 = random_stream(rng, nodes), random_stream(rng, nodes)
+        adj1 = induced_graph(s1).undirected_adjacency()
+        adj2 = induced_graph(s2).undirected_adjacency()
+        results = neighborhood_overlaps(adj1, adj2)
+        assert [res.node for res in results] == sorted(s1.nodes | s2.nodes)
+        for res in results:
+            expected = oracles.neighborhood_overlap(res.node, s1, s2)
+            assert (res.inclusion, res.jaccard) == expected, (trial, res)
+
+
+def test_neighborhood_overlaps_na_cells():
+    # 0 links in both streams, 1 only in the cert stream, 4 only in the
+    # transaction stream, 3 sits in the cert node set without a link, and 5
+    # sits in both node sets without any link
+    cert = LinkStream(
+        interval=(0, 9),
+        nodes=frozenset({0, 1, 2, 3, 5}),
+        links=(Link(1, 0, 2), Link(2, 1, 2)),
+    )
+    txmm = LinkStream(
+        interval=(0, 9),
+        nodes=frozenset({0, 2, 4, 5}),
+        links=(Link(3, 0, 2), Link(4, 4, 0)),
+    )
+    results = {
+        res.node: (res.inclusion, res.jaccard)
+        for res in neighborhood_overlaps(
+            induced_graph(cert).undirected_adjacency(),
+            induced_graph(txmm).undirected_adjacency(),
+        )
+    }
+    assert results == {
+        0: (0.5, 0.5),
+        1: (None, 0.0),
+        2: (1.0, 0.5),
+        3: (None, None),
+        4: (0.0, 0.0),
+        5: (None, None),
+    }
+    for node, cells in results.items():
+        assert oracles.neighborhood_overlap(node, cert, txmm) == cells

@@ -6,10 +6,9 @@ import oracles
 from ls_ledger.fixtures import random_links, random_stream
 from ls_ledger.stream_core import Link, build_stream, induced_graph
 from ls_ledger.temporal_metrics import (
-    aggregated_neighborhood,
     closure_distribution,
     neighborhood,
-    neighborhood_overlap,
+    neighborhood_overlaps,
     three_closure,
     two_closure,
 )
@@ -46,8 +45,10 @@ def test_neighborhood_isolated_and_single():
 
 def test_aggregated_neighborhood_example(sample_stream):
     s, table = sample_stream
-    agg = aggregated_neighborhood(s, table.id_of("a"))
+    a = table.id_of("a")
+    agg = induced_graph(s).undirected_adjacency()[a]
     assert {table.key_of(n) for n in agg} == {"b", "d"}
+    assert oracles.aggregated_neighborhood(s, a) == agg
 
 
 def test_aggregated_equals_induced_undirected_neighborhood():
@@ -56,7 +57,8 @@ def test_aggregated_equals_induced_undirected_neighborhood():
         s = build_stream(random_links(rng, rng.randint(2, 9), rng.randint(1, 80)))
         adj = induced_graph(s).undirected_adjacency()
         for node in s.nodes:
-            assert aggregated_neighborhood(s, node) == adj[node]
+            assert oracles.aggregated_neighborhood(s, node) == adj[node]
+            assert neighborhood(s, node).node_projection() == adj[node]
 
 
 def test_neighborhood_size_with_distinct_elements():
@@ -65,29 +67,37 @@ def test_neighborhood_size_with_distinct_elements():
     assert len(neighborhood(s, 0).elements) == 3
 
 
+def _overlaps(s1, s2):
+    """Node -> OverlapResult of the bulk form on the two streams."""
+    adj1 = induced_graph(s1).undirected_adjacency()
+    adj2 = induced_graph(s2).undirected_adjacency()
+    return {res.node: res for res in neighborhood_overlaps(adj1, adj2)}
+
+
 def test_overlap_examples():
     s1 = build_stream([Link(0, 0, 1), Link(1, 0, 2)])  # N(0) = {1, 2}
     s2 = build_stream([Link(5, 1, 0)])  # N(0) = {1}
-    res = neighborhood_overlap(0, s1, s2)
+    res = _overlaps(s1, s2)[0]
     assert res.inclusion == pytest.approx(1.0)
     assert res.jaccard == pytest.approx(0.5)
 
     disjoint = build_stream([Link(3, 0, 3)])
-    res = neighborhood_overlap(0, s1, disjoint)
+    res = _overlaps(s1, disjoint)[0]
     assert res.inclusion == 0.0 and res.jaccard == 0.0
 
-    res = neighborhood_overlap(0, s1, s1)
+    res = _overlaps(s1, s1)[0]
     assert res.inclusion == 1.0 and res.jaccard == 1.0
 
 
 def test_overlap_empty_neighborhood_markers():
     s1 = build_stream([Link(0, 0, 1)])
     s2 = build_stream([Link(0, 2, 3)])  # node 0 absent
-    res = neighborhood_overlap(0, s1, s2)
+    results = _overlaps(s1, s2)
+    res = results[0]
     assert res.inclusion is None  # empty transaction-side neighborhood
     assert res.jaccard == 0.0
-    with pytest.raises(KeyError):
-        neighborhood_overlap(9, s1, s2)
+    # one row per node of either stream, in node order, and no other
+    assert list(results) == [0, 1, 2, 3]
 
 
 def _link(s, table, t, u, v):
