@@ -10,7 +10,7 @@ output directories.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import click
@@ -84,8 +84,8 @@ def cmd_ingest(cfg: RunConfig) -> None:
     and export the substream repartitions."""
     with open(cfg.input_path, "r", encoding="utf-8") as fh:
         records = ledger_ingest.parse_records(fh, strict=cfg.strict)
-    for line_no, message in records.issues:
-        click.echo(f"warning: skipped line {line_no}: {message}", err=True)
+    for line_no, reason in records.issues:
+        click.echo(f"warning: skipped line {line_no}: {reason}", err=True)
 
     cls = ledger_ingest.classify_keys(records.identities, records.transactions)
     # checked before anything is written, so a bad key leaves --out untouched
@@ -135,13 +135,11 @@ def cmd_overview(cfg: RunConfig) -> None:
 
     # bin both streams over the common enclosing interval so the series
     # share one grid; empty streams contribute no span of their own
-    spans = [s.interval for s in (cert, tx_mm) if s.links] or [cert.interval]
+    spans = [s.interval for s in (cert, tx_mm) if s.link_count] or [cert.interval]
     common = (min(t0 for t0, _ in spans), max(t1 for _, t1 in spans))
     series = {}
     for name, stream in (("cert", cert), ("txmm", tx_mm)):
-        widened = stream_core.LinkStream(
-            interval=common, nodes=stream.nodes, links=stream.links
-        )
+        widened = replace(stream, interval=common)
         binned = stream_core.activity_series(widened, cfg.bin_width)
         series[name] = (binned, stream_core.rolling_sum(binned, cfg.window))
 
@@ -359,13 +357,13 @@ def cmd_match(cfg: RunConfig) -> None:
         ),
         "t,from,to,category",
         (
-            (
-                ln.t,
-                bundle.table.key_of(ln.source),
-                bundle.table.key_of(ln.target),
-                cat.value,
+            (t, bundle.table.key_of(u), bundle.table.key_of(v), cat.value)
+            for t, u, v, cat in zip(
+                tx_mm.t.tolist(),
+                tx_mm.src.tolist(),
+                tx_mm.dst.tolist(),
+                tx_classes.categories,
             )
-            for ln, cat in zip(tx_mm.links, tx_classes.categories)
         ),
     )
 

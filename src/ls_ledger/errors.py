@@ -39,11 +39,13 @@ class IntegrityError(LedgerError, ValueError):
 
 
 class ParseError(LedgerError, ValueError):
-    """A malformed input line, fatal in strict mode. Carries ``line_no``."""
+    """A malformed input line, fatal in strict mode. Carries ``line_no`` and
+    the ``reason`` without the line number."""
 
-    def __init__(self, message: str, line_no: int):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, reason: str, line_no: int):
+        super().__init__(f"line {line_no}: {reason}")
         self.line_no = line_no
+        self.reason = reason
 
 
 class UndefinedCorrelationError(LedgerError, ValueError):

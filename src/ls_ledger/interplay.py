@@ -19,8 +19,10 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ClassificationError
-from .stream_core import LinkStream, NodeClassification
+from .stream_core import LinkStream, NodeClassification, node_mask
 
 Pair = tuple[int, int]  # unordered, stored as (min, max)
 
@@ -47,15 +49,14 @@ def relation_sets(
 
     When a classification is given, every endpoint must be a member.
     """
-    directed = set()
-    for ln in s.links:
-        if cls is not None:
-            for end in (ln.source, ln.target):
-                if end not in cls.members:
-                    raise ClassificationError(
-                        f"non-member endpoint: {cls.name_of(end)}"
-                    )
-        directed.add((ln.source, ln.target))
+    if cls is not None:
+        ends = np.column_stack((s.src, s.dst)).ravel()  # link order, source first
+        outside = ~node_mask(ends, cls.members)
+        if outside.any():
+            raise ClassificationError(
+                f"non-member endpoint: {cls.name_of(int(ends[outside.argmax()]))}"
+            )
+    directed = set(zip(s.src.tolist(), s.dst.tolist()))
     bi = set()
     uni = set()
     for u, v in directed:
@@ -135,10 +136,7 @@ def relation_ratio_table(
 
 def pair_transaction_counts(tx_mm: LinkStream) -> Counter[Pair]:
     """Transactions per unordered member pair, both directions pooled."""
-    counts: Counter[Pair] = Counter()
-    for ln in tx_mm.links:
-        counts[_pair(ln.source, ln.target)] += 1
-    return counts
+    return Counter({pair: len(ts) for pair, ts in _pair_event_times(tx_mm).items()})
 
 
 @dataclass(frozen=True)
@@ -193,19 +191,12 @@ class MatchReport:
     both_sided: int  # pairs with transactions on both sides of the anchor
 
 
-def _first_cert_times(cert_stream: LinkStream) -> dict[Pair, int]:
-    first: dict[Pair, int] = {}
-    for ln in cert_stream.links:  # links are time-sorted
-        first.setdefault(_pair(ln.source, ln.target), ln.t)
-    return first
-
-
 def _pair_event_times(s: LinkStream) -> dict[Pair, list[int]]:
+    """Link times per unordered pair, both directions pooled; sorted, since
+    the stream is."""
     times: dict[Pair, list[int]] = {}
-    for ln in s.links:
-        times.setdefault(_pair(ln.source, ln.target), []).append(ln.t)
-    for ts in times.values():
-        ts.sort()
+    for t, u, v in zip(s.t.tolist(), s.src.tolist(), s.dst.tolist()):
+        times.setdefault(_pair(u, v), []).append(t)
     return times
 
 
@@ -232,13 +223,13 @@ def match_certifications(cert_stream: LinkStream, tx_mm: LinkStream) -> MatchRep
     "after", and pairs that never transact are "never". The signed delay
     always points at the transaction closest in absolute time.
     """
-    anchors = _first_cert_times(cert_stream)
+    cert_times = _pair_event_times(cert_stream)
     tx_times = _pair_event_times(tx_mm)
     outcomes = []
     tally = dict.fromkeys(MatchCategory, 0)
     both_sided = 0
-    for pair in sorted(anchors):
-        anchor = anchors[pair]
+    for pair in sorted(cert_times):
+        anchor = cert_times[pair][0]
         times = tx_times.get(pair)
         if not times:
             category, delay = MatchCategory.NEVER, None
@@ -259,23 +250,17 @@ def match_certifications(cert_stream: LinkStream, tx_mm: LinkStream) -> MatchRep
     )
 
 
-def preceding_transaction_count(pair: Pair, anchor: int, tx_mm: LinkStream) -> int:
-    """Transactions between the pair strictly before the anchor time."""
-    times = _pair_event_times(tx_mm).get(_pair(*pair), [])
-    return bisect_left(times, anchor)
-
-
 def preceding_transaction_counts(
     cert_stream: LinkStream, tx_mm: LinkStream
 ) -> dict[Pair, tuple[int, int]]:
     """Bulk form over every first certification: pair -> (anchor, number of
     strictly earlier transactions). Pairs with zero earlier transactions are
     included so callers can split the distribution themselves."""
-    anchors = _first_cert_times(cert_stream)
+    cert_times = _pair_event_times(cert_stream)
     tx_times = _pair_event_times(tx_mm)
     return {
-        pair: (anchor, bisect_left(tx_times.get(pair, []), anchor))
-        for pair, anchor in sorted(anchors.items())
+        pair: (ts[0], bisect_left(tx_times.get(pair, []), ts[0]))
+        for pair, ts in sorted(cert_times.items())
     }
 
 
@@ -294,14 +279,14 @@ class TxClassReport:
 def classify_transactions(tx_mm: LinkStream, cert_stream: LinkStream) -> TxClassReport:
     """Classify each transaction by whether the pair's first certification
     exists at transaction time, only later, or never."""
-    first_cert = _first_cert_times(cert_stream)
+    cert_times = _pair_event_times(cert_stream)
     cats = []
     tally = dict.fromkeys(TxCategory, 0)
-    for ln in tx_mm.links:
-        c0 = first_cert.get(_pair(ln.source, ln.target))
-        if c0 is None:
+    for t, u, v in zip(tx_mm.t.tolist(), tx_mm.src.tolist(), tx_mm.dst.tolist()):
+        certs = cert_times.get(_pair(u, v))
+        if certs is None:
             cat = TxCategory.NEVER
-        elif c0 <= ln.t:
+        elif certs[0] <= t:
             cat = TxCategory.ALREADY_CERTIFIED
         else:
             cat = TxCategory.FUTURE_CERTIFIED
@@ -332,13 +317,11 @@ def new_transaction_cert_delays(
     certification closest in absolute time; pairs without any certification
     are counted as unmatched."""
     cert_times = _pair_event_times(cert_stream)
-    first_tx: dict[Pair, int] = {}
-    for ln in tx_mm.links:
-        first_tx.setdefault(_pair(ln.source, ln.target), ln.t)
+    tx_times = _pair_event_times(tx_mm)
     rows = []
     unmatched = 0
-    for pair in sorted(first_tx):
-        t0 = first_tx[pair]
+    for pair in sorted(tx_times):
+        t0 = tx_times[pair][0]
         certs = cert_times.get(pair)
         if not certs:
             unmatched += 1

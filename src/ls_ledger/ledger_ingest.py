@@ -24,19 +24,27 @@ from dataclasses import dataclass
 
 from .errors import IntegrityError, ParseError
 from .stream_core import (
-    Link,
     LinkStream,
+    NodeClass,
     NodeClassification,
     NodeTable,
-    build_stream,
+    class_mask,
     induced_graph,
+    node_mask,
+    stream_from_rows,
 )
 
 SUBSTREAM_LABELS = ("MM", "MA", "AM", "AA")
+# label -> (source class, target class)
+SUBSTREAM_CLASSES = {
+    label: tuple(NodeClass.MEMBER if c == "M" else NodeClass.ANONYMOUS for c in label)
+    for label in SUBSTREAM_LABELS
+}
 
 # a key must not split a CSV row or a "src|dst" pair label, nor read as a
 # "#" comment line; base58 keys never match
 _BAD_KEY = re.compile(r"^#|[,|\s\x00-\x1f\x7f-\x9f]")
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,6 +89,8 @@ def _int_field(obj: dict, name: str, line_no: int) -> int:
     v = _require(obj, name, line_no)
     if isinstance(v, bool) or not isinstance(v, int):
         raise ParseError(f"field {name!r} must be an integer, got {v!r}", line_no)
+    if v > _INT64_MAX:  # streams hold int64 columns
+        raise ParseError(f"field {name!r} is {v}, above 2^63-1", line_no)
     return v
 
 
@@ -109,7 +119,7 @@ def parse_records(lines: Iterable[str | bytes], strict: bool = False) -> ParsedR
 
     Returns the identities, certifications, and transactions in input order.
     In lenient mode malformed lines are collected into ``issues`` as
-    (line number, message) pairs; in strict mode the first one raises
+    (line number, reason) pairs; in strict mode the first one raises
     :class:`ParseError`.
     """
     identities: list[IdentityRecord] = []
@@ -131,7 +141,7 @@ def parse_records(lines: Iterable[str | bytes], strict: bool = False) -> ParsedR
         except ParseError as err:
             if strict:
                 raise
-            issues.append((line_no, str(err)))
+            issues.append((line_no, err.reason))
             continue
         if isinstance(rec, IdentityRecord):
             identities.append(rec)
@@ -245,38 +255,25 @@ def build_streams(
     if table is None:
         raise IntegrityError("classification carries no key table")
 
-    cert_links = []
     for rec in records.certifications:
         for key in (rec.src, rec.dst):
             if key not in table or table.id_of(key) not in cls.members:
                 raise IntegrityError(f"certification involves non-member key {key!r}")
-        cert_links.append(Link(rec.t, table.id_of(rec.src), table.id_of(rec.dst)))
-
-    tx_links = [
-        Link(rec.t, table.id_of(rec.src), table.id_of(rec.dst), amount=rec.amount)
-        for rec in records.transactions
-    ]
-
-    cert_interval = _span(cert_links)
-    tx_interval = _span(tx_links)
-    cert_stream = LinkStream(
-        interval=cert_interval,
-        nodes=frozenset(cls.members),
-        links=tuple(sorted(cert_links, key=Link.sort_key)),
+    id_of = table.id_of
+    cert = stream_from_rows(
+        [(rec.t, id_of(rec.src), id_of(rec.dst)) for rec in records.certifications],
+        weighted=False,
+        nodes=cls.members,
     )
-    tx_stream = LinkStream(
-        interval=tx_interval,
-        nodes=frozenset(cls.members | cls.anonymous),
-        links=tuple(sorted(tx_links, key=Link.sort_key)),
+    tx = stream_from_rows(
+        [
+            (rec.t, id_of(rec.src), id_of(rec.dst), rec.amount)
+            for rec in records.transactions
+        ],
+        weighted=True,
+        nodes=cls.members | cls.anonymous,
     )
-    return cert_stream, tx_stream
-
-
-def _span(links: list[Link]) -> tuple[int, int]:
-    if not links:
-        return (0, 0)
-    ts = [ln.t for ln in links]
-    return (min(ts), max(ts))
+    return cert, tx
 
 
 @dataclass(frozen=True)
@@ -307,14 +304,13 @@ class RepartitionReport:
 def repartition(tx_stream: LinkStream, cls: NodeClassification) -> RepartitionReport:
     """Split transaction counts and amounts across the four class substreams."""
     cls.require_covers(tx_stream.nodes)
-    counts = dict.fromkeys(SUBSTREAM_LABELS, 0)
-    amounts = dict.fromkeys(SUBSTREAM_LABELS, 0)
-    for ln in tx_stream.links:
-        label = ("M" if ln.source in cls.members else "A") + (
-            "M" if ln.target in cls.members else "A"
-        )
-        counts[label] += 1
-        amounts[label] += ln.amount or 0
+    counts = {}
+    amounts = {}
+    for label in SUBSTREAM_LABELS:
+        keep = class_mask(tx_stream, cls, *SUBSTREAM_CLASSES[label])
+        counts[label] = int(keep.sum())
+        # a sum of Python ints stays exact where an int64 sum could wrap
+        amounts[label] = 0 if tx_stream.amount is None else sum(tx_stream.amount[keep].tolist())
     n = sum(counts.values())
     a = sum(amounts.values())
     rows = {
@@ -332,10 +328,7 @@ def repartition(tx_stream: LinkStream, cls: NodeClassification) -> RepartitionRe
 def filter_wallet(s: LinkStream, wallet: int) -> LinkStream:
     """Drop every link touching ``wallet`` and the wallet itself; the
     interval is unchanged. Filtering an absent node is a no-op."""
-    kept = tuple(ln for ln in s.links if wallet not in (ln.source, ln.target))
-    return LinkStream(
-        interval=s.interval, nodes=frozenset(s.nodes - {wallet}), links=kept
-    )
+    return s.restrict((s.src != wallet) & (s.dst != wallet), s.nodes - {wallet})
 
 
 def identify_miners(
@@ -349,11 +342,8 @@ def identify_miners(
     wallet = table.id_of(remuniter_key)
     if wallet not in tx_stream.nodes:
         raise KeyError(f"key {remuniter_key!r} not present in the transaction stream")
-    return frozenset(
-        ln.target
-        for ln in tx_stream.links
-        if ln.source == wallet and ln.target in cls.members
-    )
+    paid = tx_stream.dst[tx_stream.src == wallet]
+    return frozenset(paid[node_mask(paid, cls.members)].tolist())
 
 
 def validate_membership(

@@ -1,10 +1,12 @@
 """Columnar snapshot of an ingested ledger.
 
 The snapshot is a zip of .npy arrays (readable with ``numpy.load``) holding
-the certification and transaction streams, the key table, the member
-partition, and the link indices of the four class substreams. Zip entries
-get a fixed timestamp so identical data produces identical bytes, which the
-CLI's determinism guarantee relies on.
+the columns of the certification and transaction streams, the key table,
+the member partition, and the link indices of the four class substreams.
+Loading derives the substreams from the transaction stream and the
+partition again, so it reads no ``sub_*`` array. Zip entries get a fixed
+timestamp so identical data produces identical bytes, which the CLI's
+determinism guarantee relies on.
 """
 
 from __future__ import annotations
@@ -18,20 +20,17 @@ from pathlib import Path
 import numpy as np
 
 from .errors import StateError
-from .ledger_ingest import SUBSTREAM_LABELS
+from .ledger_ingest import SUBSTREAM_CLASSES
 from .stream_core import (
-    Link,
     LinkStream,
-    NodeClass,
     NodeClassification,
     NodeTable,
+    class_mask,
     substream_by_class,
 )
 
 SNAPSHOT_NAME = "snapshot.npz"
 _EPOCH = (1980, 1, 1, 0, 0, 0)  # fixed zip timestamp for byte-stable output
-
-_CLASS_OF_LABEL = {"M": NodeClass.MEMBER, "A": NodeClass.ANONYMOUS}
 
 
 @dataclass(frozen=True)
@@ -57,39 +56,27 @@ def build_bundle(
     tx: LinkStream,
 ) -> StreamBundle:
     subs = {
-        label: substream_by_class(
-            tx, cls, _CLASS_OF_LABEL[label[0]], _CLASS_OF_LABEL[label[1]]
-        )
-        for label in SUBSTREAM_LABELS
+        label: substream_by_class(tx, cls, *classes)
+        for label, classes in SUBSTREAM_CLASSES.items()
     }
     return StreamBundle(table=table, cls=cls, cert=cert, tx=tx, substreams=subs)
-
-
-def _stream_arrays(prefix: str, s: LinkStream, with_amount: bool) -> dict[str, np.ndarray]:
-    arrays = {
-        f"{prefix}_interval": np.asarray(s.interval, dtype=np.int64),
-        f"{prefix}_t": np.asarray([ln.t for ln in s.links], dtype=np.int64),
-        f"{prefix}_src": np.asarray([ln.source for ln in s.links], dtype=np.int64),
-        f"{prefix}_dst": np.asarray([ln.target for ln in s.links], dtype=np.int64),
-        f"{prefix}_nodes": np.asarray(sorted(s.nodes), dtype=np.int64),
-    }
-    if with_amount:
-        arrays[f"{prefix}_amount"] = np.asarray(
-            [ln.amount or 0 for ln in s.links], dtype=np.int64
-        )
-    return arrays
 
 
 def save_bundle(out_dir: str | Path, bundle: StreamBundle) -> Path:
     """Write the snapshot into ``out_dir`` and return its path."""
     arrays: dict[str, np.ndarray] = {}
-    arrays.update(_stream_arrays("cert", bundle.cert, with_amount=False))
-    arrays.update(_stream_arrays("tx", bundle.tx, with_amount=True))
+    for prefix, s in (("cert", bundle.cert), ("tx", bundle.tx)):
+        arrays[f"{prefix}_interval"] = np.asarray(s.interval, dtype=np.int64)
+        arrays[f"{prefix}_t"] = s.t
+        arrays[f"{prefix}_src"] = s.src
+        arrays[f"{prefix}_dst"] = s.dst
+        arrays[f"{prefix}_nodes"] = np.asarray(sorted(s.nodes), dtype=np.int64)
+    arrays["tx_amount"] = bundle.tx.amount
     arrays["keys"] = np.asarray(bundle.table.keys(), dtype=np.str_)
     arrays["members"] = np.asarray(sorted(bundle.cls.members), dtype=np.int64)
-    for label, sub in bundle.substreams.items():
-        idx = _link_indices(bundle.tx, sub)
-        arrays[f"sub_{label}"] = np.asarray(idx, dtype=np.int64)
+    for label, classes in SUBSTREAM_CLASSES.items():
+        keep = class_mask(bundle.tx, bundle.cls, *classes)
+        arrays[f"sub_{label}"] = np.flatnonzero(keep)
 
     path = Path(out_dir) / SNAPSHOT_NAME
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -103,24 +90,10 @@ def save_bundle(out_dir: str | Path, bundle: StreamBundle) -> Path:
     return path
 
 
-def _link_indices(parent: LinkStream, sub: LinkStream) -> list[int]:
-    """Positions of the substream's links inside the parent's sequence.
-
-    Both sequences share sort order, so a single forward sweep suffices.
-    """
-    idx = []
-    i = 0
-    for ln in sub.links:
-        while parent.links[i] != ln:
-            i += 1
-        idx.append(i)
-        i += 1
-    return idx
-
-
 def load_bundle(out_dir: str | Path) -> StreamBundle:
     """Rebuild the bundle from ``out_dir``; raises StateError when the
-    snapshot is missing or unreadable (truncated, not a zip, arrays missing)."""
+    snapshot is missing or unreadable (truncated, not a zip, arrays missing,
+    or columns that break a stream invariant)."""
     path = Path(out_dir) / SNAPSHOT_NAME
     if not path.exists():
         raise StateError(f"no snapshot at {path}; run the ingest command first")
@@ -136,40 +109,29 @@ def load_bundle(out_dir: str | Path) -> StreamBundle:
 
 def _bundle_from(path: Path) -> StreamBundle:
     with np.load(path, allow_pickle=False) as data:
-        table = NodeTable(str(k) for k in data["keys"])
-        members = frozenset(int(n) for n in data["members"])
+        table = NodeTable(_array(data, "keys").tolist())
+        members = frozenset(_array(data, "members").tolist())
         anonymous = frozenset(range(len(table))) - members
         cls = NodeClassification(members=members, anonymous=anonymous, table=table)
-
-        cert = _stream_from(data, "cert", with_amount=False)
-        tx = _stream_from(data, "tx", with_amount=True)
-        substreams = {}
-        for label in SUBSTREAM_LABELS:
-            idx = data[f"sub_{label}"]
-            links = tuple(tx.links[int(i)] for i in idx)
-            nodes = (tx.nodes & cls.nodes_of(_CLASS_OF_LABEL[label[0]])) | (
-                tx.nodes & cls.nodes_of(_CLASS_OF_LABEL[label[1]])
-            )
-            substreams[label] = LinkStream(
-                interval=tx.interval, nodes=frozenset(nodes), links=links
-            )
-    return StreamBundle(table=table, cls=cls, cert=cert, tx=tx, substreams=substreams)
+        cert = _stream_from(data, "cert")
+        tx = _stream_from(data, "tx", amount=_array(data, "tx_amount"))
+    return build_bundle(table, cls, cert, tx)
 
 
-def _stream_from(data, prefix: str, with_amount: bool) -> LinkStream:
-    t = data[f"{prefix}_t"]
-    src = data[f"{prefix}_src"]
-    dst = data[f"{prefix}_dst"]
-    amounts = data[f"{prefix}_amount"] if with_amount else None
-    links = tuple(
-        Link(
-            int(t[i]),
-            int(src[i]),
-            int(dst[i]),
-            amount=int(amounts[i]) if with_amount else None,
-        )
-        for i in range(len(t))
+def _array(data, name: str) -> np.ndarray:
+    value = data[name]
+    if not isinstance(value, np.ndarray):  # np.load returns a non-npy entry as bytes
+        raise ValueError(f"{name}.npy is not an npy array")
+    return value
+
+
+def _stream_from(data, prefix: str, amount: np.ndarray | None = None) -> LinkStream:
+    t0, t1 = _array(data, f"{prefix}_interval").tolist()
+    return LinkStream(
+        interval=(t0, t1),
+        nodes=frozenset(_array(data, f"{prefix}_nodes").tolist()),
+        t=_array(data, f"{prefix}_t"),
+        src=_array(data, f"{prefix}_src"),
+        dst=_array(data, f"{prefix}_dst"),
+        amount=amount,
     )
-    interval = tuple(int(x) for x in data[f"{prefix}_interval"])
-    nodes = frozenset(int(n) for n in data[f"{prefix}_nodes"])
-    return LinkStream(interval=(interval[0], interval[1]), nodes=nodes, links=links)

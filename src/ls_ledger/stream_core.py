@@ -1,19 +1,21 @@
 """Directed link-stream data model and fundamental stream operations.
 
 A link stream couples a time interval, a node set, and a chronologically
-ordered sequence of timestamped directed links. Timestamps are integer
-seconds since the Unix epoch: the data source records blockchain median
-times, and integers keep every equality test exact. Node identities are
-dense integer handles; the handle <-> public-key mapping lives in a
-:class:`NodeTable` side table so links stay small.
+ordered sequence of timestamped directed links, held as sorted int64
+columns: time, source, target and, for transactions, amount. Timestamps
+are integer seconds since the Unix epoch: the data source records
+blockchain median times, and integers keep every equality test exact. Node
+identities are dense integer handles; the handle <-> public-key mapping
+lives in a :class:`NodeTable` side table so links stay small.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -61,7 +63,8 @@ class NodeTable:
 
 @dataclass(frozen=True, slots=True)
 class Link:
-    """One timestamped directed event, optionally weighted by an amount.
+    """One timestamped directed event, optionally weighted by an amount: a
+    row view of a stream.
 
     ``amount`` is in currency centimes and present only for transaction
     links; certifications carry ``None``. Self-links are rejected here, at
@@ -87,43 +90,94 @@ class Link:
         return (self.t, self.source, self.target)
 
 
-@dataclass(frozen=True)
+def node_mask(values: np.ndarray, nodes: Iterable[int]) -> np.ndarray:
+    """Which entries of ``values`` lie in ``nodes``; numpy looks dense
+    handles up in a bitmap."""
+    nodes = np.fromiter(nodes, dtype=np.int64)
+    return np.isin(values, nodes)
+
+
+@dataclass(frozen=True, eq=False)
 class LinkStream:
     """A time interval, a node set, and links sorted by (t, source, target).
 
-    Instances are immutable after construction; every read operation is safe
-    to share across threads. Use :func:`build_stream` rather than the raw
-    constructor so sorting, interval defaulting, and node collection happen
-    in one place.
+    The links are the columns ``t``, ``src``, ``dst`` and ``amount``:
+    read-only int64 arrays of one length, ``amount`` being ``None`` for
+    certifications. Instances are immutable after construction; every read
+    operation is safe to share across threads. Use :func:`build_stream` to
+    build a stream from :class:`Link` rows.
     """
 
     interval: tuple[int, int]
     nodes: frozenset[int]
-    links: tuple[Link, ...]
+    t: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    amount: np.ndarray | None = None
 
     def __post_init__(self):
+        for name in ("t", "src", "dst", "amount"):
+            if getattr(self, name) is not None:  # keep a private read-only copy
+                col = np.array(getattr(self, name), dtype=np.int64)
+                col.setflags(write=False)
+                object.__setattr__(self, name, col)
+        t, src, dst, amount = self.t, self.src, self.dst, self.amount
+        if t.ndim != 1 or any(c.shape != t.shape for c in (src, dst, amount) if c is not None):
+            raise ValueError("link columns must be one-dimensional and of one length")
+        n = len(t)
         t0, t1 = self.interval
         if t0 > t1:
             raise IntervalError(f"empty interval [{t0}, {t1}]")
-        prev = None
-        for i, ln in enumerate(self.links):
-            if not t0 <= ln.t <= t1:
-                raise IntervalError(
-                    f"link {i} at t={ln.t} outside interval [{t0}, {t1}]", index=i
-                )
-            if ln.source not in self.nodes or ln.target not in self.nodes:
-                raise IntervalError(f"link {i} has endpoint outside node set", index=i)
-            if prev is not None and ln.sort_key() < prev:
-                raise IntervalError(f"links out of order at position {i}", index=i)
-            prev = ln.sort_key()
+        if not n:
+            return
+        loops = np.flatnonzero(src == dst)
+        if len(loops):
+            i = int(loops[0])
+            raise SelfLinkError(f"self-link rejected: ({t[i]}, {src[i]}, {dst[i]})")
+        if t.min() < 0:
+            raise ValueError(f"negative timestamp {t.min()}")
+        if amount is not None and amount.min() < 0:
+            raise ValueError(f"negative amount {amount.min()}")
+
+        outside = (t < t0) | (t > t1)
+        foreign = ~(node_mask(src, self.nodes) & node_mask(dst, self.nodes))
+        dt, ds = np.diff(t), np.diff(src)
+        decreasing = np.zeros(n, dtype=bool)
+        decreasing[1:] = (dt < 0) | ((dt == 0) & ((ds < 0) | ((ds == 0) & (np.diff(dst) < 0))))
+        bad = outside | foreign | decreasing
+        if bad.any():
+            i = int(bad.argmax())  # the first offending link
+            if outside[i]:
+                msg = f"link {i} at t={t[i]} outside interval [{t0}, {t1}]"
+            elif foreign[i]:
+                msg = f"link {i} has endpoint outside node set"
+            else:
+                msg = f"links out of order at position {i}"
+            raise IntervalError(msg, index=i)
 
     @property
     def link_count(self) -> int:
-        return len(self.links)
+        return len(self.t)
 
-    def times(self) -> list[int]:
-        """Timestamps of the links, non-decreasing."""
-        return [ln.t for ln in self.links]
+    @cached_property
+    def links(self) -> tuple[Link, ...]:
+        """The links as :class:`Link` rows, built on first access."""
+        amounts = repeat(None) if self.amount is None else self.amount.tolist()
+        return tuple(
+            map(Link, self.t.tolist(), self.src.tolist(), self.dst.tolist(), amounts)
+        )
+
+    def restrict(self, keep: np.ndarray, nodes: Iterable[int]) -> LinkStream:
+        """The links where the boolean mask ``keep`` holds, over ``nodes``;
+        the interval is unchanged."""
+        return LinkStream(
+            interval=self.interval,
+            nodes=frozenset(nodes),
+            t=self.t[keep],
+            src=self.src[keep],
+            dst=self.dst[keep],
+            amount=None if self.amount is None else self.amount[keep],
+        )
 
 
 class NodeClass(enum.Enum):
@@ -213,25 +267,56 @@ def build_stream(
 ) -> LinkStream:
     """Assemble a stream from links, sorting by (t, source, target).
 
-    The interval defaults to [min t, max t] of the links; an empty link list
-    requires an explicit interval. Links outside an explicit interval are
-    rejected with the offending link's index (position in the sorted order).
+    The sort is stable, so equal links keep their input order. The interval
+    defaults to [min t, max t] of the links; an empty link list requires an
+    explicit interval. Links outside an explicit interval are rejected with
+    the offending link's index (position in the sorted order). Links carry
+    amounts all or none.
     """
-    seq = sorted(links, key=Link.sort_key)
-    if not seq and interval is None:
+    links = list(links)
+    if not links and interval is None:
         raise IntervalError("empty link sequence requires an explicit interval")
+    kinds = {ln.amount is not None for ln in links}
+    if len(kinds) > 1:
+        raise ValueError("links mix amounts and no amounts")
+    weighted = True in kinds
+    rows = [(ln.t, ln.source, ln.target, ln.amount)[: 4 if weighted else 3] for ln in links]
+    return stream_from_rows(rows, weighted, interval=interval)
+
+
+def stream_from_rows(
+    rows: list[tuple[int, ...]],
+    weighted: bool,
+    interval: tuple[int, int] | None = None,
+    nodes: Iterable[int] | None = None,
+) -> LinkStream:
+    """A stream from (t, source, target) rows, or (t, source, target,
+    amount) rows when ``weighted``, sorted once by (t, source, target) and
+    stable on ties.
+
+    The interval defaults to [min t, max t], or [0, 0] without rows; the
+    node set defaults to the endpoints of the links.
+    """
+    cols = np.array(rows, dtype=np.int64).reshape(len(rows), 4 if weighted else 3)
+    cols = cols[np.lexsort((cols[:, 2], cols[:, 1], cols[:, 0]))]
+    t, src, dst = cols[:, 0], cols[:, 1], cols[:, 2]
     if interval is None:
-        interval = (seq[0].t, seq[-1].t)
-    nodes = set()
-    for ln in seq:
-        nodes.add(ln.source)
-        nodes.add(ln.target)
-    return LinkStream(interval=interval, nodes=frozenset(nodes), links=tuple(seq))
+        interval = (int(t[0]), int(t[-1])) if len(t) else (0, 0)
+    if nodes is None:
+        nodes = set(src.tolist()) | set(dst.tolist())
+    return LinkStream(
+        interval=interval,
+        nodes=frozenset(nodes),
+        t=t,
+        src=src,
+        dst=dst,
+        amount=cols[:, 3] if weighted else None,
+    )
 
 
 def induced_graph(s: LinkStream) -> InducedGraph:
     """Deduplicate the stream's (source, target) pairs into a static graph."""
-    edges = frozenset((ln.source, ln.target) for ln in s.links)
+    edges = frozenset(zip(s.src.tolist(), s.dst.tolist()))
     return InducedGraph(nodes=s.nodes, directed_edges=edges)
 
 
@@ -245,10 +330,8 @@ def activity(s: LinkStream, t: int) -> int:
     t0, t1 = s.interval
     if not t0 <= t <= t1:
         raise IntervalError(f"t={t} outside interval [{t0}, {t1}]")
-    times = s.times()
-    lo = bisect_left(times, t)
-    hi = bisect_right(times, t)
-    return len({(ln.source, ln.target) for ln in s.links[lo:hi]})
+    lo, hi = np.searchsorted(s.t, [t, t + 1])
+    return len(set(zip(s.src[lo:hi].tolist(), s.dst[lo:hi].tolist())))
 
 
 def activity_series(s: LinkStream, bin_width: int) -> BinnedSeries:
@@ -261,11 +344,8 @@ def activity_series(s: LinkStream, bin_width: int) -> BinnedSeries:
         raise ValueError(f"bin width must be positive, got {bin_width}")
     t0, t1 = s.interval
     n_bins = (t1 - t0) // bin_width + 1
-    counts = np.zeros(n_bins, dtype=np.int64)
-    if s.links:
-        ts = np.fromiter((ln.t for ln in s.links), dtype=np.int64, count=len(s.links))
-        counts = np.bincount((ts - t0) // bin_width, minlength=n_bins)
-    return BinnedSeries(start=t0, bin_width=bin_width, values=tuple(int(c) for c in counts))
+    counts = np.bincount((s.t - t0) // bin_width, minlength=n_bins)
+    return BinnedSeries(start=t0, bin_width=bin_width, values=tuple(counts.tolist()))
 
 
 def rolling_sum(series: BinnedSeries, window: int) -> BinnedSeries:
@@ -286,6 +366,18 @@ def rolling_sum(series: BinnedSeries, window: int) -> BinnedSeries:
     return BinnedSeries(start=series.start, bin_width=series.bin_width, values=tuple(out))
 
 
+def class_mask(
+    s: LinkStream,
+    cls: NodeClassification,
+    src_class: NodeClass,
+    dst_class: NodeClass,
+) -> np.ndarray:
+    """Which links of ``s`` go from ``src_class`` nodes to ``dst_class`` nodes."""
+    return node_mask(s.src, cls.nodes_of(src_class)) & node_mask(
+        s.dst, cls.nodes_of(dst_class)
+    )
+
+
 def substream_by_class(
     s: LinkStream,
     cls: NodeClassification,
@@ -299,19 +391,14 @@ def substream_by_class(
     without any retained link stay present.
     """
     cls.require_covers(s.nodes)
-    src_nodes = cls.nodes_of(src_class)
-    dst_nodes = cls.nodes_of(dst_class)
-    kept = tuple(
-        ln for ln in s.links if ln.source in src_nodes and ln.target in dst_nodes
-    )
-    nodes = (s.nodes & src_nodes) | (s.nodes & dst_nodes)
-    return LinkStream(interval=s.interval, nodes=frozenset(nodes), links=kept)
+    nodes = s.nodes & (cls.nodes_of(src_class) | cls.nodes_of(dst_class))
+    return s.restrict(class_mask(s, cls, src_class, dst_class), nodes)
 
 
 def pair_times(s: LinkStream) -> Mapping[tuple[int, int], list[int]]:
     """Sorted link times per directed (source, target) pair; shared index
     used by the temporal metrics."""
     idx: dict[tuple[int, int], list[int]] = {}
-    for ln in s.links:
-        idx.setdefault((ln.source, ln.target), []).append(ln.t)
+    for t, u, v in zip(s.t.tolist(), s.src.tolist(), s.dst.tolist()):
+        idx.setdefault((u, v), []).append(t)
     return idx

@@ -38,12 +38,9 @@ def neighborhood(s: LinkStream, v: int) -> NeighborhoodCluster:
     """All (t, u) such that the stream links u and v at t, either direction."""
     if v not in s.nodes:
         raise KeyError(f"node {v} not in stream")
-    elems = set()
-    for ln in s.links:
-        if ln.source == v:
-            elems.add((ln.t, ln.target))
-        elif ln.target == v:
-            elems.add((ln.t, ln.source))
+    out, into = s.src == v, s.dst == v
+    elems = set(zip(s.t[out].tolist(), s.dst[out].tolist()))
+    elems.update(zip(s.t[into].tolist(), s.src[into].tolist()))
     return NeighborhoodCluster(owner=v, elements=frozenset(elems))
 
 
@@ -101,13 +98,6 @@ class _StreamIndex:
             self.out_nbrs.setdefault(u, set()).add(v)
             self.in_nbrs.setdefault(v, set()).add(u)
 
-    def contains(self, link: Link) -> bool:
-        ts = self.times.get((link.source, link.target))
-        if not ts:
-            return False
-        i = bisect_left(ts, link.t)
-        return i < len(ts) and ts[i] == link.t
-
     def latest_at_or_before(self, u: int, v: int, t: int) -> int | None:
         ts = self.times.get((u, v))
         if not ts:
@@ -123,40 +113,21 @@ class _StreamIndex:
         return ts[i - 1] if i else None
 
 
-def two_closure(s: LinkStream, link: Link) -> ClosureResult:
+def _two_closure(idx: _StreamIndex, link: Link) -> ClosureResult:
     """Look-back from (t, u, v) to the latest reverse link (t', v, u) with
     t' <= t; infinite when no reverse link exists that early."""
-    idx = _StreamIndex(s)
-    return _two_closure_indexed(idx, link)
+    t_rev = idx.latest_at_or_before(link.target, link.source, link.t)
+    lookback = None if t_rev is None else link.t - t_rev
+    return ClosureResult(link=link, k=2, lookback=lookback)
 
 
-def three_closure(s: LinkStream, link: Link) -> ClosureResult:
+def _three_closure(idx: _StreamIndex, link: Link) -> ClosureResult:
     """Smallest look-back window that completes the directed cycle
     u -> v -> w -> u, both supporting links strictly earlier than t.
 
     For each third party w the tightest candidate uses the latest v -> w
     and w -> u links before t; the best window over all w wins.
     """
-    idx = _StreamIndex(s)
-    return _three_closure_indexed(idx, link)
-
-
-def _require_member_link(idx: _StreamIndex, link: Link):
-    if not idx.contains(link):
-        raise KeyError(
-            f"link ({link.t}, {link.source}, {link.target}) not in stream"
-        )
-
-
-def _two_closure_indexed(idx: _StreamIndex, link: Link) -> ClosureResult:
-    _require_member_link(idx, link)
-    t_rev = idx.latest_at_or_before(link.target, link.source, link.t)
-    lookback = None if t_rev is None else link.t - t_rev
-    return ClosureResult(link=link, k=2, lookback=lookback)
-
-
-def _three_closure_indexed(idx: _StreamIndex, link: Link) -> ClosureResult:
-    _require_member_link(idx, link)
     t, u, v = link.t, link.source, link.target
     candidates = idx.out_nbrs.get(v, set()) & idx.in_nbrs.get(u, set())
     best: int | None = None  # max over w of min(t1, t2)
@@ -188,7 +159,7 @@ def closure_distribution(s: LinkStream, k: int) -> ClosureDistribution:
     if k not in (2, 3):
         raise ValueError(f"k must be 2 or 3, got {k}")
     idx = _StreamIndex(s)
-    compute = _two_closure_indexed if k == 2 else _three_closure_indexed
+    compute = _two_closure if k == 2 else _three_closure
     results = tuple(compute(idx, ln) for ln in s.links)
     finite: Counter[int] = Counter()
     infinite = 0

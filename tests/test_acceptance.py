@@ -40,7 +40,7 @@ from ls_ledger.stream_core import (
     induced_graph,
     substream_by_class,
 )
-from ls_ledger.temporal_metrics import closure_distribution, three_closure, two_closure
+from ls_ledger.temporal_metrics import closure_distribution
 
 
 def _report(criterion: int, message: str, started: float):
@@ -54,8 +54,9 @@ def test_criterion_1_fixture_exactness():
 
     assert stream_core.activity(s, 5) == 3
     assert len(induced_graph(s).directed_edges) == 9
-    assert two_closure(s, Link(6, a, b)).lookback == 4
-    assert three_closure(s, Link(6, a, b)).lookback == 5
+    (i,) = [i for i, ln in enumerate(s.links) if ln == Link(6, a, b)]
+    assert closure_distribution(s, k=2).results[i].lookback == 4
+    assert closure_distribution(s, k=3).results[i].lookback == 5
 
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0

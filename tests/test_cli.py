@@ -2,6 +2,7 @@ import hashlib
 import zipfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -59,6 +60,24 @@ def test_ingest_snapshot_round_trip(ledger_file, tmp_path):
     assert bundle.tx_mm.link_count == 12
     assert sum(s.link_count for s in bundle.substreams.values()) == 14
     assert bundle.table.key_of(0) == "a"
+    # loading builds no Link rows: each stream holds only its columns
+    for s in (bundle.cert, bundle.tx, *bundle.substreams.values()):
+        assert "links" not in vars(s)
+
+
+def test_load_derives_substreams_without_sub_arrays(ledger_file, tmp_path):
+    runner = CliRunner()
+    out = tmp_path / "o"
+    runner.invoke(main, ["ingest", "--input", str(ledger_file), "--out", str(out)])
+    before = load_bundle(out).substreams
+
+    def drop_sub_arrays(arrays):
+        for label in ("MM", "MA", "AM", "AA"):
+            del arrays[f"sub_{label}"]
+
+    _rewrite(drop_sub_arrays)(out / "snapshot.npz")
+    after = load_bundle(out).substreams
+    assert {k: s.links for k, s in after.items()} == {k: s.links for k, s in before.items()}
 
 
 def test_closures_file_contains_pinned_row(ledger_file, tmp_path):
@@ -107,8 +126,34 @@ def test_strict_mode_exit_code_and_line_number(tmp_path):
 
     lenient = runner.invoke(main, ["ingest", "--input", str(bad), "--out", str(out)])
     assert lenient.exit_code == 0
-    assert "skipped line 2" in lenient.output
+    assert "warning: skipped line 2: self-transaction by 'A'\n" in lenient.output
+    assert lenient.output.count("line 2") == 1
     assert "identities:1 certs:0 txs:0" in lenient.output
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"type":"tx","time":0,"from":"A","to":"B","amount":18446744073709551616}',
+        '{"type":"identity","time":9223372036854775808,"key":"B","uid":"b"}',
+    ],
+)
+def test_value_beyond_int64_is_skipped_or_fatal(tmp_path, record):
+    ledger = tmp_path / "ledger.jsonl"
+    ledger.write_text('{"type":"identity","time":0,"key":"A","uid":"a"}\n' + record + "\n")
+    runner = CliRunner()
+    lenient = runner.invoke(main, ["ingest", "--input", str(ledger), "--out", str(tmp_path / "o")])
+    assert lenient.exit_code == 0, lenient.output
+    assert "warning: skipped line 2: field" in lenient.output
+    assert "above 2^63-1" in lenient.output
+    assert "identities:1 certs:0 txs:0" in lenient.output
+
+    strict = runner.invoke(
+        main, ["ingest", "--input", str(ledger), "--out", str(tmp_path / "s"), "--strict"]
+    )
+    assert strict.exit_code != 0
+    assert isinstance(strict.exception, SystemExit), strict.exception
+    assert "line 2" in strict.output and "Traceback" not in strict.output
 
 
 def test_missing_snapshot_is_state_error(tmp_path):
@@ -175,6 +220,7 @@ def test_key_that_breaks_csv_rows_is_skipped_or_fatal(tmp_path, key):
     )
     assert lenient.exit_code == 0, lenient.output
     assert "skipped line 5" in lenient.output and repr(key) in lenient.output
+    assert lenient.output.count("line 5") == 1
     assert "identities:4 certs:12 txs:14" in lenient.output
     overview = runner.invoke(main, ["overview", "--out", str(tmp_path / "o")])
     assert overview.exit_code == 0, overview.output
@@ -253,7 +299,52 @@ def _drop_arrays(path: Path) -> None:
         zf.writestr("keys.npy", b"")
 
 
-@pytest.mark.parametrize("damage", [_truncate, _empty, _drop_arrays])
+def _rewrite(change):
+    """A damage that rewrites the snapshot's arrays with ``change`` applied."""
+
+    def damage(path: Path) -> None:
+        with np.load(path) as data:
+            arrays = {name: data[name].copy() for name in data.files}
+        change(arrays)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+
+    damage.__name__ = change.__name__
+    return damage
+
+
+def _unequal_columns(a):
+    a["tx_src"] = a["tx_src"][:-1]
+
+
+def _self_link(a):
+    a["cert_dst"][0] = a["cert_src"][0]
+
+
+def _out_of_order(a):
+    a["cert_t"][[0, -1]] = a["cert_t"][[-1, 0]]
+
+
+def _outside_interval(a):
+    a["cert_interval"][1] = a["cert_t"][-1] - 1
+
+
+def _negative_amount(a):
+    a["tx_amount"][0] = -1
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _truncate,
+        _empty,
+        _drop_arrays,
+        *map(
+            _rewrite,
+            [_unequal_columns, _self_link, _out_of_order, _outside_interval, _negative_amount],
+        ),
+    ],
+)
 def test_corrupt_snapshot_is_clean_state_error(ledger_file, tmp_path, damage):
     runner = CliRunner()
     out = tmp_path / "o"

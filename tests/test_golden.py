@@ -26,17 +26,26 @@ from ls_ledger.fixtures import example_records, random_records, write_records
 GOLDEN = Path(__file__).with_name("golden.json")
 STAGES = ("overview", "graph", "closures", "match", "relations", "neighborhoods")
 
-# ledger name -> (records, options passed to every stage)
+# ledger name -> (records, options passed to every stage, options passed to
+# ingest alone)
 CASES = {
-    "example": (example_records, ()),
+    "example": (example_records, (), ()),
     "random77": (
         lambda: random_records(77, n_members=10, n_certs=60, n_txs=90),
         ("--seed", "5", "--samples", "40"),
+        (),
+    ),
+    # the donation wallet A000 pays 7 members: pins repartition_filtered.csv
+    "random77_remuniter": (
+        lambda: random_records(77, n_members=10, n_certs=60, n_txs=90),
+        ("--seed", "5", "--samples", "40"),
+        ("--remuniter", "A000"),
     ),
     # a sparse cert graph: distances 2 to 11 and 47 unreachable pairs
     "random79": (
         lambda: random_records(79, n_members=40, n_certs=40, n_txs=200),
         ("--seed", "3", "--samples", "10"),
+        (),
     ),
 }
 
@@ -47,11 +56,14 @@ def output_hashes(case: str, workdir: Path) -> dict[str, str]:
     The ledger and output paths are relative to ``workdir`` because the
     ingest comment lines record the input path.
     """
-    make_records, options = CASES[case]
+    make_records, options, ingest_options = CASES[case]
     runner = CliRunner()
     with runner.isolated_filesystem(temp_dir=workdir):
         write_records("ledger.jsonl", make_records())
-        commands = [["ingest", "--input", "ledger.jsonl"], *([s] for s in STAGES)]
+        commands = [
+            ["ingest", "--input", "ledger.jsonl", *ingest_options],
+            *([s] for s in STAGES),
+        ]
         for command in commands:
             result = runner.invoke(main, [*command, "--out", "out", *options])
             assert result.exit_code == 0, f"{command[0]}: {result.output}"

@@ -11,7 +11,6 @@ from ls_ledger.interplay import (
     match_certifications,
     new_transaction_cert_delays,
     pair_transaction_counts,
-    preceding_transaction_count,
     preceding_transaction_counts,
     relation_ratio_table,
     relation_sets,
@@ -211,9 +210,10 @@ def test_match_tie_breaks_toward_earlier():
 
 def test_preceding_transaction_count():
     txs = stream((3, 1, 2), (8, 2, 1), (12, 1, 2), amounts=True)
-    assert preceding_transaction_count((1, 2), 10, txs) == 2
-    assert preceding_transaction_count((1, 2), 3, txs) == 0  # strict
-    assert preceding_transaction_count((4, 5), 10, txs) == 0
+    assert preceding_transaction_counts(stream((10, 1, 2)), txs) == {(1, 2): (10, 2)}
+    # strict: the transaction at the anchor time does not count
+    assert preceding_transaction_counts(stream((3, 2, 1)), txs) == {(1, 2): (3, 0)}
+    assert preceding_transaction_counts(stream((10, 4, 5)), txs) == {(4, 5): (10, 0)}
 
 
 def test_preceding_transaction_counts_bulk():

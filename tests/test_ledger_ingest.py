@@ -206,6 +206,37 @@ def test_repartition_synthetic_quarters():
         assert report.rows[label].amount_share == pytest.approx(0.25)
 
 
+def test_parse_rejects_values_beyond_int64():
+    top = 2**63 - 1
+    lines = [
+        f'{{"type":"tx","time":{top},"from":"A","to":"B","amount":{top}}}',
+        f'{{"type":"tx","time":{top + 1},"from":"A","to":"B","amount":1}}',
+        f'{{"type":"tx","time":0,"from":"A","to":"B","amount":{top + 1}}}',
+    ]
+    parsed = parse_records(lines)
+    assert parsed.transactions == [TxRecord(top, "A", "B", top)]
+    assert parsed.issues == [
+        (2, f"field 'time' is {top + 1}, above 2^63-1"),
+        (3, f"field 'amount' is {top + 1}, above 2^63-1"),
+    ]
+    with pytest.raises(ParseError) as err:
+        parse_records(lines, strict=True)
+    assert err.value.line_no == 2
+
+
+def test_repartition_amounts_stay_exact_beyond_int64():
+    top = 2**63 - 1
+    records = [
+        IdentityRecord(0, "M1", "m1"),
+        TxRecord(1, "M1", "A1", top),
+        TxRecord(2, "M1", "A1", top),
+    ]
+    _, cls, _, tx = _ingest(records)
+    report = repartition(tx, cls)
+    assert report.rows["MA"].amount == 2 * top
+    assert report.total_amount() == 2 * top
+
+
 def test_repartition_all_members():
     records = [
         IdentityRecord(0, "M1", "m1"),

@@ -7,13 +7,14 @@ give what a link rescan per node gives, on seeded random graphs with sparse
 handles, isolated nodes and several components.
 """
 
+import dataclasses
 import random
 
 import pytest
 
 import oracles
 from ls_ledger.graph_metrics import distance_distribution, pair_distance
-from ls_ledger.stream_core import InducedGraph, Link, LinkStream, induced_graph
+from ls_ledger.stream_core import InducedGraph, Link, LinkStream, build_stream, induced_graph
 from ls_ledger.temporal_metrics import neighborhood_overlaps
 
 TRIALS = 2_000
@@ -123,8 +124,12 @@ def random_stream(rng: random.Random, nodes: list[int]) -> LinkStream:
         for _ in range(rng.randint(0, 3 * len(own))):
             u, v = rng.sample(own, 2)
             links.append(Link(rng.randint(0, 20), u, v))
-    links.sort(key=Link.sort_key)
-    return LinkStream(interval=(0, 20), nodes=frozenset(own), links=tuple(links))
+    return stream_over(own, links, (0, 20))
+
+
+def stream_over(nodes, links: list[Link], interval: tuple[int, int]) -> LinkStream:
+    """A stream whose node set may also hold nodes without any link."""
+    return dataclasses.replace(build_stream(links, interval), nodes=frozenset(nodes))
 
 
 def test_neighborhood_overlaps_match_per_node_rescan():
@@ -145,16 +150,8 @@ def test_neighborhood_overlaps_na_cells():
     # 0 links in both streams, 1 only in the cert stream, 4 only in the
     # transaction stream, 3 sits in the cert node set without a link, and 5
     # sits in both node sets without any link
-    cert = LinkStream(
-        interval=(0, 9),
-        nodes=frozenset({0, 1, 2, 3, 5}),
-        links=(Link(1, 0, 2), Link(2, 1, 2)),
-    )
-    txmm = LinkStream(
-        interval=(0, 9),
-        nodes=frozenset({0, 2, 4, 5}),
-        links=(Link(3, 0, 2), Link(4, 4, 0)),
-    )
+    cert = stream_over({0, 1, 2, 3, 5}, [Link(1, 0, 2), Link(2, 1, 2)], (0, 9))
+    txmm = stream_over({0, 2, 4, 5}, [Link(3, 0, 2), Link(4, 4, 0)], (0, 9))
     results = {
         res.node: (res.inclusion, res.jaccard)
         for res in neighborhood_overlaps(

@@ -1,11 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 
 from ls_ledger.errors import IntervalError, SelfLinkError
 from ls_ledger.fixtures import random_links
 from ls_ledger.stream_core import (
     Link,
+    LinkStream,
     NodeClass,
     NodeClassification,
     activity,
@@ -52,6 +54,68 @@ def test_build_stream_link_outside_interval_names_index():
     with pytest.raises(IntervalError) as err:
         build_stream([Link(1, 0, 1), Link(20, 0, 1)], interval=(0, 10))
     assert err.value.index == 1
+
+
+def test_build_stream_order_matches_sorted_rows():
+    # few nodes and instants, so equal (t, source, target) keys with
+    # different amounts are common: their input order must survive
+    rng = random.Random(12)
+    for trial in range(30):
+        links = random_links(rng, 3, rng.randint(1, 60), t_max=4, with_amounts=True)
+        assert list(build_stream(links).links) == sorted(links, key=Link.sort_key)
+
+
+def test_build_stream_rejects_mixed_amounts():
+    with pytest.raises(ValueError):
+        build_stream([Link(1, 0, 1), Link(2, 0, 1, amount=5)])
+
+
+def test_stream_columns_are_read_only_int64(sample_stream):
+    s, _ = sample_stream
+    for col in (s.t, s.src, s.dst):
+        assert col.dtype == np.int64 and col.shape == (12,)
+        with pytest.raises(ValueError):
+            col[0] = 1
+    assert s.amount is None
+    assert s.links is s.links  # built once
+
+
+def _columns(t, src, dst, amount=None, interval=(0, 10), nodes=(0, 1, 2)):
+    return LinkStream(
+        interval=interval, nodes=frozenset(nodes), t=t, src=src, dst=dst, amount=amount
+    )
+
+
+def test_stream_rejects_bad_columns():
+    with pytest.raises(ValueError, match="one length"):
+        _columns([1, 2], [0, 1], [1])
+    with pytest.raises(ValueError, match="one length"):
+        _columns([1, 2], [0, 1], [1, 0], amount=[5])
+    with pytest.raises(SelfLinkError):
+        _columns([1, 2], [0, 1], [1, 1])
+    with pytest.raises(ValueError, match="negative timestamp"):
+        _columns([-1, 2], [0, 1], [1, 0], interval=(-5, 10))
+    with pytest.raises(ValueError, match="negative amount"):
+        _columns([1, 2], [0, 1], [1, 0], amount=[5, -1])
+    with pytest.raises(IntervalError):
+        _columns([], [], [], interval=(3, 2))
+
+
+@pytest.mark.parametrize(
+    "t, src, dst, index",
+    [
+        ([1, 2, 11], [0, 1, 0], [1, 0, 1], 2),  # outside the interval
+        ([1, 2, 3], [0, 1, 5], [1, 0, 1], 2),  # endpoint outside the node set
+        ([1, 2, 1], [0, 1, 0], [1, 0, 1], 2),  # time decreases
+        ([1, 1, 2], [1, 0, 0], [0, 1, 1], 1),  # source decreases at equal time
+        ([1, 1, 2], [0, 0, 0], [2, 1, 1], 1),  # target decreases at equal (t, source)
+        ([1, 1, 11], [0, 0, 0], [2, 1, 1], 1),  # the first offending link wins
+    ],
+)
+def test_stream_invariant_names_first_offending_link(t, src, dst, index):
+    with pytest.raises(IntervalError) as err:
+        _columns(t, src, dst)
+    assert err.value.index == index
 
 
 def test_induced_graph_example(sample_stream):

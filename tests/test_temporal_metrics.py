@@ -9,8 +9,6 @@ from ls_ledger.temporal_metrics import (
     closure_distribution,
     neighborhood,
     neighborhood_overlaps,
-    three_closure,
-    two_closure,
 )
 
 # frozen brute-force tables for the 12-link example (see tests/oracles.py)
@@ -100,45 +98,45 @@ def test_overlap_empty_neighborhood_markers():
     assert list(results) == [0, 1, 2, 3]
 
 
-def _link(s, table, t, u, v):
-    return Link(t, table.id_of(u), table.id_of(v))
+def _lookback(s, k, t, u, v):
+    """The look-back that closure_distribution gives the link (t, u, v)."""
+    return next(
+        r.lookback
+        for r in closure_distribution(s, k=k).results
+        if (r.link.t, r.link.source, r.link.target) == (t, u, v)
+    )
 
 
 def test_two_closure_example(sample_stream):
     s, table = sample_stream
-    assert two_closure(s, _link(s, table, 6, "a", "b")).lookback == 4
-    assert two_closure(s, _link(s, table, 2, "b", "a")).lookback is None
+    a, b = table.id_of("a"), table.id_of("b")
+    assert _lookback(s, 2, 6, a, b) == 4
+    assert _lookback(s, 2, 2, b, a) is None
 
 
 def test_two_closure_simultaneous_reverse():
     s = build_stream([Link(5, 0, 1), Link(5, 1, 0)])
-    assert two_closure(s, Link(5, 0, 1)).lookback == 0
-    assert two_closure(s, Link(5, 1, 0)).lookback == 0
-
-
-def test_two_closure_unknown_link(sample_stream):
-    s, table = sample_stream
-    with pytest.raises(KeyError):
-        two_closure(s, _link(s, table, 3, "a", "b"))
+    assert _lookback(s, 2, 5, 0, 1) == 0
+    assert _lookback(s, 2, 5, 1, 0) == 0
 
 
 def test_three_closure_example(sample_stream):
     s, table = sample_stream
-    assert three_closure(s, _link(s, table, 6, "a", "b")).lookback == 5
+    assert _lookback(s, 3, 6, table.id_of("a"), table.id_of("b")) == 5
 
 
 def test_three_closure_single_link():
     s = build_stream([Link(0, 0, 1)])
-    assert three_closure(s, Link(0, 0, 1)).lookback is None
+    assert _lookback(s, 3, 0, 0, 1) is None
 
 
 def test_three_closure_requires_strictly_earlier_supports():
     # a simultaneous cycle does not close: supports must precede the link
     s = build_stream([Link(0, 1, 2), Link(0, 2, 0), Link(0, 0, 1)])
-    assert three_closure(s, Link(0, 0, 1)).lookback is None
+    assert _lookback(s, 3, 0, 0, 1) is None
     # one second earlier, the same supports close it at look-back 1
     s2 = build_stream([Link(0, 1, 2), Link(0, 2, 0), Link(1, 0, 1)])
-    assert three_closure(s2, Link(1, 0, 1)).lookback == 1
+    assert _lookback(s2, 3, 1, 0, 1) == 1
 
 
 def test_closure_distribution_full_tables(sample_stream):
@@ -199,7 +197,7 @@ def test_three_closure_monotone_under_added_supports():
         query = s.links[-1]
         if query.t == 0:
             continue  # no strictly earlier instant exists
-        before = three_closure(s, query).lookback
+        before = closure_distribution(s, k=3).results[-1].lookback
         # add an earlier support pair through a fresh node
         w = max(s.nodes) + 1
         extra = [
@@ -207,7 +205,7 @@ def test_three_closure_monotone_under_added_supports():
             Link(query.t - 1, w, query.source),
         ]
         enlarged = build_stream(list(s.links) + extra)
-        after = three_closure(enlarged, query).lookback
+        after = _lookback(enlarged, 3, query.t, query.source, query.target)
         assert after is not None
         if before is not None:
             assert after <= before
