@@ -16,6 +16,7 @@ from pathlib import Path
 import click
 
 from . import graph_metrics, interplay, ledger_ingest, snapshot, stream_core, temporal_metrics
+from .atomic import atomic_file
 from .errors import LedgerError
 
 DEFAULT_BIN = 86_400  # one day
@@ -54,7 +55,7 @@ def _fmt(x, places: int = 4) -> str:
 
 
 def _write_csv(path: Path, comments: list[str], header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_file(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write(header + "\n")
@@ -242,11 +243,10 @@ def cmd_graph(cfg: RunConfig) -> None:
                 for n, c in sorted(report.coefficients.items())
             ),
         )
-        triangles = graph_metrics.triangle_count(g)
-        click.echo(f"triangles_{name}:{triangles}")
+        click.echo(f"triangles_{name}:{report.triangles}")
         click.echo(f"clustering_{name}:{report.average:.6f}")
 
-        if len(g.undirected_edges()) >= 2 and name != "txaa":
+        if name != "txaa" and len(g.undirected_edges()) >= 2:
             null = graph_metrics.null_model_triangles(
                 g, samples=cfg.samples, seed=cfg.seed
             )

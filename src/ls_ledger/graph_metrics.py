@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import DegenerateModelError, UndefinedCorrelationError
 from .stream_core import InducedGraph
@@ -73,31 +75,29 @@ class ClusteringReport:
 
     Nodes of degree < 2 get coefficient 0 and are included in ``average``;
     ``average_active`` restricts the mean to nodes of degree >= 2 since both
-    conventions circulate.
+    conventions circulate. ``triangles`` is the graph's triangle count.
     """
 
     coefficients: dict[int, float]
     average: float
     average_active: float
+    triangles: int
 
 
 def clustering(g: InducedGraph) -> ClusteringReport:
     """Local clustering coefficient of every node: edges among its
-    neighbors divided by k*(k-1)/2."""
-    adj = g.undirected_adjacency()
+    neighbors, which are the triangles through it, divided by k*(k-1)/2."""
+    edges = g.undirected_edges()
+    degree, rank = _degree_ranks(edges)
+    tri = _node_triangles(_forward_adjacency(edges, rank))
     coeffs: dict[int, float] = {}
     active: list[float] = []
     for node in g.nodes:
-        nbrs = adj[node]
-        k = len(nbrs)
+        k = degree[node]
         if k < 2:
             coeffs[node] = 0.0
             continue
-        links = 0
-        for u in nbrs:
-            # count each neighbor pair once via the node order
-            links += sum(1 for w in adj[u] if w in nbrs and w > u)
-        c = 2.0 * links / (k * (k - 1))
+        c = 2.0 * tri[node] / (k * (k - 1))
         coeffs[node] = c
         active.append(c)
     n = len(g.nodes)
@@ -105,39 +105,73 @@ def clustering(g: InducedGraph) -> ClusteringReport:
         coefficients=coeffs,
         average=sum(coeffs.values()) / n if n else 0.0,
         average_active=sum(active) / len(active) if active else 0.0,
+        triangles=sum(tri.values()) // 3,
     )
 
 
 def triangle_count(g: InducedGraph) -> int:
     """Number of unordered node triples mutually adjacent in the undirected view."""
-    return _triangles_in_adjacency(g.undirected_adjacency())
-
-
-def _triangles_in_adjacency(adj: Mapping[int, set[int]]) -> int:
-    count = 0
-    for u, nbrs in adj.items():
-        for v in nbrs:
-            if v <= u:
-                continue
-            # common neighbors above v close a triangle exactly once
-            count += sum(1 for w in (nbrs & adj[v]) if w > v)
-    return count
+    edges = g.undirected_edges()
+    return _triangle_total(_forward_adjacency(edges, _degree_ranks(edges)[1]))
 
 
 def triangles_per_node(g: InducedGraph) -> dict[int, int]:
     """Triangles through each node; cross-checks the clustering formula."""
-    adj = g.undirected_adjacency()
+    edges = g.undirected_edges()
     out = dict.fromkeys(g.nodes, 0)
-    for u, nbrs in adj.items():
-        for v in nbrs:
-            if v <= u:
-                continue
-            for w in nbrs & adj[v]:
-                if w > v:
-                    out[u] += 1
-                    out[v] += 1
-                    out[w] += 1
+    out.update(_node_triangles(_forward_adjacency(edges, _degree_ranks(edges)[1])))
     return out
+
+
+def _degree_ranks(
+    edges: Iterable[tuple[int, int]],
+) -> tuple[Counter[int], dict[int, int]]:
+    """Degree of every node with an edge, and its position in the order of
+    (degree, id)."""
+    degree = Counter(chain.from_iterable(edges))
+    order = sorted(degree, key=lambda n: (degree[n], n))
+    return degree, {n: i for i, n in enumerate(order)}
+
+
+def _forward_adjacency(
+    edges: Iterable[tuple[int, int]], rank: Mapping[int, int]
+) -> dict[int, set[int]]:
+    """Out-neighbors of every ranked node, each undirected edge oriented
+    from its lower-ranked end to its higher (Schank & Wagner, WEA 2005;
+    Latapy, TCS 2008). Out-degrees are then at most sqrt(2m), so
+    intersecting out-neighbor sets along every edge costs O(m^1.5)."""
+    out: dict[int, set[int]] = {n: set() for n in rank}
+    for u, v in edges:
+        if rank[u] < rank[v]:
+            out[u].add(v)
+        else:
+            out[v].add(u)
+    return out
+
+
+def _node_triangles(out: Mapping[int, set[int]]) -> dict[int, int]:
+    """Triangles through every node of the oriented graph ``out``.
+
+    A triangle's lowest-ranked node u reaches the other two, v below w, and
+    v reaches w, so intersecting out(u) with out(v) over the oriented edges
+    (u, v) finds each triangle exactly once.
+    """
+    tri = dict.fromkeys(out, 0)
+    for u, vs in out.items():
+        for v in vs:
+            common = vs & out[v]
+            if common:
+                c = len(common)
+                tri[u] += c
+                tri[v] += c
+                for w in common:
+                    tri[w] += 1
+    return tri
+
+
+def _triangle_total(out: Mapping[int, set[int]]) -> int:
+    """Triangle count of the oriented graph ``out``; see :func:`_node_triangles`."""
+    return sum(len(vs & out[v]) for vs in out.values() for v in vs)
 
 
 @dataclass(frozen=True)
@@ -180,8 +214,10 @@ def null_model_triangles(
     """Triangle counts under the degree-preserving null model; see
     :func:`rewired_samples` for the randomization."""
     observed = triangle_count(g)
+    # swaps keep every degree, so g's ranks orient each sample as well
+    _, rank = _degree_ranks(g.undirected_edges())
     counts = [
-        _triangles_in_edges(rewired, g.nodes)
+        _triangle_total(_forward_adjacency(rewired, rank))
         for rewired in rewired_samples(g, samples, seed)
     ]
 
@@ -282,14 +318,6 @@ def _double_edge_swap(
         us[j] = c
         vs[j] = d
     return list(zip(us, vs))
-
-
-def _triangles_in_edges(edges: list[tuple[int, int]], nodes: Iterable[int]) -> int:
-    adj: dict[int, set[int]] = {n: set() for n in nodes}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return _triangles_in_adjacency(adj)
 
 
 def pair_distance(g: InducedGraph, u: int, v: int) -> int | None:

@@ -104,10 +104,9 @@ def relation_ratio_table(
     Rows 1-2 normalize each set by the number of member pairs, n*(n-1)/2
     unordered by default (the sets themselves are unordered; the ordered
     convention merely doubles the denominator). Rows 3-4 are conditional:
-    the share of one stream's pairs also related in the other.
+    the share of one stream's pairs also related in the other. With fewer
+    than 2 members there are no member pairs, so rows 1-2 are NA cells.
     """
-    if n_members < 2:
-        raise ValueError(f"need at least 2 members, got {n_members}")
     n_pairs = n_members * (n_members - 1)
     if not ordered_pairs:
         n_pairs //= 2

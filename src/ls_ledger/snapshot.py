@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_file
 from .errors import StateError
 from .ledger_ingest import SUBSTREAM_CLASSES
 from .stream_core import (
@@ -63,7 +64,8 @@ def build_bundle(
 
 
 def save_bundle(out_dir: str | Path, bundle: StreamBundle) -> Path:
-    """Write the snapshot into ``out_dir`` and return its path."""
+    """Write the snapshot into ``out_dir`` and return its path; a failed
+    write leaves any previous snapshot in place."""
     arrays: dict[str, np.ndarray] = {}
     for prefix, s in (("cert", bundle.cert), ("tx", bundle.tx)):
         arrays[f"{prefix}_interval"] = np.asarray(s.interval, dtype=np.int64)
@@ -80,7 +82,9 @@ def save_bundle(out_dir: str | Path, bundle: StreamBundle) -> Path:
 
     path = Path(out_dir) / SNAPSHOT_NAME
     path.parent.mkdir(parents=True, exist_ok=True)
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as zf:
+    with atomic_file(path, "wb") as fh, zipfile.ZipFile(
+        fh, "w", compression=zipfile.ZIP_DEFLATED
+    ) as zf:
         for name in sorted(arrays):
             buf = io.BytesIO()
             np.save(buf, arrays[name], allow_pickle=False)

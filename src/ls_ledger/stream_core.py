@@ -237,7 +237,7 @@ class InducedGraph:
 
     def undirected_edges(self) -> frozenset[tuple[int, int]]:
         """Symmetrized view; each edge as a (min, max) pair."""
-        return frozenset((min(u, v), max(u, v)) for u, v in self.directed_edges)
+        return frozenset((u, v) if u < v else (v, u) for u, v in self.directed_edges)
 
     def undirected_adjacency(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {n: set() for n in self.nodes}

@@ -66,6 +66,68 @@ def undirected_edge_set(directed_edges) -> set[tuple[int, int]]:
     return {(min(u, v), max(u, v)) for u, v in directed_edges}
 
 
+def clustering_scan(g) -> tuple[dict[int, float], float, float]:
+    """(coefficients, average, average_active) of an induced graph, counting
+    the edges among each node's neighbors with one O(k^2) scan per node."""
+    adj = g.undirected_adjacency()
+    coeffs: dict[int, float] = {}
+    active: list[float] = []
+    for node in g.nodes:
+        nbrs = adj[node]
+        k = len(nbrs)
+        if k < 2:
+            coeffs[node] = 0.0
+            continue
+        links = 0
+        for u in nbrs:
+            # count each neighbor pair once via the node order
+            links += sum(1 for w in adj[u] if w in nbrs and w > u)
+        c = 2.0 * links / (k * (k - 1))
+        coeffs[node] = c
+        active.append(c)
+    n = len(g.nodes)
+    average = sum(coeffs.values()) / n if n else 0.0
+    average_active = sum(active) / len(active) if active else 0.0
+    return coeffs, average, average_active
+
+
+def triangles_in_adjacency(adj) -> int:
+    """Triangles of a symmetric adjacency, each counted from its smallest id."""
+    count = 0
+    for u, nbrs in adj.items():
+        for v in nbrs:
+            if v <= u:
+                continue
+            # common neighbors above v close a triangle exactly once
+            count += sum(1 for w in (nbrs & adj[v]) if w > v)
+    return count
+
+
+def triangles_in_edges(edges, nodes) -> int:
+    """Triangles of an undirected edge list, through its symmetric adjacency."""
+    adj: dict[int, set[int]] = {n: set() for n in nodes}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return triangles_in_adjacency(adj)
+
+
+def triangles_per_node(g) -> dict[int, int]:
+    """Triangles through every node of an induced graph, in ``g.nodes`` order."""
+    adj = g.undirected_adjacency()
+    out = dict.fromkeys(g.nodes, 0)
+    for u, nbrs in adj.items():
+        for v in nbrs:
+            if v <= u:
+                continue
+            for w in nbrs & adj[v]:
+                if w > v:
+                    out[u] += 1
+                    out[v] += 1
+                    out[w] += 1
+    return out
+
+
 def double_edge_swap(
     edges: list[tuple[int, int]], rng: random.Random, attempts: int
 ) -> list[tuple[int, int]]:

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ls_ledger.cli import main
+from ls_ledger import snapshot
+from ls_ledger.cli import _write_csv, main
 from ls_ledger.errors import StateError
 from ls_ledger.fixtures import example_records, write_records
-from ls_ledger.ledger_ingest import format_record
+from ls_ledger.ledger_ingest import IdentityRecord, TxRecord, format_record
 from ls_ledger.snapshot import load_bundle
 
 ALL_COMMANDS = ("overview", "graph", "closures", "match", "relations", "neighborhoods")
@@ -275,6 +276,72 @@ def test_overview_correlation_of_identical_streams(ledger_file, tmp_path):
     # default day-wide bin collapses the fixture to one point: flagged
     result = runner.invoke(main, ["overview", "--out", str(out)])
     assert "activity_correlation:NA" in result.output
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        [],
+        [
+            IdentityRecord(0, "M1", "user_M1"),
+            TxRecord(3, "M1", "A1", amount=5),
+            TxRecord(4, "A1", "A2", amount=7),
+        ],
+    ],
+    ids=["empty", "one_member"],
+)
+def test_every_stage_runs_without_member_pairs(tmp_path, records):
+    ledger = tmp_path / "ledger.jsonl"
+    write_records(ledger, records)
+    out = run_all(CliRunner(), ledger, tmp_path / "o")
+    lines = (out / "ratios.csv").read_text().splitlines()
+    rows = [ln.split(",") for ln in lines if not ln.startswith("#")][1:]
+    assert len(rows) == 12
+    for label, numerator, denominator, value in rows:
+        assert (numerator, denominator, value) == ("0", "0", "NA"), label
+
+
+def _failing_rows(rows_before_error: int):
+    for i in range(rows_before_error):
+        yield (i, i)
+    raise OSError("disk full")
+
+
+def test_failed_csv_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "table.csv"
+    _write_csv(path, ["old"], "a,b", [(1, 2)])
+    before = path.read_bytes()
+    with pytest.raises(OSError, match="disk full"):
+        _write_csv(path, ["new"], "a,b", _failing_rows(10_000))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]
+
+    with pytest.raises(OSError, match="disk full"):
+        _write_csv(tmp_path / "fresh.csv", ["new"], "a,b", _failing_rows(3))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]
+
+
+def test_failed_snapshot_write_keeps_previous_snapshot(ledger_file, tmp_path, monkeypatch):
+    out = tmp_path / "o"
+    result = CliRunner().invoke(main, ["ingest", "--input", str(ledger_file), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    before = (out / "snapshot.npz").read_bytes()
+    bundle = load_bundle(out)
+
+    calls = []
+
+    def save_then_fail(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return real_save(*args, **kwargs)
+
+    real_save = snapshot.np.save
+    monkeypatch.setattr(snapshot.np, "save", save_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        snapshot.save_bundle(out, bundle)
+    assert (out / "snapshot.npz").read_bytes() == before
+    assert not [p.name for p in out.iterdir() if p.name.startswith(".")]
 
 
 def test_fixture_module_writes_ledger(tmp_path):

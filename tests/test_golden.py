@@ -47,6 +47,13 @@ CASES = {
         ("--seed", "3", "--samples", "10"),
         (),
     ),
+    # 12 wallets trading among themselves: the txaa graph has 8 triangles,
+    # so clustering_txaa.csv holds coefficients from 0 to 2/3
+    "random80_txaa": (
+        lambda: random_records(80, n_members=12, n_anonymous=12, n_certs=60, n_txs=160),
+        ("--seed", "2", "--samples", "20"),
+        (),
+    ),
 }
 
 
