@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, replace
+from itertools import starmap
 from pathlib import Path
 
 import click
@@ -55,12 +56,14 @@ def _fmt(x, places: int = 4) -> str:
 
 
 def _write_csv(path: Path, comments: list[str], header: str, rows) -> None:
+    """Write the comment lines, the header and one line per row, each row
+    holding one value per header column."""
+    line = ",".join(["{}"] * len(header.split(","))) + "\n"
     with atomic_file(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
+        for comment in comments:
+            fh.write(f"# {comment}\n")
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(str(c) for c in row) + "\n")
+        fh.writelines(starmap(line.format, rows))
 
 
 def _comments(command: str, cfg: RunConfig, *extra: str) -> list[str]:
@@ -219,13 +222,12 @@ def cmd_graph(cfg: RunConfig) -> None:
     """Clustering, triangles with their null-model comparison, and the
     certification distances of transacting-but-uncertified pairs."""
     bundle = _load(cfg)
-    graphs = {
-        "cert": stream_core.induced_graph(bundle.cert),
-        "txmm": stream_core.induced_graph(bundle.tx_mm),
-        "txaa": stream_core.induced_graph(bundle.substreams["AA"]),
-    }
+    streams = {"cert": bundle.cert, "txmm": bundle.tx_mm, "txaa": bundle.substreams["AA"]}
+    cert_graph = stream_core.induced_graph(bundle.cert)
 
-    for name, g in graphs.items():
+    for name, stream in streams.items():
+        # one graph at a time, so each edge set goes with its graph
+        g = cert_graph if name == "cert" else stream_core.induced_graph(stream)
         report = graph_metrics.clustering(g)
         fname = "clustering.csv" if name == "cert" else f"clustering_{name}.csv"
         _write_csv(
@@ -270,7 +272,6 @@ def cmd_graph(cfg: RunConfig) -> None:
     cert_rel = interplay.relation_sets(bundle.cert)
     tx_rel = interplay.relation_sets(bundle.tx_mm)
     uncertified = sorted(tx_rel.any - cert_rel.any)
-    cert_graph = graphs["cert"]
     measurable = [
         p for p in uncertified if p[0] in cert_graph.nodes and p[1] in cert_graph.nodes
     ]
@@ -291,7 +292,11 @@ def cmd_closures(cfg: RunConfig) -> None:
     """2- and 3-closure of every link, for the certification stream and the
     member transaction stream."""
     bundle = _load(cfg)
+    keys = bundle.table.keys()
     for name, stream in (("", bundle.cert), ("_txmm", bundle.tx_mm)):
+        times = stream.t.tolist()
+        sources = _keys(keys, stream.src)
+        targets = _keys(keys, stream.dst)
         for k in (2, 3):
             dist = temporal_metrics.closure_distribution(stream, k=k)
             _write_csv(
@@ -300,14 +305,11 @@ def cmd_closures(cfg: RunConfig) -> None:
                     "closures", cfg, f"links={len(dist.results)} infinite={dist.infinite_count}"
                 ),
                 "t,source,target,lookback",
-                (
-                    (
-                        res.link.t,
-                        bundle.table.key_of(res.link.source),
-                        bundle.table.key_of(res.link.target),
-                        "inf" if res.lookback is None else res.lookback,
-                    )
-                    for res in dist.results
+                zip(
+                    times,
+                    sources,
+                    targets,
+                    ["inf" if b < 0 else b for b in dist.results.tolist()],
                 ),
             )
 
@@ -317,6 +319,7 @@ def cmd_match(cfg: RunConfig) -> None:
     certification classes, and first-transaction delays."""
     bundle = _load(cfg)
     cert, tx_mm = bundle.cert, bundle.tx_mm
+    keys = bundle.table.keys()
 
     report = interplay.match_certifications(cert, tx_mm)
     _write_csv(
@@ -334,7 +337,7 @@ def cmd_match(cfg: RunConfig) -> None:
         "pair,anchor,category,delay",
         (
             (
-                _pair_label(bundle, o.pair),
+                _pair_label(keys, o.pair),
                 o.anchor,
                 o.category.value,
                 "NA" if o.delay is None else o.delay,
@@ -356,14 +359,11 @@ def cmd_match(cfg: RunConfig) -> None:
             ),
         ),
         "t,from,to,category",
-        (
-            (t, bundle.table.key_of(u), bundle.table.key_of(v), cat.value)
-            for t, u, v, cat in zip(
-                tx_mm.t.tolist(),
-                tx_mm.src.tolist(),
-                tx_mm.dst.tolist(),
-                tx_classes.categories,
-            )
+        zip(
+            tx_mm.t.tolist(),
+            _keys(keys, tx_mm.src),
+            _keys(keys, tx_mm.dst),
+            [cat.value for cat in tx_classes.categories],
         ),
     )
 
@@ -373,7 +373,7 @@ def cmd_match(cfg: RunConfig) -> None:
         _comments("match", cfg),
         "pair,anchor,preceding_txs",
         (
-            (_pair_label(bundle, pair), anchor, count)
+            (_pair_label(keys, pair), anchor, count)
             for pair, (anchor, count) in preceding.items()
         ),
     )
@@ -385,7 +385,7 @@ def cmd_match(cfg: RunConfig) -> None:
         "pair,first_tx,delay",
         (
             (
-                _pair_label(bundle, d.pair),
+                _pair_label(keys, d.pair),
                 d.first_tx,
                 "NA" if d.delay is None else d.delay,
             )
@@ -460,8 +460,13 @@ def cmd_neighborhoods(cfg: RunConfig) -> None:
     )
 
 
-def _pair_label(bundle: snapshot.StreamBundle, pair: tuple[int, int]) -> str:
-    return f"{bundle.table.key_of(pair[0])}|{bundle.table.key_of(pair[1])}"
+def _keys(keys: list[str], handles) -> list[str]:
+    """The key of every handle of a column, one list lookup each."""
+    return [keys[h] for h in handles.tolist()]
+
+
+def _pair_label(keys: list[str], pair: tuple[int, int]) -> str:
+    return f"{keys[pair[0]]}|{keys[pair[1]]}"
 
 
 # ------------------------------------------------------------------- click

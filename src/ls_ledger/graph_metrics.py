@@ -38,7 +38,6 @@ def degree_report(g: InducedGraph) -> DegreeReport:
 @dataclass(frozen=True)
 class CorrelationResult:
     r: float
-    pairs: tuple[tuple[int, float, float], ...]  # (node, x, y) scatter export
 
 
 def degree_correlation(
@@ -64,9 +63,7 @@ def degree_correlation(
     if sxx == 0.0 or syy == 0.0:
         raise UndefinedCorrelationError("zero variance on one of the series")
     sxy = sum((x - mx) * (y - my) for x, y in zip(xv, yv))
-    r = sxy / math.sqrt(sxx * syy)
-    pairs = tuple((node, x, y) for node, x, y in zip(nodes, xv, yv))
-    return CorrelationResult(r=r, pairs=pairs)
+    return CorrelationResult(r=sxy / math.sqrt(sxx * syy))
 
 
 @dataclass(frozen=True)
@@ -113,14 +110,6 @@ def triangle_count(g: InducedGraph) -> int:
     """Number of unordered node triples mutually adjacent in the undirected view."""
     edges = g.undirected_edges()
     return _triangle_total(_forward_adjacency(edges, _degree_ranks(edges)[1]))
-
-
-def triangles_per_node(g: InducedGraph) -> dict[int, int]:
-    """Triangles through each node; cross-checks the clustering formula."""
-    edges = g.undirected_edges()
-    out = dict.fromkeys(g.nodes, 0)
-    out.update(_node_triangles(_forward_adjacency(edges, _degree_ranks(edges)[1])))
-    return out
 
 
 def _degree_ranks(
@@ -320,13 +309,6 @@ def _double_edge_swap(
     return list(zip(us, vs))
 
 
-def pair_distance(g: InducedGraph, u: int, v: int) -> int | None:
-    """Shortest path length between u and v on the undirected view; None
-    when unreachable."""
-    counts = distance_distribution([(u, v)], g).counts
-    return next(iter(counts), None)
-
-
 @dataclass(frozen=True)
 class DistanceDistribution:
     counts: dict[int, int]  # finite distance -> number of pairs
@@ -334,10 +316,6 @@ class DistanceDistribution:
 
     def total(self) -> int:
         return sum(self.counts.values()) + self.unreachable
-
-    def shares(self) -> dict[int, float]:
-        n = self.total()
-        return {d: c / n for d, c in sorted(self.counts.items())} if n else {}
 
 
 def distance_distribution(

@@ -14,21 +14,21 @@ and among equally close events in absolute time the earlier one wins.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .errors import ClassificationError
-from .stream_core import LinkStream, NodeClassification, node_mask
+from .stream_core import LinkStream, NodeClassification, PairIndex, node_mask
 
 Pair = tuple[int, int]  # unordered, stored as (min, max)
 
 
-def _pair(u: int, v: int) -> Pair:
-    return (u, v) if u < v else (v, u)
+def _pairs(idx: PairIndex) -> list[Pair]:
+    return list(zip(idx.u.tolist(), idx.v.tolist()))
 
 
 @dataclass(frozen=True)
@@ -56,20 +56,13 @@ def relation_sets(
             raise ClassificationError(
                 f"non-member endpoint: {cls.name_of(int(ends[outside.argmax()]))}"
             )
-    directed = set(zip(s.src.tolist(), s.dst.tolist()))
-    bi = set()
-    uni = set()
-    for u, v in directed:
-        if u < v:
-            if (v, u) in directed:
-                bi.add((u, v))
-            else:
-                uni.add((u, v))
-        elif (v, u) not in directed:
-            uni.add((v, u))
-    return RelationSets(
-        any=frozenset(bi | uni), uni=frozenset(uni), bi=frozenset(bi)
-    )
+    idx = s.pairs
+    forward = np.bincount(idx.segment[s.src < s.dst], minlength=len(idx.u))
+    backward = np.diff(idx.starts) - forward
+    pairs = _pairs(idx)
+    bi = frozenset(compress(pairs, ((forward > 0) & (backward > 0)).tolist()))
+    any_ = frozenset(pairs)
+    return RelationSets(any=any_, uni=any_ - bi, bi=bi)
 
 
 @dataclass(frozen=True)
@@ -84,12 +77,6 @@ class RatioCell:
 class RatioTable:
     cells: tuple[RatioCell, ...]
     ordered_pairs: bool  # convention used for the member-pair denominator
-
-    def value(self, label: str) -> float | None:
-        for cell in self.cells:
-            if cell.label == label:
-                return cell.value
-        raise KeyError(f"no ratio cell labeled {label!r}")
 
 
 def relation_ratio_table(
@@ -135,7 +122,8 @@ def relation_ratio_table(
 
 def pair_transaction_counts(tx_mm: LinkStream) -> Counter[Pair]:
     """Transactions per unordered member pair, both directions pooled."""
-    return Counter({pair: len(ts) for pair, ts in _pair_event_times(tx_mm).items()})
+    idx = tx_mm.pairs
+    return Counter(dict(zip(_pairs(idx), np.diff(idx.starts).tolist())))
 
 
 @dataclass(frozen=True)
@@ -151,22 +139,13 @@ def certification_fraction_by_k(
 ) -> list[FractionByK]:
     """For each transaction count k, the certified share of the pairs that
     made exactly k transactions; frac_bi <= frac_any pointwise."""
-    pairs_by_k: dict[int, list[Pair]] = {}
-    for pair, k in tau.items():
-        pairs_by_k.setdefault(k, []).append(pair)
-    rows = []
-    for k in sorted(pairs_by_k):
-        pairs = pairs_by_k[k]
-        n = len(pairs)
-        rows.append(
-            FractionByK(
-                k=k,
-                n_pairs=n,
-                frac_any=sum(1 for p in pairs if p in certs.any) / n,
-                frac_bi=sum(1 for p in pairs if p in certs.bi) / n,
-            )
-        )
-    return rows
+    n_pairs = Counter(tau.values())
+    n_any = Counter(k for pair, k in tau.items() if pair in certs.any)
+    n_bi = Counter(k for pair, k in tau.items() if pair in certs.bi)
+    return [
+        FractionByK(k=k, n_pairs=n, frac_any=n_any[k] / n, frac_bi=n_bi[k] / n)
+        for k, n in sorted(n_pairs.items())
+    ]
 
 
 class MatchCategory(enum.Enum):
@@ -190,28 +169,32 @@ class MatchReport:
     both_sided: int  # pairs with transactions on both sides of the anchor
 
 
-def _pair_event_times(s: LinkStream) -> dict[Pair, list[int]]:
-    """Link times per unordered pair, both directions pooled; sorted, since
-    the stream is."""
-    times: dict[Pair, list[int]] = {}
-    for t, u, v in zip(s.t.tolist(), s.src.tolist(), s.dst.tolist()):
-        times.setdefault(_pair(u, v), []).append(t)
-    return times
+def _nearest(idx: PairIndex, seg: np.ndarray, anchor: np.ndarray):
+    """For each anchor and the pair segment ``seg`` of ``idx``: the position
+    of the pair's latest link at or before the anchor (-1 where none),
+    whether a link follows the anchor, and the signed offset from the anchor
+    to the link closest in absolute time, ties resolved toward the earlier
+    link. The offset means nothing where ``seg`` is -1."""
+    before = idx.latest(seg, anchor, inclusive=True)
+    following = np.where(before >= 0, before + 1, idx.starts[seg])
+    has_after = (seg >= 0) & (following < idx.starts[seg + 1])
+    t_before = idx.time_at(before)
+    t_after = idx.time_at(np.where(has_after, following, -1))
+    use_before = (before >= 0) & (~has_after | (anchor - t_before <= t_after - anchor))
+    return before, has_after, np.where(use_before, t_before, t_after) - anchor
 
 
-def _closest_signed_delay(times: list[int], anchor: int) -> int:
-    """Signed offset of the event closest to the anchor in absolute time,
-    ties resolved toward the earlier event."""
-    i = bisect_right(times, anchor)
-    before = times[i - 1] if i else None
-    after = times[i] if i < len(times) else None
-    if before is None:
-        return after - anchor
-    if after is None:
-        return before - anchor
-    if anchor - before <= after - anchor:
-        return before - anchor
-    return after - anchor
+def _first_times(idx: PairIndex) -> np.ndarray:
+    """The earliest link time of every pair of ``idx``."""
+    return idx.times[idx.starts[:-1]]
+
+
+def _fractions(code: np.ndarray, categories: list) -> dict:
+    """Share of each category among the codes, its position in
+    ``categories``; 0 for every category without codes."""
+    tally = np.bincount(code, minlength=len(categories)).tolist()
+    n = len(code)
+    return {cat: (c / n if n else 0.0) for cat, c in zip(categories, tally)}
 
 
 def match_certifications(cert_stream: LinkStream, tx_mm: LinkStream) -> MatchReport:
@@ -222,30 +205,25 @@ def match_certifications(cert_stream: LinkStream, tx_mm: LinkStream) -> MatchRep
     "after", and pairs that never transact are "never". The signed delay
     always points at the transaction closest in absolute time.
     """
-    cert_times = _pair_event_times(cert_stream)
-    tx_times = _pair_event_times(tx_mm)
-    outcomes = []
-    tally = dict.fromkeys(MatchCategory, 0)
-    both_sided = 0
-    for pair in sorted(cert_times):
-        anchor = cert_times[pair][0]
-        times = tx_times.get(pair)
-        if not times:
-            category, delay = MatchCategory.NEVER, None
-        else:
-            has_before = times[0] <= anchor
-            has_after = times[-1] > anchor
-            both_sided += has_before and has_after
-            category = MatchCategory.BEFORE if has_before else MatchCategory.AFTER
-            delay = _closest_signed_delay(times, anchor)
-        tally[category] += 1
-        outcomes.append(
-            MatchOutcome(pair=pair, anchor=anchor, category=category, delay=delay)
+    certs = cert_stream.pairs
+    anchor = _first_times(certs)
+    seg = tx_mm.pairs.find(certs.u, certs.v)
+    before, has_after, delay = _nearest(tx_mm.pairs, seg, anchor)
+    code = np.where(seg < 0, 2, np.where(before >= 0, 0, 1))  # MatchCategory order
+    categories = list(MatchCategory)
+    outcomes = tuple(
+        map(
+            MatchOutcome,
+            _pairs(certs),
+            anchor.tolist(),
+            map(categories.__getitem__, code.tolist()),
+            np.where(seg < 0, None, delay).tolist(),
         )
-    n = len(outcomes)
-    fractions = {cat: (tally[cat] / n if n else 0.0) for cat in MatchCategory}
+    )
     return MatchReport(
-        outcomes=tuple(outcomes), fractions=fractions, both_sided=both_sided
+        outcomes=outcomes,
+        fractions=_fractions(code, categories),
+        both_sided=int(np.count_nonzero((before >= 0) & has_after)),
     )
 
 
@@ -255,12 +233,12 @@ def preceding_transaction_counts(
     """Bulk form over every first certification: pair -> (anchor, number of
     strictly earlier transactions). Pairs with zero earlier transactions are
     included so callers can split the distribution themselves."""
-    cert_times = _pair_event_times(cert_stream)
-    tx_times = _pair_event_times(tx_mm)
-    return {
-        pair: (ts[0], bisect_left(tx_times.get(pair, []), ts[0]))
-        for pair, ts in sorted(cert_times.items())
-    }
+    certs, txs = cert_stream.pairs, tx_mm.pairs
+    anchor = _first_times(certs)
+    seg = txs.find(certs.u, certs.v)
+    before = txs.latest(seg, anchor, inclusive=False)
+    count = np.where(before >= 0, before - txs.starts[seg] + 1, 0)
+    return dict(zip(_pairs(certs), zip(anchor.tolist(), count.tolist())))
 
 
 class TxCategory(enum.Enum):
@@ -278,22 +256,15 @@ class TxClassReport:
 def classify_transactions(tx_mm: LinkStream, cert_stream: LinkStream) -> TxClassReport:
     """Classify each transaction by whether the pair's first certification
     exists at transaction time, only later, or never."""
-    cert_times = _pair_event_times(cert_stream)
-    cats = []
-    tally = dict.fromkeys(TxCategory, 0)
-    for t, u, v in zip(tx_mm.t.tolist(), tx_mm.src.tolist(), tx_mm.dst.tolist()):
-        certs = cert_times.get(_pair(u, v))
-        if certs is None:
-            cat = TxCategory.NEVER
-        elif certs[0] <= t:
-            cat = TxCategory.ALREADY_CERTIFIED
-        else:
-            cat = TxCategory.FUTURE_CERTIFIED
-        tally[cat] += 1
-        cats.append(cat)
-    n = len(cats)
-    fractions = {cat: (tally[cat] / n if n else 0.0) for cat in TxCategory}
-    return TxClassReport(categories=tuple(cats), fractions=fractions)
+    certs = cert_stream.pairs
+    seg = certs.find(tx_mm.src, tx_mm.dst)
+    first_cert = certs.time_at(np.where(seg >= 0, certs.starts[seg], -1))  # -1: never
+    code = np.where(first_cert < 0, 2, np.where(first_cert <= tx_mm.t, 0, 1))  # TxCategory order
+    categories = list(TxCategory)
+    return TxClassReport(
+        categories=tuple(map(categories.__getitem__, code.tolist())),
+        fractions=_fractions(code, categories),
+    )
 
 
 @dataclass(frozen=True)
@@ -315,20 +286,11 @@ def new_transaction_cert_delays(
     """For each pair's first-ever transaction, the signed offset to the
     certification closest in absolute time; pairs without any certification
     are counted as unmatched."""
-    cert_times = _pair_event_times(cert_stream)
-    tx_times = _pair_event_times(tx_mm)
-    rows = []
-    unmatched = 0
-    for pair in sorted(tx_times):
-        t0 = tx_times[pair][0]
-        certs = cert_times.get(pair)
-        if not certs:
-            unmatched += 1
-            rows.append(NewTxDelay(pair=pair, first_tx=t0, delay=None))
-        else:
-            rows.append(
-                NewTxDelay(
-                    pair=pair, first_tx=t0, delay=_closest_signed_delay(certs, t0)
-                )
-            )
-    return NewTxDelayReport(delays=tuple(rows), unmatched=unmatched)
+    txs, certs = tx_mm.pairs, cert_stream.pairs
+    first_tx = _first_times(txs)
+    seg = certs.find(txs.u, txs.v)
+    _, _, delay = _nearest(certs, seg, first_tx)
+    rows = tuple(
+        map(NewTxDelay, _pairs(txs), first_tx.tolist(), np.where(seg < 0, None, delay).tolist())
+    )
+    return NewTxDelayReport(delays=rows, unmatched=int(np.count_nonzero(seg < 0)))

@@ -97,7 +97,8 @@ def save_bundle(out_dir: str | Path, bundle: StreamBundle) -> Path:
 def load_bundle(out_dir: str | Path) -> StreamBundle:
     """Rebuild the bundle from ``out_dir``; raises StateError when the
     snapshot is missing or unreadable (truncated, not a zip, arrays missing,
-    or columns that break a stream invariant)."""
+    columns that break a stream invariant, or a node handle without a
+    key)."""
     path = Path(out_dir) / SNAPSHOT_NAME
     if not path.exists():
         raise StateError(f"no snapshot at {path}; run the ingest command first")
@@ -112,13 +113,17 @@ def load_bundle(out_dir: str | Path) -> StreamBundle:
 
 
 def _bundle_from(path: Path) -> StreamBundle:
-    with np.load(path, allow_pickle=False) as data:
+    # np.load on an open handle: a truncated archive then leaves no file open
+    with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
         table = NodeTable(_array(data, "keys").tolist())
         members = frozenset(_array(data, "members").tolist())
         anonymous = frozenset(range(len(table))) - members
         cls = NodeClassification(members=members, anonymous=anonymous, table=table)
         cert = _stream_from(data, "cert")
         tx = _stream_from(data, "tx", amount=_array(data, "tx_amount"))
+    handles = members | cert.nodes | tx.nodes
+    if handles and (min(handles) < 0 or max(handles) >= len(table)):
+        raise ValueError("a node handle has no key in keys.npy")
     return build_bundle(table, cls, cert, tx)
 
 

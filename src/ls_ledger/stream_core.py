@@ -12,7 +12,7 @@ lives in a :class:`NodeTable` side table so links stay small.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -167,6 +167,17 @@ class LinkStream:
             map(Link, self.t.tolist(), self.src.tolist(), self.dst.tolist(), amounts)
         )
 
+    @cached_property
+    def pairs(self) -> PairIndex:
+        """Link times per unordered pair, both directions pooled; built on
+        first use."""
+        return PairIndex.of(self, directed=False)
+
+    @cached_property
+    def directed_pairs(self) -> PairIndex:
+        """Link times per (source, target) pair; built on first use."""
+        return PairIndex.of(self, directed=True)
+
     def restrict(self, keep: np.ndarray, nodes: Iterable[int]) -> LinkStream:
         """The links where the boolean mask ``keep`` holds, over ``nodes``;
         the interval is unchanged."""
@@ -201,13 +212,6 @@ class NodeClassification:
         if overlap:
             raise ClassificationError(f"nodes classified twice: {sorted(overlap)}")
 
-    def class_of(self, node: int) -> NodeClass:
-        if node in self.members:
-            return NodeClass.MEMBER
-        if node in self.anonymous:
-            return NodeClass.ANONYMOUS
-        raise ClassificationError(f"unclassified node: {self.name_of(node)}")
-
     def nodes_of(self, cls: NodeClass) -> frozenset[int]:
         return self.members if cls is NodeClass.MEMBER else self.anonymous
 
@@ -237,6 +241,10 @@ class InducedGraph:
 
     def undirected_edges(self) -> frozenset[tuple[int, int]]:
         """Symmetrized view; each edge as a (min, max) pair."""
+        return self._undirected_edges
+
+    @cached_property
+    def _undirected_edges(self) -> frozenset[tuple[int, int]]:
         return frozenset((u, v) if u < v else (v, u) for u, v in self.directed_edges)
 
     def undirected_adjacency(self) -> dict[int, set[int]]:
@@ -395,10 +403,100 @@ def substream_by_class(
     return s.restrict(class_mask(s, cls, src_class, dst_class), nodes)
 
 
-def pair_times(s: LinkStream) -> Mapping[tuple[int, int], list[int]]:
-    """Sorted link times per directed (source, target) pair; shared index
-    used by the temporal metrics."""
-    idx: dict[tuple[int, int], list[int]] = {}
-    for t, u, v in zip(s.t.tolist(), s.src.tolist(), s.dst.tolist()):
-        idx.setdefault((u, v), []).append(t)
-    return idx
+@dataclass(frozen=True, eq=False)
+class PairIndex:
+    """A stream's links grouped by node pair, from one stable sort of the
+    links by pair, so times stay ascending within each pair.
+
+    Pairs are directed ``(source, target)``, or unordered ``(min, max)``
+    with both directions pooled. Segment ``j`` is the pair ``(u[j], v[j])``,
+    in ascending ``(u, v)`` order, and holds the grouped links
+    ``starts[j]:starts[j + 1]``: their times in ``times`` and their places
+    in the stream in ``positions``. ``segment`` gives every stream link its
+    segment. Lookups key pairs and times by dense ranks, so no composite key
+    overflows int64 whatever the handles and times.
+    """
+
+    directed: bool
+    u: np.ndarray
+    v: np.ndarray
+    starts: np.ndarray
+    times: np.ndarray
+    positions: np.ndarray
+    segment: np.ndarray
+    nodes: np.ndarray  # distinct endpoints, sorted: a node's rank is its position
+    keys: np.ndarray  # rank(u) * len(nodes) + rank(v) per segment, ascending
+
+    @classmethod
+    def of(cls, s: LinkStream, directed: bool) -> PairIndex:
+        u, v = s.src, s.dst
+        if not directed:
+            u, v = np.minimum(u, v), np.maximum(u, v)
+        n = s.link_count
+        nodes, rank = np.unique(np.concatenate((u, v)), return_inverse=True)
+        key = rank[:n] * len(nodes) + rank[n:]
+        positions = np.argsort(key, kind="stable")
+        key = key[positions]
+        new = np.diff(key, prepend=-1) != 0  # keys are >= 0
+        first = np.flatnonzero(new)
+        segment = np.empty(n, dtype=np.int64)
+        segment[positions] = np.cumsum(new) - 1
+        return cls(
+            directed=directed,
+            u=u[positions[first]],
+            v=v[positions[first]],
+            starts=np.append(first, n),
+            times=s.t[positions],
+            positions=positions,
+            segment=segment,
+            nodes=nodes,
+            keys=key[first],
+        )
+
+    def find(self, u, v) -> np.ndarray:
+        """Segment of each pair ``(u[i], v[i])``, -1 where the pair has no
+        link; an unordered index takes the endpoints in either order."""
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        if not self.directed:
+            u, v = np.minimum(u, v), np.maximum(u, v)
+        if not len(self.nodes):
+            return np.full(u.shape, -1, dtype=np.int64)
+        ru = np.searchsorted(self.nodes, u).clip(max=len(self.nodes) - 1)
+        rv = np.searchsorted(self.nodes, v).clip(max=len(self.nodes) - 1)
+        known = (self.nodes[ru] == u) & (self.nodes[rv] == v)
+        return np.where(known, self.find_ranks(ru, rv), -1)
+
+    @cached_property
+    def ranks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ranks of ``u`` and of ``v`` per segment, for ``find_ranks``."""
+        return np.divmod(self.keys, len(self.nodes))
+
+    def find_ranks(self, ru: np.ndarray, rv: np.ndarray) -> np.ndarray:
+        """Segment of each pair ``(nodes[ru[i]], nodes[rv[i]])``, -1 where
+        the pair has no link."""
+        key = ru * len(self.nodes) + rv
+        j = np.searchsorted(self.keys, key).clip(max=len(self.keys) - 1)
+        return np.where(self.keys[j] == key, j, -1)
+
+    @cached_property
+    def _time_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct link times, sorted, and ``segment * len(instants) +
+        rank(time)`` per position, which ascends."""
+        instants, rank = np.unique(self.times, return_inverse=True)
+        return instants, self.segment[self.positions] * len(instants) + rank
+
+    def latest(self, seg: np.ndarray, t: np.ndarray, inclusive: bool) -> np.ndarray:
+        """Position of the latest link of segment ``seg[i]`` at or before
+        ``t[i]``, or strictly before it unless ``inclusive``; -1 where there
+        is none or ``seg[i]`` is -1."""
+        instants, time_keys = self._time_keys
+        r = np.searchsorted(instants, t, side="right" if inclusive else "left")
+        pos = np.searchsorted(time_keys, seg * len(instants) + r) - 1
+        return np.where((seg >= 0) & (pos >= self.starts[seg]), pos, -1)
+
+    def time_at(self, pos: np.ndarray) -> np.ndarray:
+        """Time of the link at each position, -1 where ``pos`` is -1."""
+        if not len(self.times):
+            return np.full(np.shape(pos), -1, dtype=np.int64)
+        return np.where(pos >= 0, self.times[pos], -1)

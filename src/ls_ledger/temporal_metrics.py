@@ -1,9 +1,9 @@
 """Time-aware structural metrics on streams.
 
-Covers temporal neighborhoods (sets of (time, node) elements), their node
-projections and cross-stream overlap, and the directed k-closure of links
-for k in {2, 3}: the minimal look-back from a link to its reverse link, or
-to a directed triangle completing it.
+Covers the overlap of aggregated neighborhoods across streams and the
+directed k-closure of links for k in {2, 3}: the minimal look-back from a
+link to its reverse link, or to a directed triangle completing it. Both
+closures read the stream's directed pair index.
 
 Closure conventions. For the 2-closure, a reverse link at exactly the same
 instant qualifies (look-back 0). For the 3-closure, the two supporting
@@ -14,34 +14,13 @@ shrink the window.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Mapping, Set
 from dataclasses import dataclass
 
-from .stream_core import Link, LinkStream, pair_times
+import numpy as np
 
-
-@dataclass(frozen=True)
-class NeighborhoodCluster:
-    """The temporal nodes (t, u) that interacted with ``owner`` in a stream,
-    in either direction."""
-
-    owner: int
-    elements: frozenset[tuple[int, int]]
-
-    def node_projection(self) -> frozenset[int]:
-        return frozenset(u for _, u in self.elements)
-
-
-def neighborhood(s: LinkStream, v: int) -> NeighborhoodCluster:
-    """All (t, u) such that the stream links u and v at t, either direction."""
-    if v not in s.nodes:
-        raise KeyError(f"node {v} not in stream")
-    out, into = s.src == v, s.dst == v
-    elems = set(zip(s.t[out].tolist(), s.dst[out].tolist()))
-    elems.update(zip(s.t[into].tolist(), s.src[into].tolist()))
-    return NeighborhoodCluster(owner=v, elements=frozenset(elems))
+from .stream_core import LinkStream
 
 
 @dataclass(frozen=True)
@@ -79,76 +58,13 @@ def neighborhood_overlaps(
     return results
 
 
-@dataclass(frozen=True)
-class ClosureResult:
-    link: Link
-    k: int
-    lookback: int | None  # None marks an infinite closure
+_BLOCK = 1 << 14  # rows per block of the 3-closure's 2-path expansion
 
 
-class _StreamIndex:
-    """Per-pair sorted times plus in/out adjacency; built once per stream
-    and shared across the per-link closure queries."""
-
-    def __init__(self, s: LinkStream):
-        self.times = pair_times(s)
-        self.out_nbrs: dict[int, set[int]] = {}
-        self.in_nbrs: dict[int, set[int]] = {}
-        for u, v in self.times:
-            self.out_nbrs.setdefault(u, set()).add(v)
-            self.in_nbrs.setdefault(v, set()).add(u)
-
-    def latest_at_or_before(self, u: int, v: int, t: int) -> int | None:
-        ts = self.times.get((u, v))
-        if not ts:
-            return None
-        i = bisect_right(ts, t)
-        return ts[i - 1] if i else None
-
-    def latest_before(self, u: int, v: int, t: int) -> int | None:
-        ts = self.times.get((u, v))
-        if not ts:
-            return None
-        i = bisect_left(ts, t)
-        return ts[i - 1] if i else None
-
-
-def _two_closure(idx: _StreamIndex, link: Link) -> ClosureResult:
-    """Look-back from (t, u, v) to the latest reverse link (t', v, u) with
-    t' <= t; infinite when no reverse link exists that early."""
-    t_rev = idx.latest_at_or_before(link.target, link.source, link.t)
-    lookback = None if t_rev is None else link.t - t_rev
-    return ClosureResult(link=link, k=2, lookback=lookback)
-
-
-def _three_closure(idx: _StreamIndex, link: Link) -> ClosureResult:
-    """Smallest look-back window that completes the directed cycle
-    u -> v -> w -> u, both supporting links strictly earlier than t.
-
-    For each third party w the tightest candidate uses the latest v -> w
-    and w -> u links before t; the best window over all w wins.
-    """
-    t, u, v = link.t, link.source, link.target
-    candidates = idx.out_nbrs.get(v, set()) & idx.in_nbrs.get(u, set())
-    best: int | None = None  # max over w of min(t1, t2)
-    for w in candidates:
-        t1 = idx.latest_before(v, w, t)
-        if t1 is None:
-            continue
-        t2 = idx.latest_before(w, u, t)
-        if t2 is None:
-            continue
-        window_start = min(t1, t2)
-        if best is None or window_start > best:
-            best = window_start
-    lookback = None if best is None else t - best
-    return ClosureResult(link=link, k=3, lookback=lookback)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosureDistribution:
     k: int
-    results: tuple[ClosureResult, ...]  # one per link, stream order
+    results: np.ndarray  # look-back per link, stream order; -1 marks an infinite closure
     finite: Counter[int]  # histogram over finite look-backs
     infinite_count: int
 
@@ -158,16 +74,81 @@ def closure_distribution(s: LinkStream, k: int) -> ClosureDistribution:
     histogrammed and infinite ones only counted, as in the reference plots."""
     if k not in (2, 3):
         raise ValueError(f"k must be 2 or 3, got {k}")
-    idx = _StreamIndex(s)
-    compute = _two_closure if k == 2 else _three_closure
-    results = tuple(compute(idx, ln) for ln in s.links)
-    finite: Counter[int] = Counter()
-    infinite = 0
-    for res in results:
-        if res.lookback is None:
-            infinite += 1
-        else:
-            finite[res.lookback] += 1
+    lookback = _two_closure(s) if k == 2 else _three_closure(s)
+    lookback.setflags(write=False)
+    finite = lookback[lookback >= 0].tolist()
     return ClosureDistribution(
-        k=k, results=results, finite=finite, infinite_count=infinite
+        k=k,
+        results=lookback,
+        finite=Counter(finite),
+        infinite_count=len(lookback) - len(finite),
     )
+
+
+def _two_closure(s: LinkStream) -> np.ndarray:
+    """Look-back from each link (t, u, v) to the latest reverse link
+    (t', v, u) with t' <= t; -1 where no reverse link exists that early."""
+    idx = s.directed_pairs
+    rank_u, rank_v = (rank[idx.segment] for rank in idx.ranks)
+    latest = idx.latest(idx.find_ranks(rank_v, rank_u), s.t, inclusive=True)
+    return np.where(latest >= 0, s.t - idx.time_at(latest), -1)
+
+
+def _three_closure(s: LinkStream) -> np.ndarray:
+    """Smallest look-back window that completes the directed cycle
+    u -> v -> w -> u of each link (t, u, v), both supporting links strictly
+    earlier than t; -1 where no such cycle exists.
+
+    For each third party w the tightest candidate uses the latest v -> w
+    and w -> u links before t, and the best window over all w wins. The
+    2-paths v -> w -> u run over distinct pairs, in blocks: first to keep
+    those whose closing pair (u, v) has links, then against each link of
+    that closing pair.
+    """
+    idx = s.directed_pairs
+    # segments ascend by source, so the pairs leaving a node are contiguous
+    out_start = np.searchsorted(idx.u, idx.v)
+    out_degree = np.searchsorted(idx.u, idx.v, side="right") - out_start
+    rank_u, rank_v = idx.ranks
+    kept = [np.empty((3, 0), dtype=np.int64)]  # rows: v -> w, w -> u, u -> v
+    for block in _blocks(out_degree):
+        owner, p2 = _expand(out_start[block], out_degree[block])
+        p1 = owner + block.start
+        c = idx.find_ranks(rank_v[p2], rank_u[p1])
+        kept.append(np.stack((p1, p2, c))[:, c >= 0])
+    p1, p2, c = np.concatenate(kept, axis=1)
+
+    size = np.diff(idx.starts)[c]
+    best = np.full(s.link_count, -1, dtype=np.int64)  # per grouped position
+    for block in _blocks(size):
+        owner, pos = _expand(idx.starts[c[block]], size[block])
+        t = idx.times[pos]
+        window = np.minimum(
+            idx.time_at(idx.latest(p1[block][owner], t, inclusive=False)),
+            idx.time_at(idx.latest(p2[block][owner], t, inclusive=False)),
+        )
+        np.maximum.at(best, pos, window)
+    lookback = np.full(s.link_count, -1, dtype=np.int64)
+    closed = best >= 0
+    lookback[idx.positions[closed]] = idx.times[closed] - best[closed]
+    return lookback
+
+
+def _blocks(weights: np.ndarray):
+    """Slices of consecutive items whose weights sum to at most ``_BLOCK``,
+    or of one item where it alone weighs more."""
+    ends = np.cumsum(weights)
+    i = 0
+    while i < len(weights):
+        done = ends[i - 1] if i else 0
+        j = max(i + 1, int(np.searchsorted(ends, done + _BLOCK, side="right")))
+        yield slice(i, j)
+        i = j
+
+
+def _expand(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges ``starts[i]:starts[i] + counts[i]`` end to end: for each
+    element, its range i and its value."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    offset = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return owner, starts[owner] + offset

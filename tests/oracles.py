@@ -8,6 +8,8 @@ other side of every dual-route check.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from itertools import combinations
 
 
@@ -215,3 +217,185 @@ def distance_distribution(
         else:
             counts[d] = counts.get(d, 0) + 1
     return dict(sorted(counts.items())), unreachable
+
+
+# Per-pair time lookups as dicts of sorted time lists, queried with bisect
+# link by link: the kernels that ``stream_core.PairIndex`` replaced.
+
+
+def pair_times(s) -> dict[tuple[int, int], list[int]]:
+    """Sorted link times per directed (source, target) pair."""
+    idx: dict[tuple[int, int], list[int]] = {}
+    for t, u, v in zip(s.t.tolist(), s.src.tolist(), s.dst.tolist()):
+        idx.setdefault((u, v), []).append(t)
+    return idx
+
+
+def pair_event_times(s) -> dict[tuple[int, int], list[int]]:
+    """Sorted link times per unordered (min, max) pair, both directions
+    pooled."""
+    times: dict[tuple[int, int], list[int]] = {}
+    for t, u, v in zip(s.t.tolist(), s.src.tolist(), s.dst.tolist()):
+        times.setdefault((u, v) if u < v else (v, u), []).append(t)
+    return times
+
+
+class StreamIndex:
+    """Per-pair sorted times plus in/out adjacency, shared across the
+    per-link closure queries."""
+
+    def __init__(self, s):
+        self.times = pair_times(s)
+        self.out_nbrs: dict[int, set[int]] = {}
+        self.in_nbrs: dict[int, set[int]] = {}
+        for u, v in self.times:
+            self.out_nbrs.setdefault(u, set()).add(v)
+            self.in_nbrs.setdefault(v, set()).add(u)
+
+    def latest_at_or_before(self, u: int, v: int, t: int) -> int | None:
+        ts = self.times.get((u, v))
+        if not ts:
+            return None
+        i = bisect_right(ts, t)
+        return ts[i - 1] if i else None
+
+    def latest_before(self, u: int, v: int, t: int) -> int | None:
+        ts = self.times.get((u, v))
+        if not ts:
+            return None
+        i = bisect_left(ts, t)
+        return ts[i - 1] if i else None
+
+
+def indexed_two_closure(idx: StreamIndex, t: int, u: int, v: int) -> int | None:
+    """Look-back from (t, u, v) to the latest reverse link at or before t."""
+    t_rev = idx.latest_at_or_before(v, u, t)
+    return None if t_rev is None else t - t_rev
+
+
+def indexed_three_closure(idx: StreamIndex, t: int, u: int, v: int) -> int | None:
+    """Smallest window closing u -> v -> w -> u with both supports strictly
+    before t, trying every third party w."""
+    best = None  # max over w of min(t1, t2)
+    for w in idx.out_nbrs.get(v, set()) & idx.in_nbrs.get(u, set()):
+        t1 = idx.latest_before(v, w, t)
+        if t1 is None:
+            continue
+        t2 = idx.latest_before(w, u, t)
+        if t2 is None:
+            continue
+        if best is None or min(t1, t2) > best:
+            best = min(t1, t2)
+    return None if best is None else t - best
+
+
+def closure_lookbacks(s, k: int) -> list[int | None]:
+    """k-closure look-back of every link in stream order, None for
+    infinite."""
+    idx = StreamIndex(s)
+    closure = indexed_two_closure if k == 2 else indexed_three_closure
+    return [
+        closure(idx, t, u, v)
+        for t, u, v in zip(s.t.tolist(), s.src.tolist(), s.dst.tolist())
+    ]
+
+
+def closest_signed_delay(times: list[int], anchor: int) -> int:
+    """Signed offset of the event closest to the anchor in absolute time,
+    ties resolved toward the earlier event."""
+    i = bisect_right(times, anchor)
+    before = times[i - 1] if i else None
+    after = times[i] if i < len(times) else None
+    if before is None:
+        return after - anchor
+    if after is None:
+        return before - anchor
+    if anchor - before <= after - anchor:
+        return before - anchor
+    return after - anchor
+
+
+def match_certifications(cert, tx) -> tuple[list[tuple], int]:
+    """([(pair, anchor, category, delay)] per first certification in pair
+    order, number of pairs with transactions on both sides of the anchor)."""
+    cert_times = pair_event_times(cert)
+    tx_times = pair_event_times(tx)
+    rows = []
+    both_sided = 0
+    for pair in sorted(cert_times):
+        anchor = cert_times[pair][0]
+        times = tx_times.get(pair)
+        if not times:
+            rows.append((pair, anchor, "never", None))
+            continue
+        has_before = times[0] <= anchor
+        both_sided += has_before and times[-1] > anchor
+        category = "before" if has_before else "after"
+        rows.append((pair, anchor, category, closest_signed_delay(times, anchor)))
+    return rows, both_sided
+
+
+def preceding_transaction_counts(cert, tx) -> dict[tuple[int, int], tuple[int, int]]:
+    cert_times = pair_event_times(cert)
+    tx_times = pair_event_times(tx)
+    return {
+        pair: (ts[0], bisect_left(tx_times.get(pair, []), ts[0]))
+        for pair, ts in sorted(cert_times.items())
+    }
+
+
+def classify_transactions(tx, cert) -> list[str]:
+    """Per transaction: already_certified, future_certified or never."""
+    cert_times = pair_event_times(cert)
+    cats = []
+    for t, u, v in zip(tx.t.tolist(), tx.src.tolist(), tx.dst.tolist()):
+        certs = cert_times.get((u, v) if u < v else (v, u))
+        if certs is None:
+            cats.append("never")
+        elif certs[0] <= t:
+            cats.append("already_certified")
+        else:
+            cats.append("future_certified")
+    return cats
+
+
+def new_transaction_cert_delays(tx, cert) -> tuple[list[tuple], int]:
+    """([(pair, first transaction, delay)] in pair order, unmatched pairs)."""
+    cert_times = pair_event_times(cert)
+    tx_times = pair_event_times(tx)
+    rows = []
+    for pair in sorted(tx_times):
+        t0 = tx_times[pair][0]
+        certs = cert_times.get(pair)
+        rows.append((pair, t0, closest_signed_delay(certs, t0) if certs else None))
+    return rows, sum(1 for row in rows if row[2] is None)
+
+
+def relation_sets(s) -> tuple[set, set, set]:
+    """(any, uni, bi) unordered pairs of a stream, from its directed pairs."""
+    directed = set(zip(s.src.tolist(), s.dst.tolist()))
+    pairs = {(u, v) if u < v else (v, u) for u, v in directed}
+    bi = {(u, v) for u, v in pairs if (u, v) in directed and (v, u) in directed}
+    return pairs, pairs - bi, bi
+
+
+@dataclass(frozen=True)
+class NeighborhoodCluster:
+    """The temporal nodes (t, u) that interacted with ``owner`` in a stream,
+    in either direction."""
+
+    owner: int
+    elements: frozenset[tuple[int, int]]
+
+    def node_projection(self) -> frozenset[int]:
+        return frozenset(u for _, u in self.elements)
+
+
+def neighborhood(s, v: int) -> NeighborhoodCluster:
+    """All (t, u) such that the stream links u and v at t, either direction."""
+    if v not in s.nodes:
+        raise KeyError(f"node {v} not in stream")
+    out, into = s.src == v, s.dst == v
+    elems = set(zip(s.t[out].tolist(), s.dst[out].tolist()))
+    elems.update(zip(s.t[into].tolist(), s.src[into].tolist()))
+    return NeighborhoodCluster(owner=v, elements=frozenset(elems))

@@ -400,6 +400,14 @@ def _negative_amount(a):
     a["tx_amount"][0] = -1
 
 
+def _unkeyed_handle(a):
+    a["keys"] = a["keys"][:-1]
+
+
+def _unkeyed_member(a):
+    a["members"] = np.append(a["members"], len(a["keys"]))
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -408,7 +416,15 @@ def _negative_amount(a):
         _drop_arrays,
         *map(
             _rewrite,
-            [_unequal_columns, _self_link, _out_of_order, _outside_interval, _negative_amount],
+            [
+                _unequal_columns,
+                _self_link,
+                _out_of_order,
+                _outside_interval,
+                _negative_amount,
+                _unkeyed_handle,
+                _unkeyed_member,
+            ],
         ),
     ],
 )

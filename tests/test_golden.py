@@ -54,6 +54,14 @@ CASES = {
         ("--seed", "2", "--samples", "20"),
         (),
     ),
+    # 200 links over 21 instants: same-instant links and repeated pairs give
+    # 11 zero look-back 2-closures, 53 finite 3-closures in closures_k3.csv
+    # and 6 zero-delay matches, pinning the tie rules
+    "random81_ties": (
+        lambda: random_records(81, n_members=8, n_anonymous=4, n_certs=80, n_txs=120, t_max=20),
+        ("--seed", "1", "--samples", "5"),
+        (),
+    ),
 }
 
 

@@ -13,11 +13,17 @@ import random
 import pytest
 
 import oracles
-from ls_ledger.graph_metrics import distance_distribution, pair_distance
+from ls_ledger.graph_metrics import distance_distribution
 from ls_ledger.stream_core import InducedGraph, Link, LinkStream, build_stream, induced_graph
 from ls_ledger.temporal_metrics import neighborhood_overlaps
 
 TRIALS = 2_000
+
+
+def pair_distance(g: InducedGraph, u: int, v: int) -> int | None:
+    """Shortest-path length between u and v by a one-pair
+    distance_distribution; None when unreachable."""
+    return next(iter(distance_distribution([(u, v)], g).counts), None)
 
 
 def random_handles(rng: random.Random, n: int) -> list[int]:

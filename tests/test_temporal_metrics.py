@@ -5,11 +5,8 @@ import pytest
 import oracles
 from ls_ledger.fixtures import random_links, random_stream
 from ls_ledger.stream_core import Link, build_stream, induced_graph
-from ls_ledger.temporal_metrics import (
-    closure_distribution,
-    neighborhood,
-    neighborhood_overlaps,
-)
+from ls_ledger.temporal_metrics import closure_distribution, neighborhood_overlaps
+from oracles import neighborhood
 
 # frozen brute-force tables for the 12-link example (see tests/oracles.py)
 SAMPLE_K2 = {
@@ -98,13 +95,18 @@ def test_overlap_empty_neighborhood_markers():
     assert list(results) == [0, 1, 2, 3]
 
 
+def lookbacks(dist):
+    """The look-backs of a closure distribution, None where infinite."""
+    return [None if x < 0 else x for x in dist.results.tolist()]
+
+
+def links_of(s):
+    return list(zip(s.t.tolist(), s.src.tolist(), s.dst.tolist()))
+
+
 def _lookback(s, k, t, u, v):
     """The look-back that closure_distribution gives the link (t, u, v)."""
-    return next(
-        r.lookback
-        for r in closure_distribution(s, k=k).results
-        if (r.link.t, r.link.source, r.link.target) == (t, u, v)
-    )
+    return lookbacks(closure_distribution(s, k=k))[links_of(s).index((t, u, v))]
 
 
 def test_two_closure_example(sample_stream):
@@ -144,8 +146,8 @@ def test_closure_distribution_full_tables(sample_stream):
     for k, expected in ((2, SAMPLE_K2), (3, SAMPLE_K3)):
         dist = closure_distribution(s, k=k)
         got = {
-            (r.link.t, table.key_of(r.link.source), table.key_of(r.link.target)): r.lookback
-            for r in dist.results
+            (t, table.key_of(u), table.key_of(v)): lookback
+            for (t, u, v), lookback in zip(links_of(s), lookbacks(dist))
         }
         assert got == expected
         assert dist.infinite_count == sum(1 for v in expected.values() if v is None)
@@ -169,11 +171,11 @@ def test_closures_match_oracle_random():
     for trial in range(40):
         s = random_stream(seed=1000 + trial, max_nodes=8, max_links=60)
         events = [(ln.t, ln.source, ln.target) for ln in s.links]
-        d2 = closure_distribution(s, k=2)
-        d3 = closure_distribution(s, k=3)
+        d2 = lookbacks(closure_distribution(s, k=2))
+        d3 = lookbacks(closure_distribution(s, k=3))
         for i in range(len(events)):
-            assert d2.results[i].lookback == oracles.two_closure(events, i)
-            assert d3.results[i].lookback == oracles.three_closure(events, i)
+            assert d2[i] == oracles.two_closure(events, i)
+            assert d3[i] == oracles.three_closure(events, i)
 
 
 def test_closure_time_shift_equivariance():
@@ -185,8 +187,8 @@ def test_closure_time_shift_equivariance():
             [Link(ln.t + shift, ln.source, ln.target) for ln in s.links]
         )
         for k in (2, 3):
-            a = [r.lookback for r in closure_distribution(s, k=k).results]
-            b = [r.lookback for r in closure_distribution(shifted, k=k).results]
+            a = closure_distribution(s, k=k).results.tolist()
+            b = closure_distribution(shifted, k=k).results.tolist()
             assert a == b
 
 
@@ -197,7 +199,7 @@ def test_three_closure_monotone_under_added_supports():
         query = s.links[-1]
         if query.t == 0:
             continue  # no strictly earlier instant exists
-        before = closure_distribution(s, k=3).results[-1].lookback
+        before = lookbacks(closure_distribution(s, k=3))[-1]
         # add an earlier support pair through a fresh node
         w = max(s.nodes) + 1
         extra = [

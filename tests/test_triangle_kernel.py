@@ -14,14 +14,24 @@ from itertools import combinations
 import pytest
 
 import oracles
+from ls_ledger import graph_metrics
 from ls_ledger.graph_metrics import (
     clustering,
     null_model_triangles,
     rewired_samples,
     triangle_count,
-    triangles_per_node,
 )
 from ls_ledger.stream_core import InducedGraph
+
+
+def triangles_per_node(g: InducedGraph) -> dict[int, int]:
+    """Triangles through every node, in ``g.nodes`` order, from the forward
+    kernel that ``clustering`` reads."""
+    edges = g.undirected_edges()
+    rank = graph_metrics._degree_ranks(edges)[1]
+    out = dict.fromkeys(g.nodes, 0)
+    out.update(graph_metrics._node_triangles(graph_metrics._forward_adjacency(edges, rank)))
+    return out
 
 
 def graph_of(edges, nodes=()):
