@@ -76,17 +76,15 @@ def _comments(command: str, cfg: RunConfig, *extra: str) -> list[str]:
     return [*parts, knobs, *extra]
 
 
-def _load(cfg: RunConfig) -> snapshot.StreamBundle:
-    return snapshot.load_bundle(cfg.out_dir)
-
-
 # ---------------------------------------------------------------- commands
 
 
 def cmd_ingest(cfg: RunConfig) -> None:
     """Parse the ledger, build streams and substreams, persist the snapshot,
     and export the substream repartitions."""
-    with open(cfg.input_path, "r", encoding="utf-8") as fh:
+    # bytes that are not UTF-8 become lone surrogates, which the parser
+    # rejects with their line number
+    with open(cfg.input_path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         records = ledger_ingest.parse_records(fh, strict=cfg.strict)
     for line_no, reason in records.issues:
         click.echo(f"warning: skipped line {line_no}: {reason}", err=True)
@@ -99,29 +97,10 @@ def cmd_ingest(cfg: RunConfig) -> None:
     bundle = snapshot.build_bundle(cls.table, cls, cert, tx)
     snapshot.save_bundle(cfg.out_dir, bundle)
 
-    report = ledger_ingest.repartition(tx, cls)
-    _write_csv(
-        cfg.out_dir / "repartition.csv",
-        _comments("ingest", cfg, f"input={cfg.input_path}"),
-        "substream,count,count_share,amount,amount_share",
-        (
-            (label, row.count, _fmt(row.count_share), row.amount, _fmt(row.amount_share))
-            for label, row in report.rows.items()
-        ),
-    )
-
+    _write_repartition(cfg, "repartition.csv", tx, cls)
     if cfg.remuniter:
         filtered = ledger_ingest.filter_wallet(tx, cls.table.id_of(cfg.remuniter))
-        filtered_report = ledger_ingest.repartition(filtered, cls)
-        _write_csv(
-            cfg.out_dir / "repartition_filtered.csv",
-            _comments("ingest", cfg, f"input={cfg.input_path}", "remuniter removed"),
-            "substream,count,count_share,amount,amount_share",
-            (
-                (label, row.count, _fmt(row.count_share), row.amount, _fmt(row.amount_share))
-                for label, row in filtered_report.rows.items()
-            ),
-        )
+        _write_repartition(cfg, "repartition_filtered.csv", filtered, cls, "remuniter removed")
         miners = ledger_ingest.identify_miners(tx, cls, cfg.remuniter)
         click.echo(f"miners:{len(miners)}")
 
@@ -131,21 +110,43 @@ def cmd_ingest(cfg: RunConfig) -> None:
     )
 
 
+def _write_repartition(cfg: RunConfig, fname: str, tx, cls, *extra: str) -> None:
+    """Counts and amounts of the transaction stream ``tx`` per substream."""
+    report = ledger_ingest.repartition(tx, cls)
+    _write_csv(
+        cfg.out_dir / fname,
+        _comments("ingest", cfg, f"input={cfg.input_path}", *extra),
+        "substream,count,count_share,amount,amount_share",
+        (
+            (label, row.count, _fmt(row.count_share), row.amount, _fmt(row.amount_share))
+            for label, row in report.rows.items()
+        ),
+    )
+
+
 def cmd_overview(cfg: RunConfig) -> None:
     """Activity series and rolling sums of the certification and member
     transaction streams, their correlation, and degree reports."""
-    bundle = _load(cfg)
+    bundle = snapshot.load_bundle(cfg.out_dir)
     cert, tx_mm = bundle.cert, bundle.tx_mm
+    keys = bundle.table.keys()
 
     # bin both streams over the common enclosing interval so the series
     # share one grid; empty streams contribute no span of their own
     spans = [s.interval for s in (cert, tx_mm) if s.link_count] or [cert.interval]
     common = (min(t0 for t0, _ in spans), max(t1 for _, t1 in spans))
     series = {}
-    for name, stream in (("cert", cert), ("txmm", tx_mm)):
-        widened = replace(stream, interval=common)
-        binned = stream_core.activity_series(widened, cfg.bin_width)
-        series[name] = (binned, stream_core.rolling_sum(binned, cfg.window))
+    try:
+        for name, stream in (("cert", cert), ("txmm", tx_mm)):
+            widened = replace(stream, interval=common)
+            binned = stream_core.activity_series(widened, cfg.bin_width)
+            series[name] = (binned, stream_core.rolling_sum(binned, cfg.window))
+    except MemoryError:
+        n_bins = (common[1] - common[0]) // cfg.bin_width + 1
+        raise LedgerError(
+            f"cannot allocate {n_bins} bins of {cfg.bin_width} s over "
+            f"[{common[0]}, {common[1]}]; try a larger --bin"
+        ) from None
 
     starts = series["cert"][0].bin_starts()
     _write_csv(
@@ -174,7 +175,7 @@ def cmd_overview(cfg: RunConfig) -> None:
             _comments("overview", cfg, f"stream={name}"),
             "node,in,out",
             (
-                (bundle.table.key_of(n), report.in_degree[n], report.out_degree[n])
+                (keys[n], report.in_degree[n], report.out_degree[n])
                 for n in sorted(report.in_degree)
             ),
         )
@@ -221,13 +222,17 @@ def _degree_pairings(cert_rep, txmm_rep):
 def cmd_graph(cfg: RunConfig) -> None:
     """Clustering, triangles with their null-model comparison, and the
     certification distances of transacting-but-uncertified pairs."""
-    bundle = _load(cfg)
+    bundle = snapshot.load_bundle(cfg.out_dir)
+    keys = bundle.table.keys()
     streams = {"cert": bundle.cert, "txmm": bundle.tx_mm, "txaa": bundle.substreams["AA"]}
     cert_graph = stream_core.induced_graph(bundle.cert)
 
     for name, stream in streams.items():
         # one graph at a time, so each edge set goes with its graph
         g = cert_graph if name == "cert" else stream_core.induced_graph(stream)
+        if name == "txmm":
+            # member pairs that transact without any certification between them
+            uncertified = sorted(g.undirected_edges() - cert_graph.undirected_edges())
         report = graph_metrics.clustering(g)
         fname = "clustering.csv" if name == "cert" else f"clustering_{name}.csv"
         _write_csv(
@@ -241,7 +246,7 @@ def cmd_graph(cfg: RunConfig) -> None:
             ),
             "node,coefficient",
             (
-                (bundle.table.key_of(n), _fmt(c, 6))
+                (keys[n], _fmt(c, 6))
                 for n, c in sorted(report.coefficients.items())
             ),
         )
@@ -267,11 +272,7 @@ def cmd_graph(cfg: RunConfig) -> None:
             )
             click.echo(f"null_ratio_{name}:{null.ratio:.4f}")
 
-    # distances in the undirected certification graph between member pairs
-    # that transact without any certification between them
-    cert_rel = interplay.relation_sets(bundle.cert)
-    tx_rel = interplay.relation_sets(bundle.tx_mm)
-    uncertified = sorted(tx_rel.any - cert_rel.any)
+    # distances in the undirected certification graph between those pairs
     measurable = [
         p for p in uncertified if p[0] in cert_graph.nodes and p[1] in cert_graph.nodes
     ]
@@ -291,7 +292,7 @@ def cmd_graph(cfg: RunConfig) -> None:
 def cmd_closures(cfg: RunConfig) -> None:
     """2- and 3-closure of every link, for the certification stream and the
     member transaction stream."""
-    bundle = _load(cfg)
+    bundle = snapshot.load_bundle(cfg.out_dir)
     keys = bundle.table.keys()
     for name, stream in (("", bundle.cert), ("_txmm", bundle.tx_mm)):
         times = stream.t.tolist()
@@ -317,7 +318,7 @@ def cmd_closures(cfg: RunConfig) -> None:
 def cmd_match(cfg: RunConfig) -> None:
     """Certification/transaction time matching, per-transaction
     certification classes, and first-transaction delays."""
-    bundle = _load(cfg)
+    bundle = snapshot.load_bundle(cfg.out_dir)
     cert, tx_mm = bundle.cert, bundle.tx_mm
     keys = bundle.table.keys()
 
@@ -402,7 +403,7 @@ def cmd_match(cfg: RunConfig) -> None:
 def cmd_relations(cfg: RunConfig) -> None:
     """Relation-set ratio table and the certification fraction by
     transaction count."""
-    bundle = _load(cfg)
+    bundle = snapshot.load_bundle(cfg.out_dir)
     cert_rel = interplay.relation_sets(bundle.cert)
     tx_rel = interplay.relation_sets(bundle.tx_mm)
     n_members = len(bundle.cls.members)
@@ -432,18 +433,18 @@ def cmd_relations(cfg: RunConfig) -> None:
 def cmd_neighborhoods(cfg: RunConfig) -> None:
     """Aggregated neighborhoods per stream and the inclusion of transaction
     neighborhoods within certification neighborhoods."""
-    bundle = _load(cfg)
+    bundle = snapshot.load_bundle(cfg.out_dir)
     adj = {
         "cert": stream_core.induced_graph(bundle.cert).undirected_adjacency(),
         "txmm": stream_core.induced_graph(bundle.tx_mm).undirected_adjacency(),
     }
-    key_of = bundle.table.key_of
+    keys = bundle.table.keys()
     _write_csv(
         cfg.out_dir / "neighborhoods.csv",
         _comments("neighborhoods", cfg),
         "node,stream,neighbor",
         (
-            (key_of(node), name, key_of(nbr))
+            (keys[node], name, keys[nbr])
             for name, nbrs_of in adj.items()
             for node in sorted(nbrs_of)
             for nbr in sorted(nbrs_of[node])
@@ -454,7 +455,7 @@ def cmd_neighborhoods(cfg: RunConfig) -> None:
         _comments("neighborhoods", cfg, "inclusion of txmm neighborhood in cert neighborhood"),
         "node,inclusion,jaccard",
         (
-            (key_of(res.node), _fmt(res.inclusion), _fmt(res.jaccard))
+            (keys[res.node], _fmt(res.inclusion), _fmt(res.jaccard))
             for res in temporal_metrics.neighborhood_overlaps(adj["cert"], adj["txmm"])
         ),
     )
@@ -501,11 +502,15 @@ def _config(out_dir: Path, input_path: Path | None = None, **kw) -> RunConfig:
 
 
 def _run(command, cfg: RunConfig) -> None:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     try:
         command(cfg)
     except (LedgerError, ValueError, KeyError) as err:
         raise click.ClickException(str(err))
+    except OSError as err:
+        # name the output that failed, not the temporary file it went
+        # through; an error without a file name happened inside --out
+        where = err.filename2 or err.filename or cfg.out_dir
+        raise click.ClickException(f"{err.strerror or err}: {where}")
 
 
 @click.group()

@@ -21,8 +21,7 @@ from itertools import compress
 
 import numpy as np
 
-from .errors import ClassificationError
-from .stream_core import LinkStream, NodeClassification, PairIndex, node_mask
+from .stream_core import LinkStream, PairIndex
 
 Pair = tuple[int, int]  # unordered, stored as (min, max)
 
@@ -42,20 +41,8 @@ class RelationSets:
     bi: frozenset[Pair]
 
 
-def relation_sets(
-    s: LinkStream, cls: NodeClassification | None = None
-) -> RelationSets:
-    """Build the relation sets of a stream restricted to members.
-
-    When a classification is given, every endpoint must be a member.
-    """
-    if cls is not None:
-        ends = np.column_stack((s.src, s.dst)).ravel()  # link order, source first
-        outside = ~node_mask(ends, cls.members)
-        if outside.any():
-            raise ClassificationError(
-                f"non-member endpoint: {cls.name_of(int(ends[outside.argmax()]))}"
-            )
+def relation_sets(s: LinkStream) -> RelationSets:
+    """Build the relation sets of a stream restricted to members."""
     idx = s.pairs
     forward = np.bincount(idx.segment[s.src < s.dst], minlength=len(idx.u))
     backward = np.diff(idx.starts) - forward

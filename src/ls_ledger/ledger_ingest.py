@@ -10,7 +10,9 @@ analytics from any blockchain access:
 Amounts are integers in currency centimes; no floating-point money anywhere.
 Keys are written unquoted into CSV rows and ``src|dst`` pair labels, so a
 key containing ``,``, ``|``, whitespace or a control character, or starting
-with ``#``, is a malformed line.
+with ``#``, is a malformed line. So is a line that is not valid UTF-8, and
+one whose JSON nests deeper than the recursion limit or holds an integer of
+more digits than Python converts.
 Lenient parsing skips malformed lines and reports them with line numbers;
 strict parsing raises on the first one.
 """
@@ -29,7 +31,6 @@ from .stream_core import (
     NodeClassification,
     NodeTable,
     class_mask,
-    induced_graph,
     node_mask,
     stream_from_rows,
 )
@@ -118,6 +119,9 @@ def parse_records(lines: Iterable[str | bytes], strict: bool = False) -> ParsedR
     """Single-pass parse of line-delimited records.
 
     Returns the identities, certifications, and transactions in input order.
+    A line with bytes that are not UTF-8 is malformed, whether it comes as
+    ``bytes`` or as text read with ``errors="surrogateescape"``, which
+    carries such bytes as lone surrogates.
     In lenient mode malformed lines are collected into ``issues`` as
     (line number, reason) pairs; in strict mode the first one raises
     :class:`ParseError`.
@@ -132,7 +136,7 @@ def parse_records(lines: Iterable[str | bytes], strict: bool = False) -> ParsedR
 
     for line_no, raw in enumerate(lines, start=1):
         if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
+            raw = raw.decode("utf-8", "surrogateescape")
         line = raw.strip()
         if not line:
             continue
@@ -159,10 +163,17 @@ def _parse_line(
     seen_uids: set[str],
     valid_keys: set[str],
 ) -> IdentityRecord | CertRecord | TxRecord:
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError("not valid UTF-8", line_no) from None
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as err:
         raise ParseError(f"invalid JSON: {err.msg}", line_no) from None
+    except (ValueError, RecursionError) as err:  # an over-long integer or over-deep nesting
+        raise ParseError(f"invalid JSON: {err}", line_no) from None
     if not isinstance(obj, dict):
         raise ParseError("record must be a JSON object", line_no)
 
@@ -219,7 +230,6 @@ def format_record(rec: IdentityRecord | CertRecord | TxRecord) -> str:
 def classify_keys(
     identities: Iterable[IdentityRecord],
     transactions: Iterable[TxRecord],
-    table: NodeTable | None = None,
 ) -> NodeClassification:
     """Partition keys: members are those with an identity, anonymous wallets
     are transaction endpoints without one.
@@ -227,8 +237,7 @@ def classify_keys(
     Members are interned first so their handles are the smallest; the shared
     table is kept on the classification for key naming in error messages.
     """
-    if table is None:
-        table = NodeTable()
+    table = NodeTable()
     members = {table.intern(rec.key) for rec in identities}
     anon = set()
     for rec in transactions:
@@ -294,12 +303,6 @@ class RepartitionReport:
 
     rows: dict[str, RepartitionRow]  # keyed by MM / MA / AM / AA
 
-    def total_count(self) -> int:
-        return sum(r.count for r in self.rows.values())
-
-    def total_amount(self) -> int:
-        return sum(r.amount for r in self.rows.values())
-
 
 def repartition(tx_stream: LinkStream, cls: NodeClassification) -> RepartitionReport:
     """Split transaction counts and amounts across the four class substreams."""
@@ -345,18 +348,3 @@ def identify_miners(
     paid = tx_stream.dst[tx_stream.src == wallet]
     return frozenset(paid[node_mask(paid, cls.members)].tolist())
 
-
-def validate_membership(
-    cert_stream: LinkStream, cls: NodeClassification, min_certs: int
-) -> dict[int, int]:
-    """Diagnostic only: members whose final in-degree in the induced
-    certification graph falls below ``min_certs``, with that in-degree."""
-    if min_certs < 0:
-        raise ValueError(f"min_certs must be >= 0, got {min_certs}")
-    g = induced_graph(cert_stream)
-    in_deg = dict.fromkeys(cert_stream.nodes, 0)
-    for _, v in g.directed_edges:
-        in_deg[v] += 1
-    return {
-        n: d for n, d in sorted(in_deg.items()) if n in cls.members and d < min_certs
-    }

@@ -15,7 +15,6 @@ import enum
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
@@ -63,8 +62,8 @@ class NodeTable:
 
 @dataclass(frozen=True, slots=True)
 class Link:
-    """One timestamped directed event, optionally weighted by an amount: a
-    row view of a stream.
+    """One timestamped directed event, optionally weighted by an amount: an
+    input row of :func:`build_stream`.
 
     ``amount`` is in currency centimes and present only for transaction
     links; certifications carry ``None``. Self-links are rejected here, at
@@ -85,9 +84,6 @@ class Link:
             raise ValueError(f"negative timestamp {self.t}")
         if self.amount is not None and self.amount < 0:
             raise ValueError(f"negative amount {self.amount}")
-
-    def sort_key(self) -> tuple[int, int, int]:
-        return (self.t, self.source, self.target)
 
 
 def node_mask(values: np.ndarray, nodes: Iterable[int]) -> np.ndarray:
@@ -158,14 +154,6 @@ class LinkStream:
     @property
     def link_count(self) -> int:
         return len(self.t)
-
-    @cached_property
-    def links(self) -> tuple[Link, ...]:
-        """The links as :class:`Link` rows, built on first access."""
-        amounts = repeat(None) if self.amount is None else self.amount.tolist()
-        return tuple(
-            map(Link, self.t.tolist(), self.src.tolist(), self.dst.tolist(), amounts)
-        )
 
     @cached_property
     def pairs(self) -> PairIndex:
@@ -265,9 +253,6 @@ class BinnedSeries:
 
     def bin_starts(self) -> list[int]:
         return [self.start + i * self.bin_width for i in range(len(self.values))]
-
-    def total(self) -> int:
-        return sum(self.values)
 
 
 def build_stream(

@@ -164,12 +164,17 @@ def double_edge_swap(
     return edges
 
 
+def links_of(s) -> list[tuple[int, int, int]]:
+    """The links of a stream as (t, source, target) rows, in stream order."""
+    return list(zip(s.t.tolist(), s.src.tolist(), s.dst.tolist()))
+
+
 def aggregated_neighborhood(s, v: int) -> frozenset[int]:
     """One scan of every link per call: everyone who ever interacted with v."""
     return frozenset(
-        ln.target if ln.source == v else ln.source
-        for ln in s.links
-        if v in (ln.source, ln.target)
+        target if source == v else source
+        for _, source, target in links_of(s)
+        if v in (source, target)
     )
 
 

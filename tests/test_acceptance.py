@@ -63,7 +63,7 @@ def test_criterion_1_fixture_exactness():
 
     assert stream_core.activity(s, 5) == 3
     assert len(induced_graph(s).directed_edges) == 9
-    (i,) = [i for i, ln in enumerate(s.links) if ln == Link(6, a, b)]
+    (i,) = [i for i, row in enumerate(oracles.links_of(s)) if row == (6, a, b)]
     assert closure_distribution(s, k=2).results[i] == 4
     assert closure_distribution(s, k=3).results[i] == 5
 
@@ -81,7 +81,7 @@ def test_criterion_2_closure_oracle_equivalence():
         # full 200-link streams for a handful of trials, smaller elsewhere
         n_links = 200 if trial % 40 == 0 else rng.randint(1, 100)
         s = build_stream(random_links(rng, n_nodes, n_links, t_max=120))
-        events = [(ln.t, ln.source, ln.target) for ln in s.links]
+        events = oracles.links_of(s)
         d2 = closure_distribution(s, k=2).results.tolist()
         d3 = closure_distribution(s, k=3).results.tolist()
         for i in range(len(events)):  # -1 marks an infinite closure, None in the oracles

@@ -1,0 +1,86 @@
+"""The hooks the benchmark relies on: ``bench/trace_stage.py`` runs every
+stage and records the counts of its spans, and every function that a
+``per_layer`` metric of ``BENCHMARK.json`` names exists in ``src/``.
+
+These tests read ``bench/`` and ``BENCHMARK.json`` and change nothing
+there; they fail when a rename or deletion in ``src/`` would leave the
+benchmark reading zeros.
+"""
+
+from __future__ import annotations
+
+import importlib
+import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from ls_ledger.fixtures import example_records, write_records
+
+ROOT = Path(__file__).resolve().parents[1]
+STAGES = ("ingest", "overview", "graph", "closures", "match", "relations", "neighborhoods")
+
+# span -> the counts bench/trace_stage.py records for it
+COUNTED_SPANS = {
+    "ledger_ingest.parse_records": {"lines", "issues"},
+    "snapshot.save_bundle": {"bytes"},
+    "graph_metrics.null_model_triangles.cert": {"samples", "edges"},
+    "graph_metrics.null_model_triangles.txmm": {"samples", "edges"},
+    "graph_metrics.distance_distribution": {"pairs"},
+    "temporal_metrics.closure_distribution.k2": {"links", "infinite"},
+    "temporal_metrics.closure_distribution.k3": {"links", "infinite"},
+}
+
+# per_layer metrics that already read 0 and are to be replaced in the
+# benchmark itself (ROADMAP item 2, "Stale per-layer metrics")
+STALE = {"temporal_metrics.aggregated_neighborhood", "temporal_metrics.neighborhood_overlap"}
+
+
+def test_trace_stage_counts_every_stage(tmp_path):
+    ledger = tmp_path / "ledger.jsonl"
+    write_records(ledger, example_records())
+    out, spans_dir = tmp_path / "out", tmp_path / "spans"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    spans = []
+    for stage in STAGES:
+        options = {
+            "ingest": ["--input", str(ledger), "--remuniter", "w"],
+            "graph": ["--samples", "5"],
+        }.get(stage, [])
+        path = spans_dir / f"{stage}.json"
+        proc = subprocess.run(
+            [sys.executable, "bench/trace_stage.py", str(path), stage, "--out", str(out), *options],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, (stage, proc.stderr)
+        spans += json.loads(path.read_text())
+
+    counts = {name: counts for name, _, _, _, counts in spans if name in COUNTED_SPANS}
+    for name, keys in COUNTED_SPANS.items():
+        assert name in counts, f"no span {name}"
+        assert set(counts[name] or ()) == keys, name
+    assert counts["graph_metrics.null_model_triangles.cert"]["samples"] == 5
+    assert counts["temporal_metrics.closure_distribution.k2"]["links"] == 12
+
+
+def test_per_layer_metrics_name_public_functions():
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    for metric in metrics:
+        module, name = metric["name"].split(".")[:2]
+        if module == "trace":  # the tracer's own totals
+            continue
+        if module == "cli":  # cli.<stage>.*: the span of cmd_<stage>
+            name = f"cmd_{name}"
+        if f"{module}.{name}" in STALE:
+            continue
+        fn = getattr(importlib.import_module(f"ls_ledger.{module}"), name, None)
+        # bench/trace_stage.py wraps exactly the public, non-generator
+        # functions defined in each module
+        assert inspect.isfunction(fn), metric["name"]
+        assert fn.__module__ == f"ls_ledger.{module}", metric["name"]
+        assert not name.startswith("_") and not inspect.isgeneratorfunction(fn), metric["name"]

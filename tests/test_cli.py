@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import zipfile
 from pathlib import Path
@@ -10,7 +11,7 @@ from ls_ledger import snapshot
 from ls_ledger.cli import _write_csv, main
 from ls_ledger.errors import StateError
 from ls_ledger.fixtures import example_records, write_records
-from ls_ledger.ledger_ingest import IdentityRecord, TxRecord, format_record
+from ls_ledger.ledger_ingest import CertRecord, IdentityRecord, TxRecord, format_record
 from ls_ledger.snapshot import load_bundle
 
 ALL_COMMANDS = ("overview", "graph", "closures", "match", "relations", "neighborhoods")
@@ -61,9 +62,6 @@ def test_ingest_snapshot_round_trip(ledger_file, tmp_path):
     assert bundle.tx_mm.link_count == 12
     assert sum(s.link_count for s in bundle.substreams.values()) == 14
     assert bundle.table.key_of(0) == "a"
-    # loading builds no Link rows: each stream holds only its columns
-    for s in (bundle.cert, bundle.tx, *bundle.substreams.values()):
-        assert "links" not in vars(s)
 
 
 def test_load_derives_substreams_without_sub_arrays(ledger_file, tmp_path):
@@ -78,7 +76,11 @@ def test_load_derives_substreams_without_sub_arrays(ledger_file, tmp_path):
 
     _rewrite(drop_sub_arrays)(out / "snapshot.npz")
     after = load_bundle(out).substreams
-    assert {k: s.links for k, s in after.items()} == {k: s.links for k, s in before.items()}
+
+    def columns(subs):
+        return {k: [c.tolist() for c in (s.t, s.src, s.dst, s.amount)] for k, s in subs.items()}
+
+    assert columns(after) == columns(before)
 
 
 def test_closures_file_contains_pinned_row(ledger_file, tmp_path):
@@ -162,8 +164,129 @@ def test_missing_snapshot_is_state_error(tmp_path):
     result = runner.invoke(main, ["overview", "--out", str(tmp_path / "nope")])
     assert result.exit_code != 0
     assert "snapshot" in result.output
+    assert not (tmp_path / "nope").exists()  # only ingest creates --out
     with pytest.raises(StateError):
         load_bundle(tmp_path / "nope")
+
+
+def assert_clean_error(result, *fragments):
+    """The command failed through click's ``Error:`` line, no traceback."""
+    assert result.exit_code == 1, result.output
+    # a ClickException exits through SystemExit; anything else is a traceback
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.output.startswith("Error: ") or "\nError: " in result.output
+    assert "Traceback" not in result.output
+    for fragment in fragments:
+        assert fragment in result.output, (fragment, result.output)
+
+
+IDENTITY_A = b'{"type":"identity","time":0,"key":"A","uid":"a"}'
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        b"[" * 200_000 + b"]" * 200_000,
+        b'{"type":"cert","time":0,"from":"A","to":"B","note":'
+        + b"[" * 200_000 + b"]" * 200_000 + b"}",
+    ],
+    ids=["bare", "extra_field"],
+)
+def test_over_deep_json_line_is_skipped_or_fatal(tmp_path, line):
+    ledger = tmp_path / "ledger.jsonl"
+    ledger.write_bytes(IDENTITY_A + b"\n" + line + b"\n")
+    runner = CliRunner()
+    lenient = runner.invoke(main, ["ingest", "--input", str(ledger), "--out", str(tmp_path / "o")])
+    assert lenient.exit_code == 0, lenient.output
+    assert "warning: skipped line 2: invalid JSON: maximum recursion depth" in lenient.output
+    assert "identities:1 certs:0 txs:0" in lenient.output
+
+    strict = runner.invoke(
+        main, ["ingest", "--input", str(ledger), "--out", str(tmp_path / "s"), "--strict"]
+    )
+    assert_clean_error(strict, "Error: line 2: invalid JSON")
+
+
+def test_invalid_utf8_line_is_skipped_or_fatal(tmp_path):
+    ledger = tmp_path / "ledger.jsonl"
+    ledger.write_bytes(
+        IDENTITY_A + b"\r\n"  # line 1
+        + b"\xff\xfe\n"  # line 2: not UTF-8
+        + b'{"type":"identity","time":0,"key":"B","uid":"b"}\r'  # line 3, lone CR
+        + b'{"type":"tx","time":0,"from":"A","to":"A","amount":1}\n'  # line 4: self-transaction
+        + b'{"type":"identity","time":0,"key":"C\xe9","uid":"c"}\n'  # line 5: Latin-1 byte
+        + '{"type":"identity","time":0,"key":"Dé","uid":"d"}\n'.encode()  # line 6: UTF-8
+    )
+    runner = CliRunner()
+    out = tmp_path / "o"
+    lenient = runner.invoke(main, ["ingest", "--input", str(ledger), "--out", str(out)])
+    assert lenient.exit_code == 0, lenient.output
+    warnings = [ln for ln in lenient.output.splitlines() if ln.startswith("warning:")]
+    assert warnings == [
+        "warning: skipped line 2: not valid UTF-8",
+        "warning: skipped line 4: self-transaction by 'A'",
+        "warning: skipped line 5: not valid UTF-8",
+    ]
+    assert "identities:3 certs:0 txs:0" in lenient.output
+    assert load_bundle(out).table.keys() == ["A", "B", "Dé"]
+
+    strict = runner.invoke(
+        main, ["ingest", "--input", str(ledger), "--out", str(tmp_path / "s"), "--strict"]
+    )
+    assert_clean_error(strict, "Error: line 2: not valid UTF-8")
+
+
+def test_ingest_out_below_a_regular_file_is_clean_error(ledger_file, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sub"
+    result = CliRunner().invoke(main, ["ingest", "--input", str(ledger_file), "--out", str(out)])
+    assert_clean_error(result, str(out))
+
+
+@pytest.mark.parametrize("command, output", [("ingest", "repartition.csv"), ("overview", "activity.csv")])
+def test_failed_write_into_out_is_clean_error(ledger_file, tmp_path, command, output):
+    runner = CliRunner()
+    out = tmp_path / "o"
+    runner.invoke(main, ["ingest", "--input", str(ledger_file), "--out", str(out)])
+    (out / output).unlink(missing_ok=True)
+    (out / output).mkdir()  # the output cannot replace a directory
+    args = ["--input", str(ledger_file)] if command == "ingest" else []
+    result = runner.invoke(main, [command, "--out", str(out), *args])
+    assert_clean_error(result, str(out / output))
+    assert not [p.name for p in out.iterdir() if p.name.startswith(".")]
+
+
+def test_write_error_without_file_name_names_out(ledger_file, tmp_path, monkeypatch):
+    def disk_full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(snapshot.np, "save", disk_full)
+    out = tmp_path / "o"
+    result = CliRunner().invoke(main, ["ingest", "--input", str(ledger_file), "--out", str(out)])
+    assert_clean_error(result, f"Error: No space left on device: {out}")
+
+
+def test_overview_bin_grid_too_large_is_clean_error(tmp_path):
+    ledger = tmp_path / "ledger.jsonl"
+    write_records(
+        ledger,
+        [
+            IdentityRecord(0, "A", "a"),
+            IdentityRecord(0, "B", "b"),
+            CertRecord(0, "A", "B"),
+            CertRecord(2**62, "B", "A"),
+        ],
+    )
+    runner = CliRunner()
+    out = tmp_path / "o"
+    result = runner.invoke(main, ["ingest", "--input", str(ledger), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    # 2^62 s in one-day bins is ~5.3e13 bins, 388 TiB of counts: no machine
+    # can allocate them, so the failure is immediate
+    result = runner.invoke(main, ["overview", "--out", str(out)])
+    n_bins = 2**62 // 86_400 + 1
+    assert_clean_error(result, f"cannot allocate {n_bins} bins", "--bin")
 
 
 def test_out_dir_from_environment(ledger_file, tmp_path):

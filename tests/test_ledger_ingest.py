@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oracles import links_of
 from ls_ledger.errors import IntegrityError, ParseError
 from ls_ledger.fixtures import example_records, random_records
 from ls_ledger.ledger_ingest import (
@@ -16,7 +17,6 @@ from ls_ledger.ledger_ingest import (
     identify_miners,
     parse_records,
     repartition,
-    validate_membership,
 )
 
 LINES = [
@@ -43,6 +43,15 @@ def test_parse_accepts_bytes_and_blank_lines():
     assert len(parsed.transactions) == 1
 
 
+def test_parse_bytes_that_are_not_utf8_make_their_line_malformed():
+    raw = io.BytesIO(("\n".join(LINES[:2]) + "\n\xff\xfe\n" + LINES[2] + "\n").encode("latin-1"))
+    parsed = parse_records(raw)
+    assert parsed.issues == [(3, "not valid UTF-8")]
+    assert len(parsed.transactions) == 1
+    with pytest.raises(ParseError, match="line 3: not valid UTF-8"):
+        parse_records(io.BytesIO(raw.getvalue()), strict=True)
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -54,6 +63,13 @@ def test_parse_accepts_bytes_and_blank_lines():
         '{"type":"cert","time":0,"from":"A"}',
         "not json at all",
         "[1,2,3]",
+        pytest.param("[" * 100_000 + "]" * 100_000, id="over_deep"),
+        pytest.param(
+            '{"type":"tx","time":' + "1" * 5_000 + ',"from":"A","to":"B","amount":1}',
+            id="over_long_integer",
+        ),
+        # a byte that is not UTF-8, as errors="surrogateescape" reads it
+        pytest.param('{"type":"identity","time":0,"key":"C\udcff","uid":"c"}', id="escaped_byte"),
     ],
 )
 def test_parse_malformed_lines(bad):
@@ -173,8 +189,8 @@ def test_build_streams_counts():
     parsed, cls, cert, tx = _ingest(example_records())
     assert cert.link_count == 12
     assert tx.link_count == 14
-    assert all(ln.amount is None for ln in cert.links)
-    assert all(ln.amount is not None for ln in tx.links)
+    assert cert.amount is None
+    assert tx.amount is not None and len(tx.amount) == tx.link_count
     assert cert.interval == (0, 6)
     assert cert.nodes == cls.members
 
@@ -234,7 +250,7 @@ def test_repartition_amounts_stay_exact_beyond_int64():
     _, cls, _, tx = _ingest(records)
     report = repartition(tx, cls)
     assert report.rows["MA"].amount == 2 * top
-    assert report.total_amount() == 2 * top
+    assert sum(r.amount for r in report.rows.values()) == 2 * top
 
 
 def test_repartition_all_members():
@@ -259,13 +275,13 @@ def test_repartition_shares_sum_to_one():
         report = repartition(tx, cls)
         assert sum(r.count_share for r in report.rows.values()) == pytest.approx(1.0, abs=1e-9)
         assert sum(r.amount_share for r in report.rows.values()) == pytest.approx(1.0, abs=1e-9)
-        assert report.total_count() == tx.link_count
+        assert sum(r.count for r in report.rows.values()) == tx.link_count
 
 
 def test_filter_wallet_example(sample_stream):
     s, table = sample_stream
     filtered = filter_wallet(s, table.id_of("c"))
-    kept = [(ln.t, table.key_of(ln.source), table.key_of(ln.target)) for ln in filtered.links]
+    kept = [(t, table.key_of(u), table.key_of(v)) for t, u, v in links_of(filtered)]
     assert kept == [
         (0, "a", "d"), (1, "d", "a"), (2, "b", "a"), (4, "b", "d"),
         (5, "a", "b"), (6, "a", "b"), (6, "d", "a"),
@@ -276,7 +292,7 @@ def test_filter_wallet_example(sample_stream):
 
 def test_filter_wallet_absent_node(sample_stream):
     s, _ = sample_stream
-    assert filter_wallet(s, 99).links == s.links
+    assert links_of(filter_wallet(s, 99)) == links_of(s)
 
 
 def test_filter_then_repartition_keeps_share_invariant():
@@ -318,17 +334,3 @@ def test_identify_miners_unknown_key():
     with pytest.raises(KeyError):
         identify_miners(tx, cls, "NOT_THERE")
 
-
-def test_validate_membership():
-    records = [IdentityRecord(0, k, k.lower()) for k in "ABCDEFG"]
-    # F receives 5 distinct certifications (one duplicated), G none
-    records += [CertRecord(t, src, "F") for t, src in enumerate("ABCDE")]
-    records += [CertRecord(9, "A", "F")]
-    records += [CertRecord(1, "F", "A")]
-    parsed, cls, cert, tx = _ingest(records)
-    flagged = validate_membership(cert, cls, 5)
-    t = cls.table
-    assert t.id_of("F") not in flagged
-    assert flagged[t.id_of("G")] == 0
-    assert t.id_of("A") in flagged  # in-degree 1 < 5
-    assert validate_membership(cert, cls, 0) == {}

@@ -78,10 +78,6 @@ def edge_cases():
 CASES = random_cases() + edge_cases()
 
 
-def links_of(s):
-    return list(zip(s.t.tolist(), s.src.tolist(), s.dst.tolist()))
-
-
 def as_minus_one(lookbacks):
     return [-1 if b is None else b for b in lookbacks]
 
@@ -141,7 +137,7 @@ def test_closures_equal_reference(block, monkeypatch):
             for k in (2, 3):
                 dist = closure_distribution(s, k=k)
                 expected = oracles.closure_lookbacks(s, k)
-                assert dist.results.tolist() == as_minus_one(expected), (k, links_of(s))
+                assert dist.results.tolist() == as_minus_one(expected), (k, oracles.links_of(s))
                 finite = [b for b in expected if b is not None]
                 assert dist.finite == Counter(finite)
                 assert dist.infinite_count == len(expected) - len(finite)
@@ -152,7 +148,7 @@ def test_closures_equal_brute_force_on_ties():
     for _ in range(60):
         handles = list(range(rng.randint(2, 5)))
         s = random_stream(rng, handles, rng.randint(1, 30), rng.choice((0, 2)))
-        events = links_of(s)
+        events = oracles.links_of(s)
         two = closure_distribution(s, k=2).results.tolist()
         three = closure_distribution(s, k=3).results.tolist()
         for i in range(len(events)):

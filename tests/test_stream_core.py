@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from oracles import links_of
 from ls_ledger.errors import IntervalError, SelfLinkError
 from ls_ledger.fixtures import random_links
 from ls_ledger.stream_core import (
@@ -31,7 +32,7 @@ def test_link_rejects_negative_amount():
 
 def test_build_stream_sorts_links():
     s = build_stream([Link(5, 0, 1), Link(2, 1, 0)])
-    assert [(ln.t, ln.source, ln.target) for ln in s.links] == [(2, 1, 0), (5, 0, 1)]
+    assert links_of(s) == [(2, 1, 0), (5, 0, 1)]
     assert s.interval == (2, 5)
     assert s.nodes == {0, 1}
 
@@ -62,7 +63,10 @@ def test_build_stream_order_matches_sorted_rows():
     rng = random.Random(12)
     for trial in range(30):
         links = random_links(rng, 3, rng.randint(1, 60), t_max=4, with_amounts=True)
-        assert list(build_stream(links).links) == sorted(links, key=Link.sort_key)
+        s = build_stream(links)
+        rows = list(zip(s.t.tolist(), s.src.tolist(), s.dst.tolist(), s.amount.tolist()))
+        expected = sorted(links, key=lambda ln: (ln.t, ln.source, ln.target))
+        assert rows == [(ln.t, ln.source, ln.target, ln.amount) for ln in expected]
 
 
 def test_build_stream_rejects_mixed_amounts():
@@ -77,7 +81,6 @@ def test_stream_columns_are_read_only_int64(sample_stream):
         with pytest.raises(ValueError):
             col[0] = 1
     assert s.amount is None
-    assert s.links is s.links  # built once
 
 
 def _columns(t, src, dst, amount=None, interval=(0, 10), nodes=(0, 1, 2)):
@@ -183,7 +186,7 @@ def test_rolling_sum_full_window_equals_total(sample_stream):
     s, _ = sample_stream
     series = activity_series(s, 1)
     rolled = rolling_sum(series, 7)
-    assert rolled.values[-1] == series.total() == 12
+    assert rolled.values[-1] == sum(series.values) == 12
 
 
 def test_rolling_sum_zero_series():
@@ -207,11 +210,11 @@ def test_substream_by_class_example(sample_stream):
     s, table = sample_stream
     cls = _classify(table, "ab")
     mm = substream_by_class(s, cls, NodeClass.MEMBER, NodeClass.MEMBER)
-    assert [(ln.t, table.key_of(ln.source), table.key_of(ln.target)) for ln in mm.links] == [
+    assert [(t, table.key_of(u), table.key_of(v)) for t, u, v in links_of(mm)] == [
         (2, "b", "a"), (5, "a", "b"), (6, "a", "b"),
     ]
     aa = substream_by_class(s, cls, NodeClass.ANONYMOUS, NodeClass.ANONYMOUS)
-    assert [(ln.t, table.key_of(ln.source), table.key_of(ln.target)) for ln in aa.links] == [
+    assert [(t, table.key_of(u), table.key_of(v)) for t, u, v in links_of(aa)] == [
         (2, "c", "d"), (5, "d", "c"),
     ]
     assert mm.interval == aa.interval == s.interval
@@ -221,7 +224,7 @@ def test_substream_all_members_is_identity(sample_stream):
     s, table = sample_stream
     cls = _classify(table, "abcd")
     mm = substream_by_class(s, cls, NodeClass.MEMBER, NodeClass.MEMBER)
-    assert mm.links == s.links and mm.nodes == s.nodes
+    assert links_of(mm) == links_of(s) and mm.nodes == s.nodes
 
 
 def test_substream_unclassified_node_names_key(sample_stream):
@@ -259,14 +262,14 @@ def test_activity_conservation_random():
     rng = random.Random(8)
     for trial in range(30):
         s = build_stream(random_links(rng, rng.randint(2, 8), rng.randint(1, 60)))
-        distinct_ts = sorted({ln.t for ln in s.links})
+        distinct_ts = sorted(set(s.t.tolist()))
         # per-instant activity counts pairs; compare against distinct pairs per t
         per_t_pairs = sum(activity(s, t) for t in distinct_ts)
-        expected = len({(ln.t, ln.source, ln.target) for ln in s.links})
+        expected = len(set(links_of(s)))
         assert per_t_pairs == expected
         # binned series counts links with multiplicity, any width conserves
         for width in (1, 3, 7, 1000):
-            assert activity_series(s, width).total() == s.link_count
+            assert sum(activity_series(s, width).values) == s.link_count
 
 
 def test_rolling_sum_window_covering_span_random():
@@ -275,7 +278,7 @@ def test_rolling_sum_window_covering_span_random():
         s = build_stream(random_links(rng, rng.randint(2, 6), rng.randint(1, 40)))
         series = activity_series(s, rng.randint(1, 5))
         span = series.bin_width * len(series.values)
-        assert rolling_sum(series, span).values[-1] == series.total()
+        assert rolling_sum(series, span).values[-1] == sum(series.values)
 
 
 def test_induced_graph_idempotent_under_duplication():

@@ -6,7 +6,7 @@ import oracles
 from ls_ledger.fixtures import random_links, random_stream
 from ls_ledger.stream_core import Link, build_stream, induced_graph
 from ls_ledger.temporal_metrics import closure_distribution, neighborhood_overlaps
-from oracles import neighborhood
+from oracles import links_of, neighborhood
 
 # frozen brute-force tables for the 12-link example (see tests/oracles.py)
 SAMPLE_K2 = {
@@ -100,10 +100,6 @@ def lookbacks(dist):
     return [None if x < 0 else x for x in dist.results.tolist()]
 
 
-def links_of(s):
-    return list(zip(s.t.tolist(), s.src.tolist(), s.dst.tolist()))
-
-
 def _lookback(s, k, t, u, v):
     """The look-back that closure_distribution gives the link (t, u, v)."""
     return lookbacks(closure_distribution(s, k=k))[links_of(s).index((t, u, v))]
@@ -170,7 +166,7 @@ def test_closures_match_oracle_random():
     rng = random.Random(31)
     for trial in range(40):
         s = random_stream(seed=1000 + trial, max_nodes=8, max_links=60)
-        events = [(ln.t, ln.source, ln.target) for ln in s.links]
+        events = links_of(s)
         d2 = lookbacks(closure_distribution(s, k=2))
         d3 = lookbacks(closure_distribution(s, k=3))
         for i in range(len(events)):
@@ -184,7 +180,7 @@ def test_closure_time_shift_equivariance():
         s = random_stream(seed=2000 + trial, max_nodes=6, max_links=40)
         shift = rng.randint(1, 500)
         shifted = build_stream(
-            [Link(ln.t + shift, ln.source, ln.target) for ln in s.links]
+            [Link(t + shift, u, v) for t, u, v in links_of(s)]
         )
         for k in (2, 3):
             a = closure_distribution(s, k=k).results.tolist()
@@ -196,18 +192,16 @@ def test_three_closure_monotone_under_added_supports():
     rng = random.Random(33)
     for trial in range(10):
         s = random_stream(seed=3000 + trial, max_nodes=6, max_links=30)
-        query = s.links[-1]
-        if query.t == 0:
+        links = links_of(s)
+        t, u, v = links[-1]
+        if t == 0:
             continue  # no strictly earlier instant exists
         before = lookbacks(closure_distribution(s, k=3))[-1]
         # add an earlier support pair through a fresh node
         w = max(s.nodes) + 1
-        extra = [
-            Link(query.t - 1, query.target, w),
-            Link(query.t - 1, w, query.source),
-        ]
-        enlarged = build_stream(list(s.links) + extra)
-        after = _lookback(enlarged, 3, query.t, query.source, query.target)
+        extra = [(t - 1, v, w), (t - 1, w, u)]
+        enlarged = build_stream([Link(*row) for row in links + extra])
+        after = _lookback(enlarged, 3, t, u, v)
         assert after is not None
         if before is not None:
             assert after <= before
