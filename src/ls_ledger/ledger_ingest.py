@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import IntegrityError, ParseError
 from .stream_core import (
@@ -32,7 +34,7 @@ from .stream_core import (
     NodeTable,
     class_mask,
     node_mask,
-    stream_from_rows,
+    stream_from_columns,
 )
 
 SUBSTREAM_LABELS = ("MM", "MA", "AM", "AA")
@@ -46,6 +48,12 @@ SUBSTREAM_CLASSES = {
 # "#" comment line; base58 keys never match
 _BAD_KEY = re.compile(r"^#|[,|\s\x00-\x1f\x7f-\x9f]")
 _INT64_MAX = 2**63 - 1
+_decode = json.JSONDecoder().raw_decode
+
+# names an offending value in a reason: strings and integers cut to 60
+# characters around "...", containers to 6 levels and 6 items
+_SHOWN = reprlib.Repr()
+_SHOWN.maxstring = _SHOWN.maxlong = _SHOWN.maxother = 60
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,12 +79,27 @@ class TxRecord:
 
 
 @dataclass
+class LinkColumns:
+    """Parsed links in line order, as parallel lists: times, source and
+    target keys and, for transactions, amounts (``None`` for certifications)."""
+
+    t: list[int] = field(default_factory=list)
+    src: list[str] = field(default_factory=list)
+    dst: list[str] = field(default_factory=list)
+    amount: list[int] | None = None
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+
+@dataclass
 class ParsedRecords:
-    """The three record collections plus per-line issues (lenient mode only)."""
+    """The identities, the certification and transaction columns, and the
+    per-line issues (lenient mode only)."""
 
     identities: list[IdentityRecord]
-    certifications: list[CertRecord]
-    transactions: list[TxRecord]
+    certifications: LinkColumns
+    transactions: LinkColumns
     issues: list[tuple[int, str]]
 
 
@@ -89,9 +112,9 @@ def _require(obj: dict, name: str, line_no: int):
 def _int_field(obj: dict, name: str, line_no: int) -> int:
     v = _require(obj, name, line_no)
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ParseError(f"field {name!r} must be an integer, got {v!r}", line_no)
+        raise ParseError(f"field {name!r} must be an integer, got {_SHOWN.repr(v)}", line_no)
     if v > _INT64_MAX:  # streams hold int64 columns
-        raise ParseError(f"field {name!r} is {v}, above 2^63-1", line_no)
+        raise ParseError(f"field {name!r} is {_SHOWN.repr(v)}, above 2^63-1", line_no)
     return v
 
 
@@ -102,23 +125,25 @@ def _str_field(obj: dict, name: str, line_no: int) -> str:
     return v
 
 
-def _key_field(obj: dict, name: str, line_no: int, valid_keys: set[str]) -> str:
+def _key_field(obj: dict, name: str, line_no: int, valid_keys: dict[str, str]) -> str:
     """A key string; each distinct key is checked once, then remembered in
-    ``valid_keys``."""
+    ``valid_keys``, which maps it to its first string object, so every
+    column entry of one key shares that object."""
     v = _str_field(obj, name, line_no)
     if v not in valid_keys:
         bad = _BAD_KEY.search(v)
         if bad:
             what = "starts with '#'" if bad.group() == "#" else f"contains {bad.group()!r}"
-            raise ParseError(f"key {v!r} in field {name!r} {what}", line_no)
-        valid_keys.add(v)
-    return v
+            raise ParseError(f"key {_SHOWN.repr(v)} in field {name!r} {what}", line_no)
+        valid_keys[v] = v
+    return valid_keys[v]
 
 
 def parse_records(lines: Iterable[str | bytes], strict: bool = False) -> ParsedRecords:
     """Single-pass parse of line-delimited records.
 
-    Returns the identities, certifications, and transactions in input order.
+    Returns the identities, and the certifications and transactions as
+    columns, each in input order.
     A line with bytes that are not UTF-8 is malformed, whether it comes as
     ``bytes`` or as text read with ``errors="surrogateescape"``, which
     carries such bytes as lone surrogates.
@@ -126,13 +151,10 @@ def parse_records(lines: Iterable[str | bytes], strict: bool = False) -> ParsedR
     (line number, reason) pairs; in strict mode the first one raises
     :class:`ParseError`.
     """
-    identities: list[IdentityRecord] = []
-    certs: list[CertRecord] = []
-    txs: list[TxRecord] = []
-    issues: list[tuple[int, str]] = []
+    parsed = ParsedRecords([], LinkColumns(), LinkColumns(amount=[]), [])
     seen_keys: set[str] = set()
     seen_uids: set[str] = set()
-    valid_keys: set[str] = set()
+    valid_keys: dict[str, str] = {}
 
     for line_no, raw in enumerate(lines, start=1):
         if isinstance(raw, bytes):
@@ -141,73 +163,90 @@ def parse_records(lines: Iterable[str | bytes], strict: bool = False) -> ParsedR
         if not line:
             continue
         try:
-            rec = _parse_line(line, line_no, seen_keys, seen_uids, valid_keys)
+            _parse_line(line, line_no, parsed, seen_keys, seen_uids, valid_keys)
         except ParseError as err:
             if strict:
                 raise
-            issues.append((line_no, err.reason))
-            continue
-        if isinstance(rec, IdentityRecord):
-            identities.append(rec)
-        elif isinstance(rec, CertRecord):
-            certs.append(rec)
-        else:
-            txs.append(rec)
-    return ParsedRecords(identities, certs, txs, issues)
+            parsed.issues.append((line_no, err.reason))
+    return parsed
 
 
 def _parse_line(
     line: str,
     line_no: int,
+    parsed: ParsedRecords,
     seen_keys: set[str],
     seen_uids: set[str],
-    valid_keys: set[str],
-) -> IdentityRecord | CertRecord | TxRecord:
+    valid_keys: dict[str, str],
+) -> None:
+    """Check one line and append its record to ``parsed``.
+
+    A well-formed link passes a few cheap type and membership tests; the
+    field helpers run only when one fails, to raise the reason."""
     if not line.isascii():
         try:
             line.encode("utf-8")
         except UnicodeEncodeError:
             raise ParseError("not valid UTF-8", line_no) from None
+    # json.loads without its wrappers, and with its messages: the line is
+    # stripped, so any text after the value is extra data
+    if line[0] == "\ufeff":
+        raise ParseError("invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)", line_no)
     try:
-        obj = json.loads(line)
+        obj, end = _decode(line)
     except json.JSONDecodeError as err:
         raise ParseError(f"invalid JSON: {err.msg}", line_no) from None
     except (ValueError, RecursionError) as err:  # an over-long integer or over-deep nesting
         raise ParseError(f"invalid JSON: {err}", line_no) from None
-    if not isinstance(obj, dict):
+    if end != len(line):
+        raise ParseError("invalid JSON: Extra data", line_no)
+    if type(obj) is not dict:
         raise ParseError("record must be a JSON object", line_no)
 
-    kind = _require(obj, "type", line_no)
-    t = _int_field(obj, "time", line_no)
-    if t < 0:
+    kind = obj.get("type")
+    if kind is None:  # raises if missing; null is an unknown type below
+        _require(obj, "type", line_no)
+    t = obj.get("time")
+    if type(t) is not int or not 0 <= t <= _INT64_MAX:
+        t = _int_field(obj, "time", line_no)
         raise ParseError(f"negative time {t}", line_no)
 
-    if kind == "identity":
+    if kind == "tx" or kind == "cert":
+        src = obj.get("from")
+        if type(src) is not str or (src := valid_keys.get(src)) is None:
+            src = _key_field(obj, "from", line_no, valid_keys)
+        dst = obj.get("to")
+        if type(dst) is not str or (dst := valid_keys.get(dst)) is None:
+            dst = _key_field(obj, "to", line_no, valid_keys)
+        if kind == "cert":
+            if src == dst:
+                raise ParseError(f"self-certification by {_SHOWN.repr(src)}", line_no)
+            links = parsed.certifications
+        else:
+            amount = obj.get("amount")
+            if type(amount) is not int or not 0 <= amount <= _INT64_MAX:
+                amount = _int_field(obj, "amount", line_no)
+            if src == dst:
+                raise ParseError(f"self-transaction by {_SHOWN.repr(src)}", line_no)
+            if amount < 0:
+                raise ParseError(f"negative amount {amount}", line_no)
+            links = parsed.transactions
+            links.amount.append(amount)
+        links.t.append(t)
+        links.src.append(src)
+        links.dst.append(dst)
+    elif kind == "identity":
         key = _key_field(obj, "key", line_no, valid_keys)
         uid = _str_field(obj, "uid", line_no)
         if key in seen_keys:
-            raise ParseError(f"duplicate identity key {key!r}", line_no)
+            raise ParseError(f"duplicate identity key {_SHOWN.repr(key)}", line_no)
         if uid in seen_uids:
-            raise ParseError(f"duplicate identity uid {uid!r}", line_no)
+            raise ParseError(f"duplicate identity uid {_SHOWN.repr(uid)}", line_no)
         seen_keys.add(key)
         seen_uids.add(uid)
-        return IdentityRecord(t, key, uid)
-    if kind == "cert":
-        src = _key_field(obj, "from", line_no, valid_keys)
-        dst = _key_field(obj, "to", line_no, valid_keys)
-        if src == dst:
-            raise ParseError(f"self-certification by {src!r}", line_no)
-        return CertRecord(t, src, dst)
-    if kind == "tx":
-        src = _key_field(obj, "from", line_no, valid_keys)
-        dst = _key_field(obj, "to", line_no, valid_keys)
-        amount = _int_field(obj, "amount", line_no)
-        if src == dst:
-            raise ParseError(f"self-transaction by {src!r}", line_no)
-        if amount < 0:
-            raise ParseError(f"negative amount {amount}", line_no)
-        return TxRecord(t, src, dst, amount)
-    raise ParseError(f"unknown record type {kind!r}", line_no)
+        parsed.identities.append(IdentityRecord(t, key, uid))
+    else:
+        raise ParseError(f"unknown record type {_SHOWN.repr(kind)}", line_no)
 
 
 def format_record(rec: IdentityRecord | CertRecord | TxRecord) -> str:
@@ -228,25 +267,22 @@ def format_record(rec: IdentityRecord | CertRecord | TxRecord) -> str:
 
 
 def classify_keys(
-    identities: Iterable[IdentityRecord],
-    transactions: Iterable[TxRecord],
+    identities: Iterable[IdentityRecord], transactions: LinkColumns
 ) -> NodeClassification:
     """Partition keys: members are those with an identity, anonymous wallets
     are transaction endpoints without one.
 
-    Members are interned first so their handles are the smallest; the shared
-    table is kept on the classification for key naming in error messages.
+    Handles follow first appearance: members in identity order, so theirs
+    are the smallest, then transaction endpoints, source before target, in
+    line order. The shared table is kept on the classification for key
+    naming in error messages.
     """
-    table = NodeTable()
-    members = {table.intern(rec.key) for rec in identities}
-    anon = set()
-    for rec in transactions:
-        for key in (rec.src, rec.dst):
-            h = table.intern(key)
-            if h not in members:
-                anon.add(h)
+    members = dict.fromkeys(rec.key for rec in identities)
+    table = NodeTable(chain(members, chain.from_iterable(zip(transactions.src, transactions.dst))))
     return NodeClassification(
-        members=frozenset(members), anonymous=frozenset(anon), table=table
+        members=frozenset(range(len(members))),
+        anonymous=frozenset(range(len(members), len(table))),
+        table=table,
     )
 
 
@@ -264,22 +300,20 @@ def build_streams(
     if table is None:
         raise IntegrityError("classification carries no key table")
 
-    for rec in records.certifications:
-        for key in (rec.src, rec.dst):
-            if key not in table or table.id_of(key) not in cls.members:
-                raise IntegrityError(f"certification involves non-member key {key!r}")
-    id_of = table.id_of
-    cert = stream_from_rows(
-        [(rec.t, id_of(rec.src), id_of(rec.dst)) for rec in records.certifications],
-        weighted=False,
-        nodes=cls.members,
-    )
-    tx = stream_from_rows(
-        [
-            (rec.t, id_of(rec.src), id_of(rec.dst), rec.amount)
-            for rec in records.transactions
-        ],
-        weighted=True,
+    certs, txs = records.certifications, records.transactions
+    src, dst = table.handles(certs.src), table.handles(certs.dst)
+    src_ok, dst_ok = node_mask(src, cls.members), node_mask(dst, cls.members)
+    ok = src_ok & dst_ok
+    if not ok.all():
+        i = int(ok.argmin())  # the first offending cert
+        key = certs.src[i] if not src_ok[i] else certs.dst[i]
+        raise IntegrityError(f"certification involves non-member key {key!r}")
+    cert = stream_from_columns(certs.t, src, dst, nodes=cls.members)
+    tx = stream_from_columns(
+        txs.t,
+        table.handles(txs.src),
+        table.handles(txs.dst),
+        txs.amount,
         nodes=cls.members | cls.anonymous,
     )
     return cert, tx

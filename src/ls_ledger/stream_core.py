@@ -25,25 +25,21 @@ class NodeTable:
     """Bijective mapping between public-key strings and dense int handles."""
 
     def __init__(self, keys: Iterable[str] = ()):
-        self._key_to_id: dict[str, int] = {}
-        self._keys: list[str] = []
-        for k in keys:
-            self.intern(k)
-
-    def intern(self, key: str) -> int:
-        """Return the handle for ``key``, assigning the next free one if new."""
-        h = self._key_to_id.get(key)
-        if h is None:
-            h = len(self._keys)
-            self._key_to_id[key] = h
-            self._keys.append(key)
-        return h
+        """Handles in order of first appearance in ``keys``."""
+        self._keys: list[str] = list(dict.fromkeys(keys))
+        self._key_to_id: dict[str, int] = dict(zip(self._keys, range(len(self._keys))))
 
     def id_of(self, key: str) -> int:
         try:
             return self._key_to_id[key]
         except KeyError:
             raise KeyError(f"unknown key {key!r}") from None
+
+    def handles(self, keys: Iterable[str]) -> np.ndarray:
+        """The handle of each key as an int64 array, -1 for a key not in
+        the table."""
+        get = self._key_to_id.get
+        return np.array([get(k, -1) for k in keys], dtype=np.int64)
 
     def key_of(self, handle: int) -> str:
         if 0 <= handle < len(self._keys):
@@ -272,27 +268,32 @@ def build_stream(
     kinds = {ln.amount is not None for ln in links}
     if len(kinds) > 1:
         raise ValueError("links mix amounts and no amounts")
-    weighted = True in kinds
-    rows = [(ln.t, ln.source, ln.target, ln.amount)[: 4 if weighted else 3] for ln in links]
-    return stream_from_rows(rows, weighted, interval=interval)
+    return stream_from_columns(
+        [ln.t for ln in links],
+        [ln.source for ln in links],
+        [ln.target for ln in links],
+        [ln.amount for ln in links] if True in kinds else None,
+        interval=interval,
+    )
 
 
-def stream_from_rows(
-    rows: list[tuple[int, ...]],
-    weighted: bool,
+def stream_from_columns(
+    t,
+    src,
+    dst,
+    amount=None,
     interval: tuple[int, int] | None = None,
     nodes: Iterable[int] | None = None,
 ) -> LinkStream:
-    """A stream from (t, source, target) rows, or (t, source, target,
-    amount) rows when ``weighted``, sorted once by (t, source, target) and
-    stable on ties.
+    """A stream from link columns in any order, ``amount`` omitted for
+    certifications, sorted once by (t, source, target) and stable on ties.
 
-    The interval defaults to [min t, max t], or [0, 0] without rows; the
+    The interval defaults to [min t, max t], or [0, 0] without links; the
     node set defaults to the endpoints of the links.
     """
-    cols = np.array(rows, dtype=np.int64).reshape(len(rows), 4 if weighted else 3)
-    cols = cols[np.lexsort((cols[:, 2], cols[:, 1], cols[:, 0]))]
-    t, src, dst = cols[:, 0], cols[:, 1], cols[:, 2]
+    t, src, dst = (np.asarray(c, dtype=np.int64) for c in (t, src, dst))
+    order = np.lexsort((dst, src, t))
+    t, src, dst = t[order], src[order], dst[order]
     if interval is None:
         interval = (int(t[0]), int(t[-1])) if len(t) else (0, 0)
     if nodes is None:
@@ -303,7 +304,7 @@ def stream_from_rows(
         t=t,
         src=src,
         dst=dst,
-        amount=cols[:, 3] if weighted else None,
+        amount=None if amount is None else np.asarray(amount, dtype=np.int64)[order],
     )
 
 

@@ -164,6 +164,58 @@ def double_edge_swap(
     return edges
 
 
+def parsed_records(parsed) -> tuple[list, list, list]:
+    """A parse's identities, certifications and transactions as records,
+    each kind in line order."""
+    from ls_ledger.ledger_ingest import CertRecord, TxRecord
+
+    certs, txs = parsed.certifications, parsed.transactions
+    return (
+        list(parsed.identities),
+        [CertRecord(*row) for row in zip(certs.t, certs.src, certs.dst)],
+        [TxRecord(*row) for row in zip(txs.t, txs.src, txs.dst, txs.amount)],
+    )
+
+
+def classify_keys(identities, transactions) -> tuple[list[str], set[int], set[int]]:
+    """Record by record: the key of each handle, and the member and
+    anonymous handles. Keys are numbered as first met: identity keys, then
+    each transaction's source and target."""
+    keys: list[str] = []
+    handle: dict[str, int] = {}
+
+    def intern(key: str) -> int:
+        if key not in handle:
+            handle[key] = len(keys)
+            keys.append(key)
+        return handle[key]
+
+    members = {intern(rec.key) for rec in identities}
+    anonymous = set()
+    for rec in transactions:
+        for key in (rec.src, rec.dst):
+            h = intern(key)
+            if h not in members:
+                anonymous.add(h)
+    return keys, members, anonymous
+
+
+def build_streams(certifications, transactions, keys: list[str]):
+    """Record by record: per stream its interval, the span of its times or
+    [0, 0] without links, and its (t, source, target[, amount]) rows sorted
+    by (t, source, target), equal rows in record order."""
+    handle = {key: h for h, key in enumerate(keys)}
+
+    def stream(rows):
+        rows = sorted(rows, key=lambda row: row[:3])
+        return ((rows[0][0], rows[-1][0]) if rows else (0, 0)), rows
+
+    return (
+        stream([(r.t, handle[r.src], handle[r.dst]) for r in certifications]),
+        stream([(r.t, handle[r.src], handle[r.dst], r.amount) for r in transactions]),
+    )
+
+
 def links_of(s) -> list[tuple[int, int, int]]:
     """The links of a stream as (t, source, target) rows, in stream order."""
     return list(zip(s.t.tolist(), s.src.tolist(), s.dst.tolist()))

@@ -26,12 +26,7 @@ from ls_ledger.fixtures import (
     random_records,
     write_records,
 )
-from ls_ledger.ledger_ingest import (
-    CertRecord,
-    IdentityRecord,
-    ParsedRecords,
-    TxRecord,
-)
+from ls_ledger.ledger_ingest import format_record
 from ls_ledger.stream_core import (
     InducedGraph,
     Link,
@@ -128,11 +123,8 @@ def _all_fixtures():
 def test_criterion_4_partition_and_conservation():
     started = time.perf_counter()
     for records in _all_fixtures():
-        ids = [r for r in records if isinstance(r, IdentityRecord)]
-        certs = [r for r in records if isinstance(r, CertRecord)]
-        txs = [r for r in records if isinstance(r, TxRecord)]
-        parsed = ParsedRecords(ids, certs, txs, [])
-        cls = ledger_ingest.classify_keys(ids, txs)
+        parsed = ledger_ingest.parse_records(map(format_record, records))
+        cls = ledger_ingest.classify_keys(parsed.identities, parsed.transactions)
         cert_stream, tx_stream = ledger_ingest.build_streams(parsed, cls)
 
         subs = {

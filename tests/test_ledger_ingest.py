@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from oracles import links_of
+import oracles
+from oracles import links_of, parsed_records
 from ls_ledger.errors import IntegrityError, ParseError
 from ls_ledger.fixtures import example_records, random_records
 from ls_ledger.ledger_ingest import (
@@ -26,15 +27,25 @@ LINES = [
 ]
 
 
+def _parse(records):
+    """Parse ``records`` through their canonical lines."""
+    parsed = parse_records(map(format_record, records))
+    assert parsed.issues == []
+    return parsed
+
+
 def test_parse_records_basic():
     parsed = parse_records(LINES + ['{"type":"identity","time":1,"key":"B","uid":"bob"}'])
-    assert parsed.identities == [
+    ids, certs, txs = parsed_records(parsed)
+    assert ids == [
         IdentityRecord(0, "A", "alice"),
         IdentityRecord(1, "B", "bob"),
     ]
-    assert parsed.certifications == [CertRecord(0, "A", "B")]
-    assert parsed.transactions == [TxRecord(5, "A", "B", 150)]
+    assert certs == [CertRecord(0, "A", "B")]
+    assert txs == [TxRecord(5, "A", "B", 150)]
     assert parsed.issues == []
+    counts = [len(parsed.identities), len(parsed.certifications), len(parsed.transactions)]
+    assert counts == [2, 1, 1]
 
 
 def test_parse_accepts_bytes_and_blank_lines():
@@ -52,33 +63,149 @@ def test_parse_bytes_that_are_not_utf8_make_their_line_malformed():
         parse_records(io.BytesIO(raw.getvalue()), strict=True)
 
 
+def _malformed(line: str, reason: str, id: str | None = None):
+    return pytest.param(line, reason, id=id or line)
+
+
 @pytest.mark.parametrize(
-    "bad",
+    "bad, reason",
     [
-        '{"type":"warp","time":0,"from":"A","to":"B"}',
-        '{"type":"tx","time":0,"from":"A","to":"B"}',
-        '{"type":"tx","time":0,"from":"A","to":"B","amount":-5}',
-        '{"type":"tx","time":"x","from":"A","to":"B","amount":5}',
-        '{"type":"tx","time":0,"from":"A","to":"A","amount":1}',
-        '{"type":"cert","time":0,"from":"A"}',
-        "not json at all",
-        "[1,2,3]",
-        pytest.param("[" * 100_000 + "]" * 100_000, id="over_deep"),
-        pytest.param(
+        _malformed('{"type":"warp","time":0,"from":"A","to":"B"}', "unknown record type 'warp'"),
+        _malformed('{"type":"tx","time":0,"from":"A","to":"B"}', "missing field 'amount'"),
+        _malformed('{"type":"tx","time":0,"from":"A","to":"B","amount":-5}', "negative amount -5"),
+        _malformed(
+            '{"type":"tx","time":"x","from":"A","to":"B","amount":5}',
+            "field 'time' must be an integer, got 'x'",
+        ),
+        _malformed(
+            '{"type":"tx","time":0,"from":"A","to":"A","amount":1}', "self-transaction by 'A'"
+        ),
+        _malformed('{"type":"cert","time":0,"from":"A"}', "missing field 'to'"),
+        _malformed("not json at all", "invalid JSON: Expecting value"),
+        _malformed("[1,2,3]", "record must be a JSON object"),
+        _malformed(
+            "[" * 100_000 + "]" * 100_000,
+            "invalid JSON: maximum recursion depth exceeded while decoding a JSON array"
+            " from a unicode string",
+            id="over_deep",
+        ),
+        _malformed(
             '{"type":"tx","time":' + "1" * 5_000 + ',"from":"A","to":"B","amount":1}',
+            "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion:"
+            " value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit",
             id="over_long_integer",
         ),
         # a byte that is not UTF-8, as errors="surrogateescape" reads it
-        pytest.param('{"type":"identity","time":0,"key":"C\udcff","uid":"c"}', id="escaped_byte"),
+        _malformed(
+            '{"type":"identity","time":0,"key":"C\udcff","uid":"c"}',
+            "not valid UTF-8",
+            id="escaped_byte",
+        ),
+        _malformed(
+            '{"type":"cert","time":0,"from":"A","to":"B"',
+            "invalid JSON: Expecting ',' delimiter",
+            id="unclosed_object",
+        ),
+        _malformed(
+            '{"type":"cert","time":0,"from":"A","to":"B"} 1',
+            "invalid JSON: Extra data",
+            id="extra_data",
+        ),
+        _malformed(
+            '\ufeff{"type":"cert","time":0,"from":"A","to":"B"}',
+            "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)",
+            id="bom",
+        ),
+        _malformed('{"time":0,"from":"A","to":"B"}', "missing field 'type'", id="missing_type"),
+        _malformed(
+            '{"type":null,"time":0,"from":"A","to":"B"}',
+            "unknown record type None",
+            id="null_type",
+        ),
+        _malformed(
+            '{"type":"cert","time":true,"from":"A","to":"B"}',
+            "field 'time' must be an integer, got True",
+            id="true_time",
+        ),
+        _malformed(
+            '{"type":"cert","time":1.5,"from":"A","to":"B"}',
+            "field 'time' must be an integer, got 1.5",
+            id="float_time",
+        ),
+        _malformed(
+            '{"type":"cert","from":"A","to":"B"}', "missing field 'time'", id="missing_time"
+        ),
+        _malformed(
+            '{"type":"cert","time":-3,"from":"A","to":"B"}', "negative time -3", id="negative_time"
+        ),
+        _malformed(
+            '{"type":"cert","time":9223372036854775808,"from":"A","to":"B"}',
+            "field 'time' is 9223372036854775808, above 2^63-1",
+            id="over_int64_time",
+        ),
+        _malformed(
+            '{"type":"cert","time":0,"from":"a,b","to":"B"}',
+            "key 'a,b' in field 'from' contains ','",
+            id="bad_key",
+        ),
+        _malformed(
+            '{"type":"cert","time":0,"from":"#B","to":"A"}',
+            "key '#B' in field 'from' starts with '#'",
+            id="hash_key",
+        ),
+        _malformed(
+            '{"type":"tx","time":0,"from":"","to":"B","amount":1}',
+            "field 'from' must be a non-empty string",
+            id="empty_key",
+        ),
+        _malformed(
+            '{"type":"tx","time":0,"from":"A","to":["B"],"amount":1}',
+            "field 'to' must be a non-empty string",
+            id="list_key",
+        ),
+        _malformed(
+            '{"type":"cert","time":0,"from":"A","to":"A"}',
+            "self-certification by 'A'",
+            id="self_cert",
+        ),
+        _malformed(
+            '{"type":"tx","time":0,"from":"A","to":"B","amount":true}',
+            "field 'amount' must be an integer, got True",
+            id="true_amount",
+        ),
+        _malformed(
+            '{"type":"identity","time":0,"key":"A","uid":"alias"}',
+            "duplicate identity key 'A'",
+            id="duplicate_key",
+        ),
+        _malformed(
+            '{"type":"identity","time":0,"key":"Z","uid":"alice"}',
+            "duplicate identity uid 'alice'",
+            id="duplicate_uid",
+        ),
+        _malformed(
+            '{"type":"identity","time":0,"key":"Z","uid":""}',
+            "field 'uid' must be a non-empty string",
+            id="empty_uid",
+        ),
     ],
 )
-def test_parse_malformed_lines(bad):
+def test_parse_malformed_lines(bad, reason):
     lines = LINES + [bad]
     parsed = parse_records(lines)
-    assert parsed.issues and parsed.issues[0][0] == 4
+    assert parsed.issues == [(4, reason)]
     with pytest.raises(ParseError) as err:
         parse_records(lines, strict=True)
     assert err.value.line_no == 4
+    assert err.value.reason == reason
+
+
+def test_bom_on_the_first_line_is_malformed():
+    # the CLI reads the ledger as "utf-8", which keeps a leading BOM
+    lines = ["\ufeff" + LINES[0], *LINES[1:]]
+    parsed = parse_records(lines)
+    assert parsed.issues == [(1, "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)")]
+    assert len(parsed.identities) == 0 and len(parsed.transactions) == 1
 
 
 @pytest.mark.parametrize(
@@ -110,7 +237,7 @@ def test_parse_accepts_keys_inside_and_after_hash():
     lines = ['{"type":"tx","time":0,"from":"A#1","to":"M000","amount":1}'] * 2
     parsed = parse_records(lines)
     assert parsed.issues == []
-    assert [(r.src, r.dst) for r in parsed.transactions] == [("A#1", "M000")] * 2
+    assert [(r.src, r.dst) for r in parsed_records(parsed)[2]] == [("A#1", "M000")] * 2
 
 
 def test_parse_duplicate_identity_rejected():
@@ -128,33 +255,37 @@ def test_parse_serialize_round_trip():
     lines = [format_record(r) for r in records]
     parsed = parse_records(lines)
     assert parsed.issues == []
-    assert parsed.identities + parsed.certifications + parsed.transactions == [
+    ids, certs, txs = parsed_records(parsed)
+    assert ids + certs + txs == [
         r
         for group in (IdentityRecord, CertRecord, TxRecord)
         for r in records
         if isinstance(r, group)
     ]
-    assert [format_record(r) for r in parsed.identities] == [
+    assert [format_record(r) for r in ids] == [
         ln for ln in lines if '"identity"' in ln
     ]
 
 
 def test_classify_keys_example():
-    ids = [IdentityRecord(0, "A", "a"), IdentityRecord(0, "B", "b")]
-    txs = [TxRecord(1, "C", "A", 10)]
-    cls = classify_keys(ids, txs)
+    parsed = _parse(
+        [IdentityRecord(0, "A", "a"), IdentityRecord(0, "B", "b"), TxRecord(1, "C", "A", 10)]
+    )
+    cls = classify_keys(parsed.identities, parsed.transactions)
     t = cls.table
     assert cls.members == {t.id_of("A"), t.id_of("B")}
     assert cls.anonymous == {t.id_of("C")}
 
 
 def test_classify_keys_no_identities():
-    cls = classify_keys([], [TxRecord(1, "X", "Y", 10)])
+    parsed = _parse([TxRecord(1, "X", "Y", 10)])
+    cls = classify_keys(parsed.identities, parsed.transactions)
     assert not cls.members and len(cls.anonymous) == 2
 
 
 def test_classify_keys_member_without_transactions():
-    cls = classify_keys([IdentityRecord(0, "A", "a")], [])
+    parsed = _parse([IdentityRecord(0, "A", "a")])
+    cls = classify_keys(parsed.identities, parsed.transactions)
     assert cls.members == {cls.table.id_of("A")}
     assert cls.table.id_of("A") in cls.members | cls.anonymous
 
@@ -165,7 +296,8 @@ def test_classify_partition_property():
         records = random_records(100 + trial, n_members=6, n_anonymous=3)
         ids = [r for r in records if isinstance(r, IdentityRecord)]
         txs = [r for r in records if isinstance(r, TxRecord)]
-        cls = classify_keys(ids, txs)
+        parsed = _parse(records)
+        cls = classify_keys(parsed.identities, parsed.transactions)
         seen = {cls.table.id_of(r.key) for r in ids}
         for r in txs:
             seen |= {cls.table.id_of(r.src), cls.table.id_of(r.dst)}
@@ -174,13 +306,8 @@ def test_classify_partition_property():
 
 
 def _ingest(records):
-    ids = [r for r in records if isinstance(r, IdentityRecord)]
-    certs = [r for r in records if isinstance(r, CertRecord)]
-    txs = [r for r in records if isinstance(r, TxRecord)]
-    from ls_ledger.ledger_ingest import ParsedRecords
-
-    parsed = ParsedRecords(ids, certs, txs, [])
-    cls = classify_keys(ids, txs)
+    parsed = _parse(records)
+    cls = classify_keys(parsed.identities, parsed.transactions)
     cert, tx = build_streams(parsed, cls)
     return parsed, cls, cert, tx
 
@@ -230,7 +357,7 @@ def test_parse_rejects_values_beyond_int64():
         f'{{"type":"tx","time":0,"from":"A","to":"B","amount":{top + 1}}}',
     ]
     parsed = parse_records(lines)
-    assert parsed.transactions == [TxRecord(top, "A", "B", top)]
+    assert parsed_records(parsed)[2] == [TxRecord(top, "A", "B", top)]
     assert parsed.issues == [
         (2, f"field 'time' is {top + 1}, above 2^63-1"),
         (3, f"field 'amount' is {top + 1}, above 2^63-1"),
@@ -334,3 +461,113 @@ def test_identify_miners_unknown_key():
     with pytest.raises(KeyError):
         identify_miners(tx, cls, "NOT_THERE")
 
+
+
+@pytest.mark.parametrize(
+    "bad, starts",
+    [
+        pytest.param(
+            '{"type":"cert","time":' + "[" * 900 + "]" * 900 + ',"from":"A","to":"B"}',
+            "field 'time' must be an integer, got [[",
+            id="deep_time",
+        ),
+        pytest.param(
+            '{"type":' + "[" * 900 + "]" * 900 + ',"time":0,"from":"A","to":"B"}',
+            "unknown record type [[",
+            id="deep_type",
+        ),
+        pytest.param(
+            '{"type":"cert","time":0,"from":"' + "k" * 3_000_000 + ',","to":"B"}',
+            "key 'kkk",
+            id="huge_bad_key",
+        ),
+        pytest.param(
+            '{"type":"cert","time":0,"from":"%s","to":"%s"}' % ("k" * 3_000_000, "k" * 3_000_000),
+            "self-certification by 'kkk",
+            id="huge_self_cert",
+        ),
+        pytest.param(
+            '{"type":"tx","time":0,"from":"A","to":"B","amount":' + "9" * 4_000 + "}",
+            "field 'amount' is 999",
+            id="long_amount",
+        ),
+    ],
+)
+def test_reasons_bound_the_offending_value(bad, starts):
+    [(line_no, reason)] = parse_records(LINES + [bad]).issues
+    assert line_no == 4
+    assert reason.startswith(starts)
+    assert len(reason) < 200
+
+
+# malformed lines whose reason does not depend on the lines before them
+INJECTED = [
+    ("{", "invalid JSON: Expecting property name enclosed in double quotes"),
+    ('"cert"', "record must be a JSON object"),
+    ('{"time":1,"from":"M000","to":"M001"}', "missing field 'type'"),
+    (
+        '{"type":"cert","time":false,"from":"M000","to":"M001"}',
+        "field 'time' must be an integer, got False",
+    ),
+    ('{"type":"cert","time":-1,"from":"M000","to":"M001"}', "negative time -1"),
+    (
+        '{"type":"cert","time":1,"from":"M0,1","to":"M001"}',
+        "key 'M0,1' in field 'from' contains ','",
+    ),
+    ('{"type":"cert","time":1,"from":"M001","to":"M001"}', "self-certification by 'M001'"),
+    ('{"type":"tx","time":1,"from":"A000","to":"A000","amount":3}', "self-transaction by 'A000'"),
+    ('{"type":"tx","time":1,"from":"A000","to":"M000","amount":-3}', "negative amount -3"),
+    ('{"type":"tx","time":1,"from":"A000","to":"M000"}', "missing field 'amount'"),
+    ('{"type":"block","time":1}', "unknown record type 'block'"),
+]
+
+
+def test_columnar_ingest_matches_record_oracle():
+    """Shuffled seeded ledgers with blank and malformed lines: the issues,
+    the handle order and every stream column equal the record-by-record
+    references."""
+    for seed in range(200):
+        rng = random.Random(seed)
+        n_members = rng.randint(2, 9)
+        records = random_records(
+            seed,
+            n_members=n_members,
+            n_anonymous=rng.randint(0, 5),
+            n_certs=rng.choice((0, rng.randint(1, 40))),
+            n_txs=rng.choice((0, rng.randint(1, 80))),
+            t_max=rng.choice((10, 1_000)),
+        )
+        rng.shuffle(records)
+        lines, issues = [], []
+        for rec in records:
+            if rng.random() < 0.05:
+                line, reason = rng.choice(INJECTED)
+                lines.append(line)
+                issues.append((len(lines), reason))
+            if rng.random() < 0.02:
+                lines.append("")
+            lines.append(format_record(rec))
+
+        parsed = parse_records(lines)
+        assert parsed.issues == issues
+        if issues:
+            with pytest.raises(ParseError) as err:
+                parse_records(lines, strict=True)
+            assert (err.value.line_no, err.value.reason) == issues[0]
+        ids, certs, txs = parsed_records(parsed)
+        assert (ids, certs, txs) == tuple(
+            [r for r in records if isinstance(r, kind)]
+            for kind in (IdentityRecord, CertRecord, TxRecord)
+        )
+
+        cls = classify_keys(parsed.identities, parsed.transactions)
+        keys, members, anonymous = oracles.classify_keys(ids, txs)
+        assert cls.table.keys() == keys
+        assert (cls.members, cls.anonymous) == (members, anonymous)
+
+        cert, tx = build_streams(parsed, cls)
+        (cert_interval, cert_rows), (tx_interval, tx_rows) = oracles.build_streams(certs, txs, keys)
+        assert (cert.interval, links_of(cert)) == (cert_interval, cert_rows)
+        assert tx.interval == tx_interval
+        assert list(zip(*(c.tolist() for c in (tx.t, tx.src, tx.dst, tx.amount)))) == tx_rows
+        assert (cert.nodes, tx.nodes) == (members, members | anonymous)
