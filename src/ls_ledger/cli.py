@@ -225,14 +225,9 @@ def cmd_graph(cfg: RunConfig) -> None:
     bundle = snapshot.load_bundle(cfg.out_dir)
     keys = bundle.table.keys()
     streams = {"cert": bundle.cert, "txmm": bundle.tx_mm, "txaa": bundle.substreams["AA"]}
-    cert_graph = stream_core.induced_graph(bundle.cert)
+    graphs = {name: stream_core.induced_graph(s) for name, s in streams.items()}
 
-    for name, stream in streams.items():
-        # one graph at a time, so each edge set goes with its graph
-        g = cert_graph if name == "cert" else stream_core.induced_graph(stream)
-        if name == "txmm":
-            # member pairs that transact without any certification between them
-            uncertified = sorted(g.undirected_edges() - cert_graph.undirected_edges())
+    for name, g in graphs.items():
         report = graph_metrics.clustering(g)
         fname = "clustering.csv" if name == "cert" else f"clustering_{name}.csv"
         _write_csv(
@@ -272,17 +267,18 @@ def cmd_graph(cfg: RunConfig) -> None:
             )
             click.echo(f"null_ratio_{name}:{null.ratio:.4f}")
 
-    # distances in the undirected certification graph between those pairs
-    measurable = [
-        p for p in uncertified if p[0] in cert_graph.nodes and p[1] in cert_graph.nodes
-    ]
-    dist = graph_metrics.distance_distribution(measurable, cert_graph)
+    # member pairs that transact without any certification between them, and
+    # their distances in the undirected certification graph, whose nodes are
+    # the members, so every pair is measured
+    rows = graphs["txmm"].undirected_edges()
+    uncertified = rows[bundle.cert.pairs.find(rows[:, 0], rows[:, 1]) < 0].tolist()
+    dist = graph_metrics.distance_distribution(uncertified, graphs["cert"])
     _write_csv(
         cfg.out_dir / "distances.csv",
         _comments(
             "graph",
             cfg,
-            f"pairs={len(measurable)} unreachable={dist.unreachable}",
+            f"pairs={len(uncertified)} unreachable={dist.unreachable}",
         ),
         "distance,count",
         sorted(dist.counts.items()),

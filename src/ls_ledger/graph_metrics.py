@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from itertools import chain
+
+import numpy as np
 
 from .errors import DegenerateModelError, UndefinedCorrelationError
 from .stream_core import InducedGraph
@@ -29,7 +29,7 @@ def degree_report(g: InducedGraph) -> DegreeReport:
     """Exact in/out degrees of every node on the deduplicated edge set."""
     in_deg = dict.fromkeys(g.nodes, 0)
     out_deg = dict.fromkeys(g.nodes, 0)
-    for u, v in g.directed_edges:
+    for u, v in g.directed_edges().tolist():
         out_deg[u] += 1
         in_deg[v] += 1
     return DegreeReport(in_degree=in_deg, out_degree=out_deg)
@@ -84,13 +84,11 @@ class ClusteringReport:
 def clustering(g: InducedGraph) -> ClusteringReport:
     """Local clustering coefficient of every node: edges among its
     neighbors, which are the triangles through it, divided by k*(k-1)/2."""
-    edges = g.undirected_edges()
-    degree, rank = _degree_ranks(edges)
-    tri = _node_triangles(_forward_adjacency(edges, rank))
+    tri = _node_triangles(_forward_adjacency(g.undirected_edges().tolist(), g.rank))
     coeffs: dict[int, float] = {}
     active: list[float] = []
     for node in g.nodes:
-        k = degree[node]
+        k = g.degree.get(node, 0)
         if k < 2:
             coeffs[node] = 0.0
             continue
@@ -108,18 +106,7 @@ def clustering(g: InducedGraph) -> ClusteringReport:
 
 def triangle_count(g: InducedGraph) -> int:
     """Number of unordered node triples mutually adjacent in the undirected view."""
-    edges = g.undirected_edges()
-    return _triangle_total(_forward_adjacency(edges, _degree_ranks(edges)[1]))
-
-
-def _degree_ranks(
-    edges: Iterable[tuple[int, int]],
-) -> tuple[Counter[int], dict[int, int]]:
-    """Degree of every node with an edge, and its position in the order of
-    (degree, id)."""
-    degree = Counter(chain.from_iterable(edges))
-    order = sorted(degree, key=lambda n: (degree[n], n))
-    return degree, {n: i for i, n in enumerate(order)}
+    return _triangle_total(_forward_adjacency(g.undirected_edges().tolist(), g.rank))
 
 
 def _forward_adjacency(
@@ -183,16 +170,16 @@ def rewired_samples(g: InducedGraph, samples: int, seed: int):
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    edges = sorted(g.undirected_edges())
+    edges = g.undirected_edges().tolist()
     if len(edges) < 2:
         raise DegenerateModelError(
             f"need at least 2 undirected edges to rewire, got {len(edges)}"
         )
-    degree_before = _degree_sequence(edges, g.nodes)
     for i in range(samples):
         rng = random.Random(seed * 1_000_003 + i)
         rewired = _double_edge_swap(edges, rng, attempts=10 * len(edges))
-        if _degree_sequence(rewired, g.nodes) != degree_before:
+        nodes, degrees = np.unique(rewired, return_counts=True)
+        if dict(zip(nodes.tolist(), degrees.tolist())) != g.degree:
             raise AssertionError("rewiring changed the degree sequence")
         yield rewired
 
@@ -204,9 +191,8 @@ def null_model_triangles(
     :func:`rewired_samples` for the randomization."""
     observed = triangle_count(g)
     # swaps keep every degree, so g's ranks orient each sample as well
-    _, rank = _degree_ranks(g.undirected_edges())
     counts = [
-        _triangle_total(_forward_adjacency(rewired, rank))
+        _triangle_total(_forward_adjacency(rewired, g.rank))
         for rewired in rewired_samples(g, samples, seed)
     ]
 
@@ -223,14 +209,6 @@ def null_model_triangles(
         std=math.sqrt(var),
         ratio=ratio,
     )
-
-
-def _degree_sequence(edges: list[tuple[int, int]], nodes: Iterable[int]) -> tuple:
-    deg = dict.fromkeys(nodes, 0)
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    return tuple(sorted(deg.items()))
 
 
 def _double_edge_swap(

@@ -81,12 +81,13 @@ class TxRecord:
 @dataclass
 class LinkColumns:
     """Parsed links in line order, as parallel lists: times, source and
-    target keys and, for transactions, amounts (``None`` for certifications)."""
+    target keys, and amounts of transactions or line numbers of certifications."""
 
     t: list[int] = field(default_factory=list)
     src: list[str] = field(default_factory=list)
     dst: list[str] = field(default_factory=list)
     amount: list[int] | None = None
+    line: list[int] | None = None
 
     def __len__(self) -> int:
         return len(self.t)
@@ -151,7 +152,7 @@ def parse_records(lines: Iterable[str | bytes], strict: bool = False) -> ParsedR
     (line number, reason) pairs; in strict mode the first one raises
     :class:`ParseError`.
     """
-    parsed = ParsedRecords([], LinkColumns(), LinkColumns(amount=[]), [])
+    parsed = ParsedRecords([], LinkColumns(line=[]), LinkColumns(amount=[]), [])
     seen_keys: set[str] = set()
     seen_uids: set[str] = set()
     valid_keys: dict[str, str] = {}
@@ -222,6 +223,7 @@ def _parse_line(
             if src == dst:
                 raise ParseError(f"self-certification by {_SHOWN.repr(src)}", line_no)
             links = parsed.certifications
+            links.line.append(line_no)
         else:
             amount = obj.get("amount")
             if type(amount) is not int or not 0 <= amount <= _INT64_MAX:
@@ -307,7 +309,9 @@ def build_streams(
     if not ok.all():
         i = int(ok.argmin())  # the first offending cert
         key = certs.src[i] if not src_ok[i] else certs.dst[i]
-        raise IntegrityError(f"certification involves non-member key {key!r}")
+        raise IntegrityError(
+            f"line {certs.line[i]}: certification involves non-member key {_SHOWN.repr(key)}"
+        )
     cert = stream_from_columns(certs.t, src, dst, nodes=cls.members)
     tx = stream_from_columns(
         txs.t,

@@ -97,8 +97,8 @@ def save_bundle(out_dir: str | Path, bundle: StreamBundle) -> Path:
 def load_bundle(out_dir: str | Path) -> StreamBundle:
     """Rebuild the bundle from ``out_dir``; raises StateError when the
     snapshot is missing or unreadable (truncated, not a zip, arrays missing,
-    columns that break a stream invariant, or a node handle without a
-    key)."""
+    columns that break a stream invariant, a node handle without a key, or
+    certification nodes other than the members)."""
     path = Path(out_dir) / SNAPSHOT_NAME
     if not path.exists():
         raise StateError(f"no snapshot at {path}; run the ingest command first")
@@ -124,6 +124,8 @@ def _bundle_from(path: Path) -> StreamBundle:
     handles = members | cert.nodes | tx.nodes
     if handles and (min(handles) < 0 or max(handles) >= len(table)):
         raise ValueError("a node handle has no key in keys.npy")
+    if cert.nodes != members:  # certifications are among members only
+        raise ValueError("cert_nodes.npy differs from members.npy")
     return build_bundle(table, cls, cert, tx)
 
 

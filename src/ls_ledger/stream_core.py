@@ -215,25 +215,44 @@ class NodeClassification:
         return str(node)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InducedGraph:
     """Static directed graph aggregated from a stream: one edge per node pair
-    that interacted at least once."""
+    that interacted at least once. A view of the stream's pair indexes,
+    which alone decide how links group into edges and in what order."""
 
-    nodes: frozenset[int]
-    directed_edges: frozenset[tuple[int, int]]
+    stream: LinkStream
 
-    def undirected_edges(self) -> frozenset[tuple[int, int]]:
-        """Symmetrized view; each edge as a (min, max) pair."""
-        return self._undirected_edges
+    @property
+    def nodes(self) -> frozenset[int]:
+        return self.stream.nodes
+
+    def directed_edges(self) -> np.ndarray:
+        """One (source, target) row per directed pair, ascending."""
+        p = self.stream.directed_pairs
+        return np.column_stack((p.u, p.v))
+
+    def undirected_edges(self) -> np.ndarray:
+        """Symmetrized view: one (min, max) row per unordered pair, ascending."""
+        p = self.stream.pairs
+        return np.column_stack((p.u, p.v))
 
     @cached_property
-    def _undirected_edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset((u, v) if u < v else (v, u) for u, v in self.directed_edges)
+    def degree(self) -> dict[int, int]:
+        """Undirected degree of every node with an edge, by ascending id."""
+        p = self.stream.pairs
+        counts = np.bincount(np.concatenate(p.ranks), minlength=len(p.nodes))
+        return dict(zip(p.nodes.tolist(), counts.tolist()))
+
+    @cached_property
+    def rank(self) -> dict[int, int]:
+        """Position of every node with an edge in the order of (degree, id)."""
+        order = sorted(self.degree, key=self.degree.__getitem__)  # stable: ids ascend
+        return dict(zip(order, range(len(order))))
 
     def undirected_adjacency(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {n: set() for n in self.nodes}
-        for u, v in self.directed_edges:
+        for u, v in self.undirected_edges().tolist():
             adj[u].add(v)
             adj[v].add(u)
         return adj
@@ -309,9 +328,8 @@ def stream_from_columns(
 
 
 def induced_graph(s: LinkStream) -> InducedGraph:
-    """Deduplicate the stream's (source, target) pairs into a static graph."""
-    edges = frozenset(zip(s.src.tolist(), s.dst.tolist()))
-    return InducedGraph(nodes=s.nodes, directed_edges=edges)
+    """The stream's static graph: its (source, target) pairs, deduplicated."""
+    return InducedGraph(s)
 
 
 def activity(s: LinkStream, t: int) -> int:

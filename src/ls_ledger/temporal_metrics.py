@@ -37,8 +37,9 @@ def neighborhood_overlaps(
     neighborhood in ``n2`` lies inside its neighborhood in ``n1``.
 
     The maps take a node to its aggregated neighborhood in a stream, as
-    ``induced_graph(s).undirected_adjacency()`` gives it: everyone who ever
-    interacted with the node. A node absent from a map has an empty
+    ``induced_graph(s).undirected_adjacency()`` builds it from the stream's
+    unordered pairs: everyone who ever interacted with the node, over the
+    stream's whole node set. A node absent from a map has an empty
     neighborhood there; empty denominators yield None markers.
     """
     empty: frozenset[int] = frozenset()

@@ -68,6 +68,42 @@ def undirected_edge_set(directed_edges) -> set[tuple[int, int]]:
     return {(min(u, v), max(u, v)) for u, v in directed_edges}
 
 
+@dataclass(frozen=True)
+class TupleGraph:
+    """An induced graph as sets of edge tuples."""
+
+    nodes: frozenset[int]
+    directed_edges: frozenset[tuple[int, int]]
+
+    def undirected_edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(undirected_edge_set(self.directed_edges))
+
+
+def induced_graph(s) -> TupleGraph:
+    """Deduplicate the stream's (source, target) pairs into a tuple set."""
+    return TupleGraph(s.nodes, frozenset(zip(s.src.tolist(), s.dst.tolist())))
+
+
+def edge_set(rows) -> set[tuple[int, int]]:
+    """The (u, v) rows of an edge array as a set of tuples."""
+    return set(map(tuple, rows.tolist()))
+
+
+def graph_of(nodes, edges):
+    """The induced graph under test of a stream with one link per directed
+    edge, all at t=0, over ``nodes`` and the edges' endpoints; it makes test
+    inputs and is not a reference."""
+    from ls_ledger import stream_core
+
+    edges = list(edges)
+    src = [u for u, _ in edges]
+    dst = [v for _, v in edges]
+    s = stream_core.stream_from_columns(
+        [0] * len(edges), src, dst, nodes=set(nodes).union(src, dst)
+    )
+    return stream_core.induced_graph(s)
+
+
 def clustering_scan(g) -> tuple[dict[int, float], float, float]:
     """(coefficients, average, average_active) of an induced graph, counting
     the edges among each node's neighbors with one O(k^2) scan per node."""

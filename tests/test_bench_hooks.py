@@ -65,6 +65,9 @@ def test_trace_stage_counts_every_stage(tmp_path):
         assert name in counts, f"no span {name}"
         assert set(counts[name] or ()) == keys, name
     assert counts["graph_metrics.null_model_triangles.cert"]["samples"] == 5
+    # len() of the undirected edges counts the 5 distinct unordered pairs
+    assert counts["graph_metrics.null_model_triangles.cert"]["edges"] == 5
+    assert counts["graph_metrics.null_model_triangles.txmm"]["edges"] == 5
     assert counts["temporal_metrics.closure_distribution.k2"]["links"] == 12
 
 

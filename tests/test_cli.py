@@ -13,6 +13,7 @@ from ls_ledger.errors import StateError
 from ls_ledger.fixtures import example_records, write_records
 from ls_ledger.ledger_ingest import CertRecord, IdentityRecord, TxRecord, format_record
 from ls_ledger.snapshot import load_bundle
+from ls_ledger.stream_core import InducedGraph
 
 ALL_COMMANDS = ("overview", "graph", "closures", "match", "relations", "neighborhoods")
 
@@ -106,6 +107,27 @@ def test_every_export_has_header_row(ledger_file, tmp_path):
         assert any("seed=" in c for c in comments), csv_path.name
 
 
+def test_graph_orders_each_graph_once(ledger_file, tmp_path, monkeypatch):
+    # clustering, triangle_count and null_model_triangles share one
+    # (degree, id) order per graph: cert, txmm and txaa
+    ordered = []
+    rank = InducedGraph.rank.func
+
+    def counted(g):
+        ordered.append(id(g.stream))
+        return rank(g)
+
+    monkeypatch.setattr(InducedGraph.rank, "func", counted)
+    runner = CliRunner()
+    out = tmp_path / "o"
+    result = runner.invoke(main, ["ingest", "--input", str(ledger_file), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["graph", "--out", str(out), "--samples", "3"])
+    assert result.exit_code == 0, result.output
+    assert "null_ratio_cert:" in result.output and "null_ratio_txmm:" in result.output
+    assert len(ordered) == len(set(ordered)) == 3
+
+
 def test_cli_determinism_byte_identical(ledger_file, tmp_path):
     runner = CliRunner()
     a = run_all(runner, ledger_file, tmp_path / "a", extra=["--seed", "9"])
@@ -181,6 +203,22 @@ def assert_clean_error(result, *fragments):
 
 
 IDENTITY_A = b'{"type":"identity","time":0,"key":"A","uid":"a"}'
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+def test_non_member_cert_names_its_line(tmp_path, strict):
+    ledger = tmp_path / "ledger.jsonl"
+    ledger.write_bytes(
+        IDENTITY_A + b"\n\n"
+        + b'{"type":"tx","time":1,"from":"A","to":"zz","amount":5}\n'
+        + b'{"type":"cert","time":2,"from":"A","to":"zz"}\n'
+    )
+    out = tmp_path / "o"
+    result = CliRunner().invoke(
+        main, ["ingest", "--input", str(ledger), "--out", str(out)] + ["--strict"] * strict
+    )
+    assert_clean_error(result, "Error: line 4: certification involves non-member key 'zz'")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -531,6 +569,12 @@ def _unkeyed_member(a):
     a["members"] = np.append(a["members"], len(a["keys"]))
 
 
+def _cert_nodes_not_members(a):
+    # an anonymous wallet among the certification nodes
+    (wallet,) = np.setdiff1d(np.arange(len(a["keys"])), a["members"])
+    a["cert_nodes"] = np.append(a["cert_nodes"], wallet)
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -547,6 +591,7 @@ def _unkeyed_member(a):
                 _negative_amount,
                 _unkeyed_handle,
                 _unkeyed_member,
+                _cert_nodes_not_members,
             ],
         ),
     ],

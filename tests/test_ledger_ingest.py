@@ -330,6 +330,20 @@ def test_build_streams_rejects_non_member_cert():
     with pytest.raises(IntegrityError) as err:
         _ingest(records)
     assert "GHOST" in str(err.value)
+    assert str(err.value) == "line 2: certification involves non-member key 'GHOST'"
+
+    # the first offending cert is named by its line, its key cut short
+    records = [
+        IdentityRecord(0, "A", "a"),
+        TxRecord(1, "A", "W", 5),
+        CertRecord(2, "A", "A" + "x" * 100_000),
+        CertRecord(0, "Y", "A"),
+    ]
+    with pytest.raises(IntegrityError) as err:
+        _ingest(records)
+    message = str(err.value)
+    assert message.startswith("line 3: certification involves non-member key 'Axxx")
+    assert "..." in message and len(message) < 150
 
 
 def test_repartition_synthetic_quarters():

@@ -13,6 +13,7 @@ import random
 import pytest
 
 import oracles
+from oracles import graph_of
 from ls_ledger.graph_metrics import distance_distribution
 from ls_ledger.stream_core import InducedGraph, Link, LinkStream, build_stream, induced_graph
 from ls_ledger.temporal_metrics import neighborhood_overlaps
@@ -78,7 +79,7 @@ def test_distance_distribution_matches_per_pair_bfs():
     for trial in range(TRIALS):
         nodes = random_handles(rng, rng.randint(1, 16))
         edges = random_components(rng, nodes)
-        g = InducedGraph(nodes=frozenset(nodes), directed_edges=frozenset(edges))
+        g = graph_of(nodes, edges)
         pairs = random_pairs(rng, nodes)
         dist = distance_distribution(pairs, g)
         und = oracles.undirected_edge_set(edges)
@@ -92,17 +93,14 @@ def test_pair_distance_matches_bfs():
     for trial in range(TRIALS):
         nodes = random_handles(rng, rng.randint(1, 16))
         edges = random_components(rng, nodes)
-        g = InducedGraph(nodes=frozenset(nodes), directed_edges=frozenset(edges))
+        g = graph_of(nodes, edges)
         u, v = rng.choices(nodes, k=2)
         expected = oracles.bfs_from(nodes, oracles.undirected_edge_set(edges), u).get(v)
         assert pair_distance(g, u, v) == expected, (trial, u, v, edges)
 
 
 def test_distance_distribution_edge_cases():
-    path = InducedGraph(
-        nodes=frozenset({0, 3, 6, 9, 12}),
-        directed_edges=frozenset({(0, 3), (6, 3), (6, 9)}),
-    )
+    path = graph_of({0, 3, 6, 9, 12}, {(0, 3), (6, 3), (6, 9)})
     dist = distance_distribution([], path)
     assert dist.counts == {} and dist.unreachable == 0
 
@@ -111,7 +109,7 @@ def test_distance_distribution_edge_cases():
     dist = distance_distribution(pairs, path)
     assert dist.counts == {0: 2, 3: 2} and dist.unreachable == 1
 
-    single = InducedGraph(nodes=frozenset({7}), directed_edges=frozenset())
+    single = graph_of({7}, set())
     assert distance_distribution([(7, 7)], single).counts == {0: 1}
     assert pair_distance(single, 7, 7) == 0
 

@@ -1,9 +1,12 @@
 import random
+from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
 
-from oracles import links_of
+import oracles
+from oracles import edge_set, links_of
 from ls_ledger.errors import IntervalError, SelfLinkError
 from ls_ledger.fixtures import random_links
 from ls_ledger.stream_core import (
@@ -16,6 +19,7 @@ from ls_ledger.stream_core import (
     build_stream,
     induced_graph,
     rolling_sum,
+    stream_from_columns,
     substream_by_class,
 )
 
@@ -124,9 +128,9 @@ def test_stream_invariant_names_first_offending_link(t, src, dst, index):
 def test_induced_graph_example(sample_stream):
     s, table = sample_stream
     g = induced_graph(s)
-    assert len(g.directed_edges) == 9
+    assert len(g.directed_edges()) == 9
     label = lambda e: (table.key_of(e[0]), table.key_of(e[1]))
-    assert {label(e) for e in g.directed_edges} == {
+    assert {label(e) for e in g.directed_edges().tolist()} == {
         ("c", "b"), ("a", "d"), ("d", "a"), ("b", "a"), ("c", "d"),
         ("b", "d"), ("a", "b"), ("b", "c"), ("d", "c"),
     }
@@ -134,12 +138,12 @@ def test_induced_graph_example(sample_stream):
 
 def test_induced_graph_empty():
     s = build_stream([], interval=(0, 1))
-    assert induced_graph(s).directed_edges == frozenset()
+    assert edge_set(induced_graph(s).directed_edges()) == set()
 
 
 def test_induced_graph_deduplicates():
     s = build_stream([Link(1, 0, 1), Link(2, 0, 1), Link(3, 0, 1)])
-    assert induced_graph(s).directed_edges == {(0, 1)}
+    assert edge_set(induced_graph(s).directed_edges()) == {(0, 1)}
 
 
 def test_activity_example(sample_stream):
@@ -286,7 +290,61 @@ def test_induced_graph_idempotent_under_duplication():
     links = random_links(rng, 6, 25)
     g1 = induced_graph(build_stream(links))
     g2 = induced_graph(build_stream(links + [links[0]]))
-    assert g1.directed_edges == g2.directed_edges
+    assert edge_set(g1.directed_edges()) == edge_set(g2.directed_edges())
+
+
+def random_graph_stream(rng: random.Random) -> LinkStream:
+    """Links over dense, scattered or ~2^62 handles, some of them isolated:
+    none, one, a few or many (dense), with repeated and reciprocal pairs."""
+    n = rng.randint(1, 25)
+    style = rng.randrange(3)
+    if style == 0:
+        nodes = list(range(n))
+    elif style == 1:
+        nodes = rng.sample(range(50 * n), n)
+    else:
+        nodes = rng.sample(range(2**62, 2**62 + 2**40), n)
+    m = rng.choice((0, 1, rng.randint(2, 3 * n), rng.randint(2, 2 * n * n))) if n > 1 else 0
+    rows = []
+    for _ in range(m):
+        u, v = rng.sample(nodes, 2)
+        rows.append((rng.randint(0, 50), u, v))
+        if rng.random() < 0.2:
+            rows.append((rng.randint(0, 50), v, u))
+    t, src, dst = zip(*rows) if rows else ((), (), ())
+    return stream_from_columns(t, src, dst, interval=(0, 50), nodes=nodes)
+
+
+def test_induced_graph_is_a_view_of_the_pair_index():
+    rng = random.Random(2026)
+    seen = set()
+    for trial in range(600):
+        s = random_graph_stream(rng)
+        g, ref = induced_graph(s), oracles.induced_graph(s)
+        directed, undirected = g.directed_edges(), g.undirected_edges()
+        assert g.nodes is s.nodes
+        for rows in (directed, undirected):
+            assert rows.dtype == np.int64 and rows.shape == (len(rows), 2)
+        assert edge_set(directed) == ref.directed_edges
+        assert edge_set(undirected) == ref.undirected_edges()
+        # ascending rows, as rewired_samples needs them for its random draws
+        assert directed.tolist() == [list(e) for e in sorted(ref.directed_edges)]
+        assert undirected.tolist() == [list(e) for e in sorted(ref.undirected_edges())]
+
+        degree = Counter(chain.from_iterable(ref.undirected_edges()))
+        order = sorted(degree, key=lambda n: (degree[n], n))
+        assert list(g.degree.items()) == sorted(degree.items())
+        assert list(g.rank.items()) == [(n, i) for i, n in enumerate(order)]
+
+        seen.add(min(s.link_count, 2))
+        seen.add("isolated" if len(degree) < len(s.nodes) else "covered")
+        seen.add("reciprocal" if len(directed) > len(undirected) else "one-way")
+        seen.add("2^62" if s.link_count and s.src.min() >= 2**62 else "small")
+        seen.add("dense" if len(undirected) * 2 > len(s.nodes) ** 2 * 0.6 else "sparse")
+    assert seen == {
+        0, 1, 2, "isolated", "covered", "reciprocal", "one-way", "2^62", "small",
+        "dense", "sparse",
+    }
 
 
 def test_edge_count_bound_random():
@@ -295,4 +353,4 @@ def test_edge_count_bound_random():
         n = rng.randint(2, 8)
         s = build_stream(random_links(rng, n, rng.randint(1, 100)))
         g = induced_graph(s)
-        assert len(g.directed_edges) <= min(s.link_count, n * (n - 1))
+        assert len(g.directed_edges()) <= min(s.link_count, n * (n - 1))
