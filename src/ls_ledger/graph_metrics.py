@@ -1,9 +1,10 @@
 """Static analyses of induced graphs.
 
-Degrees are taken on the deduplicated directed edge set; clustering,
-triangles, distances, and the null model all work on the symmetrized
-(undirected) view. Per-pair link multiplicities are deliberately not
-handled here, they belong to the cross-stream interplay metrics.
+Degrees are taken on the deduplicated directed edge set; the rest works
+on the symmetrized (undirected) view. Clustering, triangle counts and
+null-model samples share one numpy triangle kernel over the node
+positions of the stream's pair index. Link multiplicities per pair belong
+to the cross-stream interplay metrics.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ import math
 import random
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import DegenerateModelError, UndefinedCorrelationError
-from .stream_core import InducedGraph
+from .stream_core import InducedGraph, _blocks, _expand
 
 
 @dataclass(frozen=True)
@@ -84,11 +86,14 @@ class ClusteringReport:
 def clustering(g: InducedGraph) -> ClusteringReport:
     """Local clustering coefficient of every node: edges among its
     neighbors, which are the triangles through it, divided by k*(k-1)/2."""
-    tri = _node_triangles(_forward_adjacency(g.undirected_edges().tolist(), g.rank))
+    p = g.stream.pairs
+    nodes = p.nodes.tolist()
+    tri = dict(zip(nodes, _node_triangles(*p.ranks, g.rank).tolist()))
+    degree = dict(zip(nodes, g.degree.tolist()))
     coeffs: dict[int, float] = {}
     active: list[float] = []
     for node in g.nodes:
-        k = g.degree.get(node, 0)
+        k = degree.get(node, 0)
         if k < 2:
             coeffs[node] = 0.0
             continue
@@ -106,48 +111,35 @@ def clustering(g: InducedGraph) -> ClusteringReport:
 
 def triangle_count(g: InducedGraph) -> int:
     """Number of unordered node triples mutually adjacent in the undirected view."""
-    return _triangle_total(_forward_adjacency(g.undirected_edges().tolist(), g.rank))
+    return int(_node_triangles(*g.stream.pairs.ranks, g.rank).sum()) // 3
 
 
-def _forward_adjacency(
-    edges: Iterable[tuple[int, int]], rank: Mapping[int, int]
-) -> dict[int, set[int]]:
-    """Out-neighbors of every ranked node, each undirected edge oriented
-    from its lower-ranked end to its higher (Schank & Wagner, WEA 2005;
-    Latapy, TCS 2008). Out-degrees are then at most sqrt(2m), so
-    intersecting out-neighbor sets along every edge costs O(m^1.5)."""
-    out: dict[int, set[int]] = {n: set() for n in rank}
-    for u, v in edges:
-        if rank[u] < rank[v]:
-            out[u].add(v)
-        else:
-            out[v].add(u)
-    return out
+def _node_triangles(a: np.ndarray, b: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """Triangles through every node of the simple graph with edges
+    ``(a[i], b[i])`` over the node positions that ``rank`` orders.
 
-
-def _node_triangles(out: Mapping[int, set[int]]) -> dict[int, int]:
-    """Triangles through every node of the oriented graph ``out``.
-
-    A triangle's lowest-ranked node u reaches the other two, v below w, and
-    v reaches w, so intersecting out(u) with out(v) over the oriented edges
-    (u, v) finds each triangle exactly once.
+    Each edge points up the rank (Schank & Wagner, WEA 2005; Latapy, TCS
+    2008), so a triangle is the one wedge x -> y -> z whose closing edge
+    x -> z exists, and with ranks in degree order the wedges number
+    O(m^1.5). The oriented edges, keyed ``x * n + y`` in rank space, are
+    sorted once; each node's out-edges are then contiguous, and the same
+    keys look up every closing edge. Wedges expand in ``_blocks``.
     """
-    tri = dict.fromkeys(out, 0)
-    for u, vs in out.items():
-        for v in vs:
-            common = vs & out[v]
-            if common:
-                c = len(common)
-                tri[u] += c
-                tri[v] += c
-                for w in common:
-                    tri[w] += 1
-    return tri
-
-
-def _triangle_total(out: Mapping[int, set[int]]) -> int:
-    """Triangle count of the oriented graph ``out``; see :func:`_node_triangles`."""
-    return sum(len(vs & out[v]) for vs in out.values() for v in vs)
+    n = len(rank)
+    ra, rb = rank[a], rank[b]
+    keys = np.sort(np.minimum(ra, rb) * n + np.maximum(ra, rb))
+    x, y = np.divmod(keys, n)
+    first = np.searchsorted(x, np.arange(n + 1))  # out-edges of r: first[r]:first[r + 1]
+    out_start, out_degree = first[y], first[y + 1] - first[y]
+    tri = np.zeros(n, dtype=np.int64)
+    for block in _blocks(out_degree):
+        owner, yz = _expand(out_start[block], out_degree[block])
+        xy = owner + block.start
+        closing = x[xy] * n + y[yz]
+        closed = keys[np.searchsorted(keys, closing).clip(max=len(keys) - 1)] == closing
+        xy, yz = xy[closed], yz[closed]
+        tri += np.bincount(np.concatenate((x[xy], y[xy], y[yz])), minlength=n)
+    return tri[rank]
 
 
 @dataclass(frozen=True)
@@ -168,20 +160,27 @@ def rewired_samples(g: InducedGraph, samples: int, seed: int):
     generator derived from (seed, i), which makes the sequence independent
     of evaluation order.
     """
+    nodes = g.stream.pairs.nodes
+    for ends in _rewired_ends(g, samples, seed):
+        yield [tuple(e) for e in nodes[ends].reshape(-1, 2).tolist()]
+
+
+def _rewired_ends(g: InducedGraph, samples: int, seed: int):
+    """The samples of :func:`rewired_samples` as positions in
+    ``g.stream.pairs.nodes``, flat: u0, v0, u1, v1, ... Positions order
+    the edges as their handles do, so the swaps draw alike on either."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    edges = g.undirected_edges().tolist()
+    edges = list(zip(*(r.tolist() for r in g.stream.pairs.ranks)))
     if len(edges) < 2:
-        raise DegenerateModelError(
-            f"need at least 2 undirected edges to rewire, got {len(edges)}"
-        )
+        raise DegenerateModelError(f"need at least 2 undirected edges to rewire, got {len(edges)}")
     for i in range(samples):
         rng = random.Random(seed * 1_000_003 + i)
         rewired = _double_edge_swap(edges, rng, attempts=10 * len(edges))
-        nodes, degrees = np.unique(rewired, return_counts=True)
-        if dict(zip(nodes.tolist(), degrees.tolist())) != g.degree:
+        ends = np.fromiter(chain.from_iterable(rewired), dtype=np.int64, count=2 * len(edges))
+        if not np.array_equal(np.bincount(ends, minlength=len(g.degree)), g.degree):
             raise AssertionError("rewiring changed the degree sequence")
-        yield rewired
+        yield ends
 
 
 def null_model_triangles(
@@ -192,10 +191,9 @@ def null_model_triangles(
     observed = triangle_count(g)
     # swaps keep every degree, so g's ranks orient each sample as well
     counts = [
-        _triangle_total(_forward_adjacency(rewired, g.rank))
-        for rewired in rewired_samples(g, samples, seed)
+        int(_node_triangles(ends[0::2], ends[1::2], g.rank).sum()) // 3
+        for ends in _rewired_ends(g, samples, seed)
     ]
-
     mean = sum(counts) / len(counts)
     var = sum((c - mean) ** 2 for c in counts) / len(counts)
     if mean > 0:

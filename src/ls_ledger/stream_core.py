@@ -238,17 +238,18 @@ class InducedGraph:
         return np.column_stack((p.u, p.v))
 
     @cached_property
-    def degree(self) -> dict[int, int]:
-        """Undirected degree of every node with an edge, by ascending id."""
+    def degree(self) -> np.ndarray:
+        """Undirected degree of every node with an edge, as an int64 array
+        over the positions of ``stream.pairs.nodes``."""
         p = self.stream.pairs
-        counts = np.bincount(np.concatenate(p.ranks), minlength=len(p.nodes))
-        return dict(zip(p.nodes.tolist(), counts.tolist()))
+        return np.bincount(np.concatenate(p.ranks), minlength=len(p.nodes))
 
     @cached_property
-    def rank(self) -> dict[int, int]:
-        """Position of every node with an edge in the order of (degree, id)."""
-        order = sorted(self.degree, key=self.degree.__getitem__)  # stable: ids ascend
-        return dict(zip(order, range(len(order))))
+    def rank(self) -> np.ndarray:
+        """Place of every node with an edge in the order of (degree, id), as
+        an int64 array over the positions of ``stream.pairs.nodes``."""
+        # the inverse of the stable order, in which ties keep ids ascending
+        return np.argsort(np.argsort(self.degree, kind="stable"))
 
     def undirected_adjacency(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {n: set() for n in self.nodes}
@@ -342,7 +343,7 @@ def activity(s: LinkStream, t: int) -> int:
     t0, t1 = s.interval
     if not t0 <= t <= t1:
         raise IntervalError(f"t={t} outside interval [{t0}, {t1}]")
-    lo, hi = np.searchsorted(s.t, [t, t + 1])
+    lo, hi = (np.searchsorted(s.t, t, side=side) for side in ("left", "right"))
     return len(set(zip(s.src[lo:hi].tolist(), s.dst[lo:hi].tolist())))
 
 
@@ -504,3 +505,26 @@ class PairIndex:
         if not len(self.times):
             return np.full(np.shape(pos), -1, dtype=np.int64)
         return np.where(pos >= 0, self.times[pos], -1)
+
+
+_BLOCK = 1 << 14  # rows per block of an expansion by _expand
+
+
+def _blocks(weights: np.ndarray):
+    """Slices of consecutive items whose weights sum to at most ``_BLOCK``,
+    or of one item where it alone weighs more."""
+    ends = np.cumsum(weights)
+    i = 0
+    while i < len(weights):
+        done = ends[i - 1] if i else 0
+        j = max(i + 1, int(np.searchsorted(ends, done + _BLOCK, side="right")))
+        yield slice(i, j)
+        i = j
+
+
+def _expand(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges ``starts[i]:starts[i] + counts[i]`` end to end: for each
+    element, its range i and its value."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    offset = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return owner, starts[owner] + offset

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stream_core import LinkStream
+from .stream_core import LinkStream, _blocks, _expand
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,6 @@ def neighborhood_overlaps(
             )
         )
     return results
-
-
-_BLOCK = 1 << 14  # rows per block of the 3-closure's 2-path expansion
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,23 +130,3 @@ def _three_closure(s: LinkStream) -> np.ndarray:
     closed = best >= 0
     lookback[idx.positions[closed]] = idx.times[closed] - best[closed]
     return lookback
-
-
-def _blocks(weights: np.ndarray):
-    """Slices of consecutive items whose weights sum to at most ``_BLOCK``,
-    or of one item where it alone weighs more."""
-    ends = np.cumsum(weights)
-    i = 0
-    while i < len(weights):
-        done = ends[i - 1] if i else 0
-        j = max(i + 1, int(np.searchsorted(ends, done + _BLOCK, side="right")))
-        yield slice(i, j)
-        i = j
-
-
-def _expand(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ranges ``starts[i]:starts[i] + counts[i]`` end to end: for each
-    element, its range i and its value."""
-    owner = np.repeat(np.arange(len(counts)), counts)
-    offset = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
-    return owner, starts[owner] + offset

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 
 def two_closure(events: list[tuple[int, int, int]], i: int) -> int | None:
@@ -164,6 +165,49 @@ def triangles_per_node(g) -> dict[int, int]:
                     out[v] += 1
                     out[w] += 1
     return out
+
+
+def forward_adjacency(edges) -> dict[int, set[int]]:
+    """Out-neighbors of every node with an edge, each undirected edge
+    oriented from its end lower in the order of (degree, id) to its higher
+    (Schank & Wagner, WEA 2005; Latapy, TCS 2008), which the numpy
+    ``graph_metrics._node_triangles`` replaced."""
+    edges = list(edges)
+    degree = Counter(chain.from_iterable(edges))
+    order = sorted(degree, key=lambda n: (degree[n], n))
+    rank = {n: i for i, n in enumerate(order)}
+    out: dict[int, set[int]] = {n: set() for n in order}
+    for u, v in edges:
+        if rank[u] < rank[v]:
+            out[u].add(v)
+        else:
+            out[v].add(u)
+    return out
+
+
+def node_triangles(out) -> dict[int, int]:
+    """Triangles through every node of the oriented graph ``out``.
+
+    A triangle's lowest-ranked node u reaches the other two, v below w, and
+    v reaches w, so intersecting out(u) with out(v) over the oriented edges
+    (u, v) finds each triangle exactly once.
+    """
+    tri = dict.fromkeys(out, 0)
+    for u, vs in out.items():
+        for v in vs:
+            common = vs & out[v]
+            if common:
+                c = len(common)
+                tri[u] += c
+                tri[v] += c
+                for w in common:
+                    tri[w] += 1
+    return tri
+
+
+def triangle_total(out) -> int:
+    """Triangle count of the oriented graph ``out``; see :func:`node_triangles`."""
+    return sum(len(vs & out[v]) for vs in out.values() for v in vs)
 
 
 def double_edge_swap(

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ls_ledger import temporal_metrics
+from ls_ledger import stream_core
 from ls_ledger.interplay import (
     classify_transactions,
     match_certifications,
@@ -129,10 +129,10 @@ def test_find_and_latest_equal_bisect(directed):
                 assert latest == (ts_pair[i - 1] if i else -1)
 
 
-@pytest.mark.parametrize("block", [1, 3, temporal_metrics._BLOCK])
+@pytest.mark.parametrize("block", [1, 3, stream_core._BLOCK])
 def test_closures_equal_reference(block, monkeypatch):
-    monkeypatch.setattr(temporal_metrics, "_BLOCK", block)
-    for cert, tx in CASES[:: 1 if block == temporal_metrics._BLOCK else 5]:
+    monkeypatch.setattr(stream_core, "_BLOCK", block)
+    for cert, tx in CASES[:: 1 if block == stream_core._BLOCK else 5]:
         for s in (cert, tx):
             for k in (2, 3):
                 dist = closure_distribution(s, k=k)

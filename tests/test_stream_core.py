@@ -157,6 +157,13 @@ def test_activity_counts_pairs_not_links():
     assert activity(s, 4) == 2
 
 
+def test_activity_at_the_last_int64_instant():
+    last = 2**63 - 1
+    s = build_stream([Link(last - 1, 0, 1), Link(last, 0, 1), Link(last, 2, 1)])
+    assert activity(s, last) == 2
+    assert activity(s, last - 1) == 1
+
+
 def test_activity_out_of_range(sample_stream):
     s, _ = sample_stream
     with pytest.raises(IntervalError):
@@ -333,8 +340,12 @@ def test_induced_graph_is_a_view_of_the_pair_index():
 
         degree = Counter(chain.from_iterable(ref.undirected_edges()))
         order = sorted(degree, key=lambda n: (degree[n], n))
-        assert list(g.degree.items()) == sorted(degree.items())
-        assert list(g.rank.items()) == [(n, i) for i, n in enumerate(order)]
+        place = {n: i for i, n in enumerate(order)}
+        nodes = g.stream.pairs.nodes.tolist()
+        assert nodes == sorted(degree)
+        assert g.degree.dtype == g.rank.dtype == np.int64
+        assert g.degree.tolist() == [degree[n] for n in nodes]
+        assert g.rank.tolist() == [place[n] for n in nodes]
 
         seen.add(min(s.link_count, 2))
         seen.add("isolated" if len(degree) < len(s.nodes) else "covered")

@@ -15,7 +15,7 @@ import pytest
 
 import oracles
 from oracles import graph_of
-from ls_ledger import graph_metrics
+from ls_ledger import graph_metrics, stream_core
 from ls_ledger.graph_metrics import (
     clustering,
     null_model_triangles,
@@ -26,11 +26,19 @@ from ls_ledger.stream_core import InducedGraph
 
 
 def triangles_per_node(g: InducedGraph) -> dict[int, int]:
-    """Triangles through every node, in ``g.nodes`` order, from the forward
-    kernel that ``clustering`` reads."""
-    edges = g.undirected_edges().tolist()
+    """Triangles through every node, in ``g.nodes`` order, from the
+    dict-of-sets forward kernel in ``oracles``."""
     out = dict.fromkeys(g.nodes, 0)
-    out.update(graph_metrics._node_triangles(graph_metrics._forward_adjacency(edges, g.rank)))
+    out.update(oracles.node_triangles(oracles.forward_adjacency(g.undirected_edges().tolist())))
+    return out
+
+
+def kernel_triangles(g: InducedGraph) -> dict[int, int]:
+    """Triangles through every node, in ``g.nodes`` order, from the numpy
+    kernel that ``clustering`` reads."""
+    p = g.stream.pairs
+    out = dict.fromkeys(g.nodes, 0)
+    out.update(zip(p.nodes.tolist(), graph_metrics._node_triangles(*p.ranks, g.rank).tolist()))
     return out
 
 
@@ -129,6 +137,7 @@ def test_triangle_counts_equal_references(name):
     g = GRAPHS[name]
     expected = oracles.triangles_per_node(g)
     assert list(triangles_per_node(g).items()) == list(expected.items())
+    assert list(kernel_triangles(g).items()) == list(expected.items())
     assert triangle_count(g) == oracles.triangles_in_adjacency(g.undirected_adjacency())
     assert triangle_count(g) == sum(expected.values()) // 3
 
@@ -137,9 +146,10 @@ def test_triangle_counts_equal_enumeration():
     for name, g in shaped_graphs().items():
         und = oracles.undirected_edge_set(g.directed_edges().tolist())
         assert triangle_count(g) == oracles.triangle_count(g.nodes, und), name
-        per_node = triangles_per_node(g)
+        per_node, kernel = triangles_per_node(g), kernel_triangles(g)
         for node in g.nodes:
             assert per_node[node] == oracles.triangles_through(node, g.nodes, und), name
+            assert kernel[node] == per_node[node], name
 
 
 NULL_GRAPHS = sorted(
@@ -157,11 +167,79 @@ def test_null_model_samples_equal_reference_counts(name):
 
 
 def test_null_model_on_hubs_and_scattered_handles():
-    for name in ("hub_with_cliques_x977", "scattered_hub", "two_hubs", "components_reversed"):
-        g = GRAPHS[name]
+    names = ("hub_with_cliques_x977", "scattered_hub", "two_hubs", "components_reversed")
+    graphs = {name: GRAPHS[name] for name in names}
+    graphs["components_2^62"] = relabel(GRAPHS["components"], lambda n: 2**62 + 977 * n)
+    for name, g in graphs.items():
         result = null_model_triangles(g, samples=4, seed=5)
         expected = [
             oracles.triangles_in_edges(r, g.nodes) for r in rewired_samples(g, 4, 5)
         ]
         assert list(result.samples) == expected, name
         assert any(expected), name  # the samples keep some triangles to count
+
+
+def property_graphs() -> dict[str, InducedGraph]:
+    """Empty, one edge, triangle-free, complete, isolated nodes, handles
+    near 2^62, dense and sparse random graphs."""
+    rng = random.Random(2027)
+    graphs = {
+        "no_nodes": graph_of((), set()),
+        "empty": graph_of(range(6), set()),
+        "one_edge": graph_of((), {(0, 1)}),
+        "star": graph_of((), star(0, range(1, 12))),
+        "even_cycle": graph_of((), cycle(range(10))),
+        "complete_bipartite": graph_of((), {(u, v) for u in range(4) for v in range(4, 9)}),
+        "isolated_nodes": graph_of(range(20), clique(range(3, 7)) | {(10, 11), (11, 12)}),
+    }
+    for k in range(2, 9):
+        graphs[f"K{k}"] = graph_of((), clique(range(k)))
+    for trial in range(20):
+        n = rng.randint(2, 24)
+        graphs[f"dense{trial}"] = random_graph(rng, n, rng.uniform(0.5, 0.9))
+        graphs[f"sparse{trial}"] = random_graph(rng, n, rng.uniform(0.02, 0.12))
+    for name in ("isolated_nodes", "K6", "dense0", "sparse1"):
+        graphs[f"{name}_2^62"] = relabel(graphs[name], lambda n: 2**62 + 977 * n)
+    return graphs
+
+
+PROPERTY_GRAPHS = property_graphs()
+TRIANGLE_FREE = ("no_nodes", "empty", "one_edge", "star", "even_cycle", "complete_bipartite")
+
+
+@pytest.mark.parametrize("block", [1, 3, stream_core._BLOCK])
+def test_kernel_equals_oracle_kernel(block, monkeypatch):
+    monkeypatch.setattr(stream_core, "_BLOCK", block)
+    for name, g in PROPERTY_GRAPHS.items():
+        und = oracles.undirected_edge_set(g.directed_edges().tolist())
+        out = oracles.forward_adjacency(und)
+        expected = dict.fromkeys(g.nodes, 0)
+        expected.update(oracles.node_triangles(out))
+        got = kernel_triangles(g)
+        assert list(got.items()) == list(expected.items()), name
+        for node in g.nodes:
+            assert got[node] == oracles.triangles_through(node, g.nodes, und), name
+        total = oracles.triangle_count(g.nodes, und)
+        assert total == oracles.triangle_total(out) == sum(got.values()) // 3, name
+        assert triangle_count(g) == clustering(g).triangles == total, name
+        if name in TRIANGLE_FREE:
+            assert total == 0, name
+        if name.startswith("K"):
+            k = len(g.nodes)
+            assert total == k * (k - 1) * (k - 2) // 6, name
+
+
+@pytest.mark.parametrize("target", ["another node", "a node outside the graph"])
+def test_rewiring_that_moves_an_endpoint_is_rejected(target, monkeypatch):
+    g = graph_of((), cycle(range(6)) | {(0, 3)})
+    assert len(list(rewired_samples(g, 2, 1))) == 2
+    swap = graph_metrics._double_edge_swap
+
+    def moved(edges, rng, attempts):
+        (u, v), *rest = swap(edges, rng, attempts)
+        w = next(n for n in range(6) if n not in (u, v)) if target == "another node" else 99
+        return [(u, w), *rest]
+
+    monkeypatch.setattr(graph_metrics, "_double_edge_swap", moved)
+    with pytest.raises(AssertionError, match="changed the degree"):
+        next(rewired_samples(g, 2, 1))
