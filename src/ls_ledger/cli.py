@@ -5,6 +5,10 @@ Every output is UTF-8 CSV with comma separators. Each file starts with
 knobs that influenced it (seed included), followed by one header row.
 Given the same input and configuration, reruns produce byte-identical
 output directories.
+
+Each stage runs as its own process, so a command imports its metric
+module itself and calls through it: a process loads only the metric code
+its stage runs.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from pathlib import Path
 
 import click
 
-from . import graph_metrics, interplay, ledger_ingest, snapshot, stream_core, temporal_metrics
+from . import snapshot, stream_core
 from .atomic import atomic_file
 from .errors import LedgerError
 
@@ -80,8 +84,10 @@ def _comments(command: str, cfg: RunConfig, *extra: str) -> list[str]:
 
 
 def cmd_ingest(cfg: RunConfig) -> None:
-    """Parse the ledger, build streams and substreams, persist the snapshot,
-    and export the substream repartitions."""
+    """Parse the ledger, build the streams, persist the snapshot, and
+    export the substream repartitions."""
+    from . import ledger_ingest
+
     # bytes that are not UTF-8 become lone surrogates, which the parser
     # rejects with their line number
     with open(cfg.input_path, "r", encoding="utf-8", errors="surrogateescape") as fh:
@@ -112,6 +118,8 @@ def cmd_ingest(cfg: RunConfig) -> None:
 
 def _write_repartition(cfg: RunConfig, fname: str, tx, cls, *extra: str) -> None:
     """Counts and amounts of the transaction stream ``tx`` per substream."""
+    from . import ledger_ingest
+
     report = ledger_ingest.repartition(tx, cls)
     _write_csv(
         cfg.out_dir / fname,
@@ -127,6 +135,8 @@ def _write_repartition(cfg: RunConfig, fname: str, tx, cls, *extra: str) -> None
 def cmd_overview(cfg: RunConfig) -> None:
     """Activity series and rolling sums of the certification and member
     transaction streams, their correlation, and degree reports."""
+    from . import graph_metrics
+
     bundle = snapshot.load_bundle(cfg.out_dir)
     cert, tx_mm = bundle.cert, bundle.tx_mm
     keys = bundle.table.keys()
@@ -222,9 +232,11 @@ def _degree_pairings(cert_rep, txmm_rep):
 def cmd_graph(cfg: RunConfig) -> None:
     """Clustering, triangles with their null-model comparison, and the
     certification distances of transacting-but-uncertified pairs."""
+    from . import graph_metrics
+
     bundle = snapshot.load_bundle(cfg.out_dir)
     keys = bundle.table.keys()
-    streams = {"cert": bundle.cert, "txmm": bundle.tx_mm, "txaa": bundle.substreams["AA"]}
+    streams = {"cert": bundle.cert, "txmm": bundle.tx_mm, "txaa": bundle.substream("AA")}
     graphs = {name: stream_core.induced_graph(s) for name, s in streams.items()}
 
     for name, g in graphs.items():
@@ -288,6 +300,8 @@ def cmd_graph(cfg: RunConfig) -> None:
 def cmd_closures(cfg: RunConfig) -> None:
     """2- and 3-closure of every link, for the certification stream and the
     member transaction stream."""
+    from . import temporal_metrics
+
     bundle = snapshot.load_bundle(cfg.out_dir)
     keys = bundle.table.keys()
     for name, stream in (("", bundle.cert), ("_txmm", bundle.tx_mm)):
@@ -314,6 +328,8 @@ def cmd_closures(cfg: RunConfig) -> None:
 def cmd_match(cfg: RunConfig) -> None:
     """Certification/transaction time matching, per-transaction
     certification classes, and first-transaction delays."""
+    from . import interplay
+
     bundle = snapshot.load_bundle(cfg.out_dir)
     cert, tx_mm = bundle.cert, bundle.tx_mm
     keys = bundle.table.keys()
@@ -399,6 +415,8 @@ def cmd_match(cfg: RunConfig) -> None:
 def cmd_relations(cfg: RunConfig) -> None:
     """Relation-set ratio table and the certification fraction by
     transaction count."""
+    from . import interplay
+
     bundle = snapshot.load_bundle(cfg.out_dir)
     cert_rel = interplay.relation_sets(bundle.cert)
     tx_rel = interplay.relation_sets(bundle.tx_mm)
@@ -429,6 +447,8 @@ def cmd_relations(cfg: RunConfig) -> None:
 def cmd_neighborhoods(cfg: RunConfig) -> None:
     """Aggregated neighborhoods per stream and the inclusion of transaction
     neighborhoods within certification neighborhoods."""
+    from . import temporal_metrics
+
     bundle = snapshot.load_bundle(cfg.out_dir)
     adj = {
         "cert": stream_core.induced_graph(bundle.cert).undirected_adjacency(),

@@ -307,9 +307,11 @@ def distance_distribution(
     the pairs at that distance. The search stops once every pair is found
     or a level reaches nothing new; pairs never found are unreachable.
     Duplicate pairs count once; (u, v) and (v, u) count separately. The
-    masks take n * S bits for n nodes and S distinct sources. Intended for
-    the pairs that transact without a certification, measured in the
-    undirected certification graph.
+    masks take n * S bits for n nodes and S distinct sources. Nodes are
+    numbered by their place in ascending handle order, and each node's
+    neighbors are one slice of a CSR array built from the rows of the
+    stream's pair index. Intended for the pairs that transact without a
+    certification, measured in the undirected certification graph.
     """
     pair_set = set()
     for u, v in pairs:
@@ -317,16 +319,19 @@ def distance_distribution(
             missing = u if u not in g.nodes else v
             raise KeyError(f"node {missing} not in graph")
         pair_set.add((u, v))
-    bit = {s: 1 << i for i, s in enumerate(sorted({u for u, _ in pair_set}))}
-    want = dict.fromkeys(g.nodes, 0)
+    nodes = np.fromiter(sorted(g.nodes), dtype=np.int64, count=len(g.nodes))
+    place = dict(zip(nodes.tolist(), range(len(nodes))))
+    bit = {place[s]: 1 << i for i, s in enumerate(sorted({u for u, _ in pair_set}))}
+    want = [0] * len(nodes)
     for u, v in pair_set:
-        want[v] |= bit[u]
-    adj = g.undirected_adjacency()
+        want[place[v]] |= bit[place[u]]
+    offsets, neighbors = _neighbor_slices(g, nodes)
 
     counts: dict[int, int] = {}
     frontier = dict(bit)  # node -> source bits first reached there this level
-    reach = dict.fromkeys(g.nodes, 0)
-    reach.update(bit)
+    reach = [0] * len(nodes)
+    for v, b in bit.items():
+        reach[v] = b
     remaining = len(pair_set)
     d = 0
     while frontier:
@@ -344,7 +349,7 @@ def distance_distribution(
         d += 1
         offered: dict[int, int] = {}
         for v, new in frontier.items():
-            for u in adj[v]:
+            for u in neighbors[offsets[v] : offsets[v + 1]]:
                 offered[u] = offered.get(u, 0) | new
         frontier = {}
         for u, bits in offered.items():
@@ -353,3 +358,15 @@ def distance_distribution(
                 reach[u] |= new
                 frontier[u] = new
     return DistanceDistribution(counts=counts, unreachable=remaining)
+
+
+def _neighbor_slices(g: InducedGraph, nodes: np.ndarray) -> tuple[list[int], list[int]]:
+    """CSR form of the undirected graph over the places of ``nodes``, the
+    sorted graph nodes: the neighbors of place i are
+    ``neighbors[offsets[i]:offsets[i + 1]]``."""
+    p = g.stream.pairs
+    a, b = np.searchsorted(nodes, p.u), np.searchsorted(nodes, p.v)
+    ends, others = np.concatenate((a, b)), np.concatenate((b, a))
+    order = np.argsort(ends, kind="stable")
+    offsets = np.searchsorted(ends[order], np.arange(len(nodes) + 1))
+    return offsets.tolist(), others[order].tolist()

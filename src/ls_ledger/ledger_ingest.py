@@ -28,21 +28,15 @@ from itertools import chain
 
 from .errors import IntegrityError, ParseError
 from .stream_core import (
+    SUBSTREAM_CLASSES,
+    SUBSTREAM_LABELS,
     LinkStream,
-    NodeClass,
     NodeClassification,
     NodeTable,
     class_mask,
     node_mask,
     stream_from_columns,
 )
-
-SUBSTREAM_LABELS = ("MM", "MA", "AM", "AA")
-# label -> (source class, target class)
-SUBSTREAM_CLASSES = {
-    label: tuple(NodeClass.MEMBER if c == "M" else NodeClass.ANONYMOUS for c in label)
-    for label in SUBSTREAM_LABELS
-}
 
 # a key must not split a CSV row or a "src|dst" pair label, nor read as a
 # "#" comment line; base58 keys never match

@@ -3,8 +3,10 @@
 The snapshot is a zip of .npy arrays (readable with ``numpy.load``) holding
 the columns of the certification and transaction streams, the key table,
 the member partition, and the link indices of the four class substreams.
-Loading derives the substreams from the transaction stream and the
-partition again, so it reads no ``sub_*`` array. Zip entries get a fixed
+Loading checks every array, then leaves the substreams unbuilt: a bundle
+derives each one from the transaction stream and the partition on its
+first read, so loading reads no ``sub_*`` array and a command builds only
+the substreams it reads. Zip entries get a fixed
 timestamp so identical data produces identical bytes, which the CLI's
 determinism guarantee relies on.
 """
@@ -14,15 +16,15 @@ from __future__ import annotations
 import io
 import zipfile
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .atomic import atomic_file
 from .errors import StateError
-from .ledger_ingest import SUBSTREAM_CLASSES
 from .stream_core import (
+    SUBSTREAM_CLASSES,
     LinkStream,
     NodeClassification,
     NodeTable,
@@ -37,17 +39,31 @@ _EPOCH = (1980, 1, 1, 0, 0, 0)  # fixed zip timestamp for byte-stable output
 @dataclass(frozen=True)
 class StreamBundle:
     """Everything downstream commands need: key table, partition, the two
-    streams, and the four transaction substreams."""
+    streams, and the four transaction substreams, each built on first read."""
 
     table: NodeTable
     cls: NodeClassification
     cert: LinkStream
     tx: LinkStream
-    substreams: dict[str, LinkStream]  # keyed by MM / MA / AM / AA
+    _built: dict[str, LinkStream] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def substream(self, label: str) -> LinkStream:
+        """The transaction substream ``label`` (MM / MA / AM / AA); later
+        reads return the same object."""
+        if label not in self._built:
+            self._built[label] = substream_by_class(self.tx, self.cls, *SUBSTREAM_CLASSES[label])
+        return self._built[label]
 
     @property
     def tx_mm(self) -> LinkStream:
-        return self.substreams["MM"]
+        return self.substream("MM")
+
+    @property
+    def substreams(self) -> dict[str, LinkStream]:
+        """All four substreams, keyed by MM / MA / AM / AA."""
+        return {label: self.substream(label) for label in SUBSTREAM_CLASSES}
 
 
 def build_bundle(
@@ -56,11 +72,8 @@ def build_bundle(
     cert: LinkStream,
     tx: LinkStream,
 ) -> StreamBundle:
-    subs = {
-        label: substream_by_class(tx, cls, *classes)
-        for label, classes in SUBSTREAM_CLASSES.items()
-    }
-    return StreamBundle(table=table, cls=cls, cert=cert, tx=tx, substreams=subs)
+    cls.require_covers(tx.nodes)  # what a substream build checks, checked at load
+    return StreamBundle(table=table, cls=cls, cert=cert, tx=tx)
 
 
 def save_bundle(out_dir: str | Path, bundle: StreamBundle) -> Path:

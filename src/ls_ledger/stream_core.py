@@ -180,6 +180,14 @@ class NodeClass(enum.Enum):
     ANONYMOUS = "anonymous"
 
 
+SUBSTREAM_LABELS = ("MM", "MA", "AM", "AA")
+# label -> (source class, target class)
+SUBSTREAM_CLASSES = {
+    label: tuple(NodeClass.MEMBER if c == "M" else NodeClass.ANONYMOUS for c in label)
+    for label in SUBSTREAM_LABELS
+}
+
+
 @dataclass(frozen=True)
 class NodeClassification:
     """Partition of node handles into identified members and anonymous wallets.

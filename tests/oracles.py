@@ -356,6 +356,46 @@ def distance_distribution(
     return dict(sorted(counts.items())), unreachable
 
 
+def multi_source_distances(pairs, g) -> tuple[dict[int, int], int]:
+    """(distance -> count, unreachable) by the bit-parallel multi-source BFS
+    over the dict-of-sets ``g.undirected_adjacency()``, one bit per distinct
+    source, which the CSR neighbor slices of
+    ``graph_metrics.distance_distribution`` replaced."""
+    pair_set = set(map(tuple, pairs))
+    bit = {s: 1 << i for i, s in enumerate(sorted({u for u, _ in pair_set}))}
+    want = dict.fromkeys(g.nodes, 0)
+    for u, v in pair_set:
+        want[v] |= bit[u]
+    adj = g.undirected_adjacency()
+    counts: dict[int, int] = {}
+    frontier = dict(bit)
+    reach = dict.fromkeys(g.nodes, 0)
+    reach.update(bit)
+    remaining = len(pair_set)
+    d = 0
+    while frontier and remaining:
+        found = 0
+        for v, new in frontier.items():
+            hit = new & want[v]
+            want[v] ^= hit
+            found += hit.bit_count()
+        if found:
+            counts[d] = found
+            remaining -= found
+        d += 1
+        offered: dict[int, int] = {}
+        for v, new in frontier.items():
+            for u in adj[v]:
+                offered[u] = offered.get(u, 0) | new
+        frontier = {}
+        for u, bits in offered.items():
+            new = bits & ~reach[u]
+            if new:
+                reach[u] |= new
+                frontier[u] = new
+    return counts, remaining
+
+
 # Per-pair time lookups as dicts of sorted time lists, queried with bisect
 # link by link: the kernels that ``stream_core.PairIndex`` replaced.
 

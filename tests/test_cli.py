@@ -13,7 +13,7 @@ from ls_ledger.errors import StateError
 from ls_ledger.fixtures import example_records, write_records
 from ls_ledger.ledger_ingest import CertRecord, IdentityRecord, TxRecord, format_record
 from ls_ledger.snapshot import load_bundle
-from ls_ledger.stream_core import InducedGraph
+from ls_ledger.stream_core import SUBSTREAM_CLASSES, InducedGraph
 
 ALL_COMMANDS = ("overview", "graph", "closures", "match", "relations", "neighborhoods")
 
@@ -82,6 +82,35 @@ def test_load_derives_substreams_without_sub_arrays(ledger_file, tmp_path):
         return {k: [c.tolist() for c in (s.t, s.src, s.dst, s.amount)] for k, s in subs.items()}
 
     assert columns(after) == columns(before)
+
+
+def test_substreams_are_built_on_first_read(ledger_file, tmp_path, monkeypatch):
+    build = snapshot.substream_by_class
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2:])
+        return build(*args)
+
+    monkeypatch.setattr(snapshot, "substream_by_class", counted)
+    out = tmp_path / "o"
+    result = CliRunner().invoke(main, ["ingest", "--input", str(ledger_file), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    bundle = load_bundle(out)
+    assert calls == []
+
+    mm = bundle.tx_mm
+    assert bundle.tx_mm is mm
+    assert calls == [SUBSTREAM_CLASSES["MM"]]
+    subs = bundle.substreams
+    assert len(calls) == 4 and subs["MM"] is mm
+    assert list(subs) == ["MM", "MA", "AM", "AA"]
+    for label, classes in SUBSTREAM_CLASSES.items():
+        eager, lazy = build(bundle.tx, bundle.cls, *classes), subs[label]
+        assert (lazy.interval, lazy.nodes) == (eager.interval, eager.nodes), label
+        for column in ("t", "src", "dst", "amount"):
+            assert getattr(lazy, column).tolist() == getattr(eager, column).tolist(), label
+    assert len(calls) == 4
 
 
 def test_closures_file_contains_pinned_row(ledger_file, tmp_path):

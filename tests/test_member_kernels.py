@@ -88,6 +88,20 @@ def test_distance_distribution_matches_per_pair_bfs():
         assert list(dist.counts) == sorted(dist.counts)
 
 
+def test_distance_distribution_matches_dict_multi_source_bfs():
+    # graphs too large for one BFS per pair, against the same bit-parallel
+    # search over a dict-of-sets adjacency
+    rng = random.Random(303)
+    for trial in range(60):
+        nodes = random_handles(rng, rng.randint(1, 300))
+        edges = random_components(rng, nodes)
+        g = graph_of(nodes, edges)
+        pairs = random_pairs(rng, nodes)
+        dist = distance_distribution(pairs, g)
+        expected = oracles.multi_source_distances(pairs, g)
+        assert (dist.counts, dist.unreachable) == expected, trial
+
+
 def test_pair_distance_matches_bfs():
     rng = random.Random(302)
     for trial in range(TRIALS):
