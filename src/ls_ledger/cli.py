@@ -8,12 +8,19 @@ output directories.
 
 Each stage runs as its own process, so a command imports its metric
 module itself and calls through it: a process loads only the metric code
-its stage runs.
+its stage runs. :func:`run` is that process's entry point.
 """
 
-from __future__ import annotations
+import gc
 
-import sys
+if __name__ == "__main__":
+    # a stage process keeps what its imports build until it exits, so the
+    # cyclic collector has nothing to free while they load; run() freezes
+    # it all and turns collection back on. Only the builtin gc is imported
+    # above this line (no __future__ import either), so every module loads
+    # with collection off.
+    gc.disable()
+
 from dataclasses import dataclass, replace
 from itertools import starmap
 from pathlib import Path
@@ -501,7 +508,9 @@ def _common_options(fn):
     fn = click.option("--window", default=DEFAULT_WINDOW, show_default=True, help="Rolling window (s).")(fn)
     fn = click.option("--bin", "bin_width", default=DEFAULT_BIN, show_default=True, help="Bin width (s).")(fn)
     fn = click.option("--samples", default=DEFAULT_SAMPLES, show_default=True, help="Null-model samples.")(fn)
-    fn = click.option("--seed", default=0, show_default=True, help="Null-model seed.")(fn)
+    fn = click.option(
+        "--seed", default=0, show_default=True, type=click.IntRange(min=0), help="Null-model seed."
+    )(fn)
     fn = click.option(
         "--ordered-pairs",
         is_flag=True,
@@ -587,5 +596,20 @@ _metric_command("relations", cmd_relations, "Relation-set ratios and fraction by
 _metric_command("neighborhoods", cmd_neighborhoods, "Neighborhoods and overlap.")
 
 
+def run():
+    """The ``ls-ledger`` process: :func:`main` with every object that
+    exists before it runs (the imports' modules, functions and constants)
+    moved out of the collector's reach. Later collections and interpreter
+    exit then skip them; ``main()`` called in-process keeps the default
+    collector."""
+    gc.freeze()
+    gc.enable()
+    try:
+        main()
+    finally:
+        # the stage's own objects too, so exit does not walk them
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -158,7 +158,8 @@ def rewired_samples(g: InducedGraph, samples: int, seed: int):
     that would create a self-loop or duplicate edge are skipped, so rigid
     graphs such as complete graphs come back intact. Sample i uses its own
     generator derived from (seed, i), which makes the sequence independent
-    of evaluation order.
+    of evaluation order. ``seed`` must be >= 0: ``random.Random`` seeds by
+    absolute value, so a negative seed would repeat another seed's samples.
     """
     nodes = g.stream.pairs.nodes
     for ends in _rewired_ends(g, samples, seed):
@@ -171,6 +172,8 @@ def _rewired_ends(g: InducedGraph, samples: int, seed: int):
     the edges as their handles do, so the swaps draw alike on either."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     edges = list(zip(*(r.tolist() for r in g.stream.pairs.ranks)))
     if len(edges) < 2:
         raise DegenerateModelError(f"need at least 2 undirected edges to rewire, got {len(edges)}")

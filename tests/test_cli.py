@@ -451,6 +451,19 @@ def test_metric_commands_reject_ingest_options(tmp_path, command, option):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["ingest", *ALL_COMMANDS])
+def test_negative_seed_is_usage_error(ledger_file, tmp_path, command):
+    # random.Random(-1) draws what random.Random(1) draws, so --seed -1
+    # would repeat --seed 1's null-model samples under another label
+    args = ["--input", str(ledger_file)] if command == "ingest" else []
+    result = CliRunner().invoke(
+        main, [command, *args, "--out", str(tmp_path / "o"), "--seed", "-1"]
+    )
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--seed'" in result.output
+    assert not (tmp_path / "o").exists()
+
+
 def test_overview_correlation_of_identical_streams(ledger_file, tmp_path):
     # the example ledger mirrors certifications and member transactions, so
     # with per-second bins the two rolling activity series coincide

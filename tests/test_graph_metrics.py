@@ -14,6 +14,7 @@ from ls_ledger.graph_metrics import (
     degree_report,
     distance_distribution,
     null_model_triangles,
+    rewired_samples,
     triangle_count,
 )
 from ls_ledger.stream_core import induced_graph
@@ -169,6 +170,17 @@ def test_null_model_complete_graph_ratio_one():
 def test_null_model_degenerate():
     with pytest.raises(DegenerateModelError):
         null_model_triangles(graph_of((), {(0, 1)}), samples=2, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, -42])
+def test_null_model_rejects_negative_seed(seed):
+    # random.Random(-x) is random.Random(x), so seed -1 would give seed 1's
+    # sample 0
+    g = random_graph(random.Random(14), 12, 0.3)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        null_model_triangles(g, samples=2, seed=seed)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        list(rewired_samples(g, samples=2, seed=seed))
 
 
 def test_null_model_sample_mean_and_std():

@@ -4,6 +4,8 @@ Every CLI stage is its own process, so a metric module imported at the top
 of ``cli`` would be paid for by every stage. Each case runs one command in
 a fresh interpreter, the way ``ls-ledger`` does, and compares the
 ``ls_ledger`` submodules loaded at its end with the exact set expected.
+The package itself, which ``python -m ls_ledger.cli`` imports before
+``cli``, loads its names on first use.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from pathlib import Path
 
 import pytest
 
+import ls_ledger
+from ls_ledger import stream_core
 from ls_ledger.fixtures import example_records, write_records
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -65,6 +69,27 @@ def ingested(tmp_path_factory) -> tuple[Path, set[str]]:
     write_records(ledger, example_records())
     out = tmp / "out"
     return out, loaded_modules(["ingest", "--input", str(ledger), "--out", str(out)])
+
+
+def test_bare_package_import_loads_no_submodule_and_no_numpy():
+    # python -m ls_ledger.cli imports the package before cli.py runs, so
+    # this is what loads ahead of cli's first line
+    code = "import json, sys, ls_ledger; print(json.dumps(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    loaded = json.loads(proc.stdout)
+    assert [m for m in loaded if m.startswith("ls_ledger")] == ["ls_ledger"]
+    assert "numpy" not in loaded and "click" not in loaded
+
+
+def test_package_names_resolve_on_first_use():
+    for name in ls_ledger.__all__:
+        assert getattr(ls_ledger, name) is getattr(stream_core, name), name
+    from ls_ledger import Link, build_stream
+
+    assert build_stream([Link(0, 0, 1)]).link_count == 1
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ls_ledger.no_such_name
 
 
 def test_help_loads_no_metric_module():
