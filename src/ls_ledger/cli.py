@@ -22,7 +22,7 @@ if __name__ == "__main__":
     gc.disable()
 
 from dataclasses import dataclass, replace
-from itertools import starmap
+from itertools import chain, repeat, starmap
 from pathlib import Path
 
 import click
@@ -457,20 +457,21 @@ def cmd_neighborhoods(cfg: RunConfig) -> None:
     from . import temporal_metrics
 
     bundle = snapshot.load_bundle(cfg.out_dir)
-    adj = {
-        "cert": stream_core.induced_graph(bundle.cert).undirected_adjacency(),
-        "txmm": stream_core.induced_graph(bundle.tx_mm).undirected_adjacency(),
-    }
+    streams = {"cert": bundle.cert, "txmm": bundle.tx_mm}
+    graphs = {name: stream_core.induced_graph(s) for name, s in streams.items()}
     keys = bundle.table.keys()
     _write_csv(
         cfg.out_dir / "neighborhoods.csv",
         _comments("neighborhoods", cfg),
         "node,stream,neighbor",
-        (
-            (keys[node], name, keys[nbr])
-            for name, nbrs_of in adj.items()
-            for node in sorted(nbrs_of)
-            for nbr in sorted(nbrs_of[node])
+        # the CSR slices: nodes ascending, each node's neighbors ascending
+        chain.from_iterable(
+            zip(
+                _keys(keys, g.sorted_nodes.repeat(g.degree)),
+                repeat(name),
+                _keys(keys, g.sorted_nodes[g.neighbors[1]]),
+            )
+            for name, g in graphs.items()
         ),
     )
     _write_csv(
@@ -479,7 +480,7 @@ def cmd_neighborhoods(cfg: RunConfig) -> None:
         "node,inclusion,jaccard",
         (
             (keys[res.node], _fmt(res.inclusion), _fmt(res.jaccard))
-            for res in temporal_metrics.neighborhood_overlaps(adj["cert"], adj["txmm"])
+            for res in temporal_metrics.neighborhood_overlaps(graphs["cert"], graphs["txmm"])
         ),
     )
 

@@ -1,10 +1,11 @@
 """Static analyses of induced graphs.
 
 Degrees are taken on the deduplicated directed edge set; the rest works
-on the symmetrized (undirected) view. Clustering, triangle counts and
-null-model samples share one numpy triangle kernel over the node
-positions of the stream's pair index. Link multiplicities per pair belong
-to the cross-stream interplay metrics.
+on the symmetrized (undirected) view, through the arrays that
+``InducedGraph`` caches over node places. Clustering, triangle counts and
+null-model samples share one numpy triangle kernel over the edge ends;
+distances read the CSR neighbor slices. Link multiplicities per pair
+belong to the cross-stream interplay metrics.
 """
 
 from __future__ import annotations
@@ -86,18 +87,14 @@ class ClusteringReport:
 def clustering(g: InducedGraph) -> ClusteringReport:
     """Local clustering coefficient of every node: edges among its
     neighbors, which are the triangles through it, divided by k*(k-1)/2."""
-    p = g.stream.pairs
-    nodes = p.nodes.tolist()
-    tri = dict(zip(nodes, _node_triangles(*p.ranks, g.rank).tolist()))
-    degree = dict(zip(nodes, g.degree.tolist()))
+    tri = _node_triangles(*g.ends, g.rank).tolist()
     coeffs: dict[int, float] = {}
     active: list[float] = []
-    for node in g.nodes:
-        k = degree.get(node, 0)
+    for node, k, t in zip(g.sorted_nodes.tolist(), g.degree.tolist(), tri):
         if k < 2:
             coeffs[node] = 0.0
             continue
-        c = 2.0 * tri[node] / (k * (k - 1))
+        c = 2.0 * t / (k * (k - 1))
         coeffs[node] = c
         active.append(c)
     n = len(g.nodes)
@@ -105,18 +102,18 @@ def clustering(g: InducedGraph) -> ClusteringReport:
         coefficients=coeffs,
         average=sum(coeffs.values()) / n if n else 0.0,
         average_active=sum(active) / len(active) if active else 0.0,
-        triangles=sum(tri.values()) // 3,
+        triangles=sum(tri) // 3,
     )
 
 
 def triangle_count(g: InducedGraph) -> int:
     """Number of unordered node triples mutually adjacent in the undirected view."""
-    return int(_node_triangles(*g.stream.pairs.ranks, g.rank).sum()) // 3
+    return int(_node_triangles(*g.ends, g.rank).sum()) // 3
 
 
 def _node_triangles(a: np.ndarray, b: np.ndarray, rank: np.ndarray) -> np.ndarray:
     """Triangles through every node of the simple graph with edges
-    ``(a[i], b[i])`` over the node positions that ``rank`` orders.
+    ``(a[i], b[i])`` over the node places that ``rank`` orders.
 
     Each edge points up the rank (Schank & Wagner, WEA 2005; Latapy, TCS
     2008), so a triangle is the one wedge x -> y -> z whose closing edge
@@ -161,20 +158,19 @@ def rewired_samples(g: InducedGraph, samples: int, seed: int):
     of evaluation order. ``seed`` must be >= 0: ``random.Random`` seeds by
     absolute value, so a negative seed would repeat another seed's samples.
     """
-    nodes = g.stream.pairs.nodes
     for ends in _rewired_ends(g, samples, seed):
-        yield [tuple(e) for e in nodes[ends].reshape(-1, 2).tolist()]
+        yield [tuple(e) for e in g.sorted_nodes[ends].reshape(-1, 2).tolist()]
 
 
 def _rewired_ends(g: InducedGraph, samples: int, seed: int):
-    """The samples of :func:`rewired_samples` as positions in
-    ``g.stream.pairs.nodes``, flat: u0, v0, u1, v1, ... Positions order
-    the edges as their handles do, so the swaps draw alike on either."""
+    """The samples of :func:`rewired_samples` as node places, flat: u0,
+    v0, u1, v1, ... Places order the edges as their handles do, so the
+    swaps draw alike on either."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    edges = list(zip(*(r.tolist() for r in g.stream.pairs.ranks)))
+    edges = list(zip(*g.ends.tolist()))
     if len(edges) < 2:
         raise DegenerateModelError(f"need at least 2 undirected edges to rewire, got {len(edges)}")
     for i in range(samples):
@@ -311,10 +307,10 @@ def distance_distribution(
     or a level reaches nothing new; pairs never found are unreachable.
     Duplicate pairs count once; (u, v) and (v, u) count separately. The
     masks take n * S bits for n nodes and S distinct sources. Nodes are
-    numbered by their place in ascending handle order, and each node's
-    neighbors are one slice of a CSR array built from the rows of the
-    stream's pair index. Intended for the pairs that transact without a
-    certification, measured in the undirected certification graph.
+    numbered by their place in the graph, and each node's neighbors are one
+    slice of the graph's CSR arrays. Intended for the pairs that transact
+    without a certification, measured in the undirected certification
+    graph.
     """
     pair_set = set()
     for u, v in pairs:
@@ -322,17 +318,16 @@ def distance_distribution(
             missing = u if u not in g.nodes else v
             raise KeyError(f"node {missing} not in graph")
         pair_set.add((u, v))
-    nodes = np.fromiter(sorted(g.nodes), dtype=np.int64, count=len(g.nodes))
-    place = dict(zip(nodes.tolist(), range(len(nodes))))
+    place = dict(zip(g.sorted_nodes.tolist(), range(len(g.nodes))))
     bit = {place[s]: 1 << i for i, s in enumerate(sorted({u for u, _ in pair_set}))}
-    want = [0] * len(nodes)
+    want = [0] * len(g.nodes)
     for u, v in pair_set:
         want[place[v]] |= bit[place[u]]
-    offsets, neighbors = _neighbor_slices(g, nodes)
+    offsets, neighbors = (a.tolist() for a in g.neighbors)
 
     counts: dict[int, int] = {}
     frontier = dict(bit)  # node -> source bits first reached there this level
-    reach = [0] * len(nodes)
+    reach = [0] * len(g.nodes)
     for v, b in bit.items():
         reach[v] = b
     remaining = len(pair_set)
@@ -361,15 +356,3 @@ def distance_distribution(
                 reach[u] |= new
                 frontier[u] = new
     return DistanceDistribution(counts=counts, unreachable=remaining)
-
-
-def _neighbor_slices(g: InducedGraph, nodes: np.ndarray) -> tuple[list[int], list[int]]:
-    """CSR form of the undirected graph over the places of ``nodes``, the
-    sorted graph nodes: the neighbors of place i are
-    ``neighbors[offsets[i]:offsets[i + 1]]``."""
-    p = g.stream.pairs
-    a, b = np.searchsorted(nodes, p.u), np.searchsorted(nodes, p.v)
-    ends, others = np.concatenate((a, b)), np.concatenate((b, a))
-    order = np.argsort(ends, kind="stable")
-    offsets = np.searchsorted(ends[order], np.arange(len(nodes) + 1))
-    return offsets.tolist(), others[order].tolist()

@@ -110,8 +110,8 @@ def save_bundle(out_dir: str | Path, bundle: StreamBundle) -> Path:
 def load_bundle(out_dir: str | Path) -> StreamBundle:
     """Rebuild the bundle from ``out_dir``; raises StateError when the
     snapshot is missing or unreadable (truncated, not a zip, arrays missing,
-    columns that break a stream invariant, a node handle without a key, or
-    certification nodes other than the members)."""
+    columns that break a stream invariant, a repeated key, a node handle
+    without a key, or certification nodes other than the members)."""
     path = Path(out_dir) / SNAPSHOT_NAME
     if not path.exists():
         raise StateError(f"no snapshot at {path}; run the ingest command first")
@@ -128,7 +128,10 @@ def load_bundle(out_dir: str | Path) -> StreamBundle:
 def _bundle_from(path: Path) -> StreamBundle:
     # np.load on an open handle: a truncated archive then leaves no file open
     with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
-        table = NodeTable(_array(data, "keys").tolist())
+        keys = _array(data, "keys").tolist()
+        table = NodeTable(keys)
+        if len(table) != len(keys):  # the table keeps a repeated key once
+            raise ValueError("keys.npy repeats a key")
         members = frozenset(_array(data, "members").tolist())
         anonymous = frozenset(range(len(table))) - members
         cls = NodeClassification(members=members, anonymous=anonymous, table=table)

@@ -227,7 +227,8 @@ class NodeClassification:
 class InducedGraph:
     """Static directed graph aggregated from a stream: one edge per node pair
     that interacted at least once. A view of the stream's pair indexes,
-    which alone decide how links group into edges and in what order."""
+    which alone decide how links group into edges and in what order. Its
+    kernels number nodes by place, each built on first read."""
 
     stream: LinkStream
 
@@ -246,25 +247,37 @@ class InducedGraph:
         return np.column_stack((p.u, p.v))
 
     @cached_property
-    def degree(self) -> np.ndarray:
-        """Undirected degree of every node with an edge, as an int64 array
-        over the positions of ``stream.pairs.nodes``."""
+    def sorted_nodes(self) -> np.ndarray:
+        """The nodes ascending, isolated ones too: a node's place is its index."""
+        return np.fromiter(sorted(self.nodes), dtype=np.int64, count=len(self.nodes))
+
+    @cached_property
+    def ends(self) -> np.ndarray:
+        """The places of the first and of the second ends of the
+        ``undirected_edges()`` rows, which still ascend, as two rows."""
         p = self.stream.pairs
-        return np.bincount(np.concatenate(p.ranks), minlength=len(p.nodes))
+        # search the distinct endpoints, not all 2m ends, then gather by rank
+        return np.searchsorted(self.sorted_nodes, p.nodes)[np.stack(p.ranks)]
+
+    @cached_property
+    def degree(self) -> np.ndarray:
+        """Undirected degree of every place."""
+        return np.bincount(self.ends.ravel(), minlength=len(self.nodes))
 
     @cached_property
     def rank(self) -> np.ndarray:
-        """Place of every node with an edge in the order of (degree, id), as
-        an int64 array over the positions of ``stream.pairs.nodes``."""
+        """Position of every place in the order of (degree, id)."""
         # the inverse of the stable order, in which ties keep ids ascending
         return np.argsort(np.argsort(self.degree, kind="stable"))
 
-    def undirected_adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {n: set() for n in self.nodes}
-        for u, v in self.undirected_edges().tolist():
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+    @cached_property
+    def neighbors(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR form of the undirected view: the neighbors of place i are
+        the places ``others[offsets[i]:offsets[i + 1]]``, ascending."""
+        # the rows ascend, so a stable sort by node lists first the rows
+        # ending there (lower neighbors), then those starting there
+        order = np.argsort(self.ends[::-1].ravel(), kind="stable")
+        return np.concatenate(([0], np.cumsum(self.degree))), self.ends.ravel()[order]
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Covers the overlap of aggregated neighborhoods across streams and the
 directed k-closure of links for k in {2, 3}: the minimal look-back from a
-link to its reverse link, or to a directed triangle completing it. Both
+link to its reverse link, or to a directed triangle completing it. The
+overlaps read two induced graphs' degrees and the rows they share; both
 closures read the stream's directed pair index.
 
 Closure conventions. For the 2-closure, a reverse link at exactly the same
@@ -15,12 +16,11 @@ shrink the window.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping, Set
 from dataclasses import dataclass
 
 import numpy as np
 
-from .stream_core import LinkStream, _blocks, _expand
+from .stream_core import InducedGraph, LinkStream, _blocks, _expand
 
 
 @dataclass(frozen=True)
@@ -30,33 +30,31 @@ class OverlapResult:
     jaccard: float | None  # |N2 & N1| / |N2 | N1|, None when both empty
 
 
-def neighborhood_overlaps(
-    n1: Mapping[int, Set[int]], n2: Mapping[int, Set[int]]
-) -> list[OverlapResult]:
-    """For every node of either map, in node order, how much of its
-    neighborhood in ``n2`` lies inside its neighborhood in ``n1``.
+def neighborhood_overlaps(g1: InducedGraph, g2: InducedGraph) -> list[OverlapResult]:
+    """For every node of either graph, in node order, how much of its
+    neighborhood in ``g2`` lies inside its neighborhood in ``g1``.
 
-    The maps take a node to its aggregated neighborhood in a stream, as
-    ``induced_graph(s).undirected_adjacency()`` builds it from the stream's
-    unordered pairs: everyone who ever interacted with the node, over the
-    stream's whole node set. A node absent from a map has an empty
-    neighborhood there; empty denominators yield None markers.
+    A node's neighborhood in the induced graph of a stream is its
+    aggregated neighborhood there: everyone who ever interacted with it. A
+    node absent from a graph has an empty neighborhood there; empty
+    denominators yield None markers. The neighbors a node shares are the
+    ``g2`` rows at it that ``g1``'s pair index holds too.
     """
-    empty: frozenset[int] = frozenset()
-    results = []
-    for v in sorted(n1.keys() | n2.keys()):
-        a = n1.get(v, empty)
-        b = n2.get(v, empty)
-        inter = len(a & b)
-        union = len(a) + len(b) - inter
-        results.append(
-            OverlapResult(
-                node=v,
-                inclusion=inter / len(b) if b else None,
-                jaccard=inter / union if union else None,
-            )
+    # a set union: np.union1d loads numpy.ma (1.4 MB) on numpy 2.4
+    nodes = np.fromiter(sorted(g1.nodes | g2.nodes), dtype=np.int64)
+    at1, at2 = (np.searchsorted(nodes, g.sorted_nodes) for g in (g1, g2))
+    deg1, deg2 = np.zeros((2, len(nodes)), dtype=np.int64)
+    deg1[at1], deg2[at2] = g1.degree, g2.degree
+    both = g1.stream.pairs.find(*g2.undirected_edges().T) >= 0
+    shared = np.bincount(at2[g2.ends[:, both]].ravel(), minlength=len(nodes))
+    return [
+        OverlapResult(
+            node=v,
+            inclusion=inter / k2 if k2 else None,
+            jaccard=inter / (k1 + k2 - inter) if k1 or k2 else None,
         )
-    return results
+        for v, k1, k2, inter in zip(nodes.tolist(), deg1.tolist(), deg2.tolist(), shared.tolist())
+    ]
 
 
 @dataclass(frozen=True, eq=False)

@@ -105,13 +105,24 @@ def graph_of(nodes, edges):
     return stream_core.induced_graph(s)
 
 
+def adjacency(g) -> dict[int, set[int]]:
+    """Node -> neighbor set of an induced graph's undirected view, every
+    node of ``g.nodes`` included, from its ``(min, max)`` rows."""
+    adj: dict[int, set[int]] = {n: set() for n in g.nodes}
+    for u, v in g.undirected_edges().tolist():
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 def clustering_scan(g) -> tuple[dict[int, float], float, float]:
-    """(coefficients, average, average_active) of an induced graph, counting
-    the edges among each node's neighbors with one O(k^2) scan per node."""
-    adj = g.undirected_adjacency()
+    """(coefficients, average, average_active) of an induced graph in
+    ascending node order, counting the edges among each node's neighbors
+    with one O(k^2) scan per node."""
+    adj = adjacency(g)
     coeffs: dict[int, float] = {}
     active: list[float] = []
-    for node in g.nodes:
+    for node in sorted(g.nodes):
         nbrs = adj[node]
         k = len(nbrs)
         if k < 2:
@@ -153,7 +164,7 @@ def triangles_in_edges(edges, nodes) -> int:
 
 def triangles_per_node(g) -> dict[int, int]:
     """Triangles through every node of an induced graph, in ``g.nodes`` order."""
-    adj = g.undirected_adjacency()
+    adj = adjacency(g)
     out = dict.fromkeys(g.nodes, 0)
     for u, nbrs in adj.items():
         for v in nbrs:
@@ -321,6 +332,22 @@ def neighborhood_overlap(v: int, s1, s2) -> tuple[float | None, float | None]:
     return (inter / len(n2) if n2 else None, inter / union if union else None)
 
 
+def neighborhood_overlaps(n1, n2) -> list[tuple[int, float | None, float | None]]:
+    """(node, inclusion, jaccard) for every node of either neighbor map, in
+    node order, by set algebra per node: the form that
+    ``temporal_metrics.neighborhood_overlaps`` replaced. A node absent from
+    a map has an empty neighborhood there."""
+    empty: frozenset[int] = frozenset()
+    results = []
+    for v in sorted(n1.keys() | n2.keys()):
+        a = n1.get(v, empty)
+        b = n2.get(v, empty)
+        inter = len(a & b)
+        union = len(a) + len(b) - inter
+        results.append((v, inter / len(b) if b else None, inter / union if union else None))
+    return results
+
+
 def bfs_from(nodes, und_edges: set[tuple[int, int]], source: int) -> dict[int, int]:
     """Hop counts from ``source``, one plain breadth-first search."""
     adj = {n: set() for n in nodes}
@@ -358,15 +385,15 @@ def distance_distribution(
 
 def multi_source_distances(pairs, g) -> tuple[dict[int, int], int]:
     """(distance -> count, unreachable) by the bit-parallel multi-source BFS
-    over the dict-of-sets ``g.undirected_adjacency()``, one bit per distinct
-    source, which the CSR neighbor slices of
-    ``graph_metrics.distance_distribution`` replaced."""
+    over the dict-of-sets :func:`adjacency`, one bit per distinct source,
+    which the CSR neighbor slices of ``graph_metrics.distance_distribution``
+    replaced."""
     pair_set = set(map(tuple, pairs))
     bit = {s: 1 << i for i, s in enumerate(sorted({u for u, _ in pair_set}))}
     want = dict.fromkeys(g.nodes, 0)
     for u, v in pair_set:
         want[v] |= bit[u]
-    adj = g.undirected_adjacency()
+    adj = adjacency(g)
     counts: dict[int, int] = {}
     frontier = dict(bit)
     reach = dict.fromkeys(g.nodes, 0)

@@ -607,6 +607,13 @@ def _unkeyed_handle(a):
     a["keys"] = a["keys"][:-1]
 
 
+def _repeated_key(a):
+    # ['a', 'a', 'c', 'd', 'w', 'b']: a table that kept 'a' once would shift
+    # every later handle to the next key and label wallet 'w' a member
+    keys = a["keys"]
+    a["keys"] = np.array([keys[0], keys[0], *keys[2:], keys[1]])
+
+
 def _unkeyed_member(a):
     a["members"] = np.append(a["members"], len(a["keys"]))
 
@@ -632,6 +639,7 @@ def _cert_nodes_not_members(a):
                 _outside_interval,
                 _negative_amount,
                 _unkeyed_handle,
+                _repeated_key,
                 _unkeyed_member,
                 _cert_nodes_not_members,
             ],

@@ -2,13 +2,15 @@
 
 ``graph_metrics.distance_distribution`` (bit-parallel multi-source BFS)
 must give the counts of one plain BFS per pair, and
-``temporal_metrics.neighborhood_overlaps`` over induced adjacencies must
-give what a link rescan per node gives, on seeded random graphs with sparse
-handles, isolated nodes and several components.
+``temporal_metrics.neighborhood_overlaps`` over two induced graphs must
+give what a link rescan per node and set algebra over dict-of-sets
+neighborhoods give, on seeded random graphs with sparse handles, isolated
+nodes and several components.
 """
 
 import dataclasses
 import random
+from itertools import chain
 
 import pytest
 
@@ -152,16 +154,23 @@ def stream_over(nodes, links: list[Link], interval: tuple[int, int]) -> LinkStre
 
 def test_neighborhood_overlaps_match_per_node_rescan():
     rng = random.Random(303)
+    seen = set()
     for trial in range(TRIALS):
         nodes = random_handles(rng, rng.randint(1, 14))
         s1, s2 = random_stream(rng, nodes), random_stream(rng, nodes)
-        adj1 = induced_graph(s1).undirected_adjacency()
-        adj2 = induced_graph(s2).undirected_adjacency()
-        results = neighborhood_overlaps(adj1, adj2)
+        g1, g2 = induced_graph(s1), induced_graph(s2)
+        results = neighborhood_overlaps(g1, g2)
         assert [res.node for res in results] == sorted(s1.nodes | s2.nodes)
         for res in results:
             expected = oracles.neighborhood_overlap(res.node, s1, s2)
             assert (res.inclusion, res.jaccard) == expected, (trial, res)
+        sets = oracles.neighborhood_overlaps(oracles.adjacency(g1), oracles.adjacency(g2))
+        assert [(res.node, res.inclusion, res.jaccard) for res in results] == sets, trial
+        linked = set(chain(s1.src.tolist(), s1.dst.tolist(), s2.src.tolist(), s2.dst.tolist()))
+        for v in s1.nodes | s2.nodes:
+            seen.add("only 1" if v not in s2.nodes else "only 2" if v not in s1.nodes else "both")
+            seen.add("linked" if v in linked else "isolated")
+    assert seen == {"only 1", "only 2", "both", "linked", "isolated"}
 
 
 def test_neighborhood_overlaps_na_cells():
@@ -172,10 +181,7 @@ def test_neighborhood_overlaps_na_cells():
     txmm = stream_over({0, 2, 4, 5}, [Link(3, 0, 2), Link(4, 4, 0)], (0, 9))
     results = {
         res.node: (res.inclusion, res.jaccard)
-        for res in neighborhood_overlaps(
-            induced_graph(cert).undirected_adjacency(),
-            induced_graph(txmm).undirected_adjacency(),
-        )
+        for res in neighborhood_overlaps(induced_graph(cert), induced_graph(txmm))
     }
     assert results == {
         0: (0.5, 0.5),

@@ -3,7 +3,9 @@
 Every CLI stage is its own process, so a metric module imported at the top
 of ``cli`` would be paid for by every stage. Each case runs one command in
 a fresh interpreter, the way ``ls-ledger`` does, and compares the
-``ls_ledger`` submodules loaded at its end with the exact set expected.
+``ls_ledger`` submodules loaded at its end with the exact set expected;
+``numpy.ma`` (about 1.4 MB and 10 ms, which ``np.unique`` without
+``return_inverse`` loads on numpy 2.4) counts as one more, never expected.
 The package itself, which ``python -m ls_ledger.cli`` imports before
 ``cli``, loads its names on first use.
 """
@@ -35,7 +37,7 @@ except SystemExit as exit:
     code = exit.code
 print(json.dumps([code, sorted(
     m.split(".", 1)[1] for m in sys.modules if m.startswith("ls_ledger.")
-)]))
+) + ["numpy.ma"] * ("numpy.ma" in sys.modules)]))
 """
 
 EXPECTED = {

@@ -338,14 +338,26 @@ def test_induced_graph_is_a_view_of_the_pair_index():
         assert directed.tolist() == [list(e) for e in sorted(ref.directed_edges)]
         assert undirected.tolist() == [list(e) for e in sorted(ref.undirected_edges())]
 
+        # one numbering: a node's place in the sorted node set, isolated
+        # nodes included
+        nodes = sorted(s.nodes)
         degree = Counter(chain.from_iterable(ref.undirected_edges()))
-        order = sorted(degree, key=lambda n: (degree[n], n))
-        place = {n: i for i, n in enumerate(order)}
-        nodes = g.stream.pairs.nodes.tolist()
-        assert nodes == sorted(degree)
-        assert g.degree.dtype == g.rank.dtype == np.int64
+        order = sorted(nodes, key=lambda n: (degree[n], n))
+        rank = {n: i for i, n in enumerate(order)}
+        offsets, others = g.neighbors
+        assert g.sorted_nodes.tolist() == nodes
+        for a in (g.sorted_nodes, *g.ends, g.degree, g.rank, offsets, others):
+            assert a.dtype == np.int64
+        assert [[nodes[a], nodes[b]] for a, b in zip(*g.ends)] == undirected.tolist()
         assert g.degree.tolist() == [degree[n] for n in nodes]
-        assert g.rank.tolist() == [place[n] for n in nodes]
+        assert g.rank.tolist() == [rank[n] for n in nodes]
+        # the CSR slices list each node's neighbors ascending
+        adj = {n: set() for n in nodes}
+        for u, v in ref.undirected_edges():
+            adj[u].add(v)
+            adj[v].add(u)
+        slices = [others[offsets[i] : offsets[i + 1]].tolist() for i in range(len(nodes))]
+        assert [[nodes[p] for p in nbrs] for nbrs in slices] == [sorted(adj[n]) for n in nodes]
 
         seen.add(min(s.link_count, 2))
         seen.add("isolated" if len(degree) < len(s.nodes) else "covered")
