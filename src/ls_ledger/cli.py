@@ -26,6 +26,7 @@ from itertools import chain, repeat, starmap
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import snapshot, stream_core
 from .atomic import atomic_file
@@ -153,17 +154,19 @@ def cmd_overview(cfg: RunConfig) -> None:
     spans = [s.interval for s in (cert, tx_mm) if s.link_count] or [cert.interval]
     common = (min(t0 for t0, _ in spans), max(t1 for _, t1 in spans))
     series = {}
-    try:
-        for name, stream in (("cert", cert), ("txmm", tx_mm)):
-            widened = replace(stream, interval=common)
+    for name, stream in (("cert", cert), ("txmm", tx_mm)):
+        widened = replace(stream, interval=common)
+        try:
             binned = stream_core.activity_series(widened, cfg.bin_width)
             series[name] = (binned, stream_core.rolling_sum(binned, cfg.window))
-    except MemoryError:
-        n_bins = (common[1] - common[0]) // cfg.bin_width + 1
-        raise LedgerError(
-            f"cannot allocate {n_bins} bins of {cfg.bin_width} s over "
-            f"[{common[0]}, {common[1]}]; try a larger --bin"
-        ) from None
+        except (MemoryError, ValueError, OverflowError):
+            # numpy raises MemoryError, or ValueError/OverflowError where the
+            # grid's size does not even fit an array shape
+            n_bins = (common[1] - common[0]) // cfg.bin_width + 1
+            raise LedgerError(
+                f"cannot allocate {n_bins} bins of {cfg.bin_width} s over "
+                f"[{common[0]}, {common[1]}]; try a larger --bin"
+            ) from None
 
     starts = series["cert"][0].bin_starts()
     _write_csv(
@@ -182,23 +185,31 @@ def cmd_overview(cfg: RunConfig) -> None:
         ),
     )
 
-    degree_reports = {}
+    graphs, reports = {}, {}
     for name, stream in (("cert", cert), ("txmm", tx_mm)):
-        report = graph_metrics.degree_report(stream_core.induced_graph(stream))
-        degree_reports[name] = report
+        g = graphs[name] = stream_core.induced_graph(stream)
+        report = reports[name] = graph_metrics.degree_report(g)
         fname = "degrees.csv" if name == "cert" else f"degrees_{name}.csv"
         _write_csv(
             cfg.out_dir / fname,
             _comments("overview", cfg, f"stream={name}"),
             "node,in,out",
-            (
-                (keys[n], report.in_degree[n], report.out_degree[n])
-                for n in sorted(report.in_degree)
-            ),
+            zip(_keys(keys, g.sorted_nodes), report.in_degree.tolist(), report.out_degree.tolist()),
         )
 
+    # the places in each graph of the nodes both graphs hold, ascending
+    cert_nodes, txmm_nodes = graphs["cert"].sorted_nodes, graphs["txmm"].sorted_nodes
+    in_cert = np.flatnonzero(np.isin(cert_nodes, txmm_nodes))
+    in_txmm = np.searchsorted(txmm_nodes, cert_nodes[in_cert])
+    c, x = reports["cert"], reports["txmm"]
+    pairings = (
+        ("cert_in~cert_out", c.in_degree, c.out_degree),
+        ("txmm_in~txmm_out", x.in_degree, x.out_degree),
+        ("cert_out~txmm_out", c.out_degree[in_cert], x.out_degree[in_txmm]),
+        ("cert_in~txmm_in", c.in_degree[in_cert], x.in_degree[in_txmm]),
+    )
     corr_rows = []
-    for label, xs, ys in _degree_pairings(degree_reports["cert"], degree_reports["txmm"]):
+    for label, xs, ys in pairings:
         try:
             corr_rows.append((label, _fmt(graph_metrics.degree_correlation(xs, ys).r, 6)))
         except (LedgerError, ValueError):
@@ -211,29 +222,12 @@ def cmd_overview(cfg: RunConfig) -> None:
     )
 
     # activity correlation over the rolling sums, on the shared grid
-    xs = dict(enumerate(series["cert"][1].values))
-    ys = dict(enumerate(series["txmm"][1].values))
     try:
-        r = graph_metrics.degree_correlation(xs, ys).r
+        rolling = (series[name][1].values for name in ("cert", "txmm"))
+        r = graph_metrics.degree_correlation(*rolling).r
         click.echo(f"activity_correlation:{r:.6f}")
     except (LedgerError, ValueError):
         click.echo("activity_correlation:NA (undefined)")
-
-
-def _degree_pairings(cert_rep, txmm_rep):
-    common = sorted(set(cert_rep.in_degree) & set(txmm_rep.in_degree))
-    yield "cert_in~cert_out", cert_rep.in_degree, cert_rep.out_degree
-    yield "txmm_in~txmm_out", txmm_rep.in_degree, txmm_rep.out_degree
-    yield (
-        "cert_out~txmm_out",
-        {n: cert_rep.out_degree[n] for n in common},
-        {n: txmm_rep.out_degree[n] for n in common},
-    )
-    yield (
-        "cert_in~txmm_in",
-        {n: cert_rep.in_degree[n] for n in common},
-        {n: txmm_rep.in_degree[n] for n in common},
-    )
 
 
 def cmd_graph(cfg: RunConfig) -> None:
@@ -342,6 +336,7 @@ def cmd_match(cfg: RunConfig) -> None:
     keys = bundle.table.keys()
 
     report = interplay.match_certifications(cert, tx_mm)
+    cert_pairs = _pair_labels(keys, cert.pairs)
     _write_csv(
         cfg.out_dir / "match_cert.csv",
         _comments(
@@ -355,14 +350,11 @@ def cmd_match(cfg: RunConfig) -> None:
             f"both_sided_pairs={report.both_sided}",
         ),
         "pair,anchor,category,delay",
-        (
-            (
-                _pair_label(keys, o.pair),
-                o.anchor,
-                o.category.value,
-                "NA" if o.delay is None else o.delay,
-            )
-            for o in report.outcomes
+        zip(
+            cert_pairs,
+            report.anchor.tolist(),
+            _values(interplay.MatchCategory, report.category),
+            _or_na(report.delay, report.category != _code(interplay.MatchCategory.NEVER)),
         ),
     )
 
@@ -383,7 +375,7 @@ def cmd_match(cfg: RunConfig) -> None:
             tx_mm.t.tolist(),
             _keys(keys, tx_mm.src),
             _keys(keys, tx_mm.dst),
-            [cat.value for cat in tx_classes.categories],
+            _values(interplay.TxCategory, tx_classes.categories),
         ),
     )
 
@@ -392,10 +384,7 @@ def cmd_match(cfg: RunConfig) -> None:
         cfg.out_dir / "preceding_counts.csv",
         _comments("match", cfg),
         "pair,anchor,preceding_txs",
-        (
-            (_pair_label(keys, pair), anchor, count)
-            for pair, (anchor, count) in preceding.items()
-        ),
+        zip(cert_pairs, report.anchor.tolist(), preceding.tolist()),
     )
 
     delays = interplay.new_transaction_cert_delays(tx_mm, cert)
@@ -403,13 +392,10 @@ def cmd_match(cfg: RunConfig) -> None:
         cfg.out_dir / "new_tx_delays.csv",
         _comments("match", cfg, f"unmatched_pairs={delays.unmatched}"),
         "pair,first_tx,delay",
-        (
-            (
-                _pair_label(keys, d.pair),
-                d.first_tx,
-                "NA" if d.delay is None else d.delay,
-            )
-            for d in delays.delays
+        zip(
+            _pair_labels(keys, tx_mm.pairs),
+            delays.first_tx.tolist(),
+            _or_na(delays.delay, delays.certified),
         ),
     )
 
@@ -442,7 +428,7 @@ def cmd_relations(cfg: RunConfig) -> None:
     )
 
     tau = interplay.pair_transaction_counts(bundle.tx_mm)
-    rows = interplay.certification_fraction_by_k(tau, cert_rel)
+    rows = interplay.certification_fraction_by_k(tau, tx_rel, cert_rel)
     _write_csv(
         cfg.out_dir / "fraction_by_k.csv",
         _comments("relations", cfg),
@@ -490,8 +476,25 @@ def _keys(keys: list[str], handles) -> list[str]:
     return [keys[h] for h in handles.tolist()]
 
 
-def _pair_label(keys: list[str], pair: tuple[int, int]) -> str:
-    return f"{keys[pair[0]]}|{keys[pair[1]]}"
+def _pair_labels(keys: list[str], idx: stream_core.PairIndex) -> list[str]:
+    """The ``u|v`` key label of every pair of the index."""
+    return [f"{keys[u]}|{keys[v]}" for u, v in zip(idx.u.tolist(), idx.v.tolist())]
+
+
+def _code(category) -> int:
+    """A category's code: its position in its enum."""
+    return list(type(category)).index(category)
+
+
+def _values(categories, codes) -> list[str]:
+    """The value of the category of every code."""
+    values = [cat.value for cat in categories]
+    return [values[c] for c in codes.tolist()]
+
+
+def _or_na(values, defined) -> list:
+    """The values, NA where ``defined`` does not hold."""
+    return [v if ok else "NA" for v, ok in zip(values.tolist(), defined.tolist())]
 
 
 # ------------------------------------------------------------------- click

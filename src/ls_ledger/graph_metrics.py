@@ -1,7 +1,8 @@
 """Static analyses of induced graphs.
 
-Degrees are taken on the deduplicated directed edge set; the rest works
-on the symmetrized (undirected) view, through the arrays that
+Degrees are taken on the deduplicated directed edge set, as two arrays
+over the graph's node places (positions in ``sorted_nodes``); the rest
+works on the symmetrized (undirected) view, through the arrays that
 ``InducedGraph`` caches over node places. Clustering, triangle counts and
 null-model samples share one numpy triangle kernel over the edge ends;
 distances read the CSR neighbor slices. Link multiplicities per pair
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain
 
@@ -22,20 +23,22 @@ from .errors import DegenerateModelError, UndefinedCorrelationError
 from .stream_core import InducedGraph, _blocks, _expand
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegreeReport:
-    in_degree: dict[int, int]
-    out_degree: dict[int, int]
+    """Degrees per place of the graph's ``sorted_nodes``."""
+
+    in_degree: np.ndarray
+    out_degree: np.ndarray
 
 
 def degree_report(g: InducedGraph) -> DegreeReport:
     """Exact in/out degrees of every node on the deduplicated edge set."""
-    in_deg = dict.fromkeys(g.nodes, 0)
-    out_deg = dict.fromkeys(g.nodes, 0)
-    for u, v in g.directed_edges().tolist():
-        out_deg[u] += 1
-        in_deg[v] += 1
-    return DegreeReport(in_degree=in_deg, out_degree=out_deg)
+    p = g.stream.directed_pairs
+    n = len(g.nodes)
+    return DegreeReport(
+        in_degree=np.bincount(np.searchsorted(g.sorted_nodes, p.v), minlength=n),
+        out_degree=np.bincount(np.searchsorted(g.sorted_nodes, p.u), minlength=n),
+    )
 
 
 @dataclass(frozen=True)
@@ -43,22 +46,20 @@ class CorrelationResult:
     r: float
 
 
-def degree_correlation(
-    xs: Mapping[int, float], ys: Mapping[int, float]
-) -> CorrelationResult:
-    """Pearson product-moment coefficient of two per-node series.
+def degree_correlation(xs, ys) -> CorrelationResult:
+    """Pearson product-moment coefficient of two series of equal length,
+    such as two per-node values over the same places.
 
-    Both series must cover the same node set with at least two nodes, and
-    neither may be constant.
+    Both series need at least two values, and neither may be constant.
+    The sums run in series order.
     """
-    if set(xs) != set(ys):
-        raise ValueError("per-node series cover different node sets")
-    nodes = sorted(xs)
-    if len(nodes) < 2:
+    if len(xs) != len(ys):
+        raise ValueError("series of different lengths")
+    n = len(xs)
+    if n < 2:
         raise ValueError("correlation needs at least two nodes")
-    xv = [float(xs[n]) for n in nodes]
-    yv = [float(ys[n]) for n in nodes]
-    n = len(nodes)
+    xv = np.asarray(xs, dtype=float).tolist()
+    yv = np.asarray(ys, dtype=float).tolist()
     mx = sum(xv) / n
     my = sum(yv) / n
     sxx = sum((x - mx) ** 2 for x in xv)

@@ -1,10 +1,14 @@
 """Cross-stream analyses between the certification stream and the
 member-to-member transaction stream.
 
-Everything here works on unordered member pairs: relation sets (any link /
-one direction only / both directions), the 12-cell ratio table, per-pair
+Everything here works on unordered member pairs, the segments of a
+stream's ``pairs`` index: relation sets, the 12-cell ratio table, per-pair
 transaction counts and the certification fraction as a function of that
 count, and the time matching of certifications against transactions.
+Every per-pair or per-link result is an int64 or bool array aligned with
+the pairs or the links of the stream its docstring names, and a category
+is a code, its position in its enum. Callers hold those indexes and turn
+the results into rows.
 
 Tie conventions, chosen once and applied everywhere: an event exactly
 simultaneous with an anchor counts as "already there" (<= comparisons),
@@ -14,31 +18,21 @@ and among equally close events in absolute time the earlier one wins.
 from __future__ import annotations
 
 import enum
-from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
 from .stream_core import LinkStream, PairIndex
 
-Pair = tuple[int, int]  # unordered, stored as (min, max)
 
-
-def _pairs(idx: PairIndex) -> list[Pair]:
-    return list(zip(idx.u.tolist(), idx.v.tolist()))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelationSets:
-    """Unordered pairs with at least one link (any), links in exactly one
-    direction (uni), and links in both directions (bi); uni and bi
-    partition any."""
+    """The unordered pairs of a stream with at least one link (any), and
+    which of them have links in both directions (bi); the others have links
+    in one direction only (uni)."""
 
-    any: frozenset[Pair]
-    uni: frozenset[Pair]
-    bi: frozenset[Pair]
+    pairs: PairIndex
+    bi: np.ndarray  # bool per pair of ``pairs``
 
 
 def relation_sets(s: LinkStream) -> RelationSets:
@@ -46,10 +40,17 @@ def relation_sets(s: LinkStream) -> RelationSets:
     idx = s.pairs
     forward = np.bincount(idx.segment[s.src < s.dst], minlength=len(idx.u))
     backward = np.diff(idx.starts) - forward
-    pairs = _pairs(idx)
-    bi = frozenset(compress(pairs, ((forward > 0) & (backward > 0)).tolist()))
-    any_ = frozenset(pairs)
-    return RelationSets(any=any_, uni=any_ - bi, bi=bi)
+    return RelationSets(pairs=idx, bi=(forward > 0) & (backward > 0))
+
+
+def _cert_kind(txs: RelationSets, certs: RelationSets) -> np.ndarray:
+    """For each pair of ``txs``, its relation in ``certs``: 0 none, 1 uni,
+    2 bi."""
+    seg = certs.pairs.find(txs.pairs.u, txs.pairs.v)
+    kind = np.zeros(len(seg), dtype=np.int64)
+    found = seg >= 0
+    kind[found] = 1 + certs.bi[seg[found]]
+    return kind
 
 
 @dataclass(frozen=True)
@@ -88,29 +89,33 @@ def relation_ratio_table(
     def cell(label: str, num: int, den: int) -> RatioCell:
         return RatioCell(label, num, den, num / den if den else None)
 
-    c_any, c_uni, c_bi = certs.any, certs.uni, certs.bi
-    t_any, t_uni, t_bi = txs.any, txs.uni, txs.bi
+    c_any, c_bi = len(certs.bi), int(np.count_nonzero(certs.bi))
+    t_any, t_bi = len(txs.bi), int(np.count_nonzero(txs.bi))
+    kind = _cert_kind(txs, certs)
+    _, t_c_uni, t_c_bi = np.bincount(kind, minlength=3).tolist()
+    t_c_any = t_c_uni + t_c_bi
+    t_bi_c_any = int(np.count_nonzero(txs.bi & (kind > 0)))
     cells = (
-        cell("C_any/pairs", len(c_any), n_pairs),
-        cell("C_uni/pairs", len(c_uni), n_pairs),
-        cell("C_bi/pairs", len(c_bi), n_pairs),
-        cell("T_any/pairs", len(t_any), n_pairs),
-        cell("T_uni/pairs", len(t_uni), n_pairs),
-        cell("T_bi/pairs", len(t_bi), n_pairs),
-        cell("T_any&C_any/C_any", len(t_any & c_any), len(c_any)),
-        cell("T_any&C_uni/C_uni", len(t_any & c_uni), len(c_uni)),
-        cell("T_any&C_bi/C_bi", len(t_any & c_bi), len(c_bi)),
-        cell("C_any&T_any/T_any", len(c_any & t_any), len(t_any)),
-        cell("C_any&T_uni/T_uni", len(c_any & t_uni), len(t_uni)),
-        cell("C_any&T_bi/T_bi", len(c_any & t_bi), len(t_bi)),
+        cell("C_any/pairs", c_any, n_pairs),
+        cell("C_uni/pairs", c_any - c_bi, n_pairs),
+        cell("C_bi/pairs", c_bi, n_pairs),
+        cell("T_any/pairs", t_any, n_pairs),
+        cell("T_uni/pairs", t_any - t_bi, n_pairs),
+        cell("T_bi/pairs", t_bi, n_pairs),
+        cell("T_any&C_any/C_any", t_c_any, c_any),
+        cell("T_any&C_uni/C_uni", t_c_uni, c_any - c_bi),
+        cell("T_any&C_bi/C_bi", t_c_bi, c_bi),
+        cell("C_any&T_any/T_any", t_c_any, t_any),
+        cell("C_any&T_uni/T_uni", t_c_any - t_bi_c_any, t_any - t_bi),
+        cell("C_any&T_bi/T_bi", t_bi_c_any, t_bi),
     )
     return RatioTable(cells=cells, ordered_pairs=ordered_pairs)
 
 
-def pair_transaction_counts(tx_mm: LinkStream) -> Counter[Pair]:
-    """Transactions per unordered member pair, both directions pooled."""
-    idx = tx_mm.pairs
-    return Counter(dict(zip(_pairs(idx), np.diff(idx.starts).tolist())))
+def pair_transaction_counts(tx_mm: LinkStream) -> np.ndarray:
+    """Transactions per unordered member pair, both directions pooled,
+    aligned with ``tx_mm.pairs``."""
+    return np.diff(tx_mm.pairs.starts)
 
 
 @dataclass(frozen=True)
@@ -122,16 +127,20 @@ class FractionByK:
 
 
 def certification_fraction_by_k(
-    tau: Mapping[Pair, int], certs: RelationSets
+    tau: np.ndarray, txs: RelationSets, certs: RelationSets
 ) -> list[FractionByK]:
     """For each transaction count k, the certified share of the pairs that
-    made exactly k transactions; frac_bi <= frac_any pointwise."""
-    n_pairs = Counter(tau.values())
-    n_any = Counter(k for pair, k in tau.items() if pair in certs.any)
-    n_bi = Counter(k for pair, k in tau.items() if pair in certs.bi)
+    made exactly k transactions; ``tau`` holds the count of every pair of
+    ``txs``. frac_bi <= frac_any pointwise."""
+    ks, k_of = np.unique(tau, return_inverse=True)
+    kind = _cert_kind(txs, certs)
+    n_pairs = np.bincount(k_of, minlength=len(ks)).tolist()
+    n_any, n_bi = (
+        np.bincount(k_of[mask], minlength=len(ks)).tolist() for mask in (kind > 0, kind == 2)
+    )
     return [
-        FractionByK(k=k, n_pairs=n, frac_any=n_any[k] / n, frac_bi=n_bi[k] / n)
-        for k, n in sorted(n_pairs.items())
+        FractionByK(k=k, n_pairs=n, frac_any=a / n, frac_bi=b / n)
+        for k, n, a, b in zip(ks.tolist(), n_pairs, n_any, n_bi)
     ]
 
 
@@ -141,17 +150,14 @@ class MatchCategory(enum.Enum):
     NEVER = "never"
 
 
-@dataclass(frozen=True)
-class MatchOutcome:
-    pair: Pair
-    anchor: int  # first certification time between the pair
-    category: MatchCategory
-    delay: int | None  # signed, transaction time minus anchor; None for never
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchReport:
-    outcomes: tuple[MatchOutcome, ...]
+    """The match of every certified pair, aligned with the certification
+    stream's ``pairs``."""
+
+    anchor: np.ndarray  # first certification time
+    category: np.ndarray  # MatchCategory code
+    delay: np.ndarray  # signed, transaction time minus anchor; undefined for never
     fractions: dict[MatchCategory, float]
     both_sided: int  # pairs with transactions on both sides of the anchor
 
@@ -176,9 +182,9 @@ def _first_times(idx: PairIndex) -> np.ndarray:
     return idx.times[idx.starts[:-1]]
 
 
-def _fractions(code: np.ndarray, categories: list) -> dict:
-    """Share of each category among the codes, its position in
-    ``categories``; 0 for every category without codes."""
+def _fractions(code: np.ndarray, categories: type[enum.Enum]) -> dict:
+    """Share of each category among the codes; 0 for every category
+    without codes."""
     tally = np.bincount(code, minlength=len(categories)).tolist()
     n = len(code)
     return {cat: (c / n if n else 0.0) for cat, c in zip(categories, tally)}
@@ -197,35 +203,23 @@ def match_certifications(cert_stream: LinkStream, tx_mm: LinkStream) -> MatchRep
     seg = tx_mm.pairs.find(certs.u, certs.v)
     before, has_after, delay = _nearest(tx_mm.pairs, seg, anchor)
     code = np.where(seg < 0, 2, np.where(before >= 0, 0, 1))  # MatchCategory order
-    categories = list(MatchCategory)
-    outcomes = tuple(
-        map(
-            MatchOutcome,
-            _pairs(certs),
-            anchor.tolist(),
-            map(categories.__getitem__, code.tolist()),
-            np.where(seg < 0, None, delay).tolist(),
-        )
-    )
     return MatchReport(
-        outcomes=outcomes,
-        fractions=_fractions(code, categories),
+        anchor=anchor,
+        category=code,
+        delay=delay,
+        fractions=_fractions(code, MatchCategory),
         both_sided=int(np.count_nonzero((before >= 0) & has_after)),
     )
 
 
-def preceding_transaction_counts(
-    cert_stream: LinkStream, tx_mm: LinkStream
-) -> dict[Pair, tuple[int, int]]:
-    """Bulk form over every first certification: pair -> (anchor, number of
-    strictly earlier transactions). Pairs with zero earlier transactions are
-    included so callers can split the distribution themselves."""
+def preceding_transaction_counts(cert_stream: LinkStream, tx_mm: LinkStream) -> np.ndarray:
+    """For each pair of ``cert_stream.pairs``, the number of transactions
+    strictly earlier than its first certification; pairs with none count 0,
+    so callers can split the distribution themselves."""
     certs, txs = cert_stream.pairs, tx_mm.pairs
-    anchor = _first_times(certs)
     seg = txs.find(certs.u, certs.v)
-    before = txs.latest(seg, anchor, inclusive=False)
-    count = np.where(before >= 0, before - txs.starts[seg] + 1, 0)
-    return dict(zip(_pairs(certs), zip(anchor.tolist(), count.tolist())))
+    before = txs.latest(seg, _first_times(certs), inclusive=False)
+    return np.where(before >= 0, before - txs.starts[seg] + 1, 0)
 
 
 class TxCategory(enum.Enum):
@@ -234,9 +228,9 @@ class TxCategory(enum.Enum):
     NEVER = "never"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TxClassReport:
-    categories: tuple[TxCategory, ...]  # aligned with the stream's links
+    categories: np.ndarray  # TxCategory code per link, stream order
     fractions: dict[TxCategory, float]
 
 
@@ -247,23 +241,17 @@ def classify_transactions(tx_mm: LinkStream, cert_stream: LinkStream) -> TxClass
     seg = certs.find(tx_mm.src, tx_mm.dst)
     first_cert = certs.time_at(np.where(seg >= 0, certs.starts[seg], -1))  # -1: never
     code = np.where(first_cert < 0, 2, np.where(first_cert <= tx_mm.t, 0, 1))  # TxCategory order
-    categories = list(TxCategory)
-    return TxClassReport(
-        categories=tuple(map(categories.__getitem__, code.tolist())),
-        fractions=_fractions(code, categories),
-    )
+    return TxClassReport(categories=code, fractions=_fractions(code, TxCategory))
 
 
-@dataclass(frozen=True)
-class NewTxDelay:
-    pair: Pair
-    first_tx: int
-    delay: int | None  # certification time minus first transaction; None if uncertified
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NewTxDelayReport:
-    delays: tuple[NewTxDelay, ...]
+    """The first transaction of every pair, aligned with the transaction
+    stream's ``pairs``."""
+
+    first_tx: np.ndarray  # time of the pair's first transaction
+    delay: np.ndarray  # certification time minus first transaction; undefined if uncertified
+    certified: np.ndarray  # bool: the pair has a certification
     unmatched: int  # pairs whose endpoints never certified
 
 
@@ -277,7 +265,10 @@ def new_transaction_cert_delays(
     first_tx = _first_times(txs)
     seg = certs.find(txs.u, txs.v)
     _, _, delay = _nearest(certs, seg, first_tx)
-    rows = tuple(
-        map(NewTxDelay, _pairs(txs), first_tx.tolist(), np.where(seg < 0, None, delay).tolist())
+    certified = seg >= 0
+    return NewTxDelayReport(
+        first_tx=first_tx,
+        delay=delay,
+        certified=certified,
+        unmatched=len(seg) - int(np.count_nonzero(certified)),
     )
-    return NewTxDelayReport(delays=rows, unmatched=int(np.count_nonzero(seg < 0)))

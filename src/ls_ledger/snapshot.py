@@ -60,11 +60,6 @@ class StreamBundle:
     def tx_mm(self) -> LinkStream:
         return self.substream("MM")
 
-    @property
-    def substreams(self) -> dict[str, LinkStream]:
-        """All four substreams, keyed by MM / MA / AM / AA."""
-        return {label: self.substream(label) for label in SUBSTREAM_CLASSES}
-
 
 def build_bundle(
     table: NodeTable,

@@ -15,7 +15,6 @@ shrink the window.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,23 +60,18 @@ def neighborhood_overlaps(g1: InducedGraph, g2: InducedGraph) -> list[OverlapRes
 class ClosureDistribution:
     k: int
     results: np.ndarray  # look-back per link, stream order; -1 marks an infinite closure
-    finite: Counter[int]  # histogram over finite look-backs
     infinite_count: int
 
 
 def closure_distribution(s: LinkStream, k: int) -> ClosureDistribution:
-    """k-closure of every link of the stream; finite look-backs are
-    histogrammed and infinite ones only counted, as in the reference plots."""
+    """k-closure of every link of the stream, with the number of links
+    whose closure is infinite."""
     if k not in (2, 3):
         raise ValueError(f"k must be 2 or 3, got {k}")
     lookback = _two_closure(s) if k == 2 else _three_closure(s)
     lookback.setflags(write=False)
-    finite = lookback[lookback >= 0].tolist()
     return ClosureDistribution(
-        k=k,
-        results=lookback,
-        finite=Counter(finite),
-        infinite_count=len(lookback) - len(finite),
+        k=k, results=lookback, infinite_count=int(np.count_nonzero(lookback < 0))
     )
 
 

@@ -583,6 +583,45 @@ def relation_sets(s) -> tuple[set, set, set]:
     return pairs, pairs - bi, bi
 
 
+def relation_ratio_table(certs, txs, n_members: int, ordered_pairs: bool = False) -> list[tuple]:
+    """The 12 (label, numerator, denominator, value) ratio cells by set
+    algebra over the (any, uni, bi) sets of :func:`relation_sets`."""
+    n_pairs = n_members * (n_members - 1)
+    if not ordered_pairs:
+        n_pairs //= 2
+
+    def cell(label, num, den):
+        return label, num, den, num / den if den else None
+
+    c_any, c_uni, c_bi = certs
+    t_any, t_uni, t_bi = txs
+    return [
+        cell("C_any/pairs", len(c_any), n_pairs),
+        cell("C_uni/pairs", len(c_uni), n_pairs),
+        cell("C_bi/pairs", len(c_bi), n_pairs),
+        cell("T_any/pairs", len(t_any), n_pairs),
+        cell("T_uni/pairs", len(t_uni), n_pairs),
+        cell("T_bi/pairs", len(t_bi), n_pairs),
+        cell("T_any&C_any/C_any", len(t_any & c_any), len(c_any)),
+        cell("T_any&C_uni/C_uni", len(t_any & c_uni), len(c_uni)),
+        cell("T_any&C_bi/C_bi", len(t_any & c_bi), len(c_bi)),
+        cell("C_any&T_any/T_any", len(c_any & t_any), len(t_any)),
+        cell("C_any&T_uni/T_uni", len(c_any & t_uni), len(t_uni)),
+        cell("C_any&T_bi/T_bi", len(c_any & t_bi), len(t_bi)),
+    ]
+
+
+def certification_fraction_by_k(tau: dict, certs) -> list[tuple]:
+    """[(k, pairs, certified share, bidirectionally certified share)] per
+    transaction count k ascending, from a pair -> count mapping and the
+    (any, uni, bi) sets of :func:`relation_sets`."""
+    c_any, _, c_bi = certs
+    n_pairs = Counter(tau.values())
+    n_any = Counter(k for pair, k in tau.items() if pair in c_any)
+    n_bi = Counter(k for pair, k in tau.items() if pair in c_bi)
+    return [(k, n, n_any[k] / n, n_bi[k] / n) for k, n in sorted(n_pairs.items())]
+
+
 @dataclass(frozen=True)
 class NeighborhoodCluster:
     """The temporal nodes (t, u) that interacted with ``owner`` in a stream,

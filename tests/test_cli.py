@@ -13,7 +13,7 @@ from ls_ledger.errors import StateError
 from ls_ledger.fixtures import example_records, write_records
 from ls_ledger.ledger_ingest import CertRecord, IdentityRecord, TxRecord, format_record
 from ls_ledger.snapshot import load_bundle
-from ls_ledger.stream_core import SUBSTREAM_CLASSES, InducedGraph
+from ls_ledger.stream_core import SUBSTREAM_CLASSES, SUBSTREAM_LABELS, InducedGraph
 
 ALL_COMMANDS = ("overview", "graph", "closures", "match", "relations", "neighborhoods")
 
@@ -34,6 +34,11 @@ def run_all(runner, ledger, out_dir, extra=()):
         result = runner.invoke(main, [command, "--out", str(out_dir), *extra])
         assert result.exit_code == 0, f"{command}: {result.output}"
     return out_dir
+
+
+def substreams(bundle):
+    """Every transaction substream of the bundle, keyed by label."""
+    return {label: bundle.substream(label) for label in SUBSTREAM_LABELS}
 
 
 def dir_digest(path: Path) -> dict[str, str]:
@@ -61,7 +66,7 @@ def test_ingest_snapshot_round_trip(ledger_file, tmp_path):
     assert bundle.cert.link_count == 12
     assert bundle.tx.link_count == 14
     assert bundle.tx_mm.link_count == 12
-    assert sum(s.link_count for s in bundle.substreams.values()) == 14
+    assert sum(bundle.substream(label).link_count for label in SUBSTREAM_LABELS) == 14
     assert bundle.table.key_of(0) == "a"
 
 
@@ -69,14 +74,14 @@ def test_load_derives_substreams_without_sub_arrays(ledger_file, tmp_path):
     runner = CliRunner()
     out = tmp_path / "o"
     runner.invoke(main, ["ingest", "--input", str(ledger_file), "--out", str(out)])
-    before = load_bundle(out).substreams
+    before = substreams(load_bundle(out))
 
     def drop_sub_arrays(arrays):
         for label in ("MM", "MA", "AM", "AA"):
             del arrays[f"sub_{label}"]
 
     _rewrite(drop_sub_arrays)(out / "snapshot.npz")
-    after = load_bundle(out).substreams
+    after = substreams(load_bundle(out))
 
     def columns(subs):
         return {k: [c.tolist() for c in (s.t, s.src, s.dst, s.amount)] for k, s in subs.items()}
@@ -102,7 +107,7 @@ def test_substreams_are_built_on_first_read(ledger_file, tmp_path, monkeypatch):
     mm = bundle.tx_mm
     assert bundle.tx_mm is mm
     assert calls == [SUBSTREAM_CLASSES["MM"]]
-    subs = bundle.substreams
+    subs = substreams(bundle)
     assert len(calls) == 4 and subs["MM"] is mm
     assert list(subs) == ["MM", "MA", "AM", "AA"]
     for label, classes in SUBSTREAM_CLASSES.items():
@@ -334,7 +339,18 @@ def test_write_error_without_file_name_names_out(ledger_file, tmp_path, monkeypa
     assert_clean_error(result, f"Error: No space left on device: {out}")
 
 
-def test_overview_bin_grid_too_large_is_clean_error(tmp_path):
+@pytest.mark.parametrize(
+    "last, args, n_bins",
+    [
+        # ~5.3e13 one-day bins, 388 TiB of counts: numpy's MemoryError
+        pytest.param(2**62, (), 2**62 // 86_400 + 1, id="default-bin"),
+        # an array's byte size overflows: numpy's ValueError
+        pytest.param(2**62, ("--bin", "1", "--window", "1"), 2**62 + 1, id="bin-1"),
+        # an array's shape overflows: OverflowError
+        pytest.param(2**63 - 1, ("--bin", "1", "--window", "1"), 2**63, id="bin-1-int64-max"),
+    ],
+)
+def test_overview_bin_grid_too_large_is_clean_error(tmp_path, last, args, n_bins):
     ledger = tmp_path / "ledger.jsonl"
     write_records(
         ledger,
@@ -342,18 +358,61 @@ def test_overview_bin_grid_too_large_is_clean_error(tmp_path):
             IdentityRecord(0, "A", "a"),
             IdentityRecord(0, "B", "b"),
             CertRecord(0, "A", "B"),
-            CertRecord(2**62, "B", "A"),
+            CertRecord(last, "B", "A"),
         ],
     )
     runner = CliRunner()
     out = tmp_path / "o"
     result = runner.invoke(main, ["ingest", "--input", str(ledger), "--out", str(out)])
     assert result.exit_code == 0, result.output
-    # 2^62 s in one-day bins is ~5.3e13 bins, 388 TiB of counts: no machine
-    # can allocate them, so the failure is immediate
-    result = runner.invoke(main, ["overview", "--out", str(out)])
-    n_bins = 2**62 // 86_400 + 1
+    # no machine can allocate the grid, so the failure is immediate
+    result = runner.invoke(main, ["overview", "--out", str(out), *args])
     assert_clean_error(result, f"cannot allocate {n_bins} bins", "--bin")
+
+
+def read_rows(path: Path) -> list[list[str]]:
+    """The rows of an output CSV, header and comments left out."""
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    return [ln.split(",") for ln in lines[1:]]
+
+
+def test_degree_correlations_pair_the_nodes_both_graphs_hold(tmp_path):
+    # members a..f all certify and only b, d, e and f transact; a snapshot
+    # whose transaction nodes are those four loads, and their places in the
+    # txmm graph then differ from those in the cert graph
+    members = "abcdef"
+    certs = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("e", "f"), ("f", "a"), ("a", "c")]
+    certs += [("b", "d"), ("b", "e"), ("e", "d")]
+    txs = [("b", "d"), ("d", "e"), ("e", "b"), ("b", "f"), ("f", "d"), ("d", "b")]
+    records = [IdentityRecord(0, k.upper(), k) for k in members]
+    records += [CertRecord(i, u.upper(), v.upper()) for i, (u, v) in enumerate(certs)]
+    records += [TxRecord(10 + i, u.upper(), v.upper(), 1) for i, (u, v) in enumerate(txs)]
+    ledger = tmp_path / "ledger.jsonl"
+    write_records(ledger, records)
+    out = tmp_path / "o"
+    runner = CliRunner()
+    result = runner.invoke(main, ["ingest", "--input", str(ledger), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+
+    def transacting_nodes_only(a):
+        a["tx_nodes"] = np.unique(np.concatenate((a["tx_src"], a["tx_dst"])))
+
+    _rewrite(transacting_nodes_only)(out / "snapshot.npz")
+    result = runner.invoke(main, ["overview", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+
+    cert = {node: (int(i), int(o)) for node, i, o in read_rows(out / "degrees.csv")}
+    txmm = {node: (int(i), int(o)) for node, i, o in read_rows(out / "degrees_txmm.csv")}
+    common = sorted(set(cert) & set(txmm))
+    assert len(cert) == 6 and common == sorted(txmm) == ["B", "D", "E", "F"]
+    expected = {}
+    for label, side in (("cert_out~txmm_out", 1), ("cert_in~txmm_in", 0)):
+        xs = np.array([cert[n][side] for n in common])
+        ys = np.array([txmm[n][side] for n in common])
+        expected[label] = f"{np.corrcoef(xs, ys)[0, 1]:.6f}"
+    got = dict(read_rows(out / "degree_correlations.csv"))
+    for label, r in expected.items():
+        assert float(got[label]) == pytest.approx(float(r), abs=2e-6), label
 
 
 def test_out_dir_from_environment(ledger_file, tmp_path):

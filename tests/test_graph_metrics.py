@@ -38,15 +38,28 @@ def random_graph(rng, n, p):
 
 def test_degree_report_single_edge():
     rep = degree_report(graph_of({0, 1, 2}, {(0, 1)}))
-    assert rep.out_degree == {0: 1, 1: 0, 2: 0}
-    assert rep.in_degree == {0: 0, 1: 1, 2: 0}
+    assert rep.out_degree.tolist() == [1, 0, 0]
+    assert rep.in_degree.tolist() == [0, 1, 0]
 
 
 def test_degree_report_example(sample_stream):
     s, table = sample_stream
-    rep = degree_report(induced_graph(s))
-    out = {table.key_of(n): d for n, d in rep.out_degree.items()}
+    g = induced_graph(s)
+    rep = degree_report(g)
+    out = {table.key_of(n): d for n, d in zip(g.sorted_nodes.tolist(), rep.out_degree.tolist())}
     assert out == {"a": 2, "b": 3, "c": 2, "d": 2}
+
+
+def test_degree_report_counts_edges_at_each_place():
+    rng = random.Random(5)
+    for trial in range(20):
+        nodes = rng.sample(range(40), rng.randint(2, 12))
+        edges = {(u, v) for u in nodes for v in nodes if u != v and rng.random() < 0.3}
+        g = graph_of(nodes, edges)
+        rep = degree_report(g)
+        places = g.sorted_nodes.tolist()
+        assert rep.out_degree.tolist() == [sum(u == n for u, _ in edges) for n in places]
+        assert rep.in_degree.tolist() == [sum(v == n for _, v in edges) for n in places]
 
 
 def test_degree_sums_equal_edge_count():
@@ -54,8 +67,8 @@ def test_degree_sums_equal_edge_count():
     for trial in range(20):
         g = random_graph(rng, rng.randint(2, 12), 0.4)
         rep = degree_report(g)
-        assert sum(rep.in_degree.values()) == len(g.directed_edges())
-        assert sum(rep.out_degree.values()) == len(g.directed_edges())
+        assert rep.in_degree.sum() == len(g.directed_edges())
+        assert rep.out_degree.sum() == len(g.directed_edges())
 
 
 def test_handshake_identity():
@@ -68,32 +81,33 @@ def test_handshake_identity():
 
 
 def test_degree_correlation_perfect():
-    xs = {0: 1.0, 1: 2.0, 2: 3.0}
+    xs = np.array([1.0, 2.0, 3.0])
     assert degree_correlation(xs, xs).r == pytest.approx(1.0)
-    neg = {n: -v for n, v in xs.items()}
-    assert degree_correlation(xs, neg).r == pytest.approx(-1.0)
+    assert degree_correlation(xs, -xs).r == pytest.approx(-1.0)
 
 
 def test_degree_correlation_three_points():
     # frozen from the closed-form reference (np.corrcoef agrees below)
-    xs = {0: 1, 1: 2, 2: 3}
-    ys = {0: 2, 1: 4, 2: 7}
+    xs = np.array([1, 2, 3])
+    ys = np.array([2, 4, 7])
     res = degree_correlation(xs, ys)
     assert res.r == pytest.approx(0.9933992677987828, abs=1e-12)
     assert res.r == pytest.approx(float(np.corrcoef([1, 2, 3], [2, 4, 7])[0, 1]))
-    assert degree_correlation(xs, {0: 2, 1: 4, 2: 8}).r == pytest.approx(
+    assert degree_correlation(xs, np.array([2, 4, 8])).r == pytest.approx(
         0.9819805060619656, abs=1e-12
     )
 
 
 def test_degree_correlation_zero_variance():
     with pytest.raises(UndefinedCorrelationError):
-        degree_correlation({0: 1, 1: 1}, {0: 1, 1: 2})
+        degree_correlation(np.array([1, 1]), np.array([1, 2]))
 
 
 def test_degree_correlation_mismatched_nodes():
     with pytest.raises(ValueError):
-        degree_correlation({0: 1}, {1: 1})
+        degree_correlation(np.array([1, 2]), np.array([1, 2, 3]))
+    with pytest.raises(ValueError):
+        degree_correlation(np.array([1]), np.array([1]))
 
 
 def test_clustering_triangle_and_star():

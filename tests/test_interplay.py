@@ -1,4 +1,5 @@
 import random
+from itertools import compress
 
 import pytest
 
@@ -30,21 +31,41 @@ def value(table, label):
     return {cell.label: cell.value for cell in table.cells}[label]
 
 
+def pairs_of(idx):
+    return list(zip(idx.u.tolist(), idx.v.tolist()))
+
+
+def sets_of(rel):
+    """The (any, uni, bi) sets of pairs that relation sets mark."""
+    pairs = pairs_of(rel.pairs)
+    bi = set(compress(pairs, rel.bi.tolist()))
+    return set(pairs), set(pairs) - bi, bi
+
+
+def categories(enum_cls, codes):
+    return [list(enum_cls)[c] for c in codes.tolist()]
+
+
+def counts_stream(counts):
+    """A transaction stream with ``k`` links for every pair -> k."""
+    return stream(*[(t, u, v) for (u, v), k in counts.items() for t in range(k)], amounts=True)
+
+
 def test_relation_sets_example():
     s = stream((0, 1, 2), (1, 2, 1), (2, 1, 3))
     rel = relation_sets(s)
-    assert rel.any == {(1, 2), (1, 3)}
-    assert rel.bi == {(1, 2)}
-    assert rel.uni == {(1, 3)}
+    assert pairs_of(rel.pairs) == [(1, 2), (1, 3)]
+    assert rel.bi.tolist() == [True, False]
+    assert sets_of(rel) == ({(1, 2), (1, 3)}, {(1, 3)}, {(1, 2)})
 
 
 def test_relation_sets_empty_and_single():
     empty = build_stream([], interval=(0, 10))
     rel = relation_sets(empty)
-    assert not rel.any and not rel.uni and not rel.bi
+    assert len(rel.pairs.u) == len(rel.bi) == 0
     single = stream((5, 3, 4))
     rel = relation_sets(single)
-    assert rel.any == rel.uni == {(3, 4)} and not rel.bi
+    assert sets_of(rel) == ({(3, 4)}, {(3, 4)}, set())
 
 
 def test_relation_sets_partition_property():
@@ -55,9 +76,9 @@ def test_relation_sets_partition_property():
             (rng.randint(0, 50), *rng.sample(range(n), 2))
             for _ in range(rng.randint(1, 60))
         ]
-        rel = relation_sets(stream(*events))
-        assert rel.uni | rel.bi == rel.any
-        assert not rel.uni & rel.bi
+        any_, uni, bi = sets_of(relation_sets(stream(*events)))
+        assert uni | bi == any_
+        assert not uni & bi
 
 
 def test_ratio_table_example():
@@ -98,8 +119,8 @@ def test_ratio_table_ordered_convention_halves_rows_1_2():
 def test_pair_transaction_counts():
     s = stream((1, 5, 6), (2, 6, 5), (3, 5, 6), amounts=True)
     tau = pair_transaction_counts(s)
-    assert tau == {(5, 6): 3}
-    assert pair_transaction_counts(build_stream([], interval=(0, 1))) == {}
+    assert pairs_of(s.pairs) == [(5, 6)] and tau.tolist() == [3]
+    assert pair_transaction_counts(build_stream([], interval=(0, 1))).tolist() == []
 
 
 def test_pair_counts_conservation():
@@ -112,16 +133,16 @@ def test_pair_counts_conservation():
         ]
         s = stream(*events, amounts=True)
         tau = pair_transaction_counts(s)
-        assert sum(tau.values()) == s.link_count
+        assert sum(tau.tolist()) == s.link_count
         # grouping by exact count conserves links too
-        rows = certification_fraction_by_k(tau, relation_sets(stream((0, 0, 1))))
+        rows = certification_fraction_by_k(tau, relation_sets(s), relation_sets(stream((0, 0, 1))))
         assert sum(r.k * r.n_pairs for r in rows) == s.link_count
 
 
 def test_certification_fraction_by_k():
     certs = relation_sets(stream((0, 1, 2)))
-    tau = {(1, 2): 2, (3, 4): 2}
-    rows = certification_fraction_by_k(tau, certs)
+    txs = counts_stream({(1, 2): 2, (3, 4): 2})
+    rows = certification_fraction_by_k(pair_transaction_counts(txs), relation_sets(txs), certs)
     assert len(rows) == 1
     assert rows[0].k == 2 and rows[0].n_pairs == 2
     assert rows[0].frac_any == pytest.approx(0.5)
@@ -130,8 +151,8 @@ def test_certification_fraction_by_k():
 
 def test_certification_fraction_all_certified():
     certs = relation_sets(stream((0, 1, 2), (0, 2, 1), (0, 3, 4), (0, 4, 3)))
-    tau = {(1, 2): 1, (3, 4): 5}
-    rows = certification_fraction_by_k(tau, certs)
+    txs = counts_stream({(1, 2): 1, (3, 4): 5})
+    rows = certification_fraction_by_k(pair_transaction_counts(txs), relation_sets(txs), certs)
     assert [r.frac_any for r in rows] == [1.0, 1.0]
     assert [r.frac_bi for r in rows] == [1.0, 1.0]
 
@@ -149,8 +170,9 @@ def test_fraction_by_k_bi_below_any():
             for _ in range(rng.randint(1, 50))
         ]
         certs = relation_sets(stream(*cert_events))
-        tau = pair_transaction_counts(stream(*tx_events, amounts=True))
-        for row in certification_fraction_by_k(tau, certs):
+        txs = stream(*tx_events, amounts=True)
+        tau = pair_transaction_counts(txs)
+        for row in certification_fraction_by_k(tau, relation_sets(txs), certs):
             assert row.frac_bi <= row.frac_any + 1e-12
 
 
@@ -158,17 +180,16 @@ def test_match_certifications_example():
     certs = stream((10, 7, 8))
     txs = stream((8, 7, 8), (15, 8, 7), amounts=True)
     report = match_certifications(certs, txs)
-    (outcome,) = report.outcomes
-    assert outcome.category is MatchCategory.BEFORE
-    assert outcome.delay == -2
-    assert outcome.anchor == 10
+    assert categories(MatchCategory, report.category) == [MatchCategory.BEFORE]
+    assert report.delay.tolist() == [-2]
+    assert report.anchor.tolist() == [10]
     assert report.both_sided == 1
 
 
 def test_match_certifications_no_transactions():
     certs = stream((10, 7, 8), (11, 2, 3))
     report = match_certifications(certs, build_stream([], interval=(0, 1)))
-    assert all(o.category is MatchCategory.NEVER for o in report.outcomes)
+    assert categories(MatchCategory, report.category) == [MatchCategory.NEVER] * 2
     assert report.fractions[MatchCategory.NEVER] == 1.0
 
 
@@ -185,7 +206,7 @@ def test_match_fractions_sum_to_one():
         ) if rng.random() < 0.9 else build_stream([], interval=(0, 99))
         report = match_certifications(certs, txs)
         assert sum(report.fractions.values()) == pytest.approx(1.0, abs=1e-12)
-        assert len(report.outcomes) == len(relation_sets(certs).any)
+        assert len(report.anchor) == len(report.category) == len(relation_sets(certs).bi)
 
 
 def test_match_is_label_order_invariant():
@@ -194,38 +215,38 @@ def test_match_is_label_order_invariant():
     txs = stream((8, 2, 1), (13, 1, 2), amounts=True)
     ra = match_certifications(certs_a, txs)
     rb = match_certifications(certs_b, txs)
-    assert [(o.pair, o.anchor, o.category, o.delay) for o in ra.outcomes] == [
-        (o.pair, o.anchor, o.category, o.delay) for o in rb.outcomes
-    ]
+    assert pairs_of(certs_a.pairs) == pairs_of(certs_b.pairs)
+    for column in ("anchor", "category", "delay"):
+        assert getattr(ra, column).tolist() == getattr(rb, column).tolist()
 
 
 def test_match_tie_breaks_toward_earlier():
     certs = stream((10, 1, 2))
     txs = stream((8, 1, 2), (12, 1, 2), amounts=True)  # both 2 away
-    (outcome,) = match_certifications(certs, txs).outcomes
-    assert outcome.delay == -2
+    assert match_certifications(certs, txs).delay.tolist() == [-2]
 
 
 def test_preceding_transaction_count():
     txs = stream((3, 1, 2), (8, 2, 1), (12, 1, 2), amounts=True)
-    assert preceding_transaction_counts(stream((10, 1, 2)), txs) == {(1, 2): (10, 2)}
+    assert preceding_transaction_counts(stream((10, 1, 2)), txs).tolist() == [2]
     # strict: the transaction at the anchor time does not count
-    assert preceding_transaction_counts(stream((3, 2, 1)), txs) == {(1, 2): (3, 0)}
-    assert preceding_transaction_counts(stream((10, 4, 5)), txs) == {(4, 5): (10, 0)}
+    assert preceding_transaction_counts(stream((3, 2, 1)), txs).tolist() == [0]
+    assert preceding_transaction_counts(stream((10, 4, 5)), txs).tolist() == [0]
 
 
 def test_preceding_transaction_counts_bulk():
     certs = stream((10, 1, 2), (20, 3, 4))
     txs = stream((3, 1, 2), (8, 2, 1), (25, 3, 4), amounts=True)
     bulk = preceding_transaction_counts(certs, txs)
-    assert bulk == {(1, 2): (10, 2), (3, 4): (20, 0)}
+    assert pairs_of(certs.pairs) == [(1, 2), (3, 4)]
+    assert bulk.tolist() == [2, 0]
 
 
 def test_classify_transactions_example():
     certs = stream((10, 1, 2))
     txs = stream((5, 1, 2), (10, 2, 1), (11, 1, 2), (3, 4, 5), amounts=True)
     report = classify_transactions(txs, certs)
-    cats = dict(zip(links_of(txs), report.categories))
+    cats = dict(zip(links_of(txs), categories(TxCategory, report.categories)))
     assert cats[(5, 1, 2)] is TxCategory.FUTURE_CERTIFIED
     assert cats[(10, 2, 1)] is TxCategory.ALREADY_CERTIFIED  # simultaneous counts
     assert cats[(11, 1, 2)] is TxCategory.ALREADY_CERTIFIED
@@ -252,8 +273,8 @@ def test_new_transaction_cert_delays_example():
     txs = stream((100, 1, 2), amounts=True)
     certs = stream((90, 1, 2), (300, 2, 1))
     report = new_transaction_cert_delays(txs, certs)
-    (row,) = report.delays
-    assert row.first_tx == 100 and row.delay == -10
+    assert report.first_tx.tolist() == [100] and report.delay.tolist() == [-10]
+    assert report.certified.tolist() == [True]
     assert report.unmatched == 0
 
 
@@ -262,5 +283,6 @@ def test_new_transaction_cert_delays_unmatched():
     certs = stream((90, 1, 2))
     report = new_transaction_cert_delays(txs, certs)
     assert report.unmatched == 1
-    by_pair = {r.pair: r.delay for r in report.delays}
-    assert by_pair[(3, 4)] is None and by_pair[(1, 2)] == -10
+    assert pairs_of(txs.pairs) == [(1, 2), (3, 4)]
+    assert report.certified.tolist() == [True, False]
+    assert report.delay[0] == -10

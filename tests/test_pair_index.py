@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -22,11 +22,15 @@ import pytest
 import oracles
 from ls_ledger import stream_core
 from ls_ledger.interplay import (
+    MatchCategory,
+    TxCategory,
+    certification_fraction_by_k,
     classify_transactions,
     match_certifications,
     new_transaction_cert_delays,
     pair_transaction_counts,
     preceding_transaction_counts,
+    relation_ratio_table,
     relation_sets,
 )
 from ls_ledger.stream_core import Link, build_stream
@@ -80,6 +84,18 @@ CASES = random_cases() + edge_cases()
 
 def as_minus_one(lookbacks):
     return [-1 if b is None else b for b in lookbacks]
+
+
+def pairs_of(idx):
+    return list(zip(idx.u.tolist(), idx.v.tolist()))
+
+
+def values_of(enum_cls, codes):
+    return [list(enum_cls)[c].value for c in codes.tolist()]
+
+
+def or_none(values, defined):
+    return [v if ok else None for v, ok in zip(values.tolist(), defined.tolist())]
 
 
 @pytest.mark.parametrize("directed", [True, False])
@@ -138,9 +154,7 @@ def test_closures_equal_reference(block, monkeypatch):
                 dist = closure_distribution(s, k=k)
                 expected = oracles.closure_lookbacks(s, k)
                 assert dist.results.tolist() == as_minus_one(expected), (k, oracles.links_of(s))
-                finite = [b for b in expected if b is not None]
-                assert dist.finite == Counter(finite)
-                assert dist.infinite_count == len(expected) - len(finite)
+                assert dist.infinite_count == expected.count(None)
 
 
 def test_closures_equal_brute_force_on_ties():
@@ -160,29 +174,52 @@ def test_match_kernels_equal_reference():
     for cert, tx in CASES:
         report = match_certifications(cert, tx)
         rows, both_sided = oracles.match_certifications(cert, tx)
-        got = [(o.pair, o.anchor, o.category.value, o.delay) for o in report.outcomes]
-        assert got == rows
+        cert_pairs = pairs_of(cert.pairs)
+        defined = report.category != list(MatchCategory).index(MatchCategory.NEVER)
+        got = zip(
+            cert_pairs,
+            report.anchor.tolist(),
+            values_of(MatchCategory, report.category),
+            or_none(report.delay, defined),
+        )
+        assert list(got) == rows
         assert report.both_sided == both_sided
         n = len(rows)
         for cat, share in report.fractions.items():
             assert share == (sum(r[2] == cat.value for r in rows) / n if n else 0.0)
 
         expected = oracles.preceding_transaction_counts(cert, tx)
-        assert preceding_transaction_counts(cert, tx) == expected
+        got = zip(report.anchor.tolist(), preceding_transaction_counts(cert, tx).tolist())
+        assert list(zip(cert_pairs, got)) == list(expected.items())
 
         classes = classify_transactions(tx, cert)
-        assert [c.value for c in classes.categories] == oracles.classify_transactions(tx, cert)
+        assert values_of(TxCategory, classes.categories) == oracles.classify_transactions(tx, cert)
 
         delays = new_transaction_cert_delays(tx, cert)
         rows, unmatched = oracles.new_transaction_cert_delays(tx, cert)
-        assert [(d.pair, d.first_tx, d.delay) for d in delays.delays] == rows
+        got = zip(pairs_of(tx.pairs), delays.first_tx.tolist(), or_none(delays.delay, delays.certified))
+        assert list(got) == rows
         assert delays.unmatched == unmatched
 
         for s in (cert, tx):
             rel = relation_sets(s)
-            assert (rel.any, rel.uni, rel.bi) == oracles.relation_sets(s)
+            pairs = pairs_of(rel.pairs)
+            bi = set(compress(pairs, rel.bi.tolist()))
+            assert (set(pairs), set(pairs) - bi, bi) == oracles.relation_sets(s)
             counts = {p: len(ts) for p, ts in oracles.pair_event_times(s).items()}
-            assert pair_transaction_counts(s) == counts
+            assert dict(zip(pairs, pair_transaction_counts(s).tolist())) == counts
+
+        cert_rel, tx_rel = relation_sets(cert), relation_sets(tx)
+        cert_sets, tx_sets = oracles.relation_sets(cert), oracles.relation_sets(tx)
+        for n_members in (0, 1, len(cert.nodes | tx.nodes)):
+            for ordered in (False, True):
+                table = relation_ratio_table(cert_rel, tx_rel, n_members, ordered_pairs=ordered)
+                got = [(c.label, c.numerator, c.denominator, c.value) for c in table.cells]
+                assert got == oracles.relation_ratio_table(cert_sets, tx_sets, n_members, ordered)
+        tau = {p: len(ts) for p, ts in oracles.pair_event_times(tx).items()}
+        rows = certification_fraction_by_k(pair_transaction_counts(tx), tx_rel, cert_rel)
+        got = [(r.k, r.n_pairs, r.frac_any, r.frac_bi) for r in rows]
+        assert got == oracles.certification_fraction_by_k(tau, cert_sets)
 
 
 def test_tie_rules_at_one_instant():
@@ -196,6 +233,6 @@ def test_tie_rules_at_one_instant():
     # resolve to the earlier transaction
     cert = build_stream([Link(10, 0, 1), Link(10, 2, 3)])
     tx = build_stream([Link(10, 1, 0), Link(8, 2, 3), Link(12, 3, 2)])
-    (at, tie) = match_certifications(cert, tx).outcomes
-    assert (at.category.value, at.delay) == ("before", 0)
-    assert (tie.category.value, tie.delay) == ("before", -2)
+    report = match_certifications(cert, tx)
+    assert values_of(MatchCategory, report.category) == ["before", "before"]
+    assert report.delay.tolist() == [0, -2]

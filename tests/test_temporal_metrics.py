@@ -153,13 +153,14 @@ def test_closure_distribution_full_tables(sample_stream):
         }
         assert got == expected
         assert dist.infinite_count == sum(1 for v in expected.values() if v is None)
-        assert sum(dist.finite.values()) + dist.infinite_count == 12
+        assert len(dist.results) == 12
+        assert dist.infinite_count == dist.results.tolist().count(-1)
 
 
 def test_closure_distribution_no_reverse_links():
     s = build_stream([Link(t, 0, 1) for t in range(5)])
     dist = closure_distribution(s, k=2)
-    assert dist.infinite_count == 5 and not dist.finite
+    assert dist.infinite_count == 5 and dist.results.tolist() == [-1] * 5
 
 
 def test_closure_distribution_rejects_bad_k(sample_stream):
