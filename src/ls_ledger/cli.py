@@ -168,20 +168,14 @@ def cmd_overview(cfg: RunConfig) -> None:
                 f"[{common[0]}, {common[1]}]; try a larger --bin"
             ) from None
 
-    starts = series["cert"][0].bin_starts()
     _write_csv(
         cfg.out_dir / "activity.csv",
         _comments("overview", cfg),
         "bin_start,cert,txmm,cert_rolling,txmm_rolling",
-        (
-            (
-                t,
-                series["cert"][0].values[i],
-                series["txmm"][0].values[i],
-                series["cert"][1].values[i],
-                series["txmm"][1].values[i],
-            )
-            for i, t in enumerate(starts)
+        zip(
+            series["cert"][0].bin_starts(),
+            # the counts, then the rolling sums, each cert then txmm
+            *(series[name][i].values.tolist() for i in (0, 1) for name in ("cert", "txmm")),
         ),
     )
 
@@ -211,7 +205,7 @@ def cmd_overview(cfg: RunConfig) -> None:
     corr_rows = []
     for label, xs, ys in pairings:
         try:
-            corr_rows.append((label, _fmt(graph_metrics.degree_correlation(xs, ys).r, 6)))
+            corr_rows.append((label, _fmt(graph_metrics.degree_correlation(xs, ys), 6)))
         except (LedgerError, ValueError):
             corr_rows.append((label, "NA"))
     _write_csv(
@@ -224,7 +218,7 @@ def cmd_overview(cfg: RunConfig) -> None:
     # activity correlation over the rolling sums, on the shared grid
     try:
         rolling = (series[name][1].values for name in ("cert", "txmm"))
-        r = graph_metrics.degree_correlation(*rolling).r
+        r = graph_metrics.degree_correlation(*rolling)
         click.echo(f"activity_correlation:{r:.6f}")
     except (LedgerError, ValueError):
         click.echo("activity_correlation:NA (undefined)")
@@ -253,17 +247,14 @@ def cmd_graph(cfg: RunConfig) -> None:
                 f"average_active={report.average_active:.6f} (degree >= 2 only)",
             ),
             "node,coefficient",
-            (
-                (keys[n], _fmt(c, 6))
-                for n, c in sorted(report.coefficients.items())
-            ),
+            zip(_keys(keys, g.sorted_nodes), (_fmt(c, 6) for c in report.coefficients.tolist())),
         )
         click.echo(f"triangles_{name}:{report.triangles}")
         click.echo(f"clustering_{name}:{report.average:.6f}")
 
         if name != "txaa" and len(g.undirected_edges()) >= 2:
             null = graph_metrics.null_model_triangles(
-                g, samples=cfg.samples, seed=cfg.seed
+                g, report.triangles, samples=cfg.samples, seed=cfg.seed
             )
             fname = "null_model.csv" if name == "cert" else f"null_model_{name}.csv"
             _write_csv(
@@ -284,8 +275,14 @@ def cmd_graph(cfg: RunConfig) -> None:
     # their distances in the undirected certification graph, whose nodes are
     # the members, so every pair is measured
     rows = graphs["txmm"].undirected_edges()
-    uncertified = rows[bundle.cert.pairs.find(rows[:, 0], rows[:, 1]) < 0].tolist()
-    dist = graph_metrics.distance_distribution(uncertified, graphs["cert"])
+    uncertified = rows[bundle.cert.pairs.find(rows[:, 0], rows[:, 1]) < 0]
+    cert_nodes = graphs["cert"].sorted_nodes
+    at = np.searchsorted(cert_nodes, uncertified)
+    known = at < len(cert_nodes)
+    known[known] = cert_nodes[at[known]] == uncertified[known]
+    if not known.all():
+        raise LedgerError(f"member {keys[uncertified[~known][0]]} not in the certification graph")
+    dist = graph_metrics.distance_distribution(at[:, 0], at[:, 1], graphs["cert"])
     _write_csv(
         cfg.out_dir / "distances.csv",
         _comments(
@@ -294,7 +291,7 @@ def cmd_graph(cfg: RunConfig) -> None:
             f"pairs={len(uncertified)} unreachable={dist.unreachable}",
         ),
         "distance,count",
-        sorted(dist.counts.items()),
+        ((d, c) for d, c in enumerate(dist.counts.tolist()) if c),
     )
 
 
@@ -460,14 +457,12 @@ def cmd_neighborhoods(cfg: RunConfig) -> None:
             for name, g in graphs.items()
         ),
     )
+    nodes, *fractions = temporal_metrics.neighborhood_overlaps(graphs["cert"], graphs["txmm"])
     _write_csv(
         cfg.out_dir / "overlap.csv",
         _comments("neighborhoods", cfg, "inclusion of txmm neighborhood in cert neighborhood"),
         "node,inclusion,jaccard",
-        (
-            (keys[res.node], _fmt(res.inclusion), _fmt(res.jaccard))
-            for res in temporal_metrics.neighborhood_overlaps(graphs["cert"], graphs["txmm"])
-        ),
+        zip(_keys(keys, nodes), *(_or_na(x, ~np.isnan(x), ".4f") for x in fractions)),
     )
 
 
@@ -492,9 +487,9 @@ def _values(categories, codes) -> list[str]:
     return [values[c] for c in codes.tolist()]
 
 
-def _or_na(values, defined) -> list:
-    """The values, NA where ``defined`` does not hold."""
-    return [v if ok else "NA" for v, ok in zip(values.tolist(), defined.tolist())]
+def _or_na(values, defined, spec: str = "") -> list:
+    """The values, formatted by ``spec``, NA where ``defined`` does not hold."""
+    return [format(v, spec) if ok else "NA" for v, ok in zip(values.tolist(), defined.tolist())]
 
 
 # ------------------------------------------------------------------- click

@@ -4,16 +4,17 @@ Degrees are taken on the deduplicated directed edge set, as two arrays
 over the graph's node places (positions in ``sorted_nodes``); the rest
 works on the symmetrized (undirected) view, through the arrays that
 ``InducedGraph`` caches over node places. Clustering, triangle counts and
-null-model samples share one numpy triangle kernel over the edge ends;
-distances read the CSR neighbor slices. Link multiplicities per pair
-belong to the cross-stream interplay metrics.
+null-model samples share one numpy triangle kernel over the edge ends,
+and the clustering coefficients are an array over places; distances take
+pairs as two columns of places, read the CSR neighbor slices and count
+per distance in an array. Link multiplicities per pair belong to the
+cross-stream interplay metrics.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain
 
@@ -41,12 +42,7 @@ def degree_report(g: InducedGraph) -> DegreeReport:
     )
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
-    r: float
-
-
-def degree_correlation(xs, ys) -> CorrelationResult:
+def degree_correlation(xs, ys) -> float:
     """Pearson product-moment coefficient of two series of equal length,
     such as two per-node values over the same places.
 
@@ -67,19 +63,21 @@ def degree_correlation(xs, ys) -> CorrelationResult:
     if sxx == 0.0 or syy == 0.0:
         raise UndefinedCorrelationError("zero variance on one of the series")
     sxy = sum((x - mx) * (y - my) for x, y in zip(xv, yv))
-    return CorrelationResult(r=sxy / math.sqrt(sxx * syy))
+    return sxy / math.sqrt(sxx * syy)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusteringReport:
     """Per-node neighborhood density on the undirected view.
 
-    Nodes of degree < 2 get coefficient 0 and are included in ``average``;
-    ``average_active`` restricts the mean to nodes of degree >= 2 since both
-    conventions circulate. ``triangles`` is the graph's triangle count.
+    ``coefficients`` holds one float per place of the graph's
+    ``sorted_nodes``. Nodes of degree < 2 get coefficient 0 and are
+    included in ``average``; ``average_active`` restricts the mean to nodes
+    of degree >= 2 since both conventions circulate. Both sum in place
+    order. ``triangles`` is the graph's triangle count.
     """
 
-    coefficients: dict[int, float]
+    coefficients: np.ndarray
     average: float
     average_active: float
     triangles: int
@@ -88,22 +86,18 @@ class ClusteringReport:
 def clustering(g: InducedGraph) -> ClusteringReport:
     """Local clustering coefficient of every node: edges among its
     neighbors, which are the triangles through it, divided by k*(k-1)/2."""
-    tri = _node_triangles(*g.ends, g.rank).tolist()
-    coeffs: dict[int, float] = {}
-    active: list[float] = []
-    for node, k, t in zip(g.sorted_nodes.tolist(), g.degree.tolist(), tri):
-        if k < 2:
-            coeffs[node] = 0.0
-            continue
-        c = 2.0 * t / (k * (k - 1))
-        coeffs[node] = c
-        active.append(c)
-    n = len(g.nodes)
+    tri = _node_triangles(*g.ends, g.rank)
+    k = g.degree
+    active = k >= 2
+    coeffs = np.zeros(len(k))
+    coeffs[active] = 2.0 * tri[active] / (k * (k - 1))[active]
+    # Python sums in place order: a pairwise np.sum could move the last bits
+    n, n_active = len(k), int(np.count_nonzero(active))
     return ClusteringReport(
         coefficients=coeffs,
-        average=sum(coeffs.values()) / n if n else 0.0,
-        average_active=sum(active) / len(active) if active else 0.0,
-        triangles=sum(tri) // 3,
+        average=sum(coeffs.tolist()) / n if n else 0.0,
+        average_active=sum(coeffs[active].tolist()) / n_active if n_active else 0.0,
+        triangles=int(tri.sum()) // 3,
     )
 
 
@@ -184,11 +178,12 @@ def _rewired_ends(g: InducedGraph, samples: int, seed: int):
 
 
 def null_model_triangles(
-    g: InducedGraph, samples: int = 100, seed: int = 0
+    g: InducedGraph, observed: int, samples: int = 100, seed: int = 0
 ) -> NullModelResult:
-    """Triangle counts under the degree-preserving null model; see
-    :func:`rewired_samples` for the randomization."""
-    observed = triangle_count(g)
+    """Triangle counts under the degree-preserving null model, against the
+    ``observed`` triangle count of ``g`` (as :func:`clustering` or
+    :func:`triangle_count` give it); see :func:`rewired_samples` for the
+    randomization."""
     # swaps keep every degree, so g's ranks orient each sample as well
     counts = [
         int(_node_triangles(ends[0::2], ends[1::2], g.rank).sum()) // 3
@@ -285,75 +280,73 @@ def _double_edge_swap(
     return list(zip(us, vs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceDistribution:
-    counts: dict[int, int]  # finite distance -> number of pairs
+    counts: np.ndarray  # pairs at each finite distance, indexed by the distance
     unreachable: int
 
     def total(self) -> int:
-        return sum(self.counts.values()) + self.unreachable
+        return int(self.counts.sum()) + self.unreachable
 
 
-def distance_distribution(
-    pairs: Iterable[tuple[int, int]], g: InducedGraph
-) -> DistanceDistribution:
-    """Histogram of undirected shortest-path distances over node pairs.
+def distance_distribution(u: np.ndarray, v: np.ndarray, g: InducedGraph) -> DistanceDistribution:
+    """Histogram of undirected shortest-path distances over the node pairs
+    ``(u[i], v[i])``, both ends given as places in ``g``.
 
     Every breadth-first search runs at once, one bit per distinct source
-    (multi-source BFS; Then et al., PVLDB 2014): ``reach[v]`` holds the
-    sources whose search has reached v, ``want[v]`` the sources paired with
-    v and not yet found. Each level ORs the newly reached bits of every
-    neighbor into v, and the bits that are new at v and wanted there are
-    the pairs at that distance. The search stops once every pair is found
-    or a level reaches nothing new; pairs never found are unreachable.
-    Duplicate pairs count once; (u, v) and (v, u) count separately. The
-    masks take n * S bits for n nodes and S distinct sources. Nodes are
-    numbered by their place in the graph, and each node's neighbors are one
-    slice of the graph's CSR arrays. Intended for the pairs that transact
+    (multi-source BFS; Then et al., PVLDB 2014): row v of ``reach`` holds
+    the sources whose search has reached place v, row v of ``want`` the
+    sources paired with v and not yet found, each row in 64-bit words. Each
+    level ORs the newly reached bits of every neighbor into v, by
+    ``reduceat`` over the CSR neighbor slices of consecutive places in
+    blocks (``_blocks``), which bounds the rows gathered at once, and the
+    bits that are new at v and wanted there are the pairs at that distance.
+    The search stops once every pair is found or a level reaches nothing
+    new; pairs never found are unreachable. Duplicate pairs count once;
+    (u, v) and (v, u) count separately. The masks take n * S bits for n
+    nodes and S distinct sources. Intended for the pairs that transact
     without a certification, measured in the undirected certification
     graph.
     """
-    pair_set = set()
-    for u, v in pairs:
-        if u not in g.nodes or v not in g.nodes:
-            missing = u if u not in g.nodes else v
-            raise KeyError(f"node {missing} not in graph")
-        pair_set.add((u, v))
-    place = dict(zip(g.sorted_nodes.tolist(), range(len(g.nodes))))
-    bit = {place[s]: 1 << i for i, s in enumerate(sorted({u for u, _ in pair_set}))}
-    want = [0] * len(g.nodes)
-    for u, v in pair_set:
-        want[place[v]] |= bit[place[u]]
-    offsets, neighbors = (a.tolist() for a in g.neighbors)
+    n = len(g.nodes)
+    u, v = (np.asarray(x, dtype=np.int64) for x in (u, v))
+    ends = np.concatenate((u, v))
+    outside = ends[(ends < 0) | (ends >= n)]
+    if len(outside):
+        raise KeyError(f"place {outside[0]} not in graph")
+    keys = np.sort(u * n + v)
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # the distinct pairs, by source
+    u, v = np.divmod(keys, n)
+    first = np.diff(u, prepend=-1) != 0
+    source = np.cumsum(first) - 1  # of each pair, numbered in place order
+    sources = u[first]
+    s = np.arange(len(sources))
+    bit = np.uint64(1) << (s & 63).astype(np.uint64)
+    want = np.zeros((n, -(-len(sources) // 64)), dtype=np.uint64)
+    np.bitwise_or.at(want, (v, source >> 6), bit[source])
+    reach = np.zeros_like(want)
+    reach[sources, s >> 6] = bit
+    offsets, others = g.neighbors
+    linked = np.flatnonzero(g.degree)  # reduceat needs non-empty slices
+    blocks = [linked[block] for block in _blocks(g.degree[linked])]
+    frontier, offered = reach.copy(), np.zeros_like(reach)
 
-    counts: dict[int, int] = {}
-    frontier = dict(bit)  # node -> source bits first reached there this level
-    reach = [0] * len(g.nodes)
-    for v, b in bit.items():
-        reach[v] = b
-    remaining = len(pair_set)
-    d = 0
-    while frontier:
-        found = 0
-        for v, new in frontier.items():
-            hit = new & want[v]
-            if hit:
-                want[v] ^= hit
-                found += hit.bit_count()
-        if found:
-            counts[d] = found
-            remaining -= found
+    found = []  # per distance
+    remaining = len(keys)
+    while remaining:
+        hit = frontier & want
+        want ^= hit
+        hit = hit[hit != 0]  # the words holding pairs at this distance
+        found.append(int(np.count_nonzero(np.unpackbits(hit.view(np.uint8)))))
+        remaining -= found[-1]
         if not remaining:
             break
-        d += 1
-        offered: dict[int, int] = {}
-        for v, new in frontier.items():
-            for u in neighbors[offsets[v] : offsets[v + 1]]:
-                offered[u] = offered.get(u, 0) | new
-        frontier = {}
-        for u, bits in offered.items():
-            new = bits & ~reach[u]
-            if new:
-                reach[u] |= new
-                frontier[u] = new
+        for places in blocks:
+            lo, hi = offsets[places[0]], offsets[places[-1] + 1]
+            offered[places] = np.bitwise_or.reduceat(frontier[others[lo:hi]], offsets[places] - lo)
+        frontier = offered & ~reach
+        if not frontier.any():
+            break
+        reach |= frontier
+    counts = np.trim_zeros(np.array(found, dtype=np.int64), "b")
     return DistanceDistribution(counts=counts, unreachable=remaining)

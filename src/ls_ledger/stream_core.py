@@ -6,7 +6,8 @@ columns: time, source, target and, for transactions, amount. Timestamps
 are integer seconds since the Unix epoch: the data source records
 blockchain median times, and integers keep every equality test exact. Node
 identities are dense integer handles; the handle <-> public-key mapping
-lives in a :class:`NodeTable` side table so links stay small.
+lives in a :class:`NodeTable` side table so links stay small. Binned
+activity series are int64 arrays over a grid of fixed-width bins.
 """
 
 from __future__ import annotations
@@ -280,16 +281,19 @@ class InducedGraph:
         return np.concatenate(([0], np.cumsum(self.degree))), self.ends.ravel()[order]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinnedSeries:
-    """Counts per fixed-width time bin; bin k covers [start + k*w, start + (k+1)*w)."""
+    """Counts per fixed-width time bin, an int64 array; bin k covers
+    [start + k*w, start + (k+1)*w)."""
 
     start: int
     bin_width: int
-    values: tuple[int, ...]
+    values: np.ndarray
 
     def bin_starts(self) -> list[int]:
-        return [self.start + i * self.bin_width for i in range(len(self.values))]
+        """The start of every bin, as exact Python ints."""
+        end = self.start + len(self.values) * self.bin_width
+        return list(range(self.start, end, self.bin_width))
 
 
 def build_stream(
@@ -372,14 +376,16 @@ def activity_series(s: LinkStream, bin_width: int) -> BinnedSeries:
     """Link counts per bin of width ``bin_width``, aligned to the interval start.
 
     Counts links with multiplicity, so the series total is exactly the number
-    of links whatever the bin width.
+    of links whatever the bin width. A bin wider than the interval is the
+    one bin at its start.
     """
     if bin_width <= 0:
         raise ValueError(f"bin width must be positive, got {bin_width}")
     t0, t1 = s.interval
     n_bins = (t1 - t0) // bin_width + 1
-    counts = np.bincount((s.t - t0) // bin_width, minlength=n_bins)
-    return BinnedSeries(start=t0, bin_width=bin_width, values=tuple(counts.tolist()))
+    # one bin needs no division, which numpy cannot do by a width past int64
+    bins = (s.t - t0) // bin_width if n_bins > 1 else np.zeros_like(s.t)
+    return BinnedSeries(start=t0, bin_width=bin_width, values=np.bincount(bins, minlength=n_bins))
 
 
 def rolling_sum(series: BinnedSeries, window: int) -> BinnedSeries:
@@ -393,11 +399,11 @@ def rolling_sum(series: BinnedSeries, window: int) -> BinnedSeries:
         raise ValueError(
             f"window {window} smaller than bin width {series.bin_width}"
         )
-    span = -(-window // series.bin_width)  # bins per window, ceil
-    vals = np.asarray(series.values, dtype=np.int64)
-    csum = np.concatenate(([0], np.cumsum(vals)))
-    out = [int(csum[i + 1] - csum[max(0, i + 1 - span)]) for i in range(len(vals))]
-    return BinnedSeries(start=series.start, bin_width=series.bin_width, values=tuple(out))
+    # bins per window, ceil, clipped to the series so that it fits int64
+    span = min(-(-window // series.bin_width), len(series.values))
+    csum = np.cumsum(series.values, dtype=np.int64)
+    values = csum - np.concatenate((np.zeros(span, dtype=np.int64), csum[: len(csum) - span]))
+    return BinnedSeries(start=series.start, bin_width=series.bin_width, values=values)
 
 
 def class_mask(

@@ -105,6 +105,37 @@ def graph_of(nodes, edges):
     return stream_core.induced_graph(s)
 
 
+def pair_places(g, pairs):
+    """The places in ``g`` of the two ends of every (u, v) pair of node
+    handles, as the two columns ``distance_distribution`` takes; it makes
+    test inputs and is not a reference. A handle not in ``g`` is a
+    KeyError."""
+    import numpy as np
+
+    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    for node in ends.ravel().tolist():
+        if node not in g.nodes:
+            raise KeyError(f"node {node} not in graph")
+    at = np.searchsorted(g.sorted_nodes, ends)
+    return at[:, 0], at[:, 1]
+
+
+def distance_counts(dist) -> dict[int, int]:
+    """distance -> count of a ``DistanceDistribution``, the distances no
+    pair is at left out, as :func:`distance_distribution` gives them."""
+    return {d: c for d, c in enumerate(dist.counts.tolist()) if c}
+
+
+def overlap_rows(nodes, inclusion, jaccard) -> list[tuple[int, float | None, float | None]]:
+    """The columns of ``temporal_metrics.neighborhood_overlaps`` as the
+    (node, inclusion, jaccard) rows of :func:`neighborhood_overlaps`, None
+    for NaN."""
+    return [
+        (v, *(None if x != x else x for x in cells))
+        for v, *cells in zip(nodes.tolist(), inclusion.tolist(), jaccard.tolist())
+    ]
+
+
 def adjacency(g) -> dict[int, set[int]]:
     """Node -> neighbor set of an induced graph's undirected view, every
     node of ``g.nodes`` included, from its ``(min, max)`` rows."""
@@ -348,6 +379,17 @@ def neighborhood_overlaps(n1, n2) -> list[tuple[int, float | None, float | None]
     return results
 
 
+def rolling_sum(values: list[int], bin_width: int, window: int) -> list[int]:
+    """Right-aligned rolling sum of a binned series, bin by bin: the value
+    at bin b sums the bins whose start lies in (start(b) - window,
+    start(b)], scanning every earlier bin; the per-bin form that
+    ``stream_core.rolling_sum`` replaced."""
+    out = []
+    for b in range(len(values)):
+        out.append(sum(values[i] for i in range(b + 1) if (b - i) * bin_width < window))
+    return out
+
+
 def bfs_from(nodes, und_edges: set[tuple[int, int]], source: int) -> dict[int, int]:
     """Hop counts from ``source``, one plain breadth-first search."""
     adj = {n: set() for n in nodes}
@@ -385,8 +427,9 @@ def distance_distribution(
 
 def multi_source_distances(pairs, g) -> tuple[dict[int, int], int]:
     """(distance -> count, unreachable) by the bit-parallel multi-source BFS
-    over the dict-of-sets :func:`adjacency`, one bit per distinct source,
-    which the CSR neighbor slices of ``graph_metrics.distance_distribution``
+    over the dict-of-sets :func:`adjacency`, one bit per distinct source
+    in a Python int per node, which the word arrays over places and the
+    CSR neighbor slices of ``graph_metrics.distance_distribution``
     replaced."""
     pair_set = set(map(tuple, pairs))
     bit = {s: 1 << i for i, s in enumerate(sorted({u for u, _ in pair_set}))}

@@ -13,6 +13,7 @@ import random
 import time
 from itertools import combinations, compress
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -102,12 +103,13 @@ def test_criterion_3_triangle_clustering_oracle_equivalence():
         assert graph_metrics.triangle_count(g) == oracles.triangle_count(g.nodes, und)
 
         report = graph_metrics.clustering(g)
+        coefficient = dict(zip(g.sorted_nodes.tolist(), report.coefficients.tolist()))
         adj = oracles.adjacency(g)
         for node in g.nodes:
             k = len(adj[node])
             tri = oracles.triangles_through(node, g.nodes, und)
             expected = 2 * tri / (k * (k - 1)) if k >= 2 else 0.0
-            assert report.coefficients[node] == pytest.approx(expected, abs=1e-12)
+            assert coefficient[node] == pytest.approx(expected, abs=1e-12)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
     _report(3, "100 random graphs vs full C(n,3) enumeration", started)
@@ -290,9 +292,12 @@ def test_criterion_7_dataset_conditional_reproduction():
     # distance shares of transacting-but-uncertified member pairs
     tx_pairs = tx_rel.pairs
     uncertified = cert_rel.pairs.find(tx_pairs.u, tx_pairs.v) < 0
-    pairs = list(zip(tx_pairs.u[uncertified].tolist(), tx_pairs.v[uncertified].tolist()))
-    dist = graph_metrics.distance_distribution(pairs, g_cert)
-    shares = {d: c / dist.total() for d, c in dist.counts.items()}
+    # the cert graph's nodes are the members, so every end has a place
+    u, v = (
+        np.searchsorted(g_cert.sorted_nodes, ends[uncertified]) for ends in (tx_pairs.u, tx_pairs.v)
+    )
+    dist = graph_metrics.distance_distribution(u, v, g_cert)
+    shares = dict(enumerate((dist.counts / dist.total()).tolist()))
     assert shares.get(2, 0.0) == pytest.approx(0.78, abs=0.01)
     assert shares.get(3, 0.0) == pytest.approx(0.19, abs=0.01)
     assert shares.get(4, 0.0) == pytest.approx(0.028, abs=0.01)

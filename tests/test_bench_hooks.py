@@ -1,6 +1,7 @@
 """The hooks the benchmark relies on: ``bench/trace_stage.py`` runs every
-stage and records the counts of its spans, and every function that a
-``per_layer`` metric of ``BENCHMARK.json`` names exists in ``src/``.
+stage and records the counts of its spans, every function that a
+``per_layer`` metric of ``BENCHMARK.json`` names exists in ``src/``, and
+every per-layer time is a span that the stages record.
 
 These tests read ``bench/`` and ``BENCHMARK.json`` and change nothing
 there; they fail when a rename or deletion in ``src/`` would leave the
@@ -16,6 +17,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from ls_ledger.fixtures import example_records, write_records
 
@@ -37,8 +40,20 @@ COUNTED_SPANS = {
 # benchmark itself (ROADMAP item 2, "Stale per-layer metrics")
 STALE = {"temporal_metrics.aggregated_neighborhood", "temporal_metrics.neighborhood_overlap"}
 
+# per_layer times that no stage records, each with the reason; the
+# benchmark reads them as 0
+UNRECORDED = {
+    **dict.fromkeys(STALE, "no such function is left in src/"),
+    "graph_metrics.triangle_count": "public, but no stage calls it: clustering counts "
+    "the observed triangles that null_model_triangles takes",
+}
 
-def test_trace_stage_counts_every_stage(tmp_path):
+
+@pytest.fixture(scope="module")
+def example_spans(tmp_path_factory) -> list[list]:
+    """The spans of every stage run on the example ledger through
+    ``bench/trace_stage.py``, in stage order."""
+    tmp_path = tmp_path_factory.mktemp("traced")
     ledger = tmp_path / "ledger.jsonl"
     write_records(ledger, example_records())
     out, spans_dir = tmp_path / "out", tmp_path / "spans"
@@ -59,7 +74,11 @@ def test_trace_stage_counts_every_stage(tmp_path):
         )
         assert proc.returncode == 0, (stage, proc.stderr)
         spans += json.loads(path.read_text())
+    return spans
 
+
+def test_trace_stage_counts_every_stage(example_spans):
+    spans = example_spans
     counts = {name: counts for name, _, _, _, counts in spans if name in COUNTED_SPANS}
     for name, keys in COUNTED_SPANS.items():
         assert name in counts, f"no span {name}"
@@ -87,3 +106,11 @@ def test_per_layer_metrics_name_public_functions():
         assert inspect.isfunction(fn), metric["name"]
         assert fn.__module__ == f"ls_ledger.{module}", metric["name"]
         assert not name.startswith("_") and not inspect.isgeneratorfunction(fn), metric["name"]
+
+
+def test_per_layer_times_are_recorded_spans(example_spans):
+    recorded = {name for name, _, _, _, _ in example_spans}
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    # a time X.s is the span X; cli.<stage>.self_s and the trace totals are not spans
+    timed = {m["name"].removesuffix(".s") for m in metrics if m["name"].endswith(".s")}
+    assert timed - recorded == UNRECORDED.keys()

@@ -376,6 +376,37 @@ def read_rows(path: Path) -> list[list[str]]:
     return [ln.split(",") for ln in lines[1:]]
 
 
+def test_overview_bin_past_int64_is_one_bin(ledger_file, tmp_path):
+    # a bin wider than the span is the one bin at its start; a larger --bin
+    # cannot help, so it must not end in the "cannot allocate" error
+    runner = CliRunner()
+    out = tmp_path / "o"
+    runner.invoke(main, ["ingest", "--input", str(ledger_file), "--out", str(out)])
+    rows = {}
+    for width in (2**63 - 1, 10**21):
+        args = ["--bin", str(width), "--window", str(width)]
+        result = runner.invoke(main, ["overview", "--out", str(out), *args])
+        assert result.exit_code == 0, result.output
+        rows[width] = read_rows(out / "activity.csv")
+    assert rows[10**21] == rows[2**63 - 1] == [["0", "12", "12", "12", "12"]]
+
+
+def test_graph_rejects_transacting_member_outside_cert_graph(ledger_file, tmp_path, monkeypatch):
+    # a loaded snapshot's certification nodes are its members, so only a
+    # bundle built otherwise can hold a transacting member the cert graph lacks
+    runner = CliRunner()
+    out = tmp_path / "o"
+    runner.invoke(main, ["ingest", "--input", str(ledger_file), "--out", str(out)])
+    bundle = load_bundle(out)
+    x = int(bundle.tx_mm.src[0])
+    keep = (bundle.cert.src != x) & (bundle.cert.dst != x)
+    cert = bundle.cert.restrict(keep, bundle.cert.nodes - {x})
+    damaged = snapshot.StreamBundle(bundle.table, bundle.cls, cert, bundle.tx)
+    monkeypatch.setattr(snapshot, "load_bundle", lambda path: damaged)
+    result = runner.invoke(main, ["graph", "--out", str(out), "--samples", "2"])
+    assert_clean_error(result, f"member {bundle.table.key_of(x)} not in the certification graph")
+
+
 def test_degree_correlations_pair_the_nodes_both_graphs_hold(tmp_path):
     # members a..f all certify and only b, d, e and f transact; a snapshot
     # whose transaction nodes are those four loads, and their places in the

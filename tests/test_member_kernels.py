@@ -12,10 +12,12 @@ import dataclasses
 import random
 from itertools import chain
 
+import numpy as np
 import pytest
 
 import oracles
-from oracles import graph_of
+from oracles import distance_counts, graph_of, overlap_rows, pair_places
+from ls_ledger import stream_core
 from ls_ledger.graph_metrics import distance_distribution
 from ls_ledger.stream_core import InducedGraph, Link, LinkStream, build_stream, induced_graph
 from ls_ledger.temporal_metrics import neighborhood_overlaps
@@ -24,9 +26,9 @@ TRIALS = 2_000
 
 
 def pair_distance(g: InducedGraph, u: int, v: int) -> int | None:
-    """Shortest-path length between u and v by a one-pair
+    """Shortest-path length between the nodes u and v by a one-pair
     distance_distribution; None when unreachable."""
-    return next(iter(distance_distribution([(u, v)], g).counts), None)
+    return next(iter(distance_counts(distance_distribution(*pair_places(g, [(u, v)]), g))), None)
 
 
 def random_handles(rng: random.Random, n: int) -> list[int]:
@@ -83,11 +85,13 @@ def test_distance_distribution_matches_per_pair_bfs():
         edges = random_components(rng, nodes)
         g = graph_of(nodes, edges)
         pairs = random_pairs(rng, nodes)
-        dist = distance_distribution(pairs, g)
+        dist = distance_distribution(*pair_places(g, pairs), g)
         und = oracles.undirected_edge_set(edges)
         counts, unreachable = oracles.distance_distribution(pairs, nodes, und)
-        assert (dist.counts, dist.unreachable) == (counts, unreachable), (trial, pairs, edges)
-        assert list(dist.counts) == sorted(dist.counts)
+        got = (distance_counts(dist), dist.unreachable)
+        assert got == (counts, unreachable), (trial, pairs, edges)
+        # indexed by distance, up to the largest one a pair is at
+        assert dist.counts.dtype == np.int64 and len(dist.counts) == max(counts, default=-1) + 1
 
 
 def test_distance_distribution_matches_dict_multi_source_bfs():
@@ -99,9 +103,25 @@ def test_distance_distribution_matches_dict_multi_source_bfs():
         edges = random_components(rng, nodes)
         g = graph_of(nodes, edges)
         pairs = random_pairs(rng, nodes)
-        dist = distance_distribution(pairs, g)
+        dist = distance_distribution(*pair_places(g, pairs), g)
         expected = oracles.multi_source_distances(pairs, g)
-        assert (dist.counts, dist.unreachable) == expected, trial
+        assert (distance_counts(dist), dist.unreachable) == expected, trial
+
+
+@pytest.mark.parametrize("block", [1, 3, 40])
+def test_distance_distribution_in_blocks(block, monkeypatch):
+    # each level gathers the neighbors of consecutive places in blocks of
+    # at most _BLOCK rows, or of one place where it alone has more
+    monkeypatch.setattr(stream_core, "_BLOCK", block)
+    rng = random.Random(304)
+    for trial in range(200):
+        nodes = random_handles(rng, rng.randint(1, 80))
+        edges = random_components(rng, nodes)
+        g = graph_of(nodes, edges)
+        pairs = random_pairs(rng, nodes)
+        dist = distance_distribution(*pair_places(g, pairs), g)
+        expected = oracles.multi_source_distances(pairs, g)
+        assert (distance_counts(dist), dist.unreachable) == expected, trial
 
 
 def test_pair_distance_matches_bfs():
@@ -117,22 +137,24 @@ def test_pair_distance_matches_bfs():
 
 def test_distance_distribution_edge_cases():
     path = graph_of({0, 3, 6, 9, 12}, {(0, 3), (6, 3), (6, 9)})
-    dist = distance_distribution([], path)
-    assert dist.counts == {} and dist.unreachable == 0
+    dist = distance_distribution(*pair_places(path, []), path)
+    assert dist.counts.tolist() == [] and dist.unreachable == 0
 
-    # (u, u) is distance 0; both orientations count; duplicates count once
+    # (u, u) is distance 0; both orientations count; duplicates count once;
+    # no pair is at distance 1 or 2
     pairs = [(0, 0), (0, 9), (9, 0), (0, 9), (3, 12), (12, 12)]
-    dist = distance_distribution(pairs, path)
-    assert dist.counts == {0: 2, 3: 2} and dist.unreachable == 1
+    dist = distance_distribution(*pair_places(path, pairs), path)
+    assert dist.counts.tolist() == [2, 0, 0, 2] and dist.unreachable == 1
 
     single = graph_of({7}, set())
-    assert distance_distribution([(7, 7)], single).counts == {0: 1}
+    assert distance_distribution(*pair_places(single, [(7, 7)]), single).counts.tolist() == [1]
     assert pair_distance(single, 7, 7) == 0
 
-    with pytest.raises(KeyError, match="node 5 not in graph"):
-        distance_distribution([(0, 5)], path)
-    with pytest.raises(KeyError, match="node 5 not in graph"):
-        pair_distance(path, 5, 0)
+    # the path has places 0..4
+    with pytest.raises(KeyError, match="place 5 not in graph"):
+        distance_distribution(np.array([0]), np.array([5]), path)
+    with pytest.raises(KeyError, match="place -1 not in graph"):
+        distance_distribution(np.array([-1]), np.array([0]), path)
 
 
 def random_stream(rng: random.Random, nodes: list[int]) -> LinkStream:
@@ -159,13 +181,15 @@ def test_neighborhood_overlaps_match_per_node_rescan():
         nodes = random_handles(rng, rng.randint(1, 14))
         s1, s2 = random_stream(rng, nodes), random_stream(rng, nodes)
         g1, g2 = induced_graph(s1), induced_graph(s2)
-        results = neighborhood_overlaps(g1, g2)
-        assert [res.node for res in results] == sorted(s1.nodes | s2.nodes)
-        for res in results:
-            expected = oracles.neighborhood_overlap(res.node, s1, s2)
-            assert (res.inclusion, res.jaccard) == expected, (trial, res)
+        columns = neighborhood_overlaps(g1, g2)
+        assert all(c.dtype == np.float64 for c in columns[1:])
+        results = overlap_rows(*columns)
+        assert [v for v, _, _ in results] == sorted(s1.nodes | s2.nodes)
+        for v, inclusion, jaccard in results:
+            expected = oracles.neighborhood_overlap(v, s1, s2)
+            assert (inclusion, jaccard) == expected, (trial, v)
         sets = oracles.neighborhood_overlaps(oracles.adjacency(g1), oracles.adjacency(g2))
-        assert [(res.node, res.inclusion, res.jaccard) for res in results] == sets, trial
+        assert results == sets, trial
         linked = set(chain(s1.src.tolist(), s1.dst.tolist(), s2.src.tolist(), s2.dst.tolist()))
         for v in s1.nodes | s2.nodes:
             seen.add("only 1" if v not in s2.nodes else "only 2" if v not in s1.nodes else "both")
@@ -179,10 +203,8 @@ def test_neighborhood_overlaps_na_cells():
     # sits in both node sets without any link
     cert = stream_over({0, 1, 2, 3, 5}, [Link(1, 0, 2), Link(2, 1, 2)], (0, 9))
     txmm = stream_over({0, 2, 4, 5}, [Link(3, 0, 2), Link(4, 4, 0)], (0, 9))
-    results = {
-        res.node: (res.inclusion, res.jaccard)
-        for res in neighborhood_overlaps(induced_graph(cert), induced_graph(txmm))
-    }
+    columns = neighborhood_overlaps(induced_graph(cert), induced_graph(txmm))
+    results = {v: (inclusion, jaccard) for v, inclusion, jaccard in overlap_rows(*columns)}
     assert results == {
         0: (0.5, 0.5),
         1: (None, 0.0),

@@ -10,6 +10,7 @@ from oracles import edge_set, links_of
 from ls_ledger.errors import IntervalError, SelfLinkError
 from ls_ledger.fixtures import random_links
 from ls_ledger.stream_core import (
+    BinnedSeries,
     Link,
     LinkStream,
     NodeClass,
@@ -172,13 +173,13 @@ def test_activity_out_of_range(sample_stream):
 
 def test_activity_series_example(sample_stream):
     s, _ = sample_stream
-    assert activity_series(s, 7).values == (12,)
-    assert activity_series(s, 1).values == (2, 1, 2, 0, 2, 3, 2)
+    assert activity_series(s, 7).values.tolist() == [12]
+    assert activity_series(s, 1).values.tolist() == [2, 1, 2, 0, 2, 3, 2]
 
 
 def test_activity_series_empty():
     s = build_stream([], interval=(0, 9))
-    assert activity_series(s, 2).values == (0, 0, 0, 0, 0)
+    assert activity_series(s, 2).values.tolist() == [0, 0, 0, 0, 0]
 
 
 def test_activity_series_rejects_bad_width(sample_stream):
@@ -189,8 +190,8 @@ def test_activity_series_rejects_bad_width(sample_stream):
 
 def test_rolling_sum_hand_example():
     series = activity_series(build_stream([Link(t, 0, 1) for t in range(4)]), 1)
-    assert series.values == (1, 1, 1, 1)
-    assert rolling_sum(series, 2).values == (1, 2, 2, 2)
+    assert series.values.tolist() == [1, 1, 1, 1]
+    assert rolling_sum(series, 2).values.tolist() == [1, 2, 2, 2]
 
 
 def test_rolling_sum_full_window_equals_total(sample_stream):
@@ -202,13 +203,44 @@ def test_rolling_sum_full_window_equals_total(sample_stream):
 
 def test_rolling_sum_zero_series():
     series = activity_series(build_stream([], interval=(0, 5)), 1)
-    assert rolling_sum(series, 3).values == (0,) * 6
+    assert rolling_sum(series, 3).values.tolist() == [0] * 6
 
 
 def test_rolling_sum_rejects_small_window(sample_stream):
     s, _ = sample_stream
     with pytest.raises(ValueError):
         rolling_sum(activity_series(s, 2), 1)
+
+
+def test_activity_series_bin_wider_than_span():
+    # a bin past int64 is the one bin at the interval start, as a bin of
+    # 2**63 - 1 is
+    s = build_stream([Link(t, 0, 1) for t in (5, 9, 9, 2**62)])
+    for width in (2**62 - 4, 2**63 - 1, 2**63, 10**21):
+        series = activity_series(s, width)
+        assert series.values.tolist() == [4], width
+        assert series.bin_starts() == [5], width
+        assert rolling_sum(series, 10**24).values.tolist() == [4], width
+    assert activity_series(s, 2**62 - 5).values.tolist() == [3, 1]
+
+
+def test_rolling_sum_matches_per_bin_reference():
+    rng = random.Random(17)
+    seen = set()
+    for trial in range(300):
+        width = rng.randint(1, 9)
+        values = [rng.choice((0, 0, 1, 3, 50)) for _ in range(rng.randint(1, 40))]
+        series = BinnedSeries(start=rng.randint(0, 10**6), bin_width=width, values=np.array(values))
+        span = width * len(values)
+        drawn = (width, rng.randint(width, 3 * width), rng.randint(width, span + width))
+        window = rng.choice((*drawn, span + 1, 10**24))
+        seen.add("bin" if window == width else "ceil" if window % width else "multiple")
+        seen.add("past" if window > span else "inside")
+        rolled = rolling_sum(series, window)
+        assert rolled.values.dtype == np.int64
+        assert rolled.values.tolist() == oracles.rolling_sum(values, width, window), trial
+        assert (rolled.start, rolled.bin_width) == (series.start, width)
+    assert seen == {"bin", "ceil", "multiple", "past", "inside"}
 
 
 def _classify(table, members):

@@ -6,7 +6,7 @@ import oracles
 from ls_ledger.fixtures import random_links, random_stream
 from ls_ledger.stream_core import Link, build_stream, induced_graph
 from ls_ledger.temporal_metrics import closure_distribution, neighborhood_overlaps
-from oracles import links_of, neighborhood
+from oracles import links_of, neighborhood, overlap_rows
 
 # frozen brute-force tables for the 12-link example (see tests/oracles.py)
 SAMPLE_K2 = {
@@ -71,32 +71,31 @@ def test_neighborhood_size_with_distinct_elements():
 
 
 def _overlaps(s1, s2):
-    """Node -> OverlapResult of the bulk form on the two streams."""
-    return {res.node: res for res in neighborhood_overlaps(induced_graph(s1), induced_graph(s2))}
+    """Node -> (inclusion, jaccard) of the bulk form on the two streams,
+    None where the column holds NaN."""
+    columns = neighborhood_overlaps(induced_graph(s1), induced_graph(s2))
+    return {v: (inclusion, jaccard) for v, inclusion, jaccard in overlap_rows(*columns)}
 
 
 def test_overlap_examples():
     s1 = build_stream([Link(0, 0, 1), Link(1, 0, 2)])  # N(0) = {1, 2}
     s2 = build_stream([Link(5, 1, 0)])  # N(0) = {1}
-    res = _overlaps(s1, s2)[0]
-    assert res.inclusion == pytest.approx(1.0)
-    assert res.jaccard == pytest.approx(0.5)
+    inclusion, jaccard = _overlaps(s1, s2)[0]
+    assert inclusion == pytest.approx(1.0)
+    assert jaccard == pytest.approx(0.5)
 
     disjoint = build_stream([Link(3, 0, 3)])
-    res = _overlaps(s1, disjoint)[0]
-    assert res.inclusion == 0.0 and res.jaccard == 0.0
-
-    res = _overlaps(s1, s1)[0]
-    assert res.inclusion == 1.0 and res.jaccard == 1.0
+    assert _overlaps(s1, disjoint)[0] == (0.0, 0.0)
+    assert _overlaps(s1, s1)[0] == (1.0, 1.0)
 
 
 def test_overlap_empty_neighborhood_markers():
     s1 = build_stream([Link(0, 0, 1)])
     s2 = build_stream([Link(0, 2, 3)])  # node 0 absent
     results = _overlaps(s1, s2)
-    res = results[0]
-    assert res.inclusion is None  # empty transaction-side neighborhood
-    assert res.jaccard == 0.0
+    inclusion, jaccard = results[0]
+    assert inclusion is None  # empty transaction-side neighborhood
+    assert jaccard == 0.0
     # one row per node of either stream, in node order, and no other
     assert list(results) == [0, 1, 2, 3]
 
