@@ -100,8 +100,8 @@ def cmd_ingest(cfg: RunConfig) -> None:
     # rejects with their line number
     with open(cfg.input_path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         records = ledger_ingest.parse_records(fh, strict=cfg.strict)
-    for line_no, reason in records.issues:
-        click.echo(f"warning: skipped line {line_no}: {reason}", err=True)
+    if records.issues:  # in one write, as click.echo flushes each call
+        click.echo("\n".join(f"warning: skipped line {n}: {r}" for n, r in records.issues), err=True)
 
     cls = ledger_ingest.classify_keys(records.identities, records.transactions)
     # checked before anything is written, so a bad key leaves --out untouched
@@ -188,11 +188,11 @@ def cmd_overview(cfg: RunConfig) -> None:
             cfg.out_dir / fname,
             _comments("overview", cfg, f"stream={name}"),
             "node,in,out",
-            zip(_keys(keys, g.sorted_nodes), report.in_degree.tolist(), report.out_degree.tolist()),
+            zip(_keys(keys, g.nodes), report.in_degree.tolist(), report.out_degree.tolist()),
         )
 
     # the places in each graph of the nodes both graphs hold, ascending
-    cert_nodes, txmm_nodes = graphs["cert"].sorted_nodes, graphs["txmm"].sorted_nodes
+    cert_nodes, txmm_nodes = graphs["cert"].nodes, graphs["txmm"].nodes
     in_cert = np.flatnonzero(np.isin(cert_nodes, txmm_nodes))
     in_txmm = np.searchsorted(txmm_nodes, cert_nodes[in_cert])
     c, x = reports["cert"], reports["txmm"]
@@ -247,7 +247,7 @@ def cmd_graph(cfg: RunConfig) -> None:
                 f"average_active={report.average_active:.6f} (degree >= 2 only)",
             ),
             "node,coefficient",
-            zip(_keys(keys, g.sorted_nodes), (_fmt(c, 6) for c in report.coefficients.tolist())),
+            zip(_keys(keys, g.nodes), (_fmt(c, 6) for c in report.coefficients.tolist())),
         )
         click.echo(f"triangles_{name}:{report.triangles}")
         click.echo(f"clustering_{name}:{report.average:.6f}")
@@ -276,12 +276,10 @@ def cmd_graph(cfg: RunConfig) -> None:
     # the members, so every pair is measured
     rows = graphs["txmm"].undirected_edges()
     uncertified = rows[bundle.cert.pairs.find(rows[:, 0], rows[:, 1]) < 0]
-    cert_nodes = graphs["cert"].sorted_nodes
-    at = np.searchsorted(cert_nodes, uncertified)
-    known = at < len(cert_nodes)
-    known[known] = cert_nodes[at[known]] == uncertified[known]
+    known = np.isin(uncertified, graphs["cert"].nodes)
     if not known.all():
         raise LedgerError(f"member {keys[uncertified[~known][0]]} not in the certification graph")
+    at = np.searchsorted(graphs["cert"].nodes, uncertified)
     dist = graph_metrics.distance_distribution(at[:, 0], at[:, 1], graphs["cert"])
     _write_csv(
         cfg.out_dir / "distances.csv",
@@ -450,9 +448,9 @@ def cmd_neighborhoods(cfg: RunConfig) -> None:
         # the CSR slices: nodes ascending, each node's neighbors ascending
         chain.from_iterable(
             zip(
-                _keys(keys, g.sorted_nodes.repeat(g.degree)),
+                _keys(keys, g.nodes.repeat(g.degree)),
                 repeat(name),
-                _keys(keys, g.sorted_nodes[g.neighbors[1]]),
+                _keys(keys, g.nodes[g.neighbors[1]]),
             )
             for name, g in graphs.items()
         ),

@@ -1,7 +1,7 @@
 """Static analyses of induced graphs.
 
 Degrees are taken on the deduplicated directed edge set, as two arrays
-over the graph's node places (positions in ``sorted_nodes``); the rest
+over the graph's node places (positions in ``nodes``); the rest
 works on the symmetrized (undirected) view, through the arrays that
 ``InducedGraph`` caches over node places. Clustering, triangle counts and
 null-model samples share one numpy triangle kernel over the edge ends,
@@ -21,12 +21,12 @@ from itertools import chain
 import numpy as np
 
 from .errors import DegenerateModelError, UndefinedCorrelationError
-from .stream_core import InducedGraph, _blocks, _expand
+from .stream_core import InducedGraph, _blocks, _expand, _distinct_sorted
 
 
 @dataclass(frozen=True, eq=False)
 class DegreeReport:
-    """Degrees per place of the graph's ``sorted_nodes``."""
+    """Degrees per place of the graph's ``nodes``."""
 
     in_degree: np.ndarray
     out_degree: np.ndarray
@@ -37,8 +37,8 @@ def degree_report(g: InducedGraph) -> DegreeReport:
     p = g.stream.directed_pairs
     n = len(g.nodes)
     return DegreeReport(
-        in_degree=np.bincount(np.searchsorted(g.sorted_nodes, p.v), minlength=n),
-        out_degree=np.bincount(np.searchsorted(g.sorted_nodes, p.u), minlength=n),
+        in_degree=np.bincount(np.searchsorted(g.nodes, p.v), minlength=n),
+        out_degree=np.bincount(np.searchsorted(g.nodes, p.u), minlength=n),
     )
 
 
@@ -71,7 +71,7 @@ class ClusteringReport:
     """Per-node neighborhood density on the undirected view.
 
     ``coefficients`` holds one float per place of the graph's
-    ``sorted_nodes``. Nodes of degree < 2 get coefficient 0 and are
+    ``nodes``. Nodes of degree < 2 get coefficient 0 and are
     included in ``average``; ``average_active`` restricts the mean to nodes
     of degree >= 2 since both conventions circulate. Both sum in place
     order. ``triangles`` is the graph's triangle count.
@@ -154,7 +154,7 @@ def rewired_samples(g: InducedGraph, samples: int, seed: int):
     absolute value, so a negative seed would repeat another seed's samples.
     """
     for ends in _rewired_ends(g, samples, seed):
-        yield [tuple(e) for e in g.sorted_nodes[ends].reshape(-1, 2).tolist()]
+        yield [tuple(e) for e in g.nodes[ends].reshape(-1, 2).tolist()]
 
 
 def _rewired_ends(g: InducedGraph, samples: int, seed: int):
@@ -170,7 +170,7 @@ def _rewired_ends(g: InducedGraph, samples: int, seed: int):
         raise DegenerateModelError(f"need at least 2 undirected edges to rewire, got {len(edges)}")
     for i in range(samples):
         rng = random.Random(seed * 1_000_003 + i)
-        rewired = _double_edge_swap(edges, rng, attempts=10 * len(edges))
+        rewired = _double_edge_swap(edges, len(g.nodes), rng, attempts=10 * len(edges))
         ends = np.fromiter(chain.from_iterable(rewired), dtype=np.int64, count=2 * len(edges))
         if not np.array_equal(np.bincount(ends, minlength=len(g.degree)), g.degree):
             raise AssertionError("rewiring changed the degree sequence")
@@ -205,9 +205,10 @@ def null_model_triangles(
 
 
 def _double_edge_swap(
-    edges: list[tuple[int, int]], rng: random.Random, attempts: int
+    edges: list[tuple[int, int]], n: int, rng: random.Random, attempts: int
 ) -> list[tuple[int, int]]:
-    """Apply ``attempts`` double-edge swap attempts to a copy of ``edges``.
+    """Apply ``attempts`` double-edge swap attempts to a copy of ``edges``,
+    a simple graph over the nodes ``0 .. n - 1``.
 
     Each attempt picks edges i and j and a random orientation of j, then
     proposes (u, x) and (v, y) in place of (u, v) and (x, y); proposals that
@@ -222,16 +223,16 @@ def _double_edge_swap(
     falls below ``m``, without the per-call overhead. ``random()`` takes two
     32-bit words and stays a call in its place in the sequence.
 
-    Edges live in two int columns with a key ``u * n + v`` per edge, where
-    ``n`` exceeds every node id, so the duplicate check hashes one int
-    instead of a tuple. Node ids must be non-negative.
+    Edges live in two int columns, ``u < v`` in each row, and ``present``
+    holds one byte per node pair, set at ``u * n + v`` for each edge, so
+    the duplicate check reads one byte and takes n * n bytes.
     """
     m = len(edges)
-    n = max(max(e) for e in edges) + 1
     us = [u for u, _ in edges]
     vs = [v for _, v in edges]
-    keys = [u * n + v for u, v in edges]
-    present = set(keys)
+    present = bytearray(n * n)
+    for u, v in edges:
+        present[u * n + v] = 1
     bits = m.bit_length()
     getrandbits = rng.getrandbits
     coin = rng.random
@@ -265,14 +266,12 @@ def _double_edge_swap(
             c, d = y, v
         e1 = a * n + b
         e2 = c * n + d
-        if e1 in present or e2 in present:
+        if present[e1] or present[e2]:
             continue
-        present.discard(keys[i])
-        present.discard(keys[j])
-        present.add(e1)
-        present.add(e2)
-        keys[i] = e1
-        keys[j] = e2
+        present[u * n + v] = 0
+        present[us[j] * n + vs[j]] = 0
+        present[e1] = 1
+        present[e2] = 1
         us[i] = a
         vs[i] = b
         us[j] = c
@@ -314,8 +313,7 @@ def distance_distribution(u: np.ndarray, v: np.ndarray, g: InducedGraph) -> Dist
     outside = ends[(ends < 0) | (ends >= n)]
     if len(outside):
         raise KeyError(f"place {outside[0]} not in graph")
-    keys = np.sort(u * n + v)
-    keys = keys[np.diff(keys, prepend=-1) != 0]  # the distinct pairs, by source
+    keys = _distinct_sorted(u * n + v)  # the distinct pairs, by source
     u, v = np.divmod(keys, n)
     first = np.diff(u, prepend=-1) != 0
     source = np.cumsum(first) - 1  # of each pair, numbered in place order

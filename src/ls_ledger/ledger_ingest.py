@@ -26,6 +26,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain
 
+import numpy as np
+
 from .errors import IntegrityError, ParseError
 from .stream_core import (
     SUBSTREAM_CLASSES,
@@ -33,8 +35,8 @@ from .stream_core import (
     LinkStream,
     NodeClassification,
     NodeTable,
+    _distinct_sorted,
     class_mask,
-    node_mask,
     stream_from_columns,
 )
 
@@ -276,9 +278,7 @@ def classify_keys(
     members = dict.fromkeys(rec.key for rec in identities)
     table = NodeTable(chain(members, chain.from_iterable(zip(transactions.src, transactions.dst))))
     return NodeClassification(
-        members=frozenset(range(len(members))),
-        anonymous=frozenset(range(len(members), len(table))),
-        table=table,
+        members=np.arange(len(members)), anonymous=np.arange(len(members), len(table)), table=table
     )
 
 
@@ -298,7 +298,8 @@ def build_streams(
 
     certs, txs = records.certifications, records.transactions
     src, dst = table.handles(certs.src), table.handles(certs.dst)
-    src_ok, dst_ok = node_mask(src, cls.members), node_mask(dst, cls.members)
+    # a key missing from the table has handle -1, which isin finds nowhere
+    src_ok, dst_ok = np.isin(src, cls.members), np.isin(dst, cls.members)
     ok = src_ok & dst_ok
     if not ok.all():
         i = int(ok.argmin())  # the first offending cert
@@ -307,13 +308,8 @@ def build_streams(
             f"line {certs.line[i]}: certification involves non-member key {_SHOWN.repr(key)}"
         )
     cert = stream_from_columns(certs.t, src, dst, nodes=cls.members)
-    tx = stream_from_columns(
-        txs.t,
-        table.handles(txs.src),
-        table.handles(txs.dst),
-        txs.amount,
-        nodes=cls.members | cls.anonymous,
-    )
+    tx_src, tx_dst = table.handles(txs.src), table.handles(txs.dst)
+    tx = stream_from_columns(txs.t, tx_src, tx_dst, txs.amount, nodes=np.arange(len(table)))
     return cert, tx
 
 
@@ -363,20 +359,20 @@ def repartition(tx_stream: LinkStream, cls: NodeClassification) -> RepartitionRe
 def filter_wallet(s: LinkStream, wallet: int) -> LinkStream:
     """Drop every link touching ``wallet`` and the wallet itself; the
     interval is unchanged. Filtering an absent node is a no-op."""
-    return s.restrict((s.src != wallet) & (s.dst != wallet), s.nodes - {wallet})
+    return s.restrict((s.src != wallet) & (s.dst != wallet), s.nodes[s.nodes != wallet])
 
 
 def identify_miners(
     tx_stream: LinkStream, cls: NodeClassification, remuniter_key: str
-) -> frozenset[int]:
+) -> np.ndarray:
     """Members that received at least one transaction from the donation
-    wallet identified by ``remuniter_key``."""
+    wallet identified by ``remuniter_key``, as a node set."""
     table = cls.table
     if table is None or remuniter_key not in table:
         raise KeyError(f"key {remuniter_key!r} not present in the dataset")
     wallet = table.id_of(remuniter_key)
-    if wallet not in tx_stream.nodes:
+    if not np.any(tx_stream.nodes == wallet):
         raise KeyError(f"key {remuniter_key!r} not present in the transaction stream")
     paid = tx_stream.dst[tx_stream.src == wallet]
-    return frozenset(paid[node_mask(paid, cls.members)].tolist())
+    return _distinct_sorted(paid[np.isin(paid, cls.members)])
 

@@ -80,10 +80,10 @@ def save_bundle(out_dir: str | Path, bundle: StreamBundle) -> Path:
         arrays[f"{prefix}_t"] = s.t
         arrays[f"{prefix}_src"] = s.src
         arrays[f"{prefix}_dst"] = s.dst
-        arrays[f"{prefix}_nodes"] = np.asarray(sorted(s.nodes), dtype=np.int64)
+        arrays[f"{prefix}_nodes"] = s.nodes
     arrays["tx_amount"] = bundle.tx.amount
     arrays["keys"] = np.asarray(bundle.table.keys(), dtype=np.str_)
-    arrays["members"] = np.asarray(sorted(bundle.cls.members), dtype=np.int64)
+    arrays["members"] = bundle.cls.members
     for label, classes in SUBSTREAM_CLASSES.items():
         keep = class_mask(bundle.tx, bundle.cls, *classes)
         arrays[f"sub_{label}"] = np.flatnonzero(keep)
@@ -104,9 +104,10 @@ def save_bundle(out_dir: str | Path, bundle: StreamBundle) -> Path:
 
 def load_bundle(out_dir: str | Path) -> StreamBundle:
     """Rebuild the bundle from ``out_dir``; raises StateError when the
-    snapshot is missing or unreadable (truncated, not a zip, arrays missing,
-    columns that break a stream invariant, a repeated key, a node handle
-    without a key, or certification nodes other than the members)."""
+    snapshot is missing or unreadable (truncated, not a zip, arrays missing
+    or of the wrong dtype or shape, columns that break a stream invariant, a
+    repeated key, a node handle without a key, or certification nodes other
+    than the members)."""
     path = Path(out_dir) / SNAPSHOT_NAME
     if not path.exists():
         raise StateError(f"no snapshot at {path}; run the ingest command first")
@@ -127,23 +128,28 @@ def _bundle_from(path: Path) -> StreamBundle:
         table = NodeTable(keys)
         if len(table) != len(keys):  # the table keeps a repeated key once
             raise ValueError("keys.npy repeats a key")
-        members = frozenset(_array(data, "members").tolist())
-        anonymous = frozenset(range(len(table))) - members
-        cls = NodeClassification(members=members, anonymous=anonymous, table=table)
+        members = _array(data, "members")
+        handles = np.arange(len(table))
+        cls = NodeClassification(members, handles[~np.isin(handles, members)], table)
         cert = _stream_from(data, "cert")
         tx = _stream_from(data, "tx", amount=_array(data, "tx_amount"))
-    handles = members | cert.nodes | tx.nodes
-    if handles and (min(handles) < 0 or max(handles) >= len(table)):
+    if not np.isin(np.concatenate((cls.members, cert.nodes, tx.nodes)), handles).all():
         raise ValueError("a node handle has no key in keys.npy")
-    if cert.nodes != members:  # certifications are among members only
+    if not np.array_equal(cert.nodes, cls.members):  # certifications are among members only
         raise ValueError("cert_nodes.npy differs from members.npy")
     return build_bundle(table, cls, cert, tx)
 
 
 def _array(data, name: str) -> np.ndarray:
+    """The array ``name``: ``keys`` a 1-D unicode array, every other one a
+    1-D int64 array, of length 2 for an interval."""
     value = data[name]
     if not isinstance(value, np.ndarray):  # np.load returns a non-npy entry as bytes
         raise ValueError(f"{name}.npy is not an npy array")
+    kind = np.str_ if name == "keys" else np.int64
+    length = 2 if name.endswith("_interval") else value.size  # a 0-d or 2-D array fails
+    if value.shape != (length,) or not np.issubdtype(value.dtype, kind):
+        raise ValueError(f"{name}.npy has dtype {value.dtype} and shape {value.shape}")
     return value
 
 
@@ -151,7 +157,7 @@ def _stream_from(data, prefix: str, amount: np.ndarray | None = None) -> LinkStr
     t0, t1 = _array(data, f"{prefix}_interval").tolist()
     return LinkStream(
         interval=(t0, t1),
-        nodes=frozenset(_array(data, f"{prefix}_nodes").tolist()),
+        nodes=_array(data, f"{prefix}_nodes"),
         t=_array(data, f"{prefix}_t"),
         src=_array(data, f"{prefix}_src"),
         dst=_array(data, f"{prefix}_dst"),

@@ -6,15 +6,17 @@ columns: time, source, target and, for transactions, amount. Timestamps
 are integer seconds since the Unix epoch: the data source records
 blockchain median times, and integers keep every equality test exact. Node
 identities are dense integer handles; the handle <-> public-key mapping
-lives in a :class:`NodeTable` side table so links stay small. Binned
-activity series are int64 arrays over a grid of fixed-width bins.
+lives in a :class:`NodeTable` side table so links stay small. A node set
+(a stream's nodes, the members or the wallets) has one form: its distinct
+handles ascending in a read-only int64 array. Binned activity series are
+int64 arrays over a grid of fixed-width bins.
 """
 
 from __future__ import annotations
 
 import enum
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -83,11 +85,17 @@ class Link:
             raise ValueError(f"negative amount {self.amount}")
 
 
-def node_mask(values: np.ndarray, nodes: Iterable[int]) -> np.ndarray:
-    """Which entries of ``values`` lie in ``nodes``; numpy looks dense
-    handles up in a bitmap."""
-    nodes = np.fromiter(nodes, dtype=np.int64)
-    return np.isin(values, nodes)
+def _distinct_sorted(values) -> np.ndarray:
+    """The distinct ints of ``values``, an array or any iterable, ascending
+    in a read-only int64 array: the one form of a node set. A sort and a
+    diff, as ``np.unique`` can load ``numpy.ma`` (1.4 MB) on numpy 2.4."""
+    if not isinstance(values, np.ndarray):
+        values = np.fromiter(values, dtype=np.int64)
+    values = np.sort(values.astype(np.int64, copy=False), axis=None)
+    # x - (x - 1) is 1 even where x - 1 wraps, so the first value stays
+    values = values[np.diff(values, prepend=values[:1] - 1) != 0]
+    values.setflags(write=False)
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,13 +104,13 @@ class LinkStream:
 
     The links are the columns ``t``, ``src``, ``dst`` and ``amount``:
     read-only int64 arrays of one length, ``amount`` being ``None`` for
-    certifications. Instances are immutable after construction; every read
-    operation is safe to share across threads. Use :func:`build_stream` to
-    build a stream from :class:`Link` rows.
+    certifications; ``nodes`` is a node set. Instances are immutable after
+    construction; every read operation is safe to share across threads. Use
+    :func:`build_stream` to build a stream from :class:`Link` rows.
     """
 
     interval: tuple[int, int]
-    nodes: frozenset[int]
+    nodes: np.ndarray
     t: np.ndarray
     src: np.ndarray
     dst: np.ndarray
@@ -114,6 +122,7 @@ class LinkStream:
                 col = np.array(getattr(self, name), dtype=np.int64)
                 col.setflags(write=False)
                 object.__setattr__(self, name, col)
+        object.__setattr__(self, "nodes", _distinct_sorted(self.nodes))
         t, src, dst, amount = self.t, self.src, self.dst, self.amount
         if t.ndim != 1 or any(c.shape != t.shape for c in (src, dst, amount) if c is not None):
             raise ValueError("link columns must be one-dimensional and of one length")
@@ -133,7 +142,7 @@ class LinkStream:
             raise ValueError(f"negative amount {amount.min()}")
 
         outside = (t < t0) | (t > t1)
-        foreign = ~(node_mask(src, self.nodes) & node_mask(dst, self.nodes))
+        foreign = ~(np.isin(src, self.nodes) & np.isin(dst, self.nodes))
         dt, ds = np.diff(t), np.diff(src)
         decreasing = np.zeros(n, dtype=bool)
         decreasing[1:] = (dt < 0) | ((dt == 0) & ((ds < 0) | ((ds == 0) & (np.diff(dst) < 0))))
@@ -163,12 +172,12 @@ class LinkStream:
         """Link times per (source, target) pair; built on first use."""
         return PairIndex.of(self, directed=True)
 
-    def restrict(self, keep: np.ndarray, nodes: Iterable[int]) -> LinkStream:
+    def restrict(self, keep: np.ndarray, nodes: np.ndarray) -> LinkStream:
         """The links where the boolean mask ``keep`` holds, over ``nodes``;
         the interval is unchanged."""
         return LinkStream(
             interval=self.interval,
-            nodes=frozenset(nodes),
+            nodes=nodes,
             t=self.t[keep],
             src=self.src[keep],
             dst=self.dst[keep],
@@ -189,29 +198,32 @@ SUBSTREAM_CLASSES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeClassification:
     """Partition of node handles into identified members and anonymous wallets.
 
     ``table`` is optional and only used to name keys in error messages.
     """
 
-    members: frozenset[int]
-    anonymous: frozenset[int]
-    table: NodeTable | None = field(default=None, compare=False)
+    members: np.ndarray
+    anonymous: np.ndarray
+    table: NodeTable | None = None
 
     def __post_init__(self):
-        overlap = self.members & self.anonymous
-        if overlap:
-            raise ClassificationError(f"nodes classified twice: {sorted(overlap)}")
+        for name in ("members", "anonymous"):
+            object.__setattr__(self, name, _distinct_sorted(getattr(self, name)))
+        overlap = self.members[np.isin(self.members, self.anonymous)]
+        if len(overlap):
+            raise ClassificationError(f"nodes classified twice: {overlap.tolist()}")
 
-    def nodes_of(self, cls: NodeClass) -> frozenset[int]:
+    def nodes_of(self, cls: NodeClass) -> np.ndarray:
         return self.members if cls is NodeClass.MEMBER else self.anonymous
 
-    def require_covers(self, nodes: Iterable[int]) -> None:
-        missing = set(nodes) - self.members - self.anonymous
-        if missing:
-            names = ", ".join(self.name_of(n) for n in sorted(missing))
+    def require_covers(self, nodes: np.ndarray) -> None:
+        """Raise unless every node of the node set ``nodes`` has a class."""
+        missing = nodes[~(np.isin(nodes, self.members) | np.isin(nodes, self.anonymous))]
+        if len(missing):
+            names = ", ".join(self.name_of(n) for n in missing.tolist())
             raise ClassificationError(f"unclassified node(s): {names}")
 
     def name_of(self, node: int) -> str:
@@ -229,12 +241,12 @@ class InducedGraph:
     """Static directed graph aggregated from a stream: one edge per node pair
     that interacted at least once. A view of the stream's pair indexes,
     which alone decide how links group into edges and in what order. Its
-    kernels number nodes by place, each built on first read."""
+    kernels, built on first read, number nodes by place: an index in ``nodes``."""
 
     stream: LinkStream
 
     @property
-    def nodes(self) -> frozenset[int]:
+    def nodes(self) -> np.ndarray:
         return self.stream.nodes
 
     def directed_edges(self) -> np.ndarray:
@@ -248,17 +260,12 @@ class InducedGraph:
         return np.column_stack((p.u, p.v))
 
     @cached_property
-    def sorted_nodes(self) -> np.ndarray:
-        """The nodes ascending, isolated ones too: a node's place is its index."""
-        return np.fromiter(sorted(self.nodes), dtype=np.int64, count=len(self.nodes))
-
-    @cached_property
     def ends(self) -> np.ndarray:
         """The places of the first and of the second ends of the
         ``undirected_edges()`` rows, which still ascend, as two rows."""
         p = self.stream.pairs
         # search the distinct endpoints, not all 2m ends, then gather by rank
-        return np.searchsorted(self.sorted_nodes, p.nodes)[np.stack(p.ranks)]
+        return np.searchsorted(self.nodes, p.nodes)[np.stack(p.ranks)]
 
     @cached_property
     def degree(self) -> np.ndarray:
@@ -341,11 +348,9 @@ def stream_from_columns(
     t, src, dst = t[order], src[order], dst[order]
     if interval is None:
         interval = (int(t[0]), int(t[-1])) if len(t) else (0, 0)
-    if nodes is None:
-        nodes = set(src.tolist()) | set(dst.tolist())
     return LinkStream(
         interval=interval,
-        nodes=frozenset(nodes),
+        nodes=np.concatenate((src, dst)) if nodes is None else nodes,
         t=t,
         src=src,
         dst=dst,
@@ -369,7 +374,8 @@ def activity(s: LinkStream, t: int) -> int:
     if not t0 <= t <= t1:
         raise IntervalError(f"t={t} outside interval [{t0}, {t1}]")
     lo, hi = (np.searchsorted(s.t, t, side=side) for side in ("left", "right"))
-    return len(set(zip(s.src[lo:hi].tolist(), s.dst[lo:hi].tolist())))
+    src, dst = s.src[lo:hi], s.dst[lo:hi]  # sorted by (src, dst): count the changes
+    return int(hi > lo) + int(np.count_nonzero((np.diff(src) != 0) | (np.diff(dst) != 0)))
 
 
 def activity_series(s: LinkStream, bin_width: int) -> BinnedSeries:
@@ -413,9 +419,7 @@ def class_mask(
     dst_class: NodeClass,
 ) -> np.ndarray:
     """Which links of ``s`` go from ``src_class`` nodes to ``dst_class`` nodes."""
-    return node_mask(s.src, cls.nodes_of(src_class)) & node_mask(
-        s.dst, cls.nodes_of(dst_class)
-    )
+    return np.isin(s.src, cls.nodes_of(src_class)) & np.isin(s.dst, cls.nodes_of(dst_class))
 
 
 def substream_by_class(
@@ -431,8 +435,8 @@ def substream_by_class(
     without any retained link stay present.
     """
     cls.require_covers(s.nodes)
-    nodes = s.nodes & (cls.nodes_of(src_class) | cls.nodes_of(dst_class))
-    return s.restrict(class_mask(s, cls, src_class, dst_class), nodes)
+    kept = np.isin(s.nodes, cls.nodes_of(src_class)) | np.isin(s.nodes, cls.nodes_of(dst_class))
+    return s.restrict(class_mask(s, cls, src_class, dst_class), s.nodes[kept])
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,7 +4,7 @@ Covers the overlap of aggregated neighborhoods across streams and the
 directed k-closure of links for k in {2, 3}: the minimal look-back from a
 link to its reverse link, or to a directed triangle completing it. The
 overlaps read two induced graphs' degrees and the rows they share, and
-return columns over the nodes of either graph; both closures read the
+return columns over the union of their node sets; both closures read the
 stream's directed pair index.
 
 Closure conventions. For the 2-closure, a reverse link at exactly the same
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stream_core import InducedGraph, LinkStream, _blocks, _expand
+from .stream_core import InducedGraph, LinkStream, _blocks, _expand, _distinct_sorted
 
 
 def neighborhood_overlaps(
@@ -28,8 +28,8 @@ def neighborhood_overlaps(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For every node of either graph, ascending, how much of its
     neighborhood in ``g2`` lies inside its neighborhood in ``g1``: the
-    nodes, and per node the inclusion |N2 & N1| / |N2| and the Jaccard
-    index |N2 & N1| / |N2 | N1| as float64, NaN where the denominator is 0.
+    nodes as a node set, and per node the inclusion |N2 & N1| / |N2| and
+    the Jaccard index |N2 & N1| / |N2 | N1|, float64, NaN on a 0 denominator.
 
     A node's neighborhood in the induced graph of a stream is its
     aggregated neighborhood there: everyone who ever interacted with it. A
@@ -37,10 +37,8 @@ def neighborhood_overlaps(
     a node shares are the ``g2`` rows at it that ``g1``'s pair index holds
     too.
     """
-    # a sort and a diff: np.union1d loads numpy.ma (1.4 MB) on numpy 2.4
-    nodes = np.sort(np.concatenate((g1.sorted_nodes, g2.sorted_nodes)))
-    nodes = nodes[np.diff(nodes, prepend=-1) != 0]
-    at1, at2 = (np.searchsorted(nodes, g.sorted_nodes) for g in (g1, g2))
+    nodes = _distinct_sorted(np.concatenate((g1.nodes, g2.nodes)))
+    at1, at2 = (np.searchsorted(nodes, g.nodes) for g in (g1, g2))
     deg1, deg2 = np.zeros((2, len(nodes)), dtype=np.int64)
     deg1[at1], deg2[at2] = g1.degree, g2.degree
     both = g1.stream.pairs.find(*g2.undirected_edges().T) >= 0

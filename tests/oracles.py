@@ -116,7 +116,7 @@ def pair_places(g, pairs):
     for node in ends.ravel().tolist():
         if node not in g.nodes:
             raise KeyError(f"node {node} not in graph")
-    at = np.searchsorted(g.sorted_nodes, ends)
+    at = np.searchsorted(g.nodes, ends)
     return at[:, 0], at[:, 1]
 
 
@@ -341,6 +341,12 @@ def build_streams(certifications, transactions, keys: list[str]):
 def links_of(s) -> list[tuple[int, int, int]]:
     """The links of a stream as (t, source, target) rows, in stream order."""
     return list(zip(s.t.tolist(), s.src.tolist(), s.dst.tolist()))
+
+
+def activity(links: list[tuple[int, int, int]], t: int) -> int:
+    """One scan of every (t, source, target) link: the set of distinct
+    pairs linked exactly at ``t``."""
+    return len({(u, v) for t2, u, v in links if t2 == t})
 
 
 def aggregated_neighborhood(s, v: int) -> frozenset[int]:

@@ -103,7 +103,7 @@ def test_criterion_3_triangle_clustering_oracle_equivalence():
         assert graph_metrics.triangle_count(g) == oracles.triangle_count(g.nodes, und)
 
         report = graph_metrics.clustering(g)
-        coefficient = dict(zip(g.sorted_nodes.tolist(), report.coefficients.tolist()))
+        coefficient = dict(zip(g.nodes.tolist(), report.coefficients.tolist()))
         adj = oracles.adjacency(g)
         for node in g.nodes:
             k = len(adj[node])
@@ -294,7 +294,7 @@ def test_criterion_7_dataset_conditional_reproduction():
     uncertified = cert_rel.pairs.find(tx_pairs.u, tx_pairs.v) < 0
     # the cert graph's nodes are the members, so every end has a place
     u, v = (
-        np.searchsorted(g_cert.sorted_nodes, ends[uncertified]) for ends in (tx_pairs.u, tx_pairs.v)
+        np.searchsorted(g_cert.nodes, ends[uncertified]) for ends in (tx_pairs.u, tx_pairs.v)
     )
     dist = graph_metrics.distance_distribution(u, v, g_cert)
     shares = dict(enumerate((dist.counts / dist.total()).tolist()))

@@ -112,7 +112,8 @@ def test_substreams_are_built_on_first_read(ledger_file, tmp_path, monkeypatch):
     assert list(subs) == ["MM", "MA", "AM", "AA"]
     for label, classes in SUBSTREAM_CLASSES.items():
         eager, lazy = build(bundle.tx, bundle.cls, *classes), subs[label]
-        assert (lazy.interval, lazy.nodes) == (eager.interval, eager.nodes), label
+        assert lazy.interval == eager.interval, label
+        assert lazy.nodes.tolist() == eager.nodes.tolist(), label
         for column in ("t", "src", "dst", "amount"):
             assert getattr(lazy, column).tolist() == getattr(eager, column).tolist(), label
     assert len(calls) == 4
@@ -400,7 +401,7 @@ def test_graph_rejects_transacting_member_outside_cert_graph(ledger_file, tmp_pa
     bundle = load_bundle(out)
     x = int(bundle.tx_mm.src[0])
     keep = (bundle.cert.src != x) & (bundle.cert.dst != x)
-    cert = bundle.cert.restrict(keep, bundle.cert.nodes - {x})
+    cert = bundle.cert.restrict(keep, bundle.cert.nodes[bundle.cert.nodes != x])
     damaged = snapshot.StreamBundle(bundle.table, bundle.cls, cert, bundle.tx)
     monkeypatch.setattr(snapshot, "load_bundle", lambda path: damaged)
     result = runner.invoke(main, ["graph", "--out", str(out), "--samples", "2"])
@@ -714,6 +715,28 @@ def _cert_nodes_not_members(a):
     a["cert_nodes"] = np.append(a["cert_nodes"], wallet)
 
 
+def _float_times(a):
+    # an int64 cast would truncate every time by 0.7 s
+    a["cert_t"] = a["cert_t"] + 0.7
+
+
+def _float_members(a):
+    a["members"] = a["members"].astype(np.float64)
+
+
+def _integer_keys(a):
+    # the handles as keys would label every pair "0|8" and so on
+    a["keys"] = np.arange(len(a["keys"]))
+
+
+def _two_dimensional_members(a):
+    a["members"] = a["members"].reshape(-1, 1)
+
+
+def _two_dimensional_interval(a):
+    a["cert_interval"] = a["cert_interval"].reshape(2, 1)
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -732,6 +755,11 @@ def _cert_nodes_not_members(a):
                 _repeated_key,
                 _unkeyed_member,
                 _cert_nodes_not_members,
+                _float_times,
+                _float_members,
+                _integer_keys,
+                _two_dimensional_members,
+                _two_dimensional_interval,
             ],
         ),
     ],

@@ -17,10 +17,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 from click.testing import CliRunner
 
 from ls_ledger.cli import main
 from ls_ledger.fixtures import example_records, write_records
+from ls_ledger.ledger_ingest import parse_records
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -82,6 +84,29 @@ def test_stages_write_what_click_runner_writes(tmp_path):
     assert "closures_k3.csv" in names and "null_model.csv" in names
     for name in names:
         assert (outs["process"] / name).read_bytes() == (outs["runner"] / name).read_bytes(), name
+
+
+def test_ingest_writes_its_warnings_in_one_write(tmp_path, monkeypatch):
+    ledger = tmp_path / "ledger.jsonl"
+    write_records(ledger, example_records())
+    clean = stage("ingest", "--input", str(ledger), "--out", str(tmp_path / "clean"))
+    assert clean.returncode == 0 and clean.stderr == ""  # not even a blank line
+    with ledger.open("a") as fh:
+        fh.write('{"type":"nope","time":0}\nnot json\n')
+    issues = parse_records(ledger.read_text().splitlines()).issues
+    assert len(issues) == 2
+    dirty = stage("ingest", "--input", str(ledger), "--out", str(tmp_path / "dirty"))
+    assert dirty.returncode == 0, dirty.stderr
+    assert dirty.stderr == "".join(f"warning: skipped line {n}: {r}\n" for n, r in issues)
+
+    to_stderr = []
+    echo = click.echo
+    monkeypatch.setattr(
+        click, "echo", lambda message=None, **kw: to_stderr.append(kw.get("err")) or echo(message, **kw)
+    )
+    args = ["ingest", "--input", str(ledger), "--out", str(tmp_path / "runner")]
+    assert CliRunner().invoke(main, args).exit_code == 0
+    assert to_stderr.count(True) == 1
 
 
 def test_console_script_runs_the_process_entry_point():

@@ -46,7 +46,7 @@ def test_degree_report_example(sample_stream):
     s, table = sample_stream
     g = induced_graph(s)
     rep = degree_report(g)
-    out = {table.key_of(n): d for n, d in zip(g.sorted_nodes.tolist(), rep.out_degree.tolist())}
+    out = {table.key_of(n): d for n, d in zip(g.nodes.tolist(), rep.out_degree.tolist())}
     assert out == {"a": 2, "b": 3, "c": 2, "d": 2}
 
 
@@ -57,7 +57,7 @@ def test_degree_report_counts_edges_at_each_place():
         edges = {(u, v) for u in nodes for v in nodes if u != v and rng.random() < 0.3}
         g = graph_of(nodes, edges)
         rep = degree_report(g)
-        places = g.sorted_nodes.tolist()
+        places = g.nodes.tolist()
         assert rep.out_degree.tolist() == [sum(u == n for u, _ in edges) for n in places]
         assert rep.in_degree.tolist() == [sum(v == n for _, v in edges) for n in places]
 
@@ -152,7 +152,7 @@ def test_clustering_matches_triangle_formula():
     for trial in range(20):
         g = random_graph(rng, rng.randint(3, 15), rng.uniform(0.2, 0.7))
         rep = clustering(g)
-        coefficient = dict(zip(g.sorted_nodes.tolist(), rep.coefficients.tolist()))
+        coefficient = dict(zip(g.nodes.tolist(), rep.coefficients.tolist()))
         per_node = oracles.triangles_per_node(g)
         adj = oracles.adjacency(g)
         und = oracles.undirected_edge_set(g.directed_edges().tolist())

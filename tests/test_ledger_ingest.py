@@ -1,6 +1,7 @@
 import io
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -18,6 +19,14 @@ from ls_ledger.ledger_ingest import (
     identify_miners,
     parse_records,
     repartition,
+)
+from ls_ledger.snapshot import build_bundle, load_bundle, save_bundle
+from ls_ledger.stream_core import (
+    SUBSTREAM_CLASSES,
+    Link,
+    build_stream,
+    stream_from_columns,
+    substream_by_class,
 )
 
 LINES = [
@@ -273,21 +282,21 @@ def test_classify_keys_example():
     )
     cls = classify_keys(parsed.identities, parsed.transactions)
     t = cls.table
-    assert cls.members == {t.id_of("A"), t.id_of("B")}
-    assert cls.anonymous == {t.id_of("C")}
+    assert cls.members.tolist() == sorted([t.id_of("A"), t.id_of("B")])
+    assert cls.anonymous.tolist() == [t.id_of("C")]
 
 
 def test_classify_keys_no_identities():
     parsed = _parse([TxRecord(1, "X", "Y", 10)])
     cls = classify_keys(parsed.identities, parsed.transactions)
-    assert not cls.members and len(cls.anonymous) == 2
+    assert not len(cls.members) and len(cls.anonymous) == 2
 
 
 def test_classify_keys_member_without_transactions():
     parsed = _parse([IdentityRecord(0, "A", "a")])
     cls = classify_keys(parsed.identities, parsed.transactions)
-    assert cls.members == {cls.table.id_of("A")}
-    assert cls.table.id_of("A") in cls.members | cls.anonymous
+    assert cls.members.tolist() == [cls.table.id_of("A")]
+    assert cls.anonymous.tolist() == []
 
 
 def test_classify_partition_property():
@@ -301,8 +310,7 @@ def test_classify_partition_property():
         seen = {cls.table.id_of(r.key) for r in ids}
         for r in txs:
             seen |= {cls.table.id_of(r.src), cls.table.id_of(r.dst)}
-        assert cls.members | cls.anonymous == seen
-        assert not cls.members & cls.anonymous
+        assert sorted(cls.members.tolist() + cls.anonymous.tolist()) == sorted(seen)
 
 
 def _ingest(records):
@@ -319,7 +327,7 @@ def test_build_streams_counts():
     assert cert.amount is None
     assert tx.amount is not None and len(tx.amount) == tx.link_count
     assert cert.interval == (0, 6)
-    assert cert.nodes == cls.members
+    assert cert.nodes.tolist() == cls.members.tolist()
 
 
 def test_build_streams_rejects_non_member_cert():
@@ -457,8 +465,8 @@ def test_identify_miners():
     _, cls, _, tx = _ingest(records)
     miners = identify_miners(tx, cls, "REM")
     t = cls.table
-    assert miners == {t.id_of("M1"), t.id_of("M2")}
-    assert miners <= cls.members
+    assert miners.tolist() == sorted([t.id_of("M1"), t.id_of("M2")])
+    assert np.isin(miners, cls.members).all()
 
 
 def test_identify_miners_no_outgoing():
@@ -467,7 +475,7 @@ def test_identify_miners_no_outgoing():
         TxRecord(1, "M1", "REM", 10),
     ]
     _, cls, _, tx = _ingest(records)
-    assert identify_miners(tx, cls, "REM") == frozenset()
+    assert identify_miners(tx, cls, "REM").tolist() == []
 
 
 def test_identify_miners_unknown_key():
@@ -577,11 +585,52 @@ def test_columnar_ingest_matches_record_oracle():
         cls = classify_keys(parsed.identities, parsed.transactions)
         keys, members, anonymous = oracles.classify_keys(ids, txs)
         assert cls.table.keys() == keys
-        assert (cls.members, cls.anonymous) == (members, anonymous)
+        assert (cls.members.tolist(), cls.anonymous.tolist()) == (sorted(members), sorted(anonymous))
 
         cert, tx = build_streams(parsed, cls)
         (cert_interval, cert_rows), (tx_interval, tx_rows) = oracles.build_streams(certs, txs, keys)
         assert (cert.interval, links_of(cert)) == (cert_interval, cert_rows)
         assert tx.interval == tx_interval
         assert list(zip(*(c.tolist() for c in (tx.t, tx.src, tx.dst, tx.amount)))) == tx_rows
-        assert (cert.nodes, tx.nodes) == (members, members | anonymous)
+        assert cert.nodes.tolist() == sorted(members)
+        assert tx.nodes.tolist() == sorted(members | anonymous)
+
+
+def test_node_sets_are_sorted_int64_arrays(tmp_path):
+    """Every node set the package builds has one form: its distinct handles
+    ascending, as a read-only int64 array."""
+
+    def check(nodes, what):
+        assert isinstance(nodes, np.ndarray) and nodes.dtype == np.int64, what
+        assert nodes.ndim == 1 and (np.diff(nodes) > 0).all(), what
+        assert not nodes.flags.writeable, what
+        return nodes.tolist()
+
+    assert check(build_stream([Link(5, 3, 1), Link(2, 1, 0)]).nodes, "build_stream") == [0, 1, 3]
+    for nodes, want in ((None, [0, 1, 3]), (frozenset({7, 3, 1, 0}), [0, 1, 3, 7])):
+        assert check(stream_from_columns([2, 1], [3, 1], [1, 0], nodes=nodes).nodes, nodes) == want
+    repeats = [7, 3, 3, 1, 0, 7]
+    assert check(stream_from_columns([2, 1], [3, 1], [1, 0], nodes=repeats).nodes, "list") == [
+        0, 1, 3, 7,
+    ]
+
+    _, cls, cert, tx = _ingest(random_records(31))
+    check(cls.members, "members")
+    check(cls.anonymous, "anonymous")
+    check(cert.nodes, "cert")
+    check(tx.nodes, "tx")
+    check(tx.restrict(tx.src < tx.dst, tx.nodes[::-1]).nodes, "restrict")
+    for label, classes in SUBSTREAM_CLASSES.items():
+        check(substream_by_class(tx, cls, *classes).nodes, label)
+    wallet = int(cls.anonymous[0])
+    assert wallet not in check(filter_wallet(tx, wallet).nodes, "filter_wallet")
+    # a source that pays a member, so the miners are not empty
+    payer = int(tx.src[np.isin(tx.dst, cls.members)][0])
+    assert check(identify_miners(tx, cls, cls.table.key_of(payer)), "identify_miners")
+
+    save_bundle(tmp_path, build_bundle(cls.table, cls, cert, tx))
+    bundle = load_bundle(tmp_path)
+    assert check(bundle.cls.members, "loaded members") == cls.members.tolist()
+    assert check(bundle.cls.anonymous, "loaded anonymous") == cls.anonymous.tolist()
+    assert check(bundle.cert.nodes, "loaded cert") == cert.nodes.tolist()
+    assert check(bundle.tx.nodes, "loaded tx") == tx.nodes.tolist()

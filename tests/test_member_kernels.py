@@ -184,14 +184,15 @@ def test_neighborhood_overlaps_match_per_node_rescan():
         columns = neighborhood_overlaps(g1, g2)
         assert all(c.dtype == np.float64 for c in columns[1:])
         results = overlap_rows(*columns)
-        assert [v for v, _, _ in results] == sorted(s1.nodes | s2.nodes)
+        either = sorted({*s1.nodes.tolist(), *s2.nodes.tolist()})
+        assert [v for v, _, _ in results] == either
         for v, inclusion, jaccard in results:
             expected = oracles.neighborhood_overlap(v, s1, s2)
             assert (inclusion, jaccard) == expected, (trial, v)
         sets = oracles.neighborhood_overlaps(oracles.adjacency(g1), oracles.adjacency(g2))
         assert results == sets, trial
         linked = set(chain(s1.src.tolist(), s1.dst.tolist(), s2.src.tolist(), s2.dst.tolist()))
-        for v in s1.nodes | s2.nodes:
+        for v in either:
             seen.add("only 1" if v not in s2.nodes else "only 2" if v not in s1.nodes else "both")
             seen.add("linked" if v in linked else "isolated")
     assert seen == {"only 1", "only 2", "both", "linked", "isolated"}

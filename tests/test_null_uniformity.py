@@ -73,7 +73,7 @@ def test_short_chain_fails_the_test(name):
     graphs = simple_graphs(degrees_of(edges))
     # rewired_samples' per-sample seeds, with m attempts instead of 10 m
     short = (
-        _double_edge_swap(edges, random.Random(SEED * 1_000_003 + i), attempts=len(edges))
+        _double_edge_swap(edges, len(NODES), random.Random(SEED * 1_000_003 + i), attempts=len(edges))
         for i in range(samples)
     )
     assert chi_square(short, graphs) > CRITICAL[len(graphs) - 1]

@@ -124,7 +124,7 @@ def test_find_and_latest_equal_bisect(directed):
     for cert, tx in CASES:
         idx = tx.directed_pairs if directed else tx.pairs
         times = oracles.pair_times(tx) if directed else oracles.pair_event_times(tx)
-        ends = sorted(tx.nodes | cert.nodes | {0, 2**62 + 5})
+        ends = sorted({*tx.nodes.tolist(), *cert.nodes.tolist(), 0, 2**62 + 5})
         us = [rng.choice(ends) for _ in range(30)]
         vs = [rng.choice(ends) for _ in range(30)]
         probes = (0, 1, 5, 39, T_LIMIT - 1, T_LIMIT, *tx.t.tolist()[:3])
@@ -211,7 +211,7 @@ def test_match_kernels_equal_reference():
 
         cert_rel, tx_rel = relation_sets(cert), relation_sets(tx)
         cert_sets, tx_sets = oracles.relation_sets(cert), oracles.relation_sets(tx)
-        for n_members in (0, 1, len(cert.nodes | tx.nodes)):
+        for n_members in (0, 1, len({*cert.nodes.tolist(), *tx.nodes.tolist()})):
             for ordered in (False, True):
                 table = relation_ratio_table(cert_rel, tx_rel, n_members, ordered_pairs=ordered)
                 got = [(c.label, c.numerator, c.denominator, c.value) for c in table.cells]

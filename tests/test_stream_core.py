@@ -39,7 +39,7 @@ def test_build_stream_sorts_links():
     s = build_stream([Link(5, 0, 1), Link(2, 1, 0)])
     assert links_of(s) == [(2, 1, 0), (5, 0, 1)]
     assert s.interval == (2, 5)
-    assert s.nodes == {0, 1}
+    assert s.nodes.tolist() == [0, 1]
 
 
 def test_build_stream_example(sample_stream):
@@ -53,7 +53,7 @@ def test_build_stream_empty_needs_interval():
     with pytest.raises(IntervalError):
         build_stream([])
     s = build_stream([], interval=(0, 10))
-    assert s.link_count == 0 and s.nodes == frozenset()
+    assert s.link_count == 0 and s.nodes.tolist() == []
 
 
 def test_build_stream_link_outside_interval_names_index():
@@ -267,7 +267,7 @@ def test_substream_all_members_is_identity(sample_stream):
     s, table = sample_stream
     cls = _classify(table, "abcd")
     mm = substream_by_class(s, cls, NodeClass.MEMBER, NodeClass.MEMBER)
-    assert links_of(mm) == links_of(s) and mm.nodes == s.nodes
+    assert links_of(mm) == links_of(s) and mm.nodes.tolist() == s.nodes.tolist()
 
 
 def test_substream_unclassified_node_names_key(sample_stream):
@@ -280,6 +280,13 @@ def test_substream_unclassified_node_names_key(sample_stream):
     with pytest.raises(ClassificationError) as err:
         substream_by_class(s, cls, NodeClass.MEMBER, NodeClass.MEMBER)
     assert "'b'" in str(err.value)
+
+
+def test_classification_rejects_a_node_in_both_classes():
+    from ls_ledger.errors import ClassificationError
+
+    with pytest.raises(ClassificationError, match=r"nodes classified twice: \[1, 3\]$"):
+        NodeClassification(members=[3, 2, 1, 3], anonymous=frozenset({9, 3, 1}))
 
 
 # ------------------------------------------------------------- properties
@@ -313,6 +320,21 @@ def test_activity_conservation_random():
         # binned series counts links with multiplicity, any width conserves
         for width in (1, 3, 7, 1000):
             assert sum(activity_series(s, width).values) == s.link_count
+
+
+def test_activity_matches_distinct_pair_reference():
+    # few nodes and instants, so one instant often repeats a link, and
+    # pairs that share a source or a target sit next to each other
+    rng = random.Random(18)
+    seen = set()
+    for trial in range(60):
+        s = build_stream(random_links(rng, rng.randint(2, 5), rng.randint(1, 40), t_max=6))
+        rows = links_of(s)
+        for t in range(s.interval[0], s.interval[1] + 1):
+            assert activity(s, t) == oracles.activity(rows, t), (trial, t)
+            at_t = [row for row in rows if row[0] == t]
+            seen.add("repeat" if len(set(at_t)) < len(at_t) else "empty" if not at_t else "distinct")
+    assert seen == {"repeat", "empty", "distinct"}
 
 
 def test_rolling_sum_window_covering_span_random():
@@ -377,8 +399,8 @@ def test_induced_graph_is_a_view_of_the_pair_index():
         order = sorted(nodes, key=lambda n: (degree[n], n))
         rank = {n: i for i, n in enumerate(order)}
         offsets, others = g.neighbors
-        assert g.sorted_nodes.tolist() == nodes
-        for a in (g.sorted_nodes, *g.ends, g.degree, g.rank, offsets, others):
+        assert g.nodes.tolist() == nodes
+        for a in (g.nodes, *g.ends, g.degree, g.rank, offsets, others):
             assert a.dtype == np.int64
         assert [[nodes[a], nodes[b]] for a, b in zip(*g.ends)] == undirected.tolist()
         assert g.degree.tolist() == [degree[n] for n in nodes]

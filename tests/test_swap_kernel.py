@@ -17,7 +17,8 @@ from ls_ledger.graph_metrics import _double_edge_swap
 def assert_same_swaps(edges, seed, attempts=None):
     attempts = 10 * len(edges) if attempts is None else attempts
     rng_new, rng_ref = random.Random(seed), random.Random(seed)
-    got = _double_edge_swap(edges, rng_new, attempts)
+    n = max(max(e) for e in edges) + 1
+    got = _double_edge_swap(edges, n, rng_new, attempts)
     want = oracles.double_edge_swap(edges, rng_ref, attempts)
     assert got == want
     assert rng_new.getstate() == rng_ref.getstate()

@@ -41,8 +41,8 @@ def test_neighborhood_isolated_and_single():
 def csr_neighborhood(g, node: int) -> frozenset[int]:
     """The handles in ``node``'s slice of the graph's CSR neighbor arrays."""
     offsets, others = g.neighbors
-    i = g.sorted_nodes.tolist().index(node)
-    return frozenset(g.sorted_nodes[others[offsets[i] : offsets[i + 1]]].tolist())
+    i = g.nodes.tolist().index(node)
+    return frozenset(g.nodes[others[offsets[i] : offsets[i + 1]]].tolist())
 
 
 def test_aggregated_neighborhood_example(sample_stream):

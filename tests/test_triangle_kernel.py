@@ -38,7 +38,7 @@ def kernel_triangles(g: InducedGraph) -> dict[int, int]:
     """Triangles through every node, in ``g.nodes`` order, from the numpy
     kernel that ``clustering`` reads."""
     out = dict.fromkeys(g.nodes, 0)
-    out.update(zip(g.sorted_nodes.tolist(), graph_metrics._node_triangles(*g.ends, g.rank).tolist()))
+    out.update(zip(g.nodes.tolist(), graph_metrics._node_triangles(*g.ends, g.rank).tolist()))
     return out
 
 
@@ -126,7 +126,7 @@ def test_clustering_equals_neighbor_scan(name):
     g = GRAPHS[name]
     coeffs, average, average_active = oracles.clustering_scan(g)
     report = clustering(g)
-    assert list(coeffs) == g.sorted_nodes.tolist()
+    assert list(coeffs) == g.nodes.tolist()
     assert report.coefficients.tolist() == list(coeffs.values())
     assert report.average == average
     assert report.average_active == average_active
@@ -236,8 +236,8 @@ def test_rewiring_that_moves_an_endpoint_is_rejected(target, monkeypatch):
     assert len(list(rewired_samples(g, 2, 1))) == 2
     swap = graph_metrics._double_edge_swap
 
-    def moved(edges, rng, attempts):
-        (u, v), *rest = swap(edges, rng, attempts)
+    def moved(edges, n, rng, attempts):
+        (u, v), *rest = swap(edges, n, rng, attempts)
         w = next(n for n in range(6) if n not in (u, v)) if target == "another node" else 99
         return [(u, w), *rest]
 
