@@ -13,8 +13,6 @@ __all__ = [
     "InducedGraph",
     "Link",
     "LinkStream",
-    "NodeClass",
-    "NodeClassification",
     "NodeTable",
     "activity",
     "activity_series",

@@ -103,19 +103,19 @@ def cmd_ingest(cfg: RunConfig) -> None:
     if records.issues:  # in one write, as click.echo flushes each call
         click.echo("\n".join(f"warning: skipped line {n}: {r}" for n, r in records.issues), err=True)
 
-    cls = ledger_ingest.classify_keys(records.identities, records.transactions)
+    table, members = ledger_ingest.classify_keys(records.identities, records.transactions)
     # checked before anything is written, so a bad key leaves --out untouched
-    if cfg.remuniter and cfg.remuniter not in cls.table:
+    if cfg.remuniter and cfg.remuniter not in table:
         raise LedgerError(f"--remuniter key {cfg.remuniter!r} not present in the ledger")
-    cert, tx = ledger_ingest.build_streams(records, cls)
-    bundle = snapshot.build_bundle(cls.table, cls, cert, tx)
+    cert, tx = ledger_ingest.build_streams(records, table, members)
+    bundle = snapshot.build_bundle(table, members, cert, tx)
     snapshot.save_bundle(cfg.out_dir, bundle)
 
-    _write_repartition(cfg, "repartition.csv", tx, cls)
+    _write_repartition(cfg, "repartition.csv", tx, members)
     if cfg.remuniter:
-        filtered = ledger_ingest.filter_wallet(tx, cls.table.id_of(cfg.remuniter))
-        _write_repartition(cfg, "repartition_filtered.csv", filtered, cls, "remuniter removed")
-        miners = ledger_ingest.identify_miners(tx, cls, cfg.remuniter)
+        filtered = ledger_ingest.filter_wallet(tx, table.id_of(cfg.remuniter))
+        _write_repartition(cfg, "repartition_filtered.csv", filtered, members, "remuniter removed")
+        miners = ledger_ingest.identify_miners(tx, table, members, cfg.remuniter)
         click.echo(f"miners:{len(miners)}")
 
     click.echo(
@@ -124,11 +124,11 @@ def cmd_ingest(cfg: RunConfig) -> None:
     )
 
 
-def _write_repartition(cfg: RunConfig, fname: str, tx, cls, *extra: str) -> None:
+def _write_repartition(cfg: RunConfig, fname: str, tx, members, *extra: str) -> None:
     """Counts and amounts of the transaction stream ``tx`` per substream."""
     from . import ledger_ingest
 
-    report = ledger_ingest.repartition(tx, cls)
+    report = ledger_ingest.repartition(tx, members)
     _write_csv(
         cfg.out_dir / fname,
         _comments("ingest", cfg, f"input={cfg.input_path}", *extra),
@@ -408,7 +408,7 @@ def cmd_relations(cfg: RunConfig) -> None:
     bundle = snapshot.load_bundle(cfg.out_dir)
     cert_rel = interplay.relation_sets(bundle.cert)
     tx_rel = interplay.relation_sets(bundle.tx_mm)
-    n_members = len(bundle.cls.members)
+    n_members = len(bundle.members)
     table = interplay.relation_ratio_table(
         cert_rel, tx_rel, n_members, ordered_pairs=cfg.ordered_pairs
     )

@@ -26,13 +26,6 @@ class IntervalError(LedgerError, ValueError):
         self.index = index
 
 
-class ClassificationError(LedgerError, KeyError):
-    """A node is not covered by the member/anonymous partition."""
-
-    def __str__(self) -> str:  # KeyError quotes its arg; keep plain message
-        return self.args[0] if self.args else ""
-
-
 class IntegrityError(LedgerError, ValueError):
     """A record violates a dataset-level constraint (e.g. a certification
     endpoint without an identity)."""

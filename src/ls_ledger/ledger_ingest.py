@@ -1,4 +1,4 @@
-"""Ledger record parsing, key classification, and stream construction.
+"""Ledger record parsing, the member set, and stream construction.
 
 The input is UTF-8 line-delimited JSON, one record per line, decoupling the
 analytics from any blockchain access:
@@ -9,12 +9,16 @@ analytics from any blockchain access:
 
 Amounts are integers in currency centimes; no floating-point money anywhere.
 Keys are written unquoted into CSV rows and ``src|dst`` pair labels, so a
-key containing ``,``, ``|``, whitespace or a control character, or starting
-with ``#``, is a malformed line. So is a line that is not valid UTF-8, and
-one whose JSON nests deeper than the recursion limit or holds an integer of
-more digits than Python converts.
+key containing ``,``, ``|``, ``"``, whitespace or a control character, or
+starting with ``#``, is a malformed line. So is a line that is not valid
+UTF-8, and one whose JSON nests deeper than the recursion limit or holds an
+integer of more digits than Python converts.
 Lenient parsing skips malformed lines and reports them with line numbers;
 strict parsing raises on the first one.
+
+The keys an identity names are the members; every other key is an
+anonymous wallet. Ingest keeps this split as the key table and one sorted
+member set, which the streams, the repartition and the miners read.
 """
 
 from __future__ import annotations
@@ -30,19 +34,17 @@ import numpy as np
 
 from .errors import IntegrityError, ParseError
 from .stream_core import (
-    SUBSTREAM_CLASSES,
     SUBSTREAM_LABELS,
     LinkStream,
-    NodeClassification,
     NodeTable,
     _distinct_sorted,
     class_mask,
     stream_from_columns,
 )
 
-# a key must not split a CSV row or a "src|dst" pair label, nor read as a
-# "#" comment line; base58 keys never match
-_BAD_KEY = re.compile(r"^#|[,|\s\x00-\x1f\x7f-\x9f]")
+# a key must not split a CSV row or a "src|dst" pair label, open a quoted
+# CSV field, nor read as a "#" comment line; base58 keys never match
+_BAD_KEY = re.compile(r'^#|[,|"\s\x00-\x1f\x7f-\x9f]')
 _INT64_MAX = 2**63 - 1
 _decode = json.JSONDecoder().raw_decode
 
@@ -266,40 +268,34 @@ def format_record(rec: IdentityRecord | CertRecord | TxRecord) -> str:
 
 def classify_keys(
     identities: Iterable[IdentityRecord], transactions: LinkColumns
-) -> NodeClassification:
-    """Partition keys: members are those with an identity, anonymous wallets
-    are transaction endpoints without one.
+) -> tuple[NodeTable, np.ndarray]:
+    """The key table and the member set: members are the keys with an
+    identity, and every other key of the table, a transaction endpoint
+    without one, is an anonymous wallet.
 
     Handles follow first appearance: members in identity order, so theirs
     are the smallest, then transaction endpoints, source before target, in
-    line order. The shared table is kept on the classification for key
-    naming in error messages.
+    line order.
     """
     members = dict.fromkeys(rec.key for rec in identities)
     table = NodeTable(chain(members, chain.from_iterable(zip(transactions.src, transactions.dst))))
-    return NodeClassification(
-        members=np.arange(len(members)), anonymous=np.arange(len(members), len(table)), table=table
-    )
+    return table, _distinct_sorted(np.arange(len(members)))
 
 
 def build_streams(
-    records: ParsedRecords, cls: NodeClassification
+    records: ParsedRecords, table: NodeTable, members: np.ndarray
 ) -> tuple[LinkStream, LinkStream]:
-    """Build the certification stream (over members) and the transaction
-    stream (over all keys) from parsed records.
+    """Build the certification stream (over ``members``) and the
+    transaction stream (over every key of ``table``) from parsed records.
 
     Certification links are unweighted; transaction links carry amounts.
     Each interval spans the first to the last event of its kind; a stream
     with no events gets the degenerate interval [0, 0].
     """
-    table = cls.table
-    if table is None:
-        raise IntegrityError("classification carries no key table")
-
     certs, txs = records.certifications, records.transactions
     src, dst = table.handles(certs.src), table.handles(certs.dst)
     # a key missing from the table has handle -1, which isin finds nowhere
-    src_ok, dst_ok = np.isin(src, cls.members), np.isin(dst, cls.members)
+    src_ok, dst_ok = np.isin(src, members), np.isin(dst, members)
     ok = src_ok & dst_ok
     if not ok.all():
         i = int(ok.argmin())  # the first offending cert
@@ -307,7 +303,7 @@ def build_streams(
         raise IntegrityError(
             f"line {certs.line[i]}: certification involves non-member key {_SHOWN.repr(key)}"
         )
-    cert = stream_from_columns(certs.t, src, dst, nodes=cls.members)
+    cert = stream_from_columns(certs.t, src, dst, nodes=members)
     tx_src, tx_dst = table.handles(txs.src), table.handles(txs.dst)
     tx = stream_from_columns(txs.t, tx_src, tx_dst, txs.amount, nodes=np.arange(len(table)))
     return cert, tx
@@ -332,13 +328,12 @@ class RepartitionReport:
     rows: dict[str, RepartitionRow]  # keyed by MM / MA / AM / AA
 
 
-def repartition(tx_stream: LinkStream, cls: NodeClassification) -> RepartitionReport:
+def repartition(tx_stream: LinkStream, members: np.ndarray) -> RepartitionReport:
     """Split transaction counts and amounts across the four class substreams."""
-    cls.require_covers(tx_stream.nodes)
     counts = {}
     amounts = {}
     for label in SUBSTREAM_LABELS:
-        keep = class_mask(tx_stream, cls, *SUBSTREAM_CLASSES[label])
+        keep = class_mask(tx_stream, members, label)
         counts[label] = int(keep.sum())
         # a sum of Python ints stays exact where an int64 sum could wrap
         amounts[label] = 0 if tx_stream.amount is None else sum(tx_stream.amount[keep].tolist())
@@ -363,16 +358,15 @@ def filter_wallet(s: LinkStream, wallet: int) -> LinkStream:
 
 
 def identify_miners(
-    tx_stream: LinkStream, cls: NodeClassification, remuniter_key: str
+    tx_stream: LinkStream, table: NodeTable, members: np.ndarray, remuniter_key: str
 ) -> np.ndarray:
     """Members that received at least one transaction from the donation
     wallet identified by ``remuniter_key``, as a node set."""
-    table = cls.table
-    if table is None or remuniter_key not in table:
+    if remuniter_key not in table:
         raise KeyError(f"key {remuniter_key!r} not present in the dataset")
     wallet = table.id_of(remuniter_key)
     if not np.any(tx_stream.nodes == wallet):
         raise KeyError(f"key {remuniter_key!r} not present in the transaction stream")
     paid = tx_stream.dst[tx_stream.src == wallet]
-    return _distinct_sorted(paid[np.isin(paid, cls.members)])
+    return _distinct_sorted(paid[np.isin(paid, members)])
 

@@ -2,13 +2,13 @@
 
 The snapshot is a zip of .npy arrays (readable with ``numpy.load``) holding
 the columns of the certification and transaction streams, the key table,
-the member partition, and the link indices of the four class substreams.
-Loading checks every array, then leaves the substreams unbuilt: a bundle
-derives each one from the transaction stream and the partition on its
-first read, so loading reads no ``sub_*`` array and a command builds only
-the substreams it reads. Zip entries get a fixed
-timestamp so identical data produces identical bytes, which the CLI's
-determinism guarantee relies on.
+the member set (every other key is an anonymous wallet), and the link
+indices of the four class substreams. Loading checks every array, then
+leaves the substreams unbuilt: a bundle derives each one from the
+transaction stream and the member set on its first read, so loading reads
+no ``sub_*`` array and a command builds only the substreams it reads. Zip
+entries get a fixed timestamp so identical data produces identical bytes,
+which the CLI's determinism guarantee relies on.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ import numpy as np
 from .atomic import atomic_file
 from .errors import StateError
 from .stream_core import (
-    SUBSTREAM_CLASSES,
+    SUBSTREAM_LABELS,
     LinkStream,
-    NodeClassification,
     NodeTable,
+    _distinct_sorted,
     class_mask,
     substream_by_class,
 )
@@ -36,13 +36,13 @@ SNAPSHOT_NAME = "snapshot.npz"
 _EPOCH = (1980, 1, 1, 0, 0, 0)  # fixed zip timestamp for byte-stable output
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StreamBundle:
-    """Everything downstream commands need: key table, partition, the two
+    """Everything downstream commands need: key table, member set, the two
     streams, and the four transaction substreams, each built on first read."""
 
     table: NodeTable
-    cls: NodeClassification
+    members: np.ndarray
     cert: LinkStream
     tx: LinkStream
     _built: dict[str, LinkStream] = field(
@@ -53,7 +53,7 @@ class StreamBundle:
         """The transaction substream ``label`` (MM / MA / AM / AA); later
         reads return the same object."""
         if label not in self._built:
-            self._built[label] = substream_by_class(self.tx, self.cls, *SUBSTREAM_CLASSES[label])
+            self._built[label] = substream_by_class(self.tx, self.members, label)
         return self._built[label]
 
     @property
@@ -63,12 +63,11 @@ class StreamBundle:
 
 def build_bundle(
     table: NodeTable,
-    cls: NodeClassification,
+    members: np.ndarray,
     cert: LinkStream,
     tx: LinkStream,
 ) -> StreamBundle:
-    cls.require_covers(tx.nodes)  # what a substream build checks, checked at load
-    return StreamBundle(table=table, cls=cls, cert=cert, tx=tx)
+    return StreamBundle(table=table, members=members, cert=cert, tx=tx)
 
 
 def save_bundle(out_dir: str | Path, bundle: StreamBundle) -> Path:
@@ -83,10 +82,9 @@ def save_bundle(out_dir: str | Path, bundle: StreamBundle) -> Path:
         arrays[f"{prefix}_nodes"] = s.nodes
     arrays["tx_amount"] = bundle.tx.amount
     arrays["keys"] = np.asarray(bundle.table.keys(), dtype=np.str_)
-    arrays["members"] = bundle.cls.members
-    for label, classes in SUBSTREAM_CLASSES.items():
-        keep = class_mask(bundle.tx, bundle.cls, *classes)
-        arrays[f"sub_{label}"] = np.flatnonzero(keep)
+    arrays["members"] = bundle.members
+    for label in SUBSTREAM_LABELS:
+        arrays[f"sub_{label}"] = np.flatnonzero(class_mask(bundle.tx, bundle.members, label))
 
     path = Path(out_dir) / SNAPSHOT_NAME
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -128,16 +126,14 @@ def _bundle_from(path: Path) -> StreamBundle:
         table = NodeTable(keys)
         if len(table) != len(keys):  # the table keeps a repeated key once
             raise ValueError("keys.npy repeats a key")
-        members = _array(data, "members")
-        handles = np.arange(len(table))
-        cls = NodeClassification(members, handles[~np.isin(handles, members)], table)
+        members = _distinct_sorted(_array(data, "members"))
         cert = _stream_from(data, "cert")
         tx = _stream_from(data, "tx", amount=_array(data, "tx_amount"))
-    if not np.isin(np.concatenate((cls.members, cert.nodes, tx.nodes)), handles).all():
+    if not np.isin(np.concatenate((members, cert.nodes, tx.nodes)), np.arange(len(table))).all():
         raise ValueError("a node handle has no key in keys.npy")
-    if not np.array_equal(cert.nodes, cls.members):  # certifications are among members only
+    if not np.array_equal(cert.nodes, members):  # certifications are among members only
         raise ValueError("cert_nodes.npy differs from members.npy")
-    return build_bundle(table, cls, cert, tx)
+    return build_bundle(table, members, cert, tx)
 
 
 def _array(data, name: str) -> np.ndarray:

@@ -7,21 +7,23 @@ are integer seconds since the Unix epoch: the data source records
 blockchain median times, and integers keep every equality test exact. Node
 identities are dense integer handles; the handle <-> public-key mapping
 lives in a :class:`NodeTable` side table so links stay small. A node set
-(a stream's nodes, the members or the wallets) has one form: its distinct
-handles ascending in a read-only int64 array. Binned activity series are
-int64 arrays over a grid of fixed-width bins.
+(a stream's nodes, the members or the miners) has one form: its distinct
+handles ascending in a read-only int64 array. The member set alone splits
+the keys: a handle in it is an identified member, any other handle an
+anonymous wallet, and a substream is named by its label, the classes of
+its links' sources and targets (MM, MA, AM, AA). Binned activity series
+are int64 arrays over a grid of fixed-width bins.
 """
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ClassificationError, IntervalError, SelfLinkError
+from .errors import IntervalError, SelfLinkError
 
 
 class NodeTable:
@@ -185,55 +187,9 @@ class LinkStream:
         )
 
 
-class NodeClass(enum.Enum):
-    MEMBER = "member"
-    ANONYMOUS = "anonymous"
-
-
+# a label names the source class, then the target class: M for a member,
+# A for an anonymous wallet
 SUBSTREAM_LABELS = ("MM", "MA", "AM", "AA")
-# label -> (source class, target class)
-SUBSTREAM_CLASSES = {
-    label: tuple(NodeClass.MEMBER if c == "M" else NodeClass.ANONYMOUS for c in label)
-    for label in SUBSTREAM_LABELS
-}
-
-
-@dataclass(frozen=True, eq=False)
-class NodeClassification:
-    """Partition of node handles into identified members and anonymous wallets.
-
-    ``table`` is optional and only used to name keys in error messages.
-    """
-
-    members: np.ndarray
-    anonymous: np.ndarray
-    table: NodeTable | None = None
-
-    def __post_init__(self):
-        for name in ("members", "anonymous"):
-            object.__setattr__(self, name, _distinct_sorted(getattr(self, name)))
-        overlap = self.members[np.isin(self.members, self.anonymous)]
-        if len(overlap):
-            raise ClassificationError(f"nodes classified twice: {overlap.tolist()}")
-
-    def nodes_of(self, cls: NodeClass) -> np.ndarray:
-        return self.members if cls is NodeClass.MEMBER else self.anonymous
-
-    def require_covers(self, nodes: np.ndarray) -> None:
-        """Raise unless every node of the node set ``nodes`` has a class."""
-        missing = nodes[~(np.isin(nodes, self.members) | np.isin(nodes, self.anonymous))]
-        if len(missing):
-            names = ", ".join(self.name_of(n) for n in missing.tolist())
-            raise ClassificationError(f"unclassified node(s): {names}")
-
-    def name_of(self, node: int) -> str:
-        """Key string for error messages, falling back to the raw handle."""
-        if self.table is not None:
-            try:
-                return repr(self.table.key_of(node))
-            except KeyError:
-                pass
-        return str(node)
 
 
 @dataclass(frozen=True, eq=False)
@@ -412,31 +368,31 @@ def rolling_sum(series: BinnedSeries, window: int) -> BinnedSeries:
     return BinnedSeries(start=series.start, bin_width=series.bin_width, values=values)
 
 
-def class_mask(
-    s: LinkStream,
-    cls: NodeClassification,
-    src_class: NodeClass,
-    dst_class: NodeClass,
-) -> np.ndarray:
-    """Which links of ``s`` go from ``src_class`` nodes to ``dst_class`` nodes."""
-    return np.isin(s.src, cls.nodes_of(src_class)) & np.isin(s.dst, cls.nodes_of(dst_class))
+def _in_class(nodes: np.ndarray, members: np.ndarray, label_class: str) -> np.ndarray:
+    """Which ``nodes`` are of the class ``label_class``: ``M`` a member,
+    ``A`` any other handle."""
+    is_member = np.isin(nodes, members)
+    return is_member if label_class == "M" else ~is_member
 
 
-def substream_by_class(
-    s: LinkStream,
-    cls: NodeClassification,
-    src_class: NodeClass,
-    dst_class: NodeClass,
-) -> LinkStream:
-    """Restrict a stream to links from ``src_class`` nodes to ``dst_class`` nodes.
+def class_mask(s: LinkStream, members: np.ndarray, label: str) -> np.ndarray:
+    """Which links of ``s`` belong to the substream ``label`` (MM / MA / AM
+    / AA) under the member set ``members``."""
+    if label not in SUBSTREAM_LABELS:
+        raise ValueError(f"unknown substream label {label!r}")
+    return _in_class(s.src, members, label[0]) & _in_class(s.dst, members, label[1])
+
+
+def substream_by_class(s: LinkStream, members: np.ndarray, label: str) -> LinkStream:
+    """Restrict a stream to the links of the substream ``label``.
 
     The interval is left unchanged (all substreams share the parent's time
     interval) and the node set is the class-restricted node set, so nodes
     without any retained link stay present.
     """
-    cls.require_covers(s.nodes)
-    kept = np.isin(s.nodes, cls.nodes_of(src_class)) | np.isin(s.nodes, cls.nodes_of(dst_class))
-    return s.restrict(class_mask(s, cls, src_class, dst_class), s.nodes[kept])
+    keep = class_mask(s, members, label)  # checks the label first
+    kept = _in_class(s.nodes, members, label[0]) | _in_class(s.nodes, members, label[1])
+    return s.restrict(keep, s.nodes[kept])
 
 
 @dataclass(frozen=True, eq=False)

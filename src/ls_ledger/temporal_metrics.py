@@ -22,6 +22,9 @@ import numpy as np
 
 from .stream_core import InducedGraph, LinkStream, _blocks, _expand, _distinct_sorted
 
+# slots per linked pair, at least, in the 3-closure's filter of closing pairs
+_SLOTS_PER_PAIR = 16
+
 
 def neighborhood_overlaps(
     g1: InducedGraph, g2: InducedGraph
@@ -87,17 +90,23 @@ def _three_closure(s: LinkStream) -> np.ndarray:
     and w -> u links before t, and the best window over all w wins. The
     2-paths v -> w -> u run over distinct pairs, in blocks: first to keep
     those whose closing pair (u, v) has links, then against each link of
-    that closing pair.
+    that closing pair. Most closing pairs have no link: a flag per slot of
+    the masked pair keys turns most of them away before the key search.
     """
     idx = s.directed_pairs
     # segments ascend by source, so the pairs leaving a node are contiguous
     out_start = np.searchsorted(idx.u, idx.v)
     out_degree = np.searchsorted(idx.u, idx.v, side="right") - out_start
     rank_u, rank_v = idx.ranks
+    mask = (1 << (_SLOTS_PER_PAIR * len(idx.keys)).bit_length()) - 1
+    linked = np.zeros(mask + 1, dtype=bool)
+    linked[idx.keys & mask] = True
     kept = [np.empty((3, 0), dtype=np.int64)]  # rows: v -> w, w -> u, u -> v
     for block in _blocks(out_degree):
         owner, p2 = _expand(out_start[block], out_degree[block])
         p1 = owner + block.start
+        hit = linked[(rank_v[p2] * len(idx.nodes) + rank_u[p1]) & mask]
+        p1, p2 = p1[hit], p2[hit]
         c = idx.find_ranks(rank_v[p2], rank_u[p1])
         kept.append(np.stack((p1, p2, c))[:, c >= 0])
     p1, p2, c = np.concatenate(kept, axis=1)

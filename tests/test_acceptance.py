@@ -29,8 +29,8 @@ from ls_ledger.fixtures import (
 )
 from ls_ledger.ledger_ingest import format_record
 from ls_ledger.stream_core import (
+    SUBSTREAM_LABELS,
     Link,
-    NodeClass,
     build_stream,
     induced_graph,
     substream_by_class,
@@ -125,21 +125,17 @@ def test_criterion_4_partition_and_conservation():
     started = time.perf_counter()
     for records in _all_fixtures():
         parsed = ledger_ingest.parse_records(map(format_record, records))
-        cls = ledger_ingest.classify_keys(parsed.identities, parsed.transactions)
-        cert_stream, tx_stream = ledger_ingest.build_streams(parsed, cls)
+        key_table, members = ledger_ingest.classify_keys(parsed.identities, parsed.transactions)
+        cert_stream, tx_stream = ledger_ingest.build_streams(parsed, key_table, members)
 
-        subs = {
-            (sc, dc): substream_by_class(tx_stream, cls, sc, dc)
-            for sc in NodeClass
-            for dc in NodeClass
-        }
+        subs = {label: substream_by_class(tx_stream, members, label) for label in SUBSTREAM_LABELS}
         assert sum(s.link_count for s in subs.values()) == tx_stream.link_count
 
-        report = ledger_ingest.repartition(tx_stream, cls)
+        report = ledger_ingest.repartition(tx_stream, members)
         assert abs(sum(r.count_share for r in report.rows.values()) - 1.0) <= 1e-9
         assert abs(sum(r.amount_share for r in report.rows.values()) - 1.0) <= 1e-9
 
-        tx_mm = subs[(NodeClass.MEMBER, NodeClass.MEMBER)]
+        tx_mm = subs["MM"]
         tau = interplay.pair_transaction_counts(tx_mm)
         assert sum(tau.tolist()) == tx_mm.link_count
         by_k = interplay.certification_fraction_by_k(
@@ -252,10 +248,10 @@ def test_criterion_7_dataset_conditional_reproduction():
     remuniter = os.environ.get(REMUNITER_ENV)
     with open(dump, "r", encoding="utf-8") as fh:
         records = ledger_ingest.parse_records(fh)
-    cls = ledger_ingest.classify_keys(records.identities, records.transactions)
-    cert_stream, tx_stream = ledger_ingest.build_streams(records, cls)
-    tx_mm = substream_by_class(tx_stream, cls, NodeClass.MEMBER, NodeClass.MEMBER)
-    tx_aa = substream_by_class(tx_stream, cls, NodeClass.ANONYMOUS, NodeClass.ANONYMOUS)
+    key_table, members = ledger_ingest.classify_keys(records.identities, records.transactions)
+    cert_stream, tx_stream = ledger_ingest.build_streams(records, key_table, members)
+    tx_mm = substream_by_class(tx_stream, members, "MM")
+    tx_aa = substream_by_class(tx_stream, members, "AA")
 
     # certification stream starts at the first certification, 2017-03-08 15:32:07
     assert cert_stream.interval[0] == 1488987127
@@ -263,7 +259,7 @@ def test_criterion_7_dataset_conditional_reproduction():
     # relation ratio table
     cert_rel = interplay.relation_sets(cert_stream)
     tx_rel = interplay.relation_sets(tx_mm)
-    table = interplay.relation_ratio_table(cert_rel, tx_rel, len(cls.members))
+    table = interplay.relation_ratio_table(cert_rel, tx_rel, len(members))
     for label, expected in TABLE1.items():
         assert value(table, label) == pytest.approx(expected, abs=0.002), label
 
@@ -305,7 +301,7 @@ def test_criterion_7_dataset_conditional_reproduction():
 
     # miner identification
     assert remuniter, f"{REMUNITER_ENV} must accompany {DATASET_ENV}"
-    miners = ledger_ingest.identify_miners(tx_stream, cls, remuniter)
+    miners = ledger_ingest.identify_miners(tx_stream, key_table, members, remuniter)
     assert len(miners) == 158
     _report(7, "real-dataset reproduction", started)
 

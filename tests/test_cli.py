@@ -1,3 +1,4 @@
+import csv
 import errno
 import hashlib
 import zipfile
@@ -13,7 +14,7 @@ from ls_ledger.errors import StateError
 from ls_ledger.fixtures import example_records, write_records
 from ls_ledger.ledger_ingest import CertRecord, IdentityRecord, TxRecord, format_record
 from ls_ledger.snapshot import load_bundle
-from ls_ledger.stream_core import SUBSTREAM_CLASSES, SUBSTREAM_LABELS, InducedGraph
+from ls_ledger.stream_core import SUBSTREAM_LABELS, InducedGraph
 
 ALL_COMMANDS = ("overview", "graph", "closures", "match", "relations", "neighborhoods")
 
@@ -106,12 +107,12 @@ def test_substreams_are_built_on_first_read(ledger_file, tmp_path, monkeypatch):
 
     mm = bundle.tx_mm
     assert bundle.tx_mm is mm
-    assert calls == [SUBSTREAM_CLASSES["MM"]]
+    assert calls == [("MM",)]
     subs = substreams(bundle)
     assert len(calls) == 4 and subs["MM"] is mm
     assert list(subs) == ["MM", "MA", "AM", "AA"]
-    for label, classes in SUBSTREAM_CLASSES.items():
-        eager, lazy = build(bundle.tx, bundle.cls, *classes), subs[label]
+    for label in SUBSTREAM_LABELS:
+        eager, lazy = build(bundle.tx, bundle.members, label), subs[label]
         assert lazy.interval == eager.interval, label
         assert lazy.nodes.tolist() == eager.nodes.tolist(), label
         for column in ("t", "src", "dst", "amount"):
@@ -238,6 +239,37 @@ def assert_clean_error(result, *fragments):
 
 
 IDENTITY_A = b'{"type":"identity","time":0,"key":"A","uid":"a"}'
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+def test_key_with_a_quote_is_a_malformed_line(tmp_path, strict):
+    # unquoted in a CSV row, a key starting with '"' would open a quoted
+    # field that swallows the rows after it
+    records = [
+        IdentityRecord(0, '"a', "a"),
+        IdentityRecord(0, "b", "b"),
+        IdentityRecord(0, "c", "c"),
+        CertRecord(1, "b", "c"),
+        TxRecord(2, "c", "b", 5),
+    ]
+    ledger = tmp_path / "ledger.jsonl"
+    ledger.write_text("".join(format_record(r) + "\n" for r in records))
+    out = tmp_path / "o"
+    runner = CliRunner()
+    result = runner.invoke(
+        main, ["ingest", "--input", str(ledger), "--out", str(out)] + ["--strict"] * strict
+    )
+    reason = "line 1: key '\"a' in field 'key' contains '\"'"
+    if strict:
+        assert_clean_error(result, f"Error: {reason}")
+        assert not out.exists()
+        return
+    assert result.exit_code == 0, result.output
+    assert f"warning: skipped {reason}\n" in result.output
+    assert runner.invoke(main, ["overview", "--out", str(out)]).exit_code == 0
+    lines = (out / "degrees.csv").read_text().splitlines()
+    rows = list(csv.reader(line for line in lines if not line.startswith("#")))
+    assert rows == [["node", "in", "out"], ["b", "0", "1"], ["c", "1", "0"]]
 
 
 @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
@@ -402,7 +434,7 @@ def test_graph_rejects_transacting_member_outside_cert_graph(ledger_file, tmp_pa
     x = int(bundle.tx_mm.src[0])
     keep = (bundle.cert.src != x) & (bundle.cert.dst != x)
     cert = bundle.cert.restrict(keep, bundle.cert.nodes[bundle.cert.nodes != x])
-    damaged = snapshot.StreamBundle(bundle.table, bundle.cls, cert, bundle.tx)
+    damaged = snapshot.StreamBundle(bundle.table, bundle.members, cert, bundle.tx)
     monkeypatch.setattr(snapshot, "load_bundle", lambda path: damaged)
     result = runner.invoke(main, ["graph", "--out", str(out), "--samples", "2"])
     assert_clean_error(result, f"member {bundle.table.key_of(x)} not in the certification graph")

@@ -22,9 +22,10 @@ from ls_ledger.ledger_ingest import (
 )
 from ls_ledger.snapshot import build_bundle, load_bundle, save_bundle
 from ls_ledger.stream_core import (
-    SUBSTREAM_CLASSES,
+    SUBSTREAM_LABELS,
     Link,
     build_stream,
+    class_mask,
     stream_from_columns,
     substream_by_class,
 )
@@ -228,6 +229,8 @@ def test_bom_on_the_first_line_is_malformed():
         '{"type":"tx","time":0,"from":"A\\u0085","to":"B","amount":1}',
         '{"type":"tx","time":0,"from":"A","to":"B\\u0000","amount":1}',
         '{"type":"tx","time":0,"from":"A","to":"B\\u2003","amount":1}',
+        '{"type":"identity","time":0,"key":"\\"a","uid":"qa"}',
+        '{"type":"cert","time":0,"from":"A","to":"B\\""}',
     ],
 )
 def test_parse_rejects_keys_that_break_csv_rows(record):
@@ -280,23 +283,22 @@ def test_classify_keys_example():
     parsed = _parse(
         [IdentityRecord(0, "A", "a"), IdentityRecord(0, "B", "b"), TxRecord(1, "C", "A", 10)]
     )
-    cls = classify_keys(parsed.identities, parsed.transactions)
-    t = cls.table
-    assert cls.members.tolist() == sorted([t.id_of("A"), t.id_of("B")])
-    assert cls.anonymous.tolist() == [t.id_of("C")]
+    t, members = classify_keys(parsed.identities, parsed.transactions)
+    assert members.tolist() == sorted([t.id_of("A"), t.id_of("B")])
+    assert t.keys() == ["A", "B", "C"]
 
 
 def test_classify_keys_no_identities():
     parsed = _parse([TxRecord(1, "X", "Y", 10)])
-    cls = classify_keys(parsed.identities, parsed.transactions)
-    assert not len(cls.members) and len(cls.anonymous) == 2
+    table, members = classify_keys(parsed.identities, parsed.transactions)
+    assert not len(members) and len(table) == 2
 
 
 def test_classify_keys_member_without_transactions():
     parsed = _parse([IdentityRecord(0, "A", "a")])
-    cls = classify_keys(parsed.identities, parsed.transactions)
-    assert cls.members.tolist() == [cls.table.id_of("A")]
-    assert cls.anonymous.tolist() == []
+    table, members = classify_keys(parsed.identities, parsed.transactions)
+    assert members.tolist() == [table.id_of("A")]
+    assert len(table) == 1
 
 
 def test_classify_partition_property():
@@ -306,28 +308,30 @@ def test_classify_partition_property():
         ids = [r for r in records if isinstance(r, IdentityRecord)]
         txs = [r for r in records if isinstance(r, TxRecord)]
         parsed = _parse(records)
-        cls = classify_keys(parsed.identities, parsed.transactions)
-        seen = {cls.table.id_of(r.key) for r in ids}
+        table, members = classify_keys(parsed.identities, parsed.transactions)
+        assert members.tolist() == sorted(table.id_of(r.key) for r in ids)
+        seen = set(members.tolist())
         for r in txs:
-            seen |= {cls.table.id_of(r.src), cls.table.id_of(r.dst)}
-        assert sorted(cls.members.tolist() + cls.anonymous.tolist()) == sorted(seen)
+            seen |= {table.id_of(r.src), table.id_of(r.dst)}
+        assert sorted(seen) == list(range(len(table)))
 
 
 def _ingest(records):
+    """The parse, key table, member set and streams of ``records``."""
     parsed = _parse(records)
-    cls = classify_keys(parsed.identities, parsed.transactions)
-    cert, tx = build_streams(parsed, cls)
-    return parsed, cls, cert, tx
+    table, members = classify_keys(parsed.identities, parsed.transactions)
+    cert, tx = build_streams(parsed, table, members)
+    return parsed, table, members, cert, tx
 
 
 def test_build_streams_counts():
-    parsed, cls, cert, tx = _ingest(example_records())
+    parsed, _, members, cert, tx = _ingest(example_records())
     assert cert.link_count == 12
     assert tx.link_count == 14
     assert cert.amount is None
     assert tx.amount is not None and len(tx.amount) == tx.link_count
     assert cert.interval == (0, 6)
-    assert cert.nodes.tolist() == cls.members.tolist()
+    assert cert.nodes.tolist() == members.tolist()
 
 
 def test_build_streams_rejects_non_member_cert():
@@ -363,8 +367,8 @@ def test_repartition_synthetic_quarters():
         TxRecord(3, "A1", "M2", 100),
         TxRecord(4, "A1", "A2", 100),
     ]
-    _, cls, _, tx = _ingest(records)
-    report = repartition(tx, cls)
+    _, _, members, _, tx = _ingest(records)
+    report = repartition(tx, members)
     for label in ("MM", "MA", "AM", "AA"):
         assert report.rows[label].count == 1
         assert report.rows[label].count_share == pytest.approx(0.25)
@@ -396,8 +400,8 @@ def test_repartition_amounts_stay_exact_beyond_int64():
         TxRecord(1, "M1", "A1", top),
         TxRecord(2, "M1", "A1", top),
     ]
-    _, cls, _, tx = _ingest(records)
-    report = repartition(tx, cls)
+    _, _, members, _, tx = _ingest(records)
+    report = repartition(tx, members)
     assert report.rows["MA"].amount == 2 * top
     assert sum(r.amount for r in report.rows.values()) == 2 * top
 
@@ -409,8 +413,8 @@ def test_repartition_all_members():
         TxRecord(1, "M1", "M2", 70),
         TxRecord(2, "M2", "M1", 30),
     ]
-    _, cls, _, tx = _ingest(records)
-    report = repartition(tx, cls)
+    _, _, members, _, tx = _ingest(records)
+    report = repartition(tx, members)
     assert report.rows["MM"].count_share == 1.0
     assert report.rows["MM"].amount_share == 1.0
     assert all(report.rows[k].count == 0 for k in ("MA", "AM", "AA"))
@@ -420,8 +424,8 @@ def test_repartition_shares_sum_to_one():
     rng = random.Random(17)
     for trial in range(10):
         records = random_records(50 + trial)
-        _, cls, _, tx = _ingest(records)
-        report = repartition(tx, cls)
+        _, _, members, _, tx = _ingest(records)
+        report = repartition(tx, members)
         assert sum(r.count_share for r in report.rows.values()) == pytest.approx(1.0, abs=1e-9)
         assert sum(r.amount_share for r in report.rows.values()) == pytest.approx(1.0, abs=1e-9)
         assert sum(r.count for r in report.rows.values()) == tx.link_count
@@ -446,9 +450,9 @@ def test_filter_wallet_absent_node(sample_stream):
 
 def test_filter_then_repartition_keeps_share_invariant():
     records = random_records(23)
-    _, cls, _, tx = _ingest(records)
-    wallet = next(iter(cls.anonymous))
-    report = repartition(filter_wallet(tx, wallet), cls)
+    _, _, members, _, tx = _ingest(records)
+    wallet = len(members)  # the first anonymous wallet
+    report = repartition(filter_wallet(tx, wallet), members)
     assert sum(r.count_share for r in report.rows.values()) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -462,11 +466,10 @@ def test_identify_miners():
         TxRecord(4, "REM", "A9", 10),
         TxRecord(5, "M1", "REM", 10),
     ]
-    _, cls, _, tx = _ingest(records)
-    miners = identify_miners(tx, cls, "REM")
-    t = cls.table
+    _, t, members, _, tx = _ingest(records)
+    miners = identify_miners(tx, t, members, "REM")
     assert miners.tolist() == sorted([t.id_of("M1"), t.id_of("M2")])
-    assert np.isin(miners, cls.members).all()
+    assert np.isin(miners, members).all()
 
 
 def test_identify_miners_no_outgoing():
@@ -474,14 +477,14 @@ def test_identify_miners_no_outgoing():
         IdentityRecord(0, "M1", "m1"),
         TxRecord(1, "M1", "REM", 10),
     ]
-    _, cls, _, tx = _ingest(records)
-    assert identify_miners(tx, cls, "REM").tolist() == []
+    _, table, members, _, tx = _ingest(records)
+    assert identify_miners(tx, table, members, "REM").tolist() == []
 
 
 def test_identify_miners_unknown_key():
-    _, cls, _, tx = _ingest(example_records())
+    _, table, members, _, tx = _ingest(example_records())
     with pytest.raises(KeyError):
-        identify_miners(tx, cls, "NOT_THERE")
+        identify_miners(tx, table, members, "NOT_THERE")
 
 
 
@@ -582,18 +585,53 @@ def test_columnar_ingest_matches_record_oracle():
             for kind in (IdentityRecord, CertRecord, TxRecord)
         )
 
-        cls = classify_keys(parsed.identities, parsed.transactions)
+        table, member_set = classify_keys(parsed.identities, parsed.transactions)
         keys, members, anonymous = oracles.classify_keys(ids, txs)
-        assert cls.table.keys() == keys
-        assert (cls.members.tolist(), cls.anonymous.tolist()) == (sorted(members), sorted(anonymous))
+        assert table.keys() == keys
+        assert member_set.tolist() == sorted(members)
+        assert sorted(members | anonymous) == list(range(len(table)))
 
-        cert, tx = build_streams(parsed, cls)
+        cert, tx = build_streams(parsed, table, member_set)
         (cert_interval, cert_rows), (tx_interval, tx_rows) = oracles.build_streams(certs, txs, keys)
         assert (cert.interval, links_of(cert)) == (cert_interval, cert_rows)
         assert tx.interval == tx_interval
         assert list(zip(*(c.tolist() for c in (tx.t, tx.src, tx.dst, tx.amount)))) == tx_rows
         assert cert.nodes.tolist() == sorted(members)
         assert tx.nodes.tolist() == sorted(members | anonymous)
+
+
+def test_member_set_matches_the_two_set_partition():
+    """Seeded ledgers, shuffled ones included: for every label, the links,
+    the substream node set and the repartition row that the member set
+    alone gives equal those of the record-by-record member and anonymous
+    sets."""
+    for seed in range(60):
+        rng = random.Random(seed)
+        records = random_records(
+            seed,
+            n_members=rng.randint(2, 9),
+            n_anonymous=rng.randint(0, 5),
+            n_txs=rng.choice((0, rng.randint(1, 80))),
+        )
+        if seed % 2:
+            rng.shuffle(records)
+        parsed, table, members, _, tx = _ingest(records)
+        ids, _, txs = parsed_records(parsed)
+        keys, oracle_members, anonymous = oracles.classify_keys(ids, txs)
+        assert table.keys() == keys
+        of_class = {"M": oracle_members, "A": anonymous}
+        report = repartition(tx, members)
+        for label in SUBSTREAM_LABELS:
+            sources, targets = of_class[label[0]], of_class[label[1]]
+            want = [
+                u in sources and v in targets for u, v in zip(tx.src.tolist(), tx.dst.tolist())
+            ]
+            assert class_mask(tx, members, label).tolist() == want, (seed, label)
+            sub = substream_by_class(tx, members, label)
+            assert sub.nodes.tolist() == sorted(sources | targets), (seed, label)
+            amounts = [a for a, kept in zip(tx.amount.tolist(), want) if kept]
+            row = report.rows[label]
+            assert (row.count, row.amount) == (len(amounts), sum(amounts)), (seed, label)
 
 
 def test_node_sets_are_sorted_int64_arrays(tmp_path):
@@ -614,23 +652,21 @@ def test_node_sets_are_sorted_int64_arrays(tmp_path):
         0, 1, 3, 7,
     ]
 
-    _, cls, cert, tx = _ingest(random_records(31))
-    check(cls.members, "members")
-    check(cls.anonymous, "anonymous")
+    _, table, members, cert, tx = _ingest(random_records(31))
+    check(members, "members")
     check(cert.nodes, "cert")
     check(tx.nodes, "tx")
     check(tx.restrict(tx.src < tx.dst, tx.nodes[::-1]).nodes, "restrict")
-    for label, classes in SUBSTREAM_CLASSES.items():
-        check(substream_by_class(tx, cls, *classes).nodes, label)
-    wallet = int(cls.anonymous[0])
+    for label in SUBSTREAM_LABELS:
+        check(substream_by_class(tx, members, label).nodes, label)
+    wallet = len(members)  # the first anonymous wallet
     assert wallet not in check(filter_wallet(tx, wallet).nodes, "filter_wallet")
     # a source that pays a member, so the miners are not empty
-    payer = int(tx.src[np.isin(tx.dst, cls.members)][0])
-    assert check(identify_miners(tx, cls, cls.table.key_of(payer)), "identify_miners")
+    payer = int(tx.src[np.isin(tx.dst, members)][0])
+    assert check(identify_miners(tx, table, members, table.key_of(payer)), "identify_miners")
 
-    save_bundle(tmp_path, build_bundle(cls.table, cls, cert, tx))
+    save_bundle(tmp_path, build_bundle(table, members, cert, tx))
     bundle = load_bundle(tmp_path)
-    assert check(bundle.cls.members, "loaded members") == cls.members.tolist()
-    assert check(bundle.cls.anonymous, "loaded anonymous") == cls.anonymous.tolist()
+    assert check(bundle.members, "loaded members") == members.tolist()
     assert check(bundle.cert.nodes, "loaded cert") == cert.nodes.tolist()
     assert check(bundle.tx.nodes, "loaded tx") == tx.nodes.tolist()

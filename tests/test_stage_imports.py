@@ -5,7 +5,8 @@ of ``cli`` would be paid for by every stage. Each case runs one command in
 a fresh interpreter, the way ``ls-ledger`` does, and compares the
 ``ls_ledger`` submodules loaded at its end with the exact set expected;
 ``numpy.ma`` (about 1.4 MB and 10 ms, which ``np.unique`` without
-``return_inverse`` loads on numpy 2.4) counts as one more, never expected.
+``return_inverse`` loads on numpy 2.4) counts as one more, never expected,
+unless a bare ``import numpy`` loads it already, as numpy 1.x does.
 The package itself, which ``python -m ls_ledger.cli`` imports before
 ``cli``, loads its names on first use.
 """
@@ -27,9 +28,12 @@ from ls_ledger.fixtures import example_records, write_records
 SRC = Path(__file__).resolve().parents[1] / "src"
 BASE = {"atomic", "cli", "errors", "snapshot", "stream_core"}
 
-# run main(), then print the loaded submodules as the last stdout line
+# run main(), then print the loaded submodules as the last stdout line,
+# numpy.ma among them only where a bare numpy import does not load it
 PROBE = """
 import json, sys
+import numpy
+eager = "numpy.ma" in sys.modules
 from ls_ledger.cli import main
 try:
     main(sys.argv[1:])
@@ -37,7 +41,7 @@ except SystemExit as exit:
     code = exit.code
 print(json.dumps([code, sorted(
     m.split(".", 1)[1] for m in sys.modules if m.startswith("ls_ledger.")
-) + ["numpy.ma"] * ("numpy.ma" in sys.modules)]))
+) + ["numpy.ma"] * ("numpy.ma" in sys.modules and not eager)]))
 """
 
 EXPECTED = {
@@ -52,10 +56,10 @@ EXPECTED = {
 }
 
 
-def loaded_modules(args: list[str]) -> set[str]:
+def loaded_modules(args: list[str], probe: str = PROBE) -> set[str]:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *args], env=env, capture_output=True, text=True
+        [sys.executable, "-c", probe, *args], env=env, capture_output=True, text=True
     )
     code, modules = json.loads(proc.stdout.splitlines()[-1])
     assert code in (0, None), proc.stderr
@@ -92,6 +96,21 @@ def test_package_names_resolve_on_first_use():
     assert build_stream([Link(0, 0, 1)]).link_count == 1
     with pytest.raises(AttributeError, match="no_such_name"):
         ls_ledger.no_such_name
+
+
+def test_numpy_ma_pin_is_exact_on_numpy_2():
+    # numpy 2 loads numpy.ma lazily, so there the pin counts it whoever
+    # loads it: a stage that calls np.unique without return_inverse fails
+    code = "import sys, numpy; print(numpy.__version__, 'numpy.ma' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    version, eager = proc.stdout.split()
+    if int(version.split(".")[0]) < 2:
+        pytest.skip(f"numpy {version} imports numpy.ma on import")
+    assert eager == "False"
+    run = "    main(sys.argv[1:])"
+    unique_first = PROBE.replace(run, "    numpy.unique(numpy.arange(3))\n" + run)
+    assert unique_first != PROBE
+    assert loaded_modules(["--help"], unique_first) == EXPECTED["--help"] | {"numpy.ma"}
 
 
 def test_help_loads_no_metric_module():

@@ -13,12 +13,12 @@ from ls_ledger.stream_core import (
     BinnedSeries,
     Link,
     LinkStream,
-    NodeClass,
-    NodeClassification,
+    SUBSTREAM_LABELS,
     activity,
     activity_series,
     build_stream,
     induced_graph,
+    class_mask,
     rolling_sum,
     stream_from_columns,
     substream_by_class,
@@ -243,20 +243,14 @@ def test_rolling_sum_matches_per_bin_reference():
     assert seen == {"bin", "ceil", "multiple", "past", "inside"}
 
 
-def _classify(table, members):
-    ids = set(range(len(table)))
-    m = frozenset(table.id_of(k) for k in members)
-    return NodeClassification(members=m, anonymous=frozenset(ids - m), table=table)
-
-
 def test_substream_by_class_example(sample_stream):
     s, table = sample_stream
-    cls = _classify(table, "ab")
-    mm = substream_by_class(s, cls, NodeClass.MEMBER, NodeClass.MEMBER)
+    members = np.array([table.id_of(k) for k in "ab"])
+    mm = substream_by_class(s, members, "MM")
     assert [(t, table.key_of(u), table.key_of(v)) for t, u, v in links_of(mm)] == [
         (2, "b", "a"), (5, "a", "b"), (6, "a", "b"),
     ]
-    aa = substream_by_class(s, cls, NodeClass.ANONYMOUS, NodeClass.ANONYMOUS)
+    aa = substream_by_class(s, members, "AA")
     assert [(t, table.key_of(u), table.key_of(v)) for t, u, v in links_of(aa)] == [
         (2, "c", "d"), (5, "d", "c"),
     ]
@@ -265,28 +259,17 @@ def test_substream_by_class_example(sample_stream):
 
 def test_substream_all_members_is_identity(sample_stream):
     s, table = sample_stream
-    cls = _classify(table, "abcd")
-    mm = substream_by_class(s, cls, NodeClass.MEMBER, NodeClass.MEMBER)
+    mm = substream_by_class(s, np.array([table.id_of(k) for k in "abcd"]), "MM")
     assert links_of(mm) == links_of(s) and mm.nodes.tolist() == s.nodes.tolist()
 
 
-def test_substream_unclassified_node_names_key(sample_stream):
-    s, table = sample_stream
-    cls = NodeClassification(
-        members=frozenset({table.id_of("a")}), anonymous=frozenset(), table=table
-    )
-    from ls_ledger.errors import ClassificationError
-
-    with pytest.raises(ClassificationError) as err:
-        substream_by_class(s, cls, NodeClass.MEMBER, NodeClass.MEMBER)
-    assert "'b'" in str(err.value)
-
-
-def test_classification_rejects_a_node_in_both_classes():
-    from ls_ledger.errors import ClassificationError
-
-    with pytest.raises(ClassificationError, match=r"nodes classified twice: \[1, 3\]$"):
-        NodeClassification(members=[3, 2, 1, 3], anonymous=frozenset({9, 3, 1}))
+@pytest.mark.parametrize("label", ["", "MX", "mm"])
+def test_substream_rejects_an_unknown_label(sample_stream, label):
+    s, _ = sample_stream
+    with pytest.raises(ValueError, match="unknown substream label"):
+        class_mask(s, s.nodes, label)
+    with pytest.raises(ValueError, match="unknown substream label"):
+        substream_by_class(s, s.nodes, label)
 
 
 # ------------------------------------------------------------- properties
@@ -297,14 +280,10 @@ def test_partition_identity_random():
     for trial in range(30):
         n = rng.randint(2, 9)
         s = build_stream(random_links(rng, n, rng.randint(1, 80)))
-        members = frozenset(x for x in range(n) if rng.random() < 0.5)
-        cls = NodeClassification(
-            members=members, anonymous=frozenset(range(n)) - members
-        )
+        members = np.array([x for x in range(n) if rng.random() < 0.5], dtype=np.int64)
         total = 0
-        for sc in NodeClass:
-            for dc in NodeClass:
-                total += substream_by_class(s, cls, sc, dc).link_count
+        for label in SUBSTREAM_LABELS:
+            total += substream_by_class(s, members, label).link_count
         assert total == s.link_count
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import oracles
+from ls_ledger import temporal_metrics
 from ls_ledger.fixtures import random_links, random_stream
 from ls_ledger.stream_core import Link, build_stream, induced_graph
 from ls_ledger.temporal_metrics import closure_distribution, neighborhood_overlaps
@@ -178,6 +179,14 @@ def test_closures_match_oracle_random():
         for i in range(len(events)):
             assert d2[i] == oracles.two_closure(events, i)
             assert d3[i] == oracles.three_closure(events, i)
+
+
+@pytest.mark.parametrize("slots", [0, 1])
+def test_closures_match_oracle_random_when_slots_collide(monkeypatch, slots):
+    # one slot for every pair, or under two per pair: most 2-paths share a
+    # set slot with a linked pair, and the key search alone must sort them
+    monkeypatch.setattr(temporal_metrics, "_SLOTS_PER_PAIR", slots)
+    test_closures_match_oracle_random()
 
 
 def test_closure_time_shift_equivariance():
