@@ -58,22 +58,16 @@ class RunConfig:
             raise ValueError("samples must be >= 1")
 
 
-def _fmt(x, places: int = 4) -> str:
-    """Fractions with a fixed number of decimals; None becomes NA."""
-    if x is None:
-        return "NA"
-    if isinstance(x, float):
-        return f"{x:.{places}f}"
-    return str(x)
-
-
 def _write_csv(path: Path, comments: list[str], header: str, rows) -> None:
     """Write the comment lines, the header and one line per row, each row
-    holding one value per header column."""
+    holding one value per header column. A comment character that is not
+    printable (a newline, a byte of a path that is not UTF-8) is written
+    as ``ascii()`` writes it, so every comment stays one ``#`` line of UTF-8."""
     line = ",".join(["{}"] * len(header.split(","))) + "\n"
     with atomic_file(path, "w", encoding="utf-8", newline="\n") as fh:
         for comment in comments:
-            fh.write(f"# {comment}\n")
+            escaped = "".join(c if c.isprintable() else ascii(c)[1:-1] for c in comment)
+            fh.write(f"# {escaped}\n")
         fh.write(header + "\n")
         fh.writelines(starmap(line.format, rows))
 
@@ -128,14 +122,17 @@ def _write_repartition(cfg: RunConfig, fname: str, tx, members, *extra: str) -> 
     """Counts and amounts of the transaction stream ``tx`` per substream."""
     from . import ledger_ingest
 
-    report = ledger_ingest.repartition(tx, members)
+    count, count_share, amount, amount_share = ledger_ingest.repartition(tx, members)
     _write_csv(
         cfg.out_dir / fname,
         _comments("ingest", cfg, f"input={cfg.input_path}", *extra),
         "substream,count,count_share,amount,amount_share",
-        (
-            (label, row.count, _fmt(row.count_share), row.amount, _fmt(row.amount_share))
-            for label, row in report.rows.items()
+        zip(
+            stream_core.SUBSTREAM_LABELS,
+            count.tolist(),
+            _fixed(count_share),
+            amount,
+            _fixed(amount_share),
         ),
     )
 
@@ -205,7 +202,7 @@ def cmd_overview(cfg: RunConfig) -> None:
     corr_rows = []
     for label, xs, ys in pairings:
         try:
-            corr_rows.append((label, _fmt(graph_metrics.degree_correlation(xs, ys), 6)))
+            corr_rows.append((label, f"{graph_metrics.degree_correlation(xs, ys):.6f}"))
         except (LedgerError, ValueError):
             corr_rows.append((label, "NA"))
     _write_csv(
@@ -247,7 +244,7 @@ def cmd_graph(cfg: RunConfig) -> None:
                 f"average_active={report.average_active:.6f} (degree >= 2 only)",
             ),
             "node,coefficient",
-            zip(_keys(keys, g.nodes), (_fmt(c, 6) for c in report.coefficients.tolist())),
+            zip(_keys(keys, g.nodes), _fixed(report.coefficients, 6)),
         )
         click.echo(f"triangles_{name}:{report.triangles}")
         click.echo(f"clustering_{name}:{report.average:.6f}")
@@ -331,46 +328,36 @@ def cmd_match(cfg: RunConfig) -> None:
     keys = bundle.table.keys()
 
     report = interplay.match_certifications(cert, tx_mm)
+    match_shares = list(zip(interplay.MATCH_CATEGORIES, _fixed(report.fractions)))
     cert_pairs = _pair_labels(keys, cert.pairs)
     _write_csv(
         cfg.out_dir / "match_cert.csv",
         _comments(
             "match",
             cfg,
-            "fractions: "
-            + " ".join(
-                f"{cat.value}={report.fractions[cat]:.4f}"
-                for cat in interplay.MatchCategory
-            ),
+            "fractions: " + " ".join(f"{cat}={x}" for cat, x in match_shares),
             f"both_sided_pairs={report.both_sided}",
         ),
         "pair,anchor,category,delay",
         zip(
             cert_pairs,
             report.anchor.tolist(),
-            _values(interplay.MatchCategory, report.category),
-            _or_na(report.delay, report.category != _code(interplay.MatchCategory.NEVER)),
+            _keys(interplay.MATCH_CATEGORIES, report.category),
+            _or_na(report.delay, report.category != interplay.MATCH_CATEGORIES.index("never")),
         ),
     )
 
     tx_classes = interplay.classify_transactions(tx_mm, cert)
+    tx_shares = list(zip(interplay.TX_CATEGORIES, _fixed(tx_classes.fractions)))
     _write_csv(
         cfg.out_dir / "tx_classes.csv",
-        _comments(
-            "match",
-            cfg,
-            "fractions: "
-            + " ".join(
-                f"{cat.value}={tx_classes.fractions[cat]:.4f}"
-                for cat in interplay.TxCategory
-            ),
-        ),
+        _comments("match", cfg, "fractions: " + " ".join(f"{cat}={x}" for cat, x in tx_shares)),
         "t,from,to,category",
         zip(
             tx_mm.t.tolist(),
             _keys(keys, tx_mm.src),
             _keys(keys, tx_mm.dst),
-            _values(interplay.TxCategory, tx_classes.categories),
+            _keys(interplay.TX_CATEGORIES, tx_classes.categories),
         ),
     )
 
@@ -394,10 +381,10 @@ def cmd_match(cfg: RunConfig) -> None:
         ),
     )
 
-    for cat in interplay.MatchCategory:
-        click.echo(f"match_{cat.value}:{report.fractions[cat]:.4f}")
-    for cat in interplay.TxCategory:
-        click.echo(f"tx_{cat.value}:{tx_classes.fractions[cat]:.4f}")
+    for cat, x in match_shares:
+        click.echo(f"match_{cat}:{x}")
+    for cat, x in tx_shares:
+        click.echo(f"tx_{cat}:{x}")
 
 
 def cmd_relations(cfg: RunConfig) -> None:
@@ -409,26 +396,28 @@ def cmd_relations(cfg: RunConfig) -> None:
     cert_rel = interplay.relation_sets(bundle.cert)
     tx_rel = interplay.relation_sets(bundle.tx_mm)
     n_members = len(bundle.members)
-    table = interplay.relation_ratio_table(
+    numerator, denominator, value = interplay.relation_ratio_table(
         cert_rel, tx_rel, n_members, ordered_pairs=cfg.ordered_pairs
     )
     _write_csv(
         cfg.out_dir / "ratios.csv",
         _comments("relations", cfg, f"members={n_members}"),
         "cell,numerator,denominator,value",
-        (
-            (c.label, c.numerator, c.denominator, _fmt(c.value))
-            for c in table.cells
+        zip(
+            interplay.RATIO_CELLS,
+            numerator.tolist(),
+            denominator.tolist(),
+            _or_na(value, ~np.isnan(value), ".4f"),
         ),
     )
 
     tau = interplay.pair_transaction_counts(bundle.tx_mm)
-    rows = interplay.certification_fraction_by_k(tau, tx_rel, cert_rel)
+    k, n_pairs, frac_any, frac_bi = interplay.certification_fraction_by_k(tau, tx_rel, cert_rel)
     _write_csv(
         cfg.out_dir / "fraction_by_k.csv",
         _comments("relations", cfg),
         "k,n_pairs,frac_any,frac_bi",
-        ((r.k, r.n_pairs, _fmt(r.frac_any), _fmt(r.frac_bi)) for r in rows),
+        zip(k.tolist(), n_pairs.tolist(), _fixed(frac_any), _fixed(frac_bi)),
     )
 
 
@@ -464,8 +453,9 @@ def cmd_neighborhoods(cfg: RunConfig) -> None:
     )
 
 
-def _keys(keys: list[str], handles) -> list[str]:
-    """The key of every handle of a column, one list lookup each."""
+def _keys(keys, handles) -> list[str]:
+    """The key of every handle of a column, or the label of every code, one
+    lookup each."""
     return [keys[h] for h in handles.tolist()]
 
 
@@ -474,15 +464,9 @@ def _pair_labels(keys: list[str], idx: stream_core.PairIndex) -> list[str]:
     return [f"{keys[u]}|{keys[v]}" for u, v in zip(idx.u.tolist(), idx.v.tolist())]
 
 
-def _code(category) -> int:
-    """A category's code: its position in its enum."""
-    return list(type(category)).index(category)
-
-
-def _values(categories, codes) -> list[str]:
-    """The value of the category of every code."""
-    values = [cat.value for cat in categories]
-    return [values[c] for c in codes.tolist()]
+def _fixed(values: np.ndarray, places: int = 4) -> list[str]:
+    """Every value of a float column with a fixed number of decimals."""
+    return [f"{v:.{places}f}" for v in values.tolist()]
 
 
 def _or_na(values, defined, spec: str = "") -> list:

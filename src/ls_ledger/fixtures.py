@@ -123,7 +123,8 @@ def random_records(
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
-    if len(args) not in (1, 2):
+    # SEED is a non-negative integer, as random.Random would seed -3 as 3
+    if len(args) not in (1, 2) or not all(seed.isdecimal() for seed in args[1:]):
         print("usage: python -m ls_ledger.fixtures OUT.jsonl [SEED]", file=sys.stderr)
         return 2
     if len(args) == 2:

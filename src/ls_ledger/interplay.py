@@ -6,9 +6,10 @@ stream's ``pairs`` index: relation sets, the 12-cell ratio table, per-pair
 transaction counts and the certification fraction as a function of that
 count, and the time matching of certifications against transactions.
 Every per-pair or per-link result is an int64 or bool array aligned with
-the pairs or the links of the stream its docstring names, and a category
-is a code, its position in its enum. Callers hold those indexes and turn
-the results into rows.
+the pairs or the links of the stream its docstring names, a category is
+a code, its position in its label tuple, and a table is columns aligned
+with its label tuple. Callers hold those indexes and turn the results
+into rows.
 
 Tie conventions, chosen once and applied everywhere: an event exactly
 simultaneous with an anchor counts as "already there" (<= comparisons),
@@ -17,7 +18,6 @@ and among equally close events in absolute time the earlier one wins.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,18 +53,22 @@ def _cert_kind(txs: RelationSets, certs: RelationSets) -> np.ndarray:
     return kind
 
 
-@dataclass(frozen=True)
-class RatioCell:
-    label: str
-    numerator: int
-    denominator: int
-    value: float | None  # None marks an empty denominator
-
-
-@dataclass(frozen=True)
-class RatioTable:
-    cells: tuple[RatioCell, ...]
-    ordered_pairs: bool  # convention used for the member-pair denominator
+# the cells of the ratio table: rows 1-2 over the member pairs, rows 3-4
+# conditional on a relation in the other stream
+RATIO_CELLS = (
+    "C_any/pairs",
+    "C_uni/pairs",
+    "C_bi/pairs",
+    "T_any/pairs",
+    "T_uni/pairs",
+    "T_bi/pairs",
+    "T_any&C_any/C_any",
+    "T_any&C_uni/C_uni",
+    "T_any&C_bi/C_bi",
+    "C_any&T_any/T_any",
+    "C_any&T_uni/T_uni",
+    "C_any&T_bi/T_bi",
+)
 
 
 def relation_ratio_table(
@@ -72,44 +76,37 @@ def relation_ratio_table(
     txs: RelationSets,
     n_members: int,
     ordered_pairs: bool = False,
-) -> RatioTable:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 12 link-probability ratios between certification and transaction
-    relation sets.
+    relation sets, as numerator, denominator and value columns aligned with
+    ``RATIO_CELLS``; the value is NaN where the denominator is 0.
 
     Rows 1-2 normalize each set by the number of member pairs, n*(n-1)/2
     unordered by default (the sets themselves are unordered; the ordered
     convention merely doubles the denominator). Rows 3-4 are conditional:
     the share of one stream's pairs also related in the other. With fewer
-    than 2 members there are no member pairs, so rows 1-2 are NA cells.
+    than 2 members there are no member pairs, so rows 1-2 are NaN.
     """
     n_pairs = n_members * (n_members - 1)
     if not ordered_pairs:
         n_pairs //= 2
-
-    def cell(label: str, num: int, den: int) -> RatioCell:
-        return RatioCell(label, num, den, num / den if den else None)
-
     c_any, c_bi = len(certs.bi), int(np.count_nonzero(certs.bi))
     t_any, t_bi = len(txs.bi), int(np.count_nonzero(txs.bi))
     kind = _cert_kind(txs, certs)
     _, t_c_uni, t_c_bi = np.bincount(kind, minlength=3).tolist()
     t_c_any = t_c_uni + t_c_bi
     t_bi_c_any = int(np.count_nonzero(txs.bi & (kind > 0)))
-    cells = (
-        cell("C_any/pairs", c_any, n_pairs),
-        cell("C_uni/pairs", c_any - c_bi, n_pairs),
-        cell("C_bi/pairs", c_bi, n_pairs),
-        cell("T_any/pairs", t_any, n_pairs),
-        cell("T_uni/pairs", t_any - t_bi, n_pairs),
-        cell("T_bi/pairs", t_bi, n_pairs),
-        cell("T_any&C_any/C_any", t_c_any, c_any),
-        cell("T_any&C_uni/C_uni", t_c_uni, c_any - c_bi),
-        cell("T_any&C_bi/C_bi", t_c_bi, c_bi),
-        cell("C_any&T_any/T_any", t_c_any, t_any),
-        cell("C_any&T_uni/T_uni", t_c_any - t_bi_c_any, t_any - t_bi),
-        cell("C_any&T_bi/T_bi", t_bi_c_any, t_bi),
+    # the any, uni and bi sets of each stream: rows 1-2 count them, rows
+    # 3-4 divide by them
+    sizes = [c_any, c_any - c_bi, c_bi, t_any, t_any - t_bi, t_bi]
+    numerator = np.array(
+        [*sizes, t_c_any, t_c_uni, t_c_bi, t_c_any, t_c_any - t_bi_c_any, t_bi_c_any]
     )
-    return RatioTable(cells=cells, ordered_pairs=ordered_pairs)
+    denominator = np.array([n_pairs] * 6 + sizes)
+    value = np.divide(
+        numerator, denominator, out=np.full(len(RATIO_CELLS), np.nan), where=denominator > 0
+    )
+    return numerator, denominator, value
 
 
 def pair_transaction_counts(tx_mm: LinkStream) -> np.ndarray:
@@ -118,36 +115,22 @@ def pair_transaction_counts(tx_mm: LinkStream) -> np.ndarray:
     return np.diff(tx_mm.pairs.starts)
 
 
-@dataclass(frozen=True)
-class FractionByK:
-    k: int
-    n_pairs: int
-    frac_any: float  # share of k-transaction pairs with any certification
-    frac_bi: float  # share with a bidirectional certification
-
-
 def certification_fraction_by_k(
     tau: np.ndarray, txs: RelationSets, certs: RelationSets
-) -> list[FractionByK]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """For each transaction count k, the certified share of the pairs that
     made exactly k transactions; ``tau`` holds the count of every pair of
-    ``txs``. frac_bi <= frac_any pointwise."""
+    ``txs``. Returns the columns k (ascending), n_pairs, frac_any (the share
+    with any certification) and frac_bi (with a bidirectional one);
+    frac_bi <= frac_any pointwise."""
     ks, k_of = np.unique(tau, return_inverse=True)
     kind = _cert_kind(txs, certs)
-    n_pairs = np.bincount(k_of, minlength=len(ks)).tolist()
-    n_any, n_bi = (
-        np.bincount(k_of[mask], minlength=len(ks)).tolist() for mask in (kind > 0, kind == 2)
-    )
-    return [
-        FractionByK(k=k, n_pairs=n, frac_any=a / n, frac_bi=b / n)
-        for k, n, a, b in zip(ks.tolist(), n_pairs, n_any, n_bi)
-    ]
+    n_pairs = np.bincount(k_of, minlength=len(ks))
+    n_any, n_bi = (np.bincount(k_of[mask], minlength=len(ks)) for mask in (kind > 0, kind == 2))
+    return ks, n_pairs, n_any / n_pairs, n_bi / n_pairs
 
 
-class MatchCategory(enum.Enum):
-    BEFORE = "before"
-    AFTER = "after"
-    NEVER = "never"
+MATCH_CATEGORIES = ("before", "after", "never")
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,9 +139,9 @@ class MatchReport:
     stream's ``pairs``."""
 
     anchor: np.ndarray  # first certification time
-    category: np.ndarray  # MatchCategory code
+    category: np.ndarray  # position in MATCH_CATEGORIES
     delay: np.ndarray  # signed, transaction time minus anchor; undefined for never
-    fractions: dict[MatchCategory, float]
+    fractions: np.ndarray  # share of each of MATCH_CATEGORIES
     both_sided: int  # pairs with transactions on both sides of the anchor
 
 
@@ -182,12 +165,10 @@ def _first_times(idx: PairIndex) -> np.ndarray:
     return idx.times[idx.starts[:-1]]
 
 
-def _fractions(code: np.ndarray, categories: type[enum.Enum]) -> dict:
-    """Share of each category among the codes; 0 for every category
-    without codes."""
-    tally = np.bincount(code, minlength=len(categories)).tolist()
-    n = len(code)
-    return {cat: (c / n if n else 0.0) for cat, c in zip(categories, tally)}
+def _fractions(code: np.ndarray, labels: tuple[str, ...]) -> np.ndarray:
+    """Share of each label's code among the codes, aligned with ``labels``;
+    0 everywhere without codes."""
+    return np.bincount(code, minlength=len(labels)) / max(len(code), 1)
 
 
 def match_certifications(cert_stream: LinkStream, tx_mm: LinkStream) -> MatchReport:
@@ -202,12 +183,12 @@ def match_certifications(cert_stream: LinkStream, tx_mm: LinkStream) -> MatchRep
     anchor = _first_times(certs)
     seg = tx_mm.pairs.find(certs.u, certs.v)
     before, has_after, delay = _nearest(tx_mm.pairs, seg, anchor)
-    code = np.where(seg < 0, 2, np.where(before >= 0, 0, 1))  # MatchCategory order
+    code = np.where(seg < 0, 2, np.where(before >= 0, 0, 1))  # MATCH_CATEGORIES order
     return MatchReport(
         anchor=anchor,
         category=code,
         delay=delay,
-        fractions=_fractions(code, MatchCategory),
+        fractions=_fractions(code, MATCH_CATEGORIES),
         both_sided=int(np.count_nonzero((before >= 0) & has_after)),
     )
 
@@ -222,16 +203,13 @@ def preceding_transaction_counts(cert_stream: LinkStream, tx_mm: LinkStream) -> 
     return np.where(before >= 0, before - txs.starts[seg] + 1, 0)
 
 
-class TxCategory(enum.Enum):
-    ALREADY_CERTIFIED = "already_certified"
-    FUTURE_CERTIFIED = "future_certified"
-    NEVER = "never"
+TX_CATEGORIES = ("already_certified", "future_certified", "never")
 
 
 @dataclass(frozen=True, eq=False)
 class TxClassReport:
-    categories: np.ndarray  # TxCategory code per link, stream order
-    fractions: dict[TxCategory, float]
+    categories: np.ndarray  # position in TX_CATEGORIES per link, stream order
+    fractions: np.ndarray  # share of each of TX_CATEGORIES
 
 
 def classify_transactions(tx_mm: LinkStream, cert_stream: LinkStream) -> TxClassReport:
@@ -240,8 +218,8 @@ def classify_transactions(tx_mm: LinkStream, cert_stream: LinkStream) -> TxClass
     certs = cert_stream.pairs
     seg = certs.find(tx_mm.src, tx_mm.dst)
     first_cert = certs.time_at(np.where(seg >= 0, certs.starts[seg], -1))  # -1: never
-    code = np.where(first_cert < 0, 2, np.where(first_cert <= tx_mm.t, 0, 1))  # TxCategory order
-    return TxClassReport(categories=code, fractions=_fractions(code, TxCategory))
+    code = np.where(first_cert < 0, 2, np.where(first_cert <= tx_mm.t, 0, 1))  # TX_CATEGORIES order
+    return TxClassReport(categories=code, fractions=_fractions(code, TX_CATEGORIES))
 
 
 @dataclass(frozen=True, eq=False)

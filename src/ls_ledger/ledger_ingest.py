@@ -309,46 +309,22 @@ def build_streams(
     return cert, tx
 
 
-@dataclass(frozen=True)
-class RepartitionRow:
-    count: int
-    count_share: float
-    amount: int
-    amount_share: float
+def repartition(
+    tx_stream: LinkStream, members: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[int], np.ndarray]:
+    """Transaction counts and exchanged amounts per class substream, as the
+    columns count, count share, amount and amount share aligned with
+    ``SUBSTREAM_LABELS``.
 
-
-@dataclass(frozen=True)
-class RepartitionReport:
-    """Link counts and exchanged amounts per transaction substream.
-
-    Shares are computed once, at the end, from exact integer totals; they sum
-    to 1 whenever the corresponding total is non-zero.
+    Amounts are Python ints, exact where an int64 sum could wrap. Shares
+    are computed once, at the end, from exact integer totals; they sum to 1
+    whenever the corresponding total is non-zero, and are 0 otherwise.
     """
-
-    rows: dict[str, RepartitionRow]  # keyed by MM / MA / AM / AA
-
-
-def repartition(tx_stream: LinkStream, members: np.ndarray) -> RepartitionReport:
-    """Split transaction counts and amounts across the four class substreams."""
-    counts = {}
-    amounts = {}
-    for label in SUBSTREAM_LABELS:
-        keep = class_mask(tx_stream, members, label)
-        counts[label] = int(keep.sum())
-        # a sum of Python ints stays exact where an int64 sum could wrap
-        amounts[label] = 0 if tx_stream.amount is None else sum(tx_stream.amount[keep].tolist())
-    n = sum(counts.values())
-    a = sum(amounts.values())
-    rows = {
-        label: RepartitionRow(
-            count=counts[label],
-            count_share=counts[label] / n if n else 0.0,
-            amount=amounts[label],
-            amount_share=amounts[label] / a if a else 0.0,
-        )
-        for label in SUBSTREAM_LABELS
-    }
-    return RepartitionReport(rows=rows)
+    keep = [class_mask(tx_stream, members, label) for label in SUBSTREAM_LABELS]
+    count = np.array([np.count_nonzero(k) for k in keep])
+    amount = [0 if tx_stream.amount is None else sum(tx_stream.amount[k].tolist()) for k in keep]
+    total = max(sum(amount), 1)
+    return count, count / max(count.sum(), 1), amount, np.array([a / total for a in amount])
 
 
 def filter_wallet(s: LinkStream, wallet: int) -> LinkStream:

@@ -349,6 +349,34 @@ def test_ingest_out_below_a_regular_file_is_clean_error(ledger_file, tmp_path):
     assert_clean_error(result, str(out))
 
 
+@pytest.mark.parametrize(
+    "name, shown",
+    [
+        pytest.param("led\nger.jsonl", "led\\nger.jsonl", id="newline"),
+        # the byte 0xff of a file name reaches the command as a lone surrogate
+        pytest.param("bad\udcff.jsonl", "bad\\udcff.jsonl", id="not-utf8"),
+    ],
+)
+def test_input_path_comment_stays_one_utf8_line(ledger_file, name, shown):
+    ledger = ledger_file.rename(ledger_file.with_name(name))
+    out = ledger.parent / "o"
+    result = CliRunner().invoke(
+        main, ["ingest", "--input", str(ledger), "--out", str(out), "--remuniter", "w"]
+    )
+    assert result.exit_code == 0, result.output
+    for fname in ("repartition.csv", "repartition_filtered.csv"):
+        lines = (out / fname).read_text(encoding="utf-8").splitlines()
+        assert f"# input={ledger.parent}/{shown}" in lines
+        rows = list(csv.reader(line for line in lines if not line.startswith("#")))
+        assert rows[0] == ["substream", "count", "count_share", "amount", "amount_share"]
+        assert [row[0] for row in rows[1:]] == list(SUBSTREAM_LABELS)
+
+
+def test_printable_comment_is_written_verbatim(tmp_path):
+    _write_csv(tmp_path / "t.csv", ["input=dir/é d\\x.jsonl"], "a", [(1,)])
+    assert (tmp_path / "t.csv").read_text(encoding="utf-8") == "# input=dir/é d\\x.jsonl\na\n1\n"
+
+
 @pytest.mark.parametrize("command, output", [("ingest", "repartition.csv"), ("overview", "activity.csv")])
 def test_failed_write_into_out_is_clean_error(ledger_file, tmp_path, command, output):
     runner = CliRunner()
@@ -670,13 +698,19 @@ def test_failed_snapshot_write_keeps_previous_snapshot(ledger_file, tmp_path, mo
     assert not [p.name for p in out.iterdir() if p.name.startswith(".")]
 
 
-def test_fixture_module_writes_ledger(tmp_path):
+def test_fixture_module_writes_ledger(tmp_path, capsys):
     from ls_ledger.fixtures import main as fixtures_main
 
     path = tmp_path / "demo.jsonl"
     assert fixtures_main([str(path)]) == 0
     assert path.read_text().count("\n") == 30  # 4 ids + 12 certs + 14 txs
     assert fixtures_main([str(tmp_path / "rand.jsonl"), "5"]) == 0
+    # a negative seed would silently write the ledger of its absolute value
+    for seed in ("-3", "3.5", "x", ""):
+        capsys.readouterr()
+        assert fixtures_main([str(tmp_path / "bad.jsonl"), seed]) == 2, seed
+        assert capsys.readouterr().err.startswith("usage: python -m ls_ledger.fixtures"), seed
+    assert not (tmp_path / "bad.jsonl").exists()
 
 
 def _truncate(path: Path) -> None:

@@ -42,6 +42,12 @@ CASES = {
         ("--seed", "5", "--samples", "40"),
         ("--remuniter", "A000"),
     ),
+    # rows 1-2 of ratios.csv normalized by ordered member pairs
+    "random77_ordered": (
+        lambda: random_records(77, n_members=10, n_certs=60, n_txs=90),
+        ("--seed", "5", "--samples", "40", "--ordered-pairs"),
+        (),
+    ),
     # a sparse cert graph: distances 2 to 11 and 47 unreachable pairs
     "random79": (
         lambda: random_records(79, n_members=40, n_certs=40, n_txs=200),

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import compress
 
@@ -5,8 +6,9 @@ import pytest
 
 from oracles import links_of
 from ls_ledger.interplay import (
-    MatchCategory,
-    TxCategory,
+    MATCH_CATEGORIES,
+    RATIO_CELLS,
+    TX_CATEGORIES,
     certification_fraction_by_k,
     classify_transactions,
     match_certifications,
@@ -28,7 +30,7 @@ def stream(*events, amounts=False):
 
 def value(table, label):
     """The value of the ratio cell labeled ``label``."""
-    return {cell.label: cell.value for cell in table.cells}[label]
+    return dict(zip(RATIO_CELLS, table[2].tolist()))[label]
 
 
 def pairs_of(idx):
@@ -42,8 +44,13 @@ def sets_of(rel):
     return set(pairs), set(pairs) - bi, bi
 
 
-def categories(enum_cls, codes):
-    return [list(enum_cls)[c] for c in codes.tolist()]
+def categories(labels, codes):
+    return [labels[c] for c in codes.tolist()]
+
+
+def share(fractions, labels, label):
+    """The fraction of the category ``label``."""
+    return fractions[labels.index(label)]
 
 
 def counts_stream(counts):
@@ -95,15 +102,15 @@ def test_ratio_table_identical_streams_all_conditionals_one():
     s = stream((0, 1, 2), (1, 2, 1), (2, 1, 3), (3, 4, 1))
     rel = relation_sets(s)
     table = relation_ratio_table(rel, rel, n_members=5)
-    for cell in table.cells[6:]:
-        assert cell.value == pytest.approx(1.0)
+    assert table[2][6:].tolist() == pytest.approx([1.0] * 6)
 
 
 def test_ratio_table_empty_denominator_marker():
     certs = relation_sets(stream((0, 1, 2)))  # no bidirectional pair
     txs = relation_sets(stream((0, 1, 2)))
     table = relation_ratio_table(certs, txs, n_members=2)
-    assert value(table, "T_any&C_bi/C_bi") is None
+    assert math.isnan(value(table, "T_any&C_bi/C_bi"))
+    assert dict(zip(RATIO_CELLS, table[1].tolist()))["T_any&C_bi/C_bi"] == 0
     assert value(table, "C_bi/pairs") == 0.0
 
 
@@ -135,26 +142,31 @@ def test_pair_counts_conservation():
         tau = pair_transaction_counts(s)
         assert sum(tau.tolist()) == s.link_count
         # grouping by exact count conserves links too
-        rows = certification_fraction_by_k(tau, relation_sets(s), relation_sets(stream((0, 0, 1))))
-        assert sum(r.k * r.n_pairs for r in rows) == s.link_count
+        k, n_pairs, _, _ = certification_fraction_by_k(
+            tau, relation_sets(s), relation_sets(stream((0, 0, 1)))
+        )
+        assert int((k * n_pairs).sum()) == s.link_count
 
 
 def test_certification_fraction_by_k():
     certs = relation_sets(stream((0, 1, 2)))
     txs = counts_stream({(1, 2): 2, (3, 4): 2})
-    rows = certification_fraction_by_k(pair_transaction_counts(txs), relation_sets(txs), certs)
-    assert len(rows) == 1
-    assert rows[0].k == 2 and rows[0].n_pairs == 2
-    assert rows[0].frac_any == pytest.approx(0.5)
-    assert rows[0].frac_bi == 0.0
+    k, n_pairs, frac_any, frac_bi = certification_fraction_by_k(
+        pair_transaction_counts(txs), relation_sets(txs), certs
+    )
+    assert k.tolist() == [2] and n_pairs.tolist() == [2]
+    assert frac_any.tolist() == pytest.approx([0.5])
+    assert frac_bi.tolist() == [0.0]
 
 
 def test_certification_fraction_all_certified():
     certs = relation_sets(stream((0, 1, 2), (0, 2, 1), (0, 3, 4), (0, 4, 3)))
     txs = counts_stream({(1, 2): 1, (3, 4): 5})
-    rows = certification_fraction_by_k(pair_transaction_counts(txs), relation_sets(txs), certs)
-    assert [r.frac_any for r in rows] == [1.0, 1.0]
-    assert [r.frac_bi for r in rows] == [1.0, 1.0]
+    _, _, frac_any, frac_bi = certification_fraction_by_k(
+        pair_transaction_counts(txs), relation_sets(txs), certs
+    )
+    assert frac_any.tolist() == [1.0, 1.0]
+    assert frac_bi.tolist() == [1.0, 1.0]
 
 
 def test_fraction_by_k_bi_below_any():
@@ -172,15 +184,15 @@ def test_fraction_by_k_bi_below_any():
         certs = relation_sets(stream(*cert_events))
         txs = stream(*tx_events, amounts=True)
         tau = pair_transaction_counts(txs)
-        for row in certification_fraction_by_k(tau, relation_sets(txs), certs):
-            assert row.frac_bi <= row.frac_any + 1e-12
+        _, _, frac_any, frac_bi = certification_fraction_by_k(tau, relation_sets(txs), certs)
+        assert (frac_bi <= frac_any + 1e-12).all()
 
 
 def test_match_certifications_example():
     certs = stream((10, 7, 8))
     txs = stream((8, 7, 8), (15, 8, 7), amounts=True)
     report = match_certifications(certs, txs)
-    assert categories(MatchCategory, report.category) == [MatchCategory.BEFORE]
+    assert categories(MATCH_CATEGORIES, report.category) == ["before"]
     assert report.delay.tolist() == [-2]
     assert report.anchor.tolist() == [10]
     assert report.both_sided == 1
@@ -189,8 +201,8 @@ def test_match_certifications_example():
 def test_match_certifications_no_transactions():
     certs = stream((10, 7, 8), (11, 2, 3))
     report = match_certifications(certs, build_stream([], interval=(0, 1)))
-    assert categories(MatchCategory, report.category) == [MatchCategory.NEVER] * 2
-    assert report.fractions[MatchCategory.NEVER] == 1.0
+    assert categories(MATCH_CATEGORIES, report.category) == ["never"] * 2
+    assert share(report.fractions, MATCH_CATEGORIES, "never") == 1.0
 
 
 def test_match_fractions_sum_to_one():
@@ -205,7 +217,8 @@ def test_match_fractions_sum_to_one():
             amounts=True,
         ) if rng.random() < 0.9 else build_stream([], interval=(0, 99))
         report = match_certifications(certs, txs)
-        assert sum(report.fractions.values()) == pytest.approx(1.0, abs=1e-12)
+        assert len(report.fractions) == len(MATCH_CATEGORIES)
+        assert report.fractions.sum() == pytest.approx(1.0, abs=1e-12)
         assert len(report.anchor) == len(report.category) == len(relation_sets(certs).bi)
 
 
@@ -246,18 +259,18 @@ def test_classify_transactions_example():
     certs = stream((10, 1, 2))
     txs = stream((5, 1, 2), (10, 2, 1), (11, 1, 2), (3, 4, 5), amounts=True)
     report = classify_transactions(txs, certs)
-    cats = dict(zip(links_of(txs), categories(TxCategory, report.categories)))
-    assert cats[(5, 1, 2)] is TxCategory.FUTURE_CERTIFIED
-    assert cats[(10, 2, 1)] is TxCategory.ALREADY_CERTIFIED  # simultaneous counts
-    assert cats[(11, 1, 2)] is TxCategory.ALREADY_CERTIFIED
-    assert cats[(3, 4, 5)] is TxCategory.NEVER
-    assert sum(report.fractions.values()) == pytest.approx(1.0, abs=1e-12)
+    cats = dict(zip(links_of(txs), categories(TX_CATEGORIES, report.categories)))
+    assert cats[(5, 1, 2)] == "future_certified"
+    assert cats[(10, 2, 1)] == "already_certified"  # simultaneous counts
+    assert cats[(11, 1, 2)] == "already_certified"
+    assert cats[(3, 4, 5)] == "never"
+    assert report.fractions.tolist() == [0.5, 0.25, 0.25]
 
 
 def test_classify_transactions_no_certs():
     txs = stream((5, 1, 2), amounts=True)
     report = classify_transactions(txs, build_stream([], interval=(0, 9)))
-    assert report.fractions[TxCategory.NEVER] == 1.0
+    assert share(report.fractions, TX_CATEGORIES, "never") == 1.0
 
 
 def test_classify_transactions_all_after_certs():
@@ -266,7 +279,7 @@ def test_classify_transactions_all_after_certs():
     certs = stream((1, 1, 2), (2, 3, 4))
     txs = stream((10, 2, 1), (11, 3, 4), (12, 5, 6), amounts=True)
     report = classify_transactions(txs, certs)
-    assert report.fractions[TxCategory.FUTURE_CERTIFIED] == 0.0
+    assert share(report.fractions, TX_CATEGORIES, "future_certified") == 0.0
 
 
 def test_new_transaction_cert_delays_example():

@@ -368,11 +368,10 @@ def test_repartition_synthetic_quarters():
         TxRecord(4, "A1", "A2", 100),
     ]
     _, _, members, _, tx = _ingest(records)
-    report = repartition(tx, members)
-    for label in ("MM", "MA", "AM", "AA"):
-        assert report.rows[label].count == 1
-        assert report.rows[label].count_share == pytest.approx(0.25)
-        assert report.rows[label].amount_share == pytest.approx(0.25)
+    count, count_share, _, amount_share = repartition(tx, members)
+    assert count.tolist() == [1] * len(SUBSTREAM_LABELS)
+    assert count_share.tolist() == pytest.approx([0.25] * 4)
+    assert amount_share.tolist() == pytest.approx([0.25] * 4)
 
 
 def test_parse_rejects_values_beyond_int64():
@@ -401,9 +400,9 @@ def test_repartition_amounts_stay_exact_beyond_int64():
         TxRecord(2, "M1", "A1", top),
     ]
     _, _, members, _, tx = _ingest(records)
-    report = repartition(tx, members)
-    assert report.rows["MA"].amount == 2 * top
-    assert sum(r.amount for r in report.rows.values()) == 2 * top
+    _, _, amount, _ = repartition(tx, members)
+    assert amount[SUBSTREAM_LABELS.index("MA")] == 2 * top
+    assert sum(amount) == 2 * top
 
 
 def test_repartition_all_members():
@@ -414,10 +413,10 @@ def test_repartition_all_members():
         TxRecord(2, "M2", "M1", 30),
     ]
     _, _, members, _, tx = _ingest(records)
-    report = repartition(tx, members)
-    assert report.rows["MM"].count_share == 1.0
-    assert report.rows["MM"].amount_share == 1.0
-    assert all(report.rows[k].count == 0 for k in ("MA", "AM", "AA"))
+    count, count_share, _, amount_share = repartition(tx, members)
+    assert count_share[SUBSTREAM_LABELS.index("MM")] == 1.0
+    assert amount_share[SUBSTREAM_LABELS.index("MM")] == 1.0
+    assert dict(zip(SUBSTREAM_LABELS, count.tolist())) == {"MM": 2, "MA": 0, "AM": 0, "AA": 0}
 
 
 def test_repartition_shares_sum_to_one():
@@ -425,10 +424,10 @@ def test_repartition_shares_sum_to_one():
     for trial in range(10):
         records = random_records(50 + trial)
         _, _, members, _, tx = _ingest(records)
-        report = repartition(tx, members)
-        assert sum(r.count_share for r in report.rows.values()) == pytest.approx(1.0, abs=1e-9)
-        assert sum(r.amount_share for r in report.rows.values()) == pytest.approx(1.0, abs=1e-9)
-        assert sum(r.count for r in report.rows.values()) == tx.link_count
+        count, count_share, _, amount_share = repartition(tx, members)
+        assert count_share.sum() == pytest.approx(1.0, abs=1e-9)
+        assert amount_share.sum() == pytest.approx(1.0, abs=1e-9)
+        assert count.sum() == tx.link_count
 
 
 def test_filter_wallet_example(sample_stream):
@@ -452,8 +451,8 @@ def test_filter_then_repartition_keeps_share_invariant():
     records = random_records(23)
     _, _, members, _, tx = _ingest(records)
     wallet = len(members)  # the first anonymous wallet
-    report = repartition(filter_wallet(tx, wallet), members)
-    assert sum(r.count_share for r in report.rows.values()) == pytest.approx(1.0, abs=1e-9)
+    _, count_share, _, _ = repartition(filter_wallet(tx, wallet), members)
+    assert count_share.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_identify_miners():
@@ -620,8 +619,8 @@ def test_member_set_matches_the_two_set_partition():
         keys, oracle_members, anonymous = oracles.classify_keys(ids, txs)
         assert table.keys() == keys
         of_class = {"M": oracle_members, "A": anonymous}
-        report = repartition(tx, members)
-        for label in SUBSTREAM_LABELS:
+        count, _, amount, _ = repartition(tx, members)
+        for i, label in enumerate(SUBSTREAM_LABELS):
             sources, targets = of_class[label[0]], of_class[label[1]]
             want = [
                 u in sources and v in targets for u, v in zip(tx.src.tolist(), tx.dst.tolist())
@@ -630,8 +629,7 @@ def test_member_set_matches_the_two_set_partition():
             sub = substream_by_class(tx, members, label)
             assert sub.nodes.tolist() == sorted(sources | targets), (seed, label)
             amounts = [a for a, kept in zip(tx.amount.tolist(), want) if kept]
-            row = report.rows[label]
-            assert (row.count, row.amount) == (len(amounts), sum(amounts)), (seed, label)
+            assert (count[i], amount[i]) == (len(amounts), sum(amounts)), (seed, label)
 
 
 def test_node_sets_are_sorted_int64_arrays(tmp_path):

@@ -22,8 +22,9 @@ import pytest
 import oracles
 from ls_ledger import stream_core
 from ls_ledger.interplay import (
-    MatchCategory,
-    TxCategory,
+    MATCH_CATEGORIES,
+    RATIO_CELLS,
+    TX_CATEGORIES,
     certification_fraction_by_k,
     classify_transactions,
     match_certifications,
@@ -90,8 +91,8 @@ def pairs_of(idx):
     return list(zip(idx.u.tolist(), idx.v.tolist()))
 
 
-def values_of(enum_cls, codes):
-    return [list(enum_cls)[c].value for c in codes.tolist()]
+def values_of(labels, codes):
+    return [labels[c] for c in codes.tolist()]
 
 
 def or_none(values, defined):
@@ -175,25 +176,25 @@ def test_match_kernels_equal_reference():
         report = match_certifications(cert, tx)
         rows, both_sided = oracles.match_certifications(cert, tx)
         cert_pairs = pairs_of(cert.pairs)
-        defined = report.category != list(MatchCategory).index(MatchCategory.NEVER)
+        defined = report.category != MATCH_CATEGORIES.index("never")
         got = zip(
             cert_pairs,
             report.anchor.tolist(),
-            values_of(MatchCategory, report.category),
+            values_of(MATCH_CATEGORIES, report.category),
             or_none(report.delay, defined),
         )
         assert list(got) == rows
         assert report.both_sided == both_sided
         n = len(rows)
-        for cat, share in report.fractions.items():
-            assert share == (sum(r[2] == cat.value for r in rows) / n if n else 0.0)
+        for cat, share in zip(MATCH_CATEGORIES, report.fractions.tolist(), strict=True):
+            assert share == (sum(r[2] == cat for r in rows) / n if n else 0.0)
 
         expected = oracles.preceding_transaction_counts(cert, tx)
         got = zip(report.anchor.tolist(), preceding_transaction_counts(cert, tx).tolist())
         assert list(zip(cert_pairs, got)) == list(expected.items())
 
         classes = classify_transactions(tx, cert)
-        assert values_of(TxCategory, classes.categories) == oracles.classify_transactions(tx, cert)
+        assert values_of(TX_CATEGORIES, classes.categories) == oracles.classify_transactions(tx, cert)
 
         delays = new_transaction_cert_delays(tx, cert)
         rows, unmatched = oracles.new_transaction_cert_delays(tx, cert)
@@ -213,12 +214,15 @@ def test_match_kernels_equal_reference():
         cert_sets, tx_sets = oracles.relation_sets(cert), oracles.relation_sets(tx)
         for n_members in (0, 1, len({*cert.nodes.tolist(), *tx.nodes.tolist()})):
             for ordered in (False, True):
-                table = relation_ratio_table(cert_rel, tx_rel, n_members, ordered_pairs=ordered)
-                got = [(c.label, c.numerator, c.denominator, c.value) for c in table.cells]
+                num, den, value = relation_ratio_table(
+                    cert_rel, tx_rel, n_members, ordered_pairs=ordered
+                )
+                got = list(zip(RATIO_CELLS, num.tolist(), den.tolist(), or_none(value, den > 0)))
+                assert np.isnan(value).tolist() == (den == 0).tolist()
                 assert got == oracles.relation_ratio_table(cert_sets, tx_sets, n_members, ordered)
         tau = {p: len(ts) for p, ts in oracles.pair_event_times(tx).items()}
-        rows = certification_fraction_by_k(pair_transaction_counts(tx), tx_rel, cert_rel)
-        got = [(r.k, r.n_pairs, r.frac_any, r.frac_bi) for r in rows]
+        columns = certification_fraction_by_k(pair_transaction_counts(tx), tx_rel, cert_rel)
+        got = list(zip(*(c.tolist() for c in columns)))
         assert got == oracles.certification_fraction_by_k(tau, cert_sets)
 
 
@@ -234,5 +238,5 @@ def test_tie_rules_at_one_instant():
     cert = build_stream([Link(10, 0, 1), Link(10, 2, 3)])
     tx = build_stream([Link(10, 1, 0), Link(8, 2, 3), Link(12, 3, 2)])
     report = match_certifications(cert, tx)
-    assert values_of(MatchCategory, report.category) == ["before", "before"]
+    assert values_of(MATCH_CATEGORIES, report.category) == ["before", "before"]
     assert report.delay.tolist() == [0, -2]
