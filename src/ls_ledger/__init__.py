@@ -11,14 +11,13 @@ __version__ = "0.1.0"
 __all__ = [
     "BinnedSeries",
     "InducedGraph",
-    "Link",
     "LinkStream",
     "NodeTable",
     "activity",
     "activity_series",
-    "build_stream",
     "induced_graph",
     "rolling_sum",
+    "stream_from_columns",
     "substream_by_class",
 ]
 

@@ -1,22 +1,28 @@
-"""Bundled fixtures: the 12-link example stream and seeded random data.
+"""The ledger writer: the example ledger, seeded random ledgers, and the
+records that make them.
 
-The example stream is the four-node, twelve-link stream over [0, 6] used
-throughout the tests; its closure values and induced graph are known
-exactly. Random generators produce streams and ledger record files that
-are reproducible from a seed, for property tests and demos.
+No stage imports this module. The example events are the four-node,
+twelve-link stream over [0, 6] used throughout the tests; its closure
+values and induced graph are known exactly. ``random_records`` draws a
+ledger reproducible from a seed, for property tests, golden outputs and
+demos. ``format_record`` writes one record as a line in the ingestion
+format, which ``ledger_ingest.parse_records`` reads back.
 
-Run ``python -m ls_ledger.fixtures OUT.jsonl`` to write the example ledger
-in the ingestion format.
+Run ``python -m ls_ledger.fixtures OUT.jsonl [SEED]`` to write the example
+ledger, or the random ledger of SEED.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import sys
 from collections.abc import Sequence
+from dataclasses import dataclass
+from pathlib import Path
 
-from .ledger_ingest import CertRecord, IdentityRecord, TxRecord, format_record
-from .stream_core import Link, LinkStream, NodeTable, build_stream
+from .atomic import atomic_file
+from .ledger_ingest import IdentityRecord
 
 EXAMPLE_EVENTS: tuple[tuple[int, str, str], ...] = (
     (0, "c", "b"),
@@ -34,11 +40,36 @@ EXAMPLE_EVENTS: tuple[tuple[int, str, str], ...] = (
 )
 
 
-def example_stream() -> tuple[LinkStream, NodeTable]:
-    """The 12-link stream over nodes a, b, c, d and interval [0, 6]."""
-    table = NodeTable("abcd")
-    links = [Link(t, table.id_of(u), table.id_of(v)) for t, u, v in EXAMPLE_EVENTS]
-    return build_stream(links, interval=(0, 6)), table
+@dataclass(frozen=True, slots=True)
+class CertRecord:
+    t: int
+    src: str
+    dst: str
+
+
+@dataclass(frozen=True, slots=True)
+class TxRecord:
+    t: int
+    src: str
+    dst: str
+    amount: int
+
+
+def format_record(rec: IdentityRecord | CertRecord | TxRecord) -> str:
+    """Canonical one-line serialization; parse_records round-trips it."""
+    if isinstance(rec, IdentityRecord):
+        obj = {"type": "identity", "time": rec.t, "key": rec.key, "uid": rec.uid}
+    elif isinstance(rec, CertRecord):
+        obj = {"type": "cert", "time": rec.t, "from": rec.src, "to": rec.dst}
+    else:
+        obj = {
+            "type": "tx",
+            "time": rec.t,
+            "from": rec.src,
+            "to": rec.dst,
+            "amount": rec.amount,
+        }
+    return json.dumps(obj, separators=(",", ":"))
 
 
 def example_records() -> list[IdentityRecord | CertRecord | TxRecord]:
@@ -60,39 +91,10 @@ def example_records() -> list[IdentityRecord | CertRecord | TxRecord]:
 
 
 def write_records(path, records: Sequence) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write ``records`` to ``path``, one line each, whole or not at all."""
+    with atomic_file(Path(path), encoding="utf-8") as fh:
         for rec in records:
             fh.write(format_record(rec) + "\n")
-
-
-def random_links(
-    rng: random.Random,
-    n_nodes: int,
-    n_links: int,
-    t_max: int = 100,
-    with_amounts: bool = False,
-) -> list[Link]:
-    """Uniform random directed links over ``n_nodes`` handles; duplicates
-    and reciprocal links arise naturally."""
-    links = []
-    for _ in range(n_links):
-        u, v = rng.sample(range(n_nodes), 2)
-        amount = rng.randint(0, 10_000) if with_amounts else None
-        links.append(Link(rng.randint(0, t_max), u, v, amount=amount))
-    return links
-
-
-def random_stream(
-    seed: int,
-    max_nodes: int = 10,
-    max_links: int = 200,
-    t_max: int = 100,
-) -> LinkStream:
-    """A seeded random stream with 2..max_nodes nodes and 1..max_links links."""
-    rng = random.Random(seed)
-    n = rng.randint(2, max_nodes)
-    m = rng.randint(1, max_links)
-    return build_stream(random_links(rng, n, m, t_max=t_max))
 
 
 def random_records(
@@ -127,10 +129,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     if len(args) not in (1, 2) or not all(seed.isdecimal() for seed in args[1:]):
         print("usage: python -m ls_ledger.fixtures OUT.jsonl [SEED]", file=sys.stderr)
         return 2
-    if len(args) == 2:
-        write_records(args[0], random_records(int(args[1])))
-    else:
-        write_records(args[0], example_records())
+    records = random_records(int(args[1])) if len(args) == 2 else example_records()
+    try:
+        write_records(args[0], records)
+    except OSError as err:  # named as ls-ledger names it: OUT, not its temporary file
+        print(f"Error: {err.strerror or err}: {args[0]}", file=sys.stderr)
+        return 1
     print(f"wrote {args[0]}")
     return 0
 

@@ -143,24 +143,10 @@ class NullModelResult:
     ratio: float  # observed / mean
 
 
-def rewired_samples(g: InducedGraph, samples: int, seed: int):
-    """Degree-preserving randomizations of the undirected view.
-
-    Each sample applies 10 * |edges| double-edge swap attempts; attempts
-    that would create a self-loop or duplicate edge are skipped, so rigid
-    graphs such as complete graphs come back intact. Sample i uses its own
-    generator derived from (seed, i), which makes the sequence independent
-    of evaluation order. ``seed`` must be >= 0: ``random.Random`` seeds by
-    absolute value, so a negative seed would repeat another seed's samples.
-    """
-    for ends in _rewired_ends(g, samples, seed):
-        yield [tuple(e) for e in g.nodes[ends].reshape(-1, 2).tolist()]
-
-
 def _rewired_ends(g: InducedGraph, samples: int, seed: int):
-    """The samples of :func:`rewired_samples` as node places, flat: u0,
-    v0, u1, v1, ... Places order the edges as their handles do, so the
-    swaps draw alike on either."""
+    """The degree-preserving randomizations of :func:`null_model_triangles`
+    as node places, flat: u0, v0, u1, v1, ... Places order the edges as
+    their handles do, so the swaps draw alike on either."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if seed < 0:
@@ -182,8 +168,16 @@ def null_model_triangles(
 ) -> NullModelResult:
     """Triangle counts under the degree-preserving null model, against the
     ``observed`` triangle count of ``g`` (as :func:`clustering` or
-    :func:`triangle_count` give it); see :func:`rewired_samples` for the
-    randomization."""
+    :func:`triangle_count` give it).
+
+    Each sample randomizes the undirected view with 10 * |edges|
+    double-edge swap attempts; attempts that would create a self-loop or
+    duplicate edge are skipped, so rigid graphs such as complete graphs
+    come back intact. Sample i uses its own generator derived from (seed,
+    i), which makes the sequence independent of evaluation order. ``seed``
+    must be >= 0: ``random.Random`` seeds by absolute value, so a negative
+    seed would repeat another seed's samples.
+    """
     # swaps keep every degree, so g's ranks orient each sample as well
     counts = [
         int(_node_triangles(ends[0::2], ends[1::2], g.rank).sum()) // 3

@@ -61,21 +61,6 @@ class IdentityRecord:
     uid: str
 
 
-@dataclass(frozen=True, slots=True)
-class CertRecord:
-    t: int
-    src: str
-    dst: str
-
-
-@dataclass(frozen=True, slots=True)
-class TxRecord:
-    t: int
-    src: str
-    dst: str
-    amount: int
-
-
 @dataclass
 class LinkColumns:
     """Parsed links in line order, as parallel lists: times, source and
@@ -247,23 +232,6 @@ def _parse_line(
         parsed.identities.append(IdentityRecord(t, key, uid))
     else:
         raise ParseError(f"unknown record type {_SHOWN.repr(kind)}", line_no)
-
-
-def format_record(rec: IdentityRecord | CertRecord | TxRecord) -> str:
-    """Canonical one-line serialization; parse_records round-trips it."""
-    if isinstance(rec, IdentityRecord):
-        obj = {"type": "identity", "time": rec.t, "key": rec.key, "uid": rec.uid}
-    elif isinstance(rec, CertRecord):
-        obj = {"type": "cert", "time": rec.t, "from": rec.src, "to": rec.dst}
-    else:
-        obj = {
-            "type": "tx",
-            "time": rec.t,
-            "from": rec.src,
-            "to": rec.dst,
-            "amount": rec.amount,
-        }
-    return json.dumps(obj, separators=(",", ":"))
 
 
 def classify_keys(

@@ -61,32 +61,6 @@ class NodeTable:
         return len(self._keys)
 
 
-@dataclass(frozen=True, slots=True)
-class Link:
-    """One timestamped directed event, optionally weighted by an amount: an
-    input row of :func:`build_stream`.
-
-    ``amount`` is in currency centimes and present only for transaction
-    links; certifications carry ``None``. Self-links are rejected here, at
-    the earliest possible point.
-    """
-
-    t: int
-    source: int
-    target: int
-    amount: int | None = None
-
-    def __post_init__(self):
-        if self.source == self.target:
-            raise SelfLinkError(
-                f"self-link rejected: ({self.t}, {self.source}, {self.target})"
-            )
-        if self.t < 0:
-            raise ValueError(f"negative timestamp {self.t}")
-        if self.amount is not None and self.amount < 0:
-            raise ValueError(f"negative amount {self.amount}")
-
-
 def _distinct_sorted(values) -> np.ndarray:
     """The distinct ints of ``values``, an array or any iterable, ascending
     in a read-only int64 array: the one form of a node set. A sort and a
@@ -108,7 +82,7 @@ class LinkStream:
     read-only int64 arrays of one length, ``amount`` being ``None`` for
     certifications; ``nodes`` is a node set. Instances are immutable after
     construction; every read operation is safe to share across threads. Use
-    :func:`build_stream` to build a stream from :class:`Link` rows.
+    :func:`stream_from_columns` to build a stream from columns in any order.
     """
 
     interval: tuple[int, int]
@@ -257,32 +231,6 @@ class BinnedSeries:
         """The start of every bin, as exact Python ints."""
         end = self.start + len(self.values) * self.bin_width
         return list(range(self.start, end, self.bin_width))
-
-
-def build_stream(
-    links: Iterable[Link], interval: tuple[int, int] | None = None
-) -> LinkStream:
-    """Assemble a stream from links, sorting by (t, source, target).
-
-    The sort is stable, so equal links keep their input order. The interval
-    defaults to [min t, max t] of the links; an empty link list requires an
-    explicit interval. Links outside an explicit interval are rejected with
-    the offending link's index (position in the sorted order). Links carry
-    amounts all or none.
-    """
-    links = list(links)
-    if not links and interval is None:
-        raise IntervalError("empty link sequence requires an explicit interval")
-    kinds = {ln.amount is not None for ln in links}
-    if len(kinds) > 1:
-        raise ValueError("links mix amounts and no amounts")
-    return stream_from_columns(
-        [ln.t for ln in links],
-        [ln.source for ln in links],
-        [ln.target for ln in links],
-        [ln.amount for ln in links] if True in kinds else None,
-        interval=interval,
-    )
 
 
 def stream_from_columns(

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for the oracles module
 
-from ls_ledger.fixtures import example_stream
+from oracles import example_stream
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,9 @@
 
 Everything here works on plain tuples and exhaustive scans, deliberately
 ignoring the indexed code paths under test. Keep it that way: these are the
-other side of every dual-route check.
+other side of every dual-route check. The test inputs live here too: rows
+of (t, source, target[, amount]) tuples, seeded random rows, and
+``stream_of``, which hands rows to the one column constructor.
 """
 
 from __future__ import annotations
@@ -286,10 +288,19 @@ def double_edge_swap(
     return edges
 
 
+def rewired_samples(g, samples: int, seed: int):
+    """The null model's samples of ``g`` as lists of (u, v) handle rows,
+    as ``graph_metrics.null_model_triangles`` draws them."""
+    from ls_ledger.graph_metrics import _rewired_ends
+
+    for ends in _rewired_ends(g, samples, seed):
+        yield [tuple(e) for e in g.nodes[ends].reshape(-1, 2).tolist()]
+
+
 def parsed_records(parsed) -> tuple[list, list, list]:
     """A parse's identities, certifications and transactions as records,
     each kind in line order."""
-    from ls_ledger.ledger_ingest import CertRecord, TxRecord
+    from ls_ledger.fixtures import CertRecord, TxRecord
 
     certs, txs = parsed.certifications, parsed.transactions
     return (
@@ -341,6 +352,53 @@ def build_streams(certifications, transactions, keys: list[str]):
 def links_of(s) -> list[tuple[int, int, int]]:
     """The links of a stream as (t, source, target) rows, in stream order."""
     return list(zip(s.t.tolist(), s.src.tolist(), s.dst.tolist()))
+
+
+def stream_of(rows, interval: tuple[int, int] | None = None):
+    """The stream of (t, source, target) rows, or of (t, source, target,
+    amount) rows, in any order: their columns, as ``stream_from_columns``
+    takes them."""
+    from ls_ledger.stream_core import stream_from_columns
+
+    columns = list(zip(*rows)) or [(), (), ()]
+    return stream_from_columns(*columns, interval=interval)
+
+
+def random_links(
+    rng: random.Random,
+    n_nodes: int,
+    n_links: int,
+    t_max: int = 100,
+    with_amounts: bool = False,
+) -> list[tuple[int, ...]]:
+    """Uniform random directed (t, source, target) rows over ``n_nodes``
+    handles, with an amount last if ``with_amounts``; duplicates and
+    reciprocal links arise naturally."""
+    links = []
+    for _ in range(n_links):
+        u, v = rng.sample(range(n_nodes), 2)
+        amount = (rng.randint(0, 10_000),) if with_amounts else ()
+        links.append((rng.randint(0, t_max), u, v, *amount))
+    return links
+
+
+def random_stream(seed: int, max_nodes: int = 10, max_links: int = 200, t_max: int = 100):
+    """A seeded random stream with 2..max_nodes nodes and 1..max_links links."""
+    rng = random.Random(seed)
+    n = rng.randint(2, max_nodes)
+    m = rng.randint(1, max_links)
+    return stream_of(random_links(rng, n, m, t_max=t_max))
+
+
+def example_stream():
+    """The 12-link stream of ``fixtures.EXAMPLE_EVENTS`` over nodes a, b,
+    c, d and interval [0, 6], with its key table."""
+    from ls_ledger.fixtures import EXAMPLE_EVENTS
+    from ls_ledger.stream_core import NodeTable
+
+    table = NodeTable("abcd")
+    rows = [(t, table.id_of(u), table.id_of(v)) for t, u, v in EXAMPLE_EVENTS]
+    return stream_of(rows, interval=(0, 6)), table
 
 
 def activity(links: list[tuple[int, int, int]], t: int) -> int:

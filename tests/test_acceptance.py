@@ -18,23 +18,11 @@ import pytest
 from click.testing import CliRunner
 
 import oracles
+from oracles import example_stream, random_links, rewired_samples, stream_of
 from ls_ledger import graph_metrics, interplay, ledger_ingest, stream_core
 from ls_ledger.cli import main
-from ls_ledger.fixtures import (
-    example_records,
-    example_stream,
-    random_links,
-    random_records,
-    write_records,
-)
-from ls_ledger.ledger_ingest import format_record
-from ls_ledger.stream_core import (
-    SUBSTREAM_LABELS,
-    Link,
-    build_stream,
-    induced_graph,
-    substream_by_class,
-)
+from ls_ledger.fixtures import example_records, format_record, random_records, write_records
+from ls_ledger.stream_core import SUBSTREAM_LABELS, induced_graph, substream_by_class
 from ls_ledger.temporal_metrics import closure_distribution
 
 
@@ -75,7 +63,7 @@ def test_criterion_2_closure_oracle_equivalence():
         n_nodes = rng.randint(2, 10)
         # full 200-link streams for a handful of trials, smaller elsewhere
         n_links = 200 if trial % 40 == 0 else rng.randint(1, 100)
-        s = build_stream(random_links(rng, n_nodes, n_links, t_max=120))
+        s = stream_of(random_links(rng, n_nodes, n_links, t_max=120))
         events = oracles.links_of(s)
         d2 = closure_distribution(s, k=2).results.tolist()
         d3 = closure_distribution(s, k=3).results.tolist()
@@ -157,7 +145,7 @@ def test_criterion_5_relation_set_algebra():
         # force one bidirectional and one single-direction pair so every
         # conditional denominator below is populated
         events += [(0, 0, 1), (1, 1, 0), (2, n, n + 1)]
-        s = build_stream([Link(t, u, v) for t, u, v in events])
+        s = stream_of(events)
         rel = interplay.relation_sets(s)
 
         pairs = list(zip(rel.pairs.u.tolist(), rel.pairs.v.tolist()))
@@ -187,7 +175,7 @@ def test_criterion_6_null_model_validity(tmp_path):
         g = oracles.graph_of(range(n), edges)
         base = g.undirected_edges().tolist()
         degree = _degree_of(base, n)
-        for sample in graph_metrics.rewired_samples(g, samples=20, seed=trial):
+        for sample in rewired_samples(g, samples=20, seed=trial):
             assert _degree_of(sample, n) == degree
             assert len(set(sample)) == len(base)  # still simple
 

@@ -1,7 +1,9 @@
 """The hooks the benchmark relies on: ``bench/trace_stage.py`` runs every
 stage and records the counts of its spans, every function that a
 ``per_layer`` metric of ``BENCHMARK.json`` names exists in ``src/``, and
-every per-layer time is a span that the stages record.
+every per-layer time is a span that the stages record. The same spans
+show that every public function of the traced modules is pipeline code:
+a stage reaches it, or it is listed with the reason it stays.
 
 These tests read ``bench/`` and ``BENCHMARK.json`` and change nothing
 there; they fail when a rename or deletion in ``src/`` would leave the
@@ -11,6 +13,7 @@ benchmark reading zeros.
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -46,6 +49,14 @@ UNRECORDED = {
     **dict.fromkeys(STALE, "no such function is left in src/"),
     "graph_metrics.triangle_count": "public, but no stage calls it: clustering counts "
     "the observed triangles that null_model_triangles takes",
+}
+
+# public functions of the traced modules that no stage reaches on the
+# example ledger, each with the reason it stays in src/
+UNREACHED = {
+    "stream_core.activity": "library API, in ls_ledger.__all__",
+    "graph_metrics.triangle_count": "named by a per_layer metric of BENCHMARK.json",
+    "cli.run": "the process entry point, which bench/trace_stage.py bypasses",
 }
 
 
@@ -114,3 +125,20 @@ def test_per_layer_times_are_recorded_spans(example_spans):
     # a time X.s is the span X; cli.<stage>.self_s and the trace totals are not spans
     timed = {m["name"].removesuffix(".s") for m in metrics if m["name"].endswith(".s")}
     assert timed - recorded == UNRECORDED.keys()
+
+
+def test_every_public_function_is_reached_or_listed(example_spans):
+    spec = importlib.util.spec_from_file_location("trace_stage", ROOT / "bench" / "trace_stage.py")
+    trace_stage = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_stage)
+    public = set()
+    for short in trace_stage.MODULES:
+        mod = importlib.import_module(f"ls_ledger.{short}")
+        public |= {
+            f"{short}.{name}"
+            for name, fn in vars(mod).items()
+            if inspect.isfunction(fn) and fn.__module__ == mod.__name__ and not name.startswith("_")
+        }
+    # a span is named module.function, with a suffix for some kernels
+    reached = {".".join(name.split(".")[:2]) for name, _, _, _, _ in example_spans}
+    assert public - reached == set(UNREACHED)

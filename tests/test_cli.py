@@ -11,8 +11,8 @@ from click.testing import CliRunner
 from ls_ledger import snapshot
 from ls_ledger.cli import _write_csv, main
 from ls_ledger.errors import StateError
-from ls_ledger.fixtures import example_records, write_records
-from ls_ledger.ledger_ingest import CertRecord, IdentityRecord, TxRecord, format_record
+from ls_ledger.fixtures import CertRecord, TxRecord, example_records, format_record, write_records
+from ls_ledger.ledger_ingest import IdentityRecord
 from ls_ledger.snapshot import load_bundle
 from ls_ledger.stream_core import SUBSTREAM_LABELS, InducedGraph
 
@@ -533,8 +533,6 @@ def test_window_must_cover_bin(ledger_file, tmp_path):
 
 def test_remuniter_flow(tmp_path):
     records = example_records()
-    from ls_ledger.ledger_ingest import TxRecord
-
     records += [TxRecord(5, "w", "a", 10), TxRecord(6, "w", "b", 10)]
     ledger = tmp_path / "ledger.jsonl"
     write_records(ledger, records)
@@ -711,6 +709,27 @@ def test_fixture_module_writes_ledger(tmp_path, capsys):
         assert fixtures_main([str(tmp_path / "bad.jsonl"), seed]) == 2, seed
         assert capsys.readouterr().err.startswith("usage: python -m ls_ledger.fixtures"), seed
     assert not (tmp_path / "bad.jsonl").exists()
+
+
+def test_fixture_module_bad_out_is_clean_error(tmp_path, capsys):
+    from ls_ledger.fixtures import main as fixtures_main
+
+    # an OUT that cannot be written is one error line naming it, not a traceback
+    out = tmp_path / "missing" / "demo.jsonl"
+    assert fixtures_main([str(out)]) == 1
+    assert capsys.readouterr().err == f"Error: No such file or directory: {out}\n"
+    assert not (tmp_path / "missing").exists()
+
+
+def test_failed_ledger_write_keeps_previous_ledger(tmp_path):
+    ledger = tmp_path / "ledger.jsonl"
+    write_records(ledger, example_records())
+    before = ledger.read_bytes()
+    # the third record cannot be formatted, after two lines are written
+    with pytest.raises(AttributeError):
+        write_records(ledger, [*example_records()[:2], object()])
+    assert ledger.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ledger.jsonl"]
 
 
 def _truncate(path: Path) -> None:

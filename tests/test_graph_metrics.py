@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import distance_counts, graph_of, pair_places
+from oracles import distance_counts, graph_of, pair_places, rewired_samples
 from ls_ledger.errors import DegenerateModelError, UndefinedCorrelationError
 from ls_ledger.graph_metrics import (
     clustering,
@@ -14,7 +14,6 @@ from ls_ledger.graph_metrics import (
     degree_report,
     distance_distribution,
     null_model_triangles,
-    rewired_samples,
     triangle_count,
 )
 from ls_ledger.stream_core import induced_graph

@@ -4,7 +4,7 @@ from itertools import compress
 
 import pytest
 
-from oracles import links_of
+from oracles import links_of, stream_of
 from ls_ledger.interplay import (
     MATCH_CATEGORIES,
     RATIO_CELLS,
@@ -18,14 +18,10 @@ from ls_ledger.interplay import (
     relation_ratio_table,
     relation_sets,
 )
-from ls_ledger.stream_core import Link, build_stream
 
 
 def stream(*events, amounts=False):
-    return build_stream(
-        [Link(t, u, v, amount=1 if amounts else None) for t, u, v in events],
-        interval=(0, 1_000),
-    )
+    return stream_of([(*e, 1) if amounts else e for e in events], interval=(0, 1_000))
 
 
 def value(table, label):
@@ -67,7 +63,7 @@ def test_relation_sets_example():
 
 
 def test_relation_sets_empty_and_single():
-    empty = build_stream([], interval=(0, 10))
+    empty = stream_of([], interval=(0, 10))
     rel = relation_sets(empty)
     assert len(rel.pairs.u) == len(rel.bi) == 0
     single = stream((5, 3, 4))
@@ -127,7 +123,7 @@ def test_pair_transaction_counts():
     s = stream((1, 5, 6), (2, 6, 5), (3, 5, 6), amounts=True)
     tau = pair_transaction_counts(s)
     assert pairs_of(s.pairs) == [(5, 6)] and tau.tolist() == [3]
-    assert pair_transaction_counts(build_stream([], interval=(0, 1))).tolist() == []
+    assert pair_transaction_counts(stream_of([], interval=(0, 1))).tolist() == []
 
 
 def test_pair_counts_conservation():
@@ -200,7 +196,7 @@ def test_match_certifications_example():
 
 def test_match_certifications_no_transactions():
     certs = stream((10, 7, 8), (11, 2, 3))
-    report = match_certifications(certs, build_stream([], interval=(0, 1)))
+    report = match_certifications(certs, stream_of([], interval=(0, 1)))
     assert categories(MATCH_CATEGORIES, report.category) == ["never"] * 2
     assert share(report.fractions, MATCH_CATEGORIES, "never") == 1.0
 
@@ -215,7 +211,7 @@ def test_match_fractions_sum_to_one():
         txs = stream(
             *[(rng.randint(0, 99), *rng.sample(range(n), 2)) for _ in range(rng.randint(0, 40))],
             amounts=True,
-        ) if rng.random() < 0.9 else build_stream([], interval=(0, 99))
+        ) if rng.random() < 0.9 else stream_of([], interval=(0, 99))
         report = match_certifications(certs, txs)
         assert len(report.fractions) == len(MATCH_CATEGORIES)
         assert report.fractions.sum() == pytest.approx(1.0, abs=1e-12)
@@ -269,7 +265,7 @@ def test_classify_transactions_example():
 
 def test_classify_transactions_no_certs():
     txs = stream((5, 1, 2), amounts=True)
-    report = classify_transactions(txs, build_stream([], interval=(0, 9)))
+    report = classify_transactions(txs, stream_of([], interval=(0, 9)))
     assert share(report.fractions, TX_CATEGORIES, "never") == 1.0
 
 

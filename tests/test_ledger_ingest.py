@@ -7,15 +7,12 @@ import pytest
 import oracles
 from oracles import links_of, parsed_records
 from ls_ledger.errors import IntegrityError, ParseError
-from ls_ledger.fixtures import example_records, random_records
+from ls_ledger.fixtures import CertRecord, TxRecord, example_records, format_record, random_records
 from ls_ledger.ledger_ingest import (
-    CertRecord,
     IdentityRecord,
-    TxRecord,
     build_streams,
     classify_keys,
     filter_wallet,
-    format_record,
     identify_miners,
     parse_records,
     repartition,
@@ -23,8 +20,6 @@ from ls_ledger.ledger_ingest import (
 from ls_ledger.snapshot import build_bundle, load_bundle, save_bundle
 from ls_ledger.stream_core import (
     SUBSTREAM_LABELS,
-    Link,
-    build_stream,
     class_mask,
     stream_from_columns,
     substream_by_class,
@@ -642,7 +637,6 @@ def test_node_sets_are_sorted_int64_arrays(tmp_path):
         assert not nodes.flags.writeable, what
         return nodes.tolist()
 
-    assert check(build_stream([Link(5, 3, 1), Link(2, 1, 0)]).nodes, "build_stream") == [0, 1, 3]
     for nodes, want in ((None, [0, 1, 3]), (frozenset({7, 3, 1, 0}), [0, 1, 3, 7])):
         assert check(stream_from_columns([2, 1], [3, 1], [1, 0], nodes=nodes).nodes, nodes) == want
     repeats = [7, 3, 3, 1, 0, 7]

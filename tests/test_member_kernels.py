@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import distance_counts, graph_of, overlap_rows, pair_places
+from oracles import distance_counts, graph_of, overlap_rows, pair_places, stream_of
 from ls_ledger import stream_core
 from ls_ledger.graph_metrics import distance_distribution
-from ls_ledger.stream_core import InducedGraph, Link, LinkStream, build_stream, induced_graph
+from ls_ledger.stream_core import InducedGraph, LinkStream, induced_graph
 from ls_ledger.temporal_metrics import neighborhood_overlaps
 
 TRIALS = 2_000
@@ -165,13 +165,13 @@ def random_stream(rng: random.Random, nodes: list[int]) -> LinkStream:
     if len(own) >= 2:
         for _ in range(rng.randint(0, 3 * len(own))):
             u, v = rng.sample(own, 2)
-            links.append(Link(rng.randint(0, 20), u, v))
+            links.append((rng.randint(0, 20), u, v))
     return stream_over(own, links, (0, 20))
 
 
-def stream_over(nodes, links: list[Link], interval: tuple[int, int]) -> LinkStream:
+def stream_over(nodes, links: list[tuple[int, int, int]], interval: tuple[int, int]) -> LinkStream:
     """A stream whose node set may also hold nodes without any link."""
-    return dataclasses.replace(build_stream(links, interval), nodes=frozenset(nodes))
+    return dataclasses.replace(stream_of(links, interval), nodes=frozenset(nodes))
 
 
 def test_neighborhood_overlaps_match_per_node_rescan():
@@ -202,8 +202,8 @@ def test_neighborhood_overlaps_na_cells():
     # 0 links in both streams, 1 only in the cert stream, 4 only in the
     # transaction stream, 3 sits in the cert node set without a link, and 5
     # sits in both node sets without any link
-    cert = stream_over({0, 1, 2, 3, 5}, [Link(1, 0, 2), Link(2, 1, 2)], (0, 9))
-    txmm = stream_over({0, 2, 4, 5}, [Link(3, 0, 2), Link(4, 4, 0)], (0, 9))
+    cert = stream_over({0, 1, 2, 3, 5}, [(1, 0, 2), (2, 1, 2)], (0, 9))
+    txmm = stream_over({0, 2, 4, 5}, [(3, 0, 2), (4, 4, 0)], (0, 9))
     columns = neighborhood_overlaps(induced_graph(cert), induced_graph(txmm))
     results = {v: (inclusion, jaccard) for v, inclusion, jaccard in overlap_rows(*columns)}
     assert results == {

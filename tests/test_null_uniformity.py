@@ -1,8 +1,9 @@
 """The null model samples every simple graph of a degree sequence alike.
 
 For three degree sequences on 6 labeled nodes, every simple graph with
-those degrees is enumerated, ``rewired_samples`` draws many samples at one
-fixed seed, and a chi-square statistic of the sample counts against the
+those degrees is enumerated, the null model of ``null_model_triangles``
+draws many samples at one fixed seed (through ``oracles.rewired_samples``,
+its samples as edge lists), and a chi-square statistic of the sample counts against the
 uniform distribution must stay below its p = 0.001 critical value. The
 same statistic on a chain of only 1 x m swap attempts per sample, which
 stays near its start, must exceed it, so the test can fail.
@@ -16,8 +17,8 @@ from itertools import combinations
 
 import pytest
 
-from oracles import graph_of
-from ls_ledger.graph_metrics import _double_edge_swap, rewired_samples
+from oracles import graph_of, rewired_samples
+from ls_ledger.graph_metrics import _double_edge_swap
 
 NODES = range(6)
 SEED = 7
@@ -71,7 +72,7 @@ def test_rewired_samples_are_uniform(name):
 def test_short_chain_fails_the_test(name):
     edges, samples = CASES[name]
     graphs = simple_graphs(degrees_of(edges))
-    # rewired_samples' per-sample seeds, with m attempts instead of 10 m
+    # the null model's per-sample seeds, with m attempts instead of 10 m
     short = (
         _double_edge_swap(edges, len(NODES), random.Random(SEED * 1_000_003 + i), attempts=len(edges))
         for i in range(samples)

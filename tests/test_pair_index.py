@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import stream_of
 from ls_ledger import stream_core
 from ls_ledger.interplay import (
     MATCH_CATEGORIES,
@@ -34,7 +35,6 @@ from ls_ledger.interplay import (
     relation_ratio_table,
     relation_sets,
 )
-from ls_ledger.stream_core import Link, build_stream
 from ls_ledger.temporal_metrics import closure_distribution
 
 TRIALS = 300
@@ -52,8 +52,8 @@ def handles_for(rng: random.Random, n: int) -> list[int]:
 
 
 def random_stream(rng, handles, n_links, t_max, base=0):
-    links = [Link(base + rng.randint(0, t_max), *rng.sample(handles, 2)) for _ in range(n_links)]
-    return build_stream(links, interval=(base, base + t_max))
+    links = [(base + rng.randint(0, t_max), *rng.sample(handles, 2)) for _ in range(n_links)]
+    return stream_of(links, interval=(base, base + t_max))
 
 
 def random_cases():
@@ -72,10 +72,10 @@ def random_cases():
 
 def edge_cases():
     """Empty, one-link and two-node streams, paired every way."""
-    empty = build_stream([], interval=(0, 5))
-    one = build_stream([Link(3, 0, 1)])
-    two_node = build_stream([Link(2, 1, 0), Link(2, 0, 1), Link(2, 0, 1), Link(4, 1, 0)])
-    late = build_stream([Link(T_LIMIT, 1, 0), Link(T_LIMIT, 0, 1)])
+    empty = stream_of([], interval=(0, 5))
+    one = stream_of([(3, 0, 1)])
+    two_node = stream_of([(2, 1, 0), (2, 0, 1), (2, 0, 1), (4, 1, 0)])
+    late = stream_of([(T_LIMIT, 1, 0), (T_LIMIT, 0, 1)])
     streams = (empty, one, two_node, late)
     return [(a, b) for a in streams for b in streams]
 
@@ -228,15 +228,15 @@ def test_match_kernels_equal_reference():
 
 def test_tie_rules_at_one_instant():
     # 2-closure: a reverse link at the same instant closes at look-back 0
-    s = build_stream([Link(7, 0, 1), Link(7, 1, 0)])
+    s = stream_of([(7, 0, 1), (7, 1, 0)])
     assert closure_distribution(s, k=2).results.tolist() == [0, 0]
     # 3-closure: simultaneous supports do not close a cycle
-    s = build_stream([Link(7, 1, 2), Link(7, 2, 0), Link(7, 0, 1)])
+    s = stream_of([(7, 1, 2), (7, 2, 0), (7, 0, 1)])
     assert closure_distribution(s, k=3).results.tolist() == [-1, -1, -1]
     # match: a transaction at the anchor is before it; equal distances
     # resolve to the earlier transaction
-    cert = build_stream([Link(10, 0, 1), Link(10, 2, 3)])
-    tx = build_stream([Link(10, 1, 0), Link(8, 2, 3), Link(12, 3, 2)])
+    cert = stream_of([(10, 0, 1), (10, 2, 3)])
+    tx = stream_of([(10, 1, 0), (8, 2, 3), (12, 3, 2)])
     report = match_certifications(cert, tx)
     assert values_of(MATCH_CATEGORIES, report.category) == ["before", "before"]
     assert report.delay.tolist() == [0, -2]

@@ -91,9 +91,9 @@ def test_bare_package_import_loads_no_submodule_and_no_numpy():
 def test_package_names_resolve_on_first_use():
     for name in ls_ledger.__all__:
         assert getattr(ls_ledger, name) is getattr(stream_core, name), name
-    from ls_ledger import Link, build_stream
+    from ls_ledger import stream_from_columns
 
-    assert build_stream([Link(0, 0, 1)]).link_count == 1
+    assert stream_from_columns([0], [0], [1]).link_count == 1
     with pytest.raises(AttributeError, match="no_such_name"):
         ls_ledger.no_such_name
 

@@ -4,10 +4,9 @@ import pytest
 
 import oracles
 from ls_ledger import temporal_metrics
-from ls_ledger.fixtures import random_links, random_stream
-from ls_ledger.stream_core import Link, build_stream, induced_graph
+from ls_ledger.stream_core import induced_graph
 from ls_ledger.temporal_metrics import closure_distribution, neighborhood_overlaps
-from oracles import links_of, neighborhood, overlap_rows
+from oracles import links_of, neighborhood, overlap_rows, random_links, random_stream, stream_of
 
 # frozen brute-force tables for the 12-link example (see tests/oracles.py)
 SAMPLE_K2 = {
@@ -32,9 +31,9 @@ def test_neighborhood_example(sample_stream):
 
 
 def test_neighborhood_isolated_and_single():
-    s = build_stream([Link(3, 0, 1)], interval=(0, 5))
+    s = stream_of([(3, 0, 1)], interval=(0, 5))
     assert neighborhood(s, 0).elements == {(3, 1)}
-    iso = build_stream([Link(3, 0, 1)])
+    iso = stream_of([(3, 0, 1)])
     with pytest.raises(KeyError):
         neighborhood(iso, 9)
 
@@ -57,7 +56,7 @@ def test_aggregated_neighborhood_example(sample_stream):
 def test_aggregated_equals_induced_undirected_neighborhood():
     rng = random.Random(21)
     for trial in range(25):
-        s = build_stream(random_links(rng, rng.randint(2, 9), rng.randint(1, 80)))
+        s = stream_of(random_links(rng, rng.randint(2, 9), rng.randint(1, 80)))
         g = induced_graph(s)
         for node in s.nodes:
             agg = csr_neighborhood(g, node)
@@ -66,8 +65,8 @@ def test_aggregated_equals_induced_undirected_neighborhood():
 
 
 def test_neighborhood_size_with_distinct_elements():
-    links = [Link(1, 0, 1), Link(2, 0, 2), Link(3, 3, 0)]
-    s = build_stream(links)
+    links = [(1, 0, 1), (2, 0, 2), (3, 3, 0)]
+    s = stream_of(links)
     assert len(neighborhood(s, 0).elements) == 3
 
 
@@ -79,20 +78,20 @@ def _overlaps(s1, s2):
 
 
 def test_overlap_examples():
-    s1 = build_stream([Link(0, 0, 1), Link(1, 0, 2)])  # N(0) = {1, 2}
-    s2 = build_stream([Link(5, 1, 0)])  # N(0) = {1}
+    s1 = stream_of([(0, 0, 1), (1, 0, 2)])  # N(0) = {1, 2}
+    s2 = stream_of([(5, 1, 0)])  # N(0) = {1}
     inclusion, jaccard = _overlaps(s1, s2)[0]
     assert inclusion == pytest.approx(1.0)
     assert jaccard == pytest.approx(0.5)
 
-    disjoint = build_stream([Link(3, 0, 3)])
+    disjoint = stream_of([(3, 0, 3)])
     assert _overlaps(s1, disjoint)[0] == (0.0, 0.0)
     assert _overlaps(s1, s1)[0] == (1.0, 1.0)
 
 
 def test_overlap_empty_neighborhood_markers():
-    s1 = build_stream([Link(0, 0, 1)])
-    s2 = build_stream([Link(0, 2, 3)])  # node 0 absent
+    s1 = stream_of([(0, 0, 1)])
+    s2 = stream_of([(0, 2, 3)])  # node 0 absent
     results = _overlaps(s1, s2)
     inclusion, jaccard = results[0]
     assert inclusion is None  # empty transaction-side neighborhood
@@ -119,7 +118,7 @@ def test_two_closure_example(sample_stream):
 
 
 def test_two_closure_simultaneous_reverse():
-    s = build_stream([Link(5, 0, 1), Link(5, 1, 0)])
+    s = stream_of([(5, 0, 1), (5, 1, 0)])
     assert _lookback(s, 2, 5, 0, 1) == 0
     assert _lookback(s, 2, 5, 1, 0) == 0
 
@@ -130,16 +129,16 @@ def test_three_closure_example(sample_stream):
 
 
 def test_three_closure_single_link():
-    s = build_stream([Link(0, 0, 1)])
+    s = stream_of([(0, 0, 1)])
     assert _lookback(s, 3, 0, 0, 1) is None
 
 
 def test_three_closure_requires_strictly_earlier_supports():
     # a simultaneous cycle does not close: supports must precede the link
-    s = build_stream([Link(0, 1, 2), Link(0, 2, 0), Link(0, 0, 1)])
+    s = stream_of([(0, 1, 2), (0, 2, 0), (0, 0, 1)])
     assert _lookback(s, 3, 0, 0, 1) is None
     # one second earlier, the same supports close it at look-back 1
-    s2 = build_stream([Link(0, 1, 2), Link(0, 2, 0), Link(1, 0, 1)])
+    s2 = stream_of([(0, 1, 2), (0, 2, 0), (1, 0, 1)])
     assert _lookback(s2, 3, 1, 0, 1) == 1
 
 
@@ -158,7 +157,7 @@ def test_closure_distribution_full_tables(sample_stream):
 
 
 def test_closure_distribution_no_reverse_links():
-    s = build_stream([Link(t, 0, 1) for t in range(5)])
+    s = stream_of([(t, 0, 1) for t in range(5)])
     dist = closure_distribution(s, k=2)
     assert dist.infinite_count == 5 and dist.results.tolist() == [-1] * 5
 
@@ -194,9 +193,7 @@ def test_closure_time_shift_equivariance():
     for trial in range(10):
         s = random_stream(seed=2000 + trial, max_nodes=6, max_links=40)
         shift = rng.randint(1, 500)
-        shifted = build_stream(
-            [Link(t + shift, u, v) for t, u, v in links_of(s)]
-        )
+        shifted = stream_of([(t + shift, u, v) for t, u, v in links_of(s)])
         for k in (2, 3):
             a = closure_distribution(s, k=k).results.tolist()
             b = closure_distribution(shifted, k=k).results.tolist()
@@ -215,7 +212,7 @@ def test_three_closure_monotone_under_added_supports():
         # add an earlier support pair through a fresh node
         w = max(s.nodes) + 1
         extra = [(t - 1, v, w), (t - 1, w, u)]
-        enlarged = build_stream([Link(*row) for row in links + extra])
+        enlarged = stream_of(links + extra)
         after = _lookback(enlarged, 3, t, u, v)
         assert after is not None
         if before is not None:

@@ -15,14 +15,9 @@ from itertools import combinations
 import pytest
 
 import oracles
-from oracles import graph_of
+from oracles import graph_of, rewired_samples
 from ls_ledger import graph_metrics, stream_core
-from ls_ledger.graph_metrics import (
-    clustering,
-    null_model_triangles,
-    rewired_samples,
-    triangle_count,
-)
+from ls_ledger.graph_metrics import clustering, null_model_triangles, triangle_count
 from ls_ledger.stream_core import InducedGraph
 
 
