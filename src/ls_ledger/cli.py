@@ -176,28 +176,27 @@ def cmd_overview(cfg: RunConfig) -> None:
         ),
     )
 
-    graphs, reports = {}, {}
+    graphs, degrees = {}, {}
     for name, stream in (("cert", cert), ("txmm", tx_mm)):
         g = graphs[name] = stream_core.induced_graph(stream)
-        report = reports[name] = graph_metrics.degree_report(g)
-        fname = "degrees.csv" if name == "cert" else f"degrees_{name}.csv"
+        in_degree, out_degree = degrees[name] = graph_metrics.degree_report(g)
         _write_csv(
-            cfg.out_dir / fname,
+            cfg.out_dir / _stream_file("degrees", name),
             _comments("overview", cfg, f"stream={name}"),
             "node,in,out",
-            zip(_keys(keys, g.nodes), report.in_degree.tolist(), report.out_degree.tolist()),
+            zip(_keys(keys, g.nodes), in_degree.tolist(), out_degree.tolist()),
         )
 
     # the places in each graph of the nodes both graphs hold, ascending
     cert_nodes, txmm_nodes = graphs["cert"].nodes, graphs["txmm"].nodes
     in_cert = np.flatnonzero(np.isin(cert_nodes, txmm_nodes))
     in_txmm = np.searchsorted(txmm_nodes, cert_nodes[in_cert])
-    c, x = reports["cert"], reports["txmm"]
+    (c_in, c_out), (x_in, x_out) = degrees["cert"], degrees["txmm"]
     pairings = (
-        ("cert_in~cert_out", c.in_degree, c.out_degree),
-        ("txmm_in~txmm_out", x.in_degree, x.out_degree),
-        ("cert_out~txmm_out", c.out_degree[in_cert], x.out_degree[in_txmm]),
-        ("cert_in~txmm_in", c.in_degree[in_cert], x.in_degree[in_txmm]),
+        ("cert_in~cert_out", c_in, c_out),
+        ("txmm_in~txmm_out", x_in, x_out),
+        ("cert_out~txmm_out", c_out[in_cert], x_out[in_txmm]),
+        ("cert_in~txmm_in", c_in[in_cert], x_in[in_txmm]),
     )
     corr_rows = []
     for label, xs, ys in pairings:
@@ -232,30 +231,26 @@ def cmd_graph(cfg: RunConfig) -> None:
     graphs = {name: stream_core.induced_graph(s) for name, s in streams.items()}
 
     for name, g in graphs.items():
-        report = graph_metrics.clustering(g)
-        fname = "clustering.csv" if name == "cert" else f"clustering_{name}.csv"
+        coefficients, average, average_active, triangles = graph_metrics.clustering(g)
         _write_csv(
-            cfg.out_dir / fname,
+            cfg.out_dir / _stream_file("clustering", name),
             _comments(
                 "graph",
                 cfg,
                 f"stream={name}",
-                f"average={report.average:.6f} (all nodes)",
-                f"average_active={report.average_active:.6f} (degree >= 2 only)",
+                f"average={average:.6f} (all nodes)",
+                f"average_active={average_active:.6f} (degree >= 2 only)",
             ),
             "node,coefficient",
-            zip(_keys(keys, g.nodes), _fixed(report.coefficients, 6)),
+            zip(_keys(keys, g.nodes), _fixed(coefficients, 6)),
         )
-        click.echo(f"triangles_{name}:{report.triangles}")
-        click.echo(f"clustering_{name}:{report.average:.6f}")
+        click.echo(f"triangles_{name}:{triangles}")
+        click.echo(f"clustering_{name}:{average:.6f}")
 
         if name != "txaa" and len(g.undirected_edges()) >= 2:
-            null = graph_metrics.null_model_triangles(
-                g, report.triangles, samples=cfg.samples, seed=cfg.seed
-            )
-            fname = "null_model.csv" if name == "cert" else f"null_model_{name}.csv"
+            null = graph_metrics.null_model_triangles(g, triangles, cfg.samples, cfg.seed)
             _write_csv(
-                cfg.out_dir / fname,
+                cfg.out_dir / _stream_file("null_model", name),
                 _comments(
                     "graph",
                     cfg,
@@ -297,14 +292,14 @@ def cmd_closures(cfg: RunConfig) -> None:
 
     bundle = snapshot.load_bundle(cfg.out_dir)
     keys = bundle.table.keys()
-    for name, stream in (("", bundle.cert), ("_txmm", bundle.tx_mm)):
+    for name, stream in (("cert", bundle.cert), ("txmm", bundle.tx_mm)):
         times = stream.t.tolist()
         sources = _keys(keys, stream.src)
         targets = _keys(keys, stream.dst)
         for k in (2, 3):
             dist = temporal_metrics.closure_distribution(stream, k=k)
             _write_csv(
-                cfg.out_dir / f"closures_k{k}{name}.csv",
+                cfg.out_dir / _stream_file(f"closures_k{k}", name),
                 _comments(
                     "closures", cfg, f"links={len(dist.results)} infinite={dist.infinite_count}"
                 ),
@@ -327,8 +322,8 @@ def cmd_match(cfg: RunConfig) -> None:
     cert, tx_mm = bundle.cert, bundle.tx_mm
     keys = bundle.table.keys()
 
-    report = interplay.match_certifications(cert, tx_mm)
-    match_shares = list(zip(interplay.MATCH_CATEGORIES, _fixed(report.fractions)))
+    anchor, category, delay, fractions, both_sided = interplay.match_certifications(cert, tx_mm)
+    match_shares = list(zip(interplay.MATCH_CATEGORIES, _fixed(fractions)))
     cert_pairs = _pair_labels(keys, cert.pairs)
     _write_csv(
         cfg.out_dir / "match_cert.csv",
@@ -336,19 +331,19 @@ def cmd_match(cfg: RunConfig) -> None:
             "match",
             cfg,
             "fractions: " + " ".join(f"{cat}={x}" for cat, x in match_shares),
-            f"both_sided_pairs={report.both_sided}",
+            f"both_sided_pairs={both_sided}",
         ),
         "pair,anchor,category,delay",
         zip(
             cert_pairs,
-            report.anchor.tolist(),
-            _keys(interplay.MATCH_CATEGORIES, report.category),
-            _or_na(report.delay, report.category != interplay.MATCH_CATEGORIES.index("never")),
+            anchor.tolist(),
+            _keys(interplay.MATCH_CATEGORIES, category),
+            _or_na(delay, category != interplay.MATCH_CATEGORIES.index("never")),
         ),
     )
 
-    tx_classes = interplay.classify_transactions(tx_mm, cert)
-    tx_shares = list(zip(interplay.TX_CATEGORIES, _fixed(tx_classes.fractions)))
+    tx_category, fractions = interplay.classify_transactions(tx_mm, cert)
+    tx_shares = list(zip(interplay.TX_CATEGORIES, _fixed(fractions)))
     _write_csv(
         cfg.out_dir / "tx_classes.csv",
         _comments("match", cfg, "fractions: " + " ".join(f"{cat}={x}" for cat, x in tx_shares)),
@@ -357,7 +352,7 @@ def cmd_match(cfg: RunConfig) -> None:
             tx_mm.t.tolist(),
             _keys(keys, tx_mm.src),
             _keys(keys, tx_mm.dst),
-            _keys(interplay.TX_CATEGORIES, tx_classes.categories),
+            _keys(interplay.TX_CATEGORIES, tx_category),
         ),
     )
 
@@ -366,19 +361,15 @@ def cmd_match(cfg: RunConfig) -> None:
         cfg.out_dir / "preceding_counts.csv",
         _comments("match", cfg),
         "pair,anchor,preceding_txs",
-        zip(cert_pairs, report.anchor.tolist(), preceding.tolist()),
+        zip(cert_pairs, anchor.tolist(), preceding.tolist()),
     )
 
-    delays = interplay.new_transaction_cert_delays(tx_mm, cert)
+    first_tx, delay, certified, unmatched = interplay.new_transaction_cert_delays(tx_mm, cert)
     _write_csv(
         cfg.out_dir / "new_tx_delays.csv",
-        _comments("match", cfg, f"unmatched_pairs={delays.unmatched}"),
+        _comments("match", cfg, f"unmatched_pairs={unmatched}"),
         "pair,first_tx,delay",
-        zip(
-            _pair_labels(keys, tx_mm.pairs),
-            delays.first_tx.tolist(),
-            _or_na(delays.delay, delays.certified),
-        ),
+        zip(_pair_labels(keys, tx_mm.pairs), first_tx.tolist(), _or_na(delay, certified)),
     )
 
     for cat, x in match_shares:
@@ -451,6 +442,12 @@ def cmd_neighborhoods(cfg: RunConfig) -> None:
         "node,inclusion,jaccard",
         zip(_keys(keys, nodes), *(_or_na(x, ~np.isnan(x), ".4f") for x in fractions)),
     )
+
+
+def _stream_file(stem: str, name: str) -> str:
+    """The name of the output file ``stem`` for the stream ``name``: the
+    certification stream's has no suffix, any other's ends in ``_<name>``."""
+    return f"{stem}.csv" if name == "cert" else f"{stem}_{name}.csv"
 
 
 def _keys(keys, handles) -> list[str]:

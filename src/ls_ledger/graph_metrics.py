@@ -1,14 +1,19 @@
 """Static analyses of induced graphs.
 
-Degrees are taken on the deduplicated directed edge set, as two arrays
-over the graph's node places (positions in ``nodes``); the rest
-works on the symmetrized (undirected) view, through the arrays that
-``InducedGraph`` caches over node places. Clustering, triangle counts and
-null-model samples share one numpy triangle kernel over the edge ends,
-and the clustering coefficients are an array over places; distances take
-pairs as two columns of places, read the CSR neighbor slices and count
-per distance in an array. Link multiplicities per pair belong to the
-cross-stream interplay metrics.
+Degrees are taken on the deduplicated directed edge set, counted over the
+graph's node places (positions in ``nodes``), by which the directed pair
+index ranks the edge ends; the rest works on the symmetrized (undirected)
+view, through the arrays that ``InducedGraph`` caches over node places.
+Clustering, triangle counts and null-model samples share one numpy
+triangle kernel over the edge ends, each sample's edges being two columns
+of places; distances take pairs as two columns of places, read the CSR
+neighbor slices and count per distance in an array. Link multiplicities
+per pair belong to the cross-stream interplay metrics.
+
+The degree and clustering kernels return a tuple of what they compute,
+per-place columns first, in the order their docstrings name; the null
+model and the distance histogram return objects, whose attributes the
+stage tracer ``bench/trace_stage.py`` reads.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -24,22 +28,13 @@ from .errors import DegenerateModelError, UndefinedCorrelationError
 from .stream_core import InducedGraph, _blocks, _expand, _distinct_sorted
 
 
-@dataclass(frozen=True, eq=False)
-class DegreeReport:
-    """Degrees per place of the graph's ``nodes``."""
-
-    in_degree: np.ndarray
-    out_degree: np.ndarray
-
-
-def degree_report(g: InducedGraph) -> DegreeReport:
-    """Exact in/out degrees of every node on the deduplicated edge set."""
-    p = g.stream.directed_pairs
+def degree_report(g: InducedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Exact in/out degrees of every node on the deduplicated edge set: the
+    columns ``(in_degree, out_degree)`` over the places of the graph's
+    ``nodes``."""
+    sources, targets = g.stream.directed_pairs.ranks
     n = len(g.nodes)
-    return DegreeReport(
-        in_degree=np.bincount(np.searchsorted(g.nodes, p.v), minlength=n),
-        out_degree=np.bincount(np.searchsorted(g.nodes, p.u), minlength=n),
-    )
+    return np.bincount(targets, minlength=n), np.bincount(sources, minlength=n)
 
 
 def degree_correlation(xs, ys) -> float:
@@ -66,26 +61,17 @@ def degree_correlation(xs, ys) -> float:
     return sxy / math.sqrt(sxx * syy)
 
 
-@dataclass(frozen=True, eq=False)
-class ClusteringReport:
-    """Per-node neighborhood density on the undirected view.
+def clustering(g: InducedGraph) -> tuple[np.ndarray, float, float, int]:
+    """Local clustering coefficient of every node: edges among its
+    neighbors, which are the triangles through it, divided by k*(k-1)/2.
 
-    ``coefficients`` holds one float per place of the graph's
-    ``nodes``. Nodes of degree < 2 get coefficient 0 and are
+    Returns ``(coefficients, average, average_active, triangles)`` on the
+    undirected view. ``coefficients`` holds one float per place of the
+    graph's ``nodes``. Nodes of degree < 2 get coefficient 0 and are
     included in ``average``; ``average_active`` restricts the mean to nodes
     of degree >= 2 since both conventions circulate. Both sum in place
     order. ``triangles`` is the graph's triangle count.
     """
-
-    coefficients: np.ndarray
-    average: float
-    average_active: float
-    triangles: int
-
-
-def clustering(g: InducedGraph) -> ClusteringReport:
-    """Local clustering coefficient of every node: edges among its
-    neighbors, which are the triangles through it, divided by k*(k-1)/2."""
     tri = _node_triangles(*g.ends, g.rank)
     k = g.degree
     active = k >= 2
@@ -93,11 +79,11 @@ def clustering(g: InducedGraph) -> ClusteringReport:
     coeffs[active] = 2.0 * tri[active] / (k * (k - 1))[active]
     # Python sums in place order: a pairwise np.sum could move the last bits
     n, n_active = len(k), int(np.count_nonzero(active))
-    return ClusteringReport(
-        coefficients=coeffs,
-        average=sum(coeffs.tolist()) / n if n else 0.0,
-        average_active=sum(coeffs[active].tolist()) / n_active if n_active else 0.0,
-        triangles=int(tri.sum()) // 3,
+    return (
+        coeffs,
+        sum(coeffs.tolist()) / n if n else 0.0,
+        sum(coeffs[active].tolist()) / n_active if n_active else 0.0,
+        int(tri.sum()) // 3,
     )
 
 
@@ -145,22 +131,24 @@ class NullModelResult:
 
 def _rewired_ends(g: InducedGraph, samples: int, seed: int):
     """The degree-preserving randomizations of :func:`null_model_triangles`
-    as node places, flat: u0, v0, u1, v1, ... Places order the edges as
-    their handles do, so the swaps draw alike on either."""
+    as two int64 columns of node places, the first and the second end of
+    each edge. Places order the edges as their handles do, so the swaps
+    draw alike on either."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    edges = list(zip(*g.ends.tolist()))
-    if len(edges) < 2:
-        raise DegenerateModelError(f"need at least 2 undirected edges to rewire, got {len(edges)}")
+    us, vs = g.ends.tolist()
+    if len(us) < 2:
+        raise DegenerateModelError(f"need at least 2 undirected edges to rewire, got {len(us)}")
     for i in range(samples):
         rng = random.Random(seed * 1_000_003 + i)
-        rewired = _double_edge_swap(edges, len(g.nodes), rng, attempts=10 * len(edges))
-        ends = np.fromiter(chain.from_iterable(rewired), dtype=np.int64, count=2 * len(edges))
-        if not np.array_equal(np.bincount(ends, minlength=len(g.degree)), g.degree):
+        ends = np.array(
+            _double_edge_swap(us, vs, len(g.nodes), rng, attempts=10 * len(us)), dtype=np.int64
+        )
+        if not np.array_equal(np.bincount(ends.ravel(), minlength=len(g.degree)), g.degree):
             raise AssertionError("rewiring changed the degree sequence")
-        yield ends
+        yield ends[0], ends[1]
 
 
 def null_model_triangles(
@@ -180,8 +168,7 @@ def null_model_triangles(
     """
     # swaps keep every degree, so g's ranks orient each sample as well
     counts = [
-        int(_node_triangles(ends[0::2], ends[1::2], g.rank).sum()) // 3
-        for ends in _rewired_ends(g, samples, seed)
+        int(_node_triangles(a, b, g.rank).sum()) // 3 for a, b in _rewired_ends(g, samples, seed)
     ]
     mean = sum(counts) / len(counts)
     var = sum((c - mean) ** 2 for c in counts) / len(counts)
@@ -199,10 +186,11 @@ def null_model_triangles(
 
 
 def _double_edge_swap(
-    edges: list[tuple[int, int]], n: int, rng: random.Random, attempts: int
-) -> list[tuple[int, int]]:
-    """Apply ``attempts`` double-edge swap attempts to a copy of ``edges``,
-    a simple graph over the nodes ``0 .. n - 1``.
+    us: list[int], vs: list[int], n: int, rng: random.Random, attempts: int
+) -> tuple[list[int], list[int]]:
+    """Apply ``attempts`` double-edge swap attempts to copies of the edge
+    columns ``us`` and ``vs``, a simple graph over the nodes ``0 .. n - 1``,
+    and return the two columns.
 
     Each attempt picks edges i and j and a random orientation of j, then
     proposes (u, x) and (v, y) in place of (u, v) and (x, y); proposals that
@@ -217,15 +205,14 @@ def _double_edge_swap(
     falls below ``m``, without the per-call overhead. ``random()`` takes two
     32-bit words and stays a call in its place in the sequence.
 
-    Edges live in two int columns, ``u < v`` in each row, and ``present``
-    holds one byte per node pair, set at ``u * n + v`` for each edge, so
-    the duplicate check reads one byte and takes n * n bytes.
+    The columns hold ``u < v`` in each row, and ``present`` holds one byte
+    per node pair, set at ``u * n + v`` for each edge, so the duplicate
+    check reads one byte and takes n * n bytes.
     """
-    m = len(edges)
-    us = [u for u, _ in edges]
-    vs = [v for _, v in edges]
+    m = len(us)
+    us, vs = list(us), list(vs)
     present = bytearray(n * n)
-    for u, v in edges:
+    for u, v in zip(us, vs):
         present[u * n + v] = 1
     bits = m.bit_length()
     getrandbits = rng.getrandbits
@@ -270,7 +257,7 @@ def _double_edge_swap(
         vs[i] = b
         us[j] = c
         vs[j] = d
-    return list(zip(us, vs))
+    return us, vs
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,8 +8,11 @@ count, and the time matching of certifications against transactions.
 Every per-pair or per-link result is an int64 or bool array aligned with
 the pairs or the links of the stream its docstring names, a category is
 a code, its position in its label tuple, and a table is columns aligned
-with its label tuple. Callers hold those indexes and turn the results
-into rows.
+with its label tuple. A kernel returns a tuple of its columns, shares and
+counts, in the order its docstring names them. The one class,
+``RelationSets``, is what ``relation_sets`` builds as the input of two
+kernels, not a result to write out. Callers hold the indexes and turn the
+results into rows.
 
 Tie conventions, chosen once and applied everywhere: an event exactly
 simultaneous with an anchor counts as "already there" (<= comparisons),
@@ -133,18 +136,6 @@ def certification_fraction_by_k(
 MATCH_CATEGORIES = ("before", "after", "never")
 
 
-@dataclass(frozen=True, eq=False)
-class MatchReport:
-    """The match of every certified pair, aligned with the certification
-    stream's ``pairs``."""
-
-    anchor: np.ndarray  # first certification time
-    category: np.ndarray  # position in MATCH_CATEGORIES
-    delay: np.ndarray  # signed, transaction time minus anchor; undefined for never
-    fractions: np.ndarray  # share of each of MATCH_CATEGORIES
-    both_sided: int  # pairs with transactions on both sides of the anchor
-
-
 def _nearest(idx: PairIndex, seg: np.ndarray, anchor: np.ndarray):
     """For each anchor and the pair segment ``seg`` of ``idx``: the position
     of the pair's latest link at or before the anchor (-1 where none),
@@ -171,26 +162,30 @@ def _fractions(code: np.ndarray, labels: tuple[str, ...]) -> np.ndarray:
     return np.bincount(code, minlength=len(labels)) / max(len(code), 1)
 
 
-def match_certifications(cert_stream: LinkStream, tx_mm: LinkStream) -> MatchReport:
+def match_certifications(
+    cert_stream: LinkStream, tx_mm: LinkStream
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """For each pair's first certification, locate the closest transaction.
 
     A transaction at or before the anchor makes the pair "before" (a
     pre-existing transaction takes precedence), one strictly after makes it
     "after", and pairs that never transact are "never". The signed delay
     always points at the transaction closest in absolute time.
+
+    Returns ``(anchor, category, delay, fractions, both_sided)``: the first
+    three aligned with ``cert_stream.pairs``, the pair's first certification
+    time, its position in ``MATCH_CATEGORIES`` and its delay, the
+    transaction time minus the anchor, undefined for "never"; the share of
+    each of ``MATCH_CATEGORIES``; and the number of pairs with transactions
+    on both sides of the anchor.
     """
     certs = cert_stream.pairs
     anchor = _first_times(certs)
     seg = tx_mm.pairs.find(certs.u, certs.v)
     before, has_after, delay = _nearest(tx_mm.pairs, seg, anchor)
     code = np.where(seg < 0, 2, np.where(before >= 0, 0, 1))  # MATCH_CATEGORIES order
-    return MatchReport(
-        anchor=anchor,
-        category=code,
-        delay=delay,
-        fractions=_fractions(code, MATCH_CATEGORIES),
-        both_sided=int(np.count_nonzero((before >= 0) & has_after)),
-    )
+    both_sided = int(np.count_nonzero((before >= 0) & has_after))
+    return anchor, code, delay, _fractions(code, MATCH_CATEGORIES), both_sided
 
 
 def preceding_transaction_counts(cert_stream: LinkStream, tx_mm: LinkStream) -> np.ndarray:
@@ -206,47 +201,39 @@ def preceding_transaction_counts(cert_stream: LinkStream, tx_mm: LinkStream) -> 
 TX_CATEGORIES = ("already_certified", "future_certified", "never")
 
 
-@dataclass(frozen=True, eq=False)
-class TxClassReport:
-    categories: np.ndarray  # position in TX_CATEGORIES per link, stream order
-    fractions: np.ndarray  # share of each of TX_CATEGORIES
-
-
-def classify_transactions(tx_mm: LinkStream, cert_stream: LinkStream) -> TxClassReport:
+def classify_transactions(
+    tx_mm: LinkStream, cert_stream: LinkStream
+) -> tuple[np.ndarray, np.ndarray]:
     """Classify each transaction by whether the pair's first certification
-    exists at transaction time, only later, or never."""
+    exists at transaction time, only later, or never.
+
+    Returns ``(categories, fractions)``: the position in ``TX_CATEGORIES``
+    of every link of ``tx_mm``, in stream order, and the share of each of
+    ``TX_CATEGORIES``.
+    """
     certs = cert_stream.pairs
     seg = certs.find(tx_mm.src, tx_mm.dst)
     first_cert = certs.time_at(np.where(seg >= 0, certs.starts[seg], -1))  # -1: never
     code = np.where(first_cert < 0, 2, np.where(first_cert <= tx_mm.t, 0, 1))  # TX_CATEGORIES order
-    return TxClassReport(categories=code, fractions=_fractions(code, TX_CATEGORIES))
-
-
-@dataclass(frozen=True, eq=False)
-class NewTxDelayReport:
-    """The first transaction of every pair, aligned with the transaction
-    stream's ``pairs``."""
-
-    first_tx: np.ndarray  # time of the pair's first transaction
-    delay: np.ndarray  # certification time minus first transaction; undefined if uncertified
-    certified: np.ndarray  # bool: the pair has a certification
-    unmatched: int  # pairs whose endpoints never certified
+    return code, _fractions(code, TX_CATEGORIES)
 
 
 def new_transaction_cert_delays(
     tx_mm: LinkStream, cert_stream: LinkStream
-) -> NewTxDelayReport:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """For each pair's first-ever transaction, the signed offset to the
     certification closest in absolute time; pairs without any certification
-    are counted as unmatched."""
+    are counted as unmatched.
+
+    Returns ``(first_tx, delay, certified, unmatched)``: the first three
+    aligned with ``tx_mm.pairs``, the time of the pair's first transaction,
+    the certification time minus it, undefined where the pair is
+    uncertified, and whether the pair has a certification; then the number
+    of pairs whose endpoints never certified.
+    """
     txs, certs = tx_mm.pairs, cert_stream.pairs
     first_tx = _first_times(txs)
     seg = certs.find(txs.u, txs.v)
     _, _, delay = _nearest(certs, seg, first_tx)
     certified = seg >= 0
-    return NewTxDelayReport(
-        first_tx=first_tx,
-        delay=delay,
-        certified=certified,
-        unmatched=len(seg) - int(np.count_nonzero(certified)),
-    )
+    return first_tx, delay, certified, len(seg) - int(np.count_nonzero(certified))

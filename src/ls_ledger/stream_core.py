@@ -193,9 +193,7 @@ class InducedGraph:
     def ends(self) -> np.ndarray:
         """The places of the first and of the second ends of the
         ``undirected_edges()`` rows, which still ascend, as two rows."""
-        p = self.stream.pairs
-        # search the distinct endpoints, not all 2m ends, then gather by rank
-        return np.searchsorted(self.nodes, p.nodes)[np.stack(p.ranks)]
+        return np.stack(self.stream.pairs.ranks)
 
     @cached_property
     def degree(self) -> np.ndarray:
@@ -353,8 +351,9 @@ class PairIndex:
     in ascending ``(u, v)`` order, and holds the grouped links
     ``starts[j]:starts[j + 1]``: their times in ``times`` and their places
     in the stream in ``positions``. ``segment`` gives every stream link its
-    segment. Lookups key pairs and times by dense ranks, so no composite key
-    overflows int64 whatever the handles and times.
+    segment. Lookups key pairs by the ranks of their ends, which are their
+    places in the stream's ``nodes``, and times by dense ranks, so no
+    composite key overflows int64 whatever the handles and times.
     """
 
     directed: bool
@@ -364,7 +363,7 @@ class PairIndex:
     times: np.ndarray
     positions: np.ndarray
     segment: np.ndarray
-    nodes: np.ndarray  # distinct endpoints, sorted: a node's rank is its position
+    nodes: np.ndarray  # the stream's node set: a node's rank is its place there
     keys: np.ndarray  # rank(u) * len(nodes) + rank(v) per segment, ascending
 
     @classmethod
@@ -373,8 +372,7 @@ class PairIndex:
         if not directed:
             u, v = np.minimum(u, v), np.maximum(u, v)
         n = s.link_count
-        nodes, rank = np.unique(np.concatenate((u, v)), return_inverse=True)
-        key = rank[:n] * len(nodes) + rank[n:]
+        key = np.searchsorted(s.nodes, u) * len(s.nodes) + np.searchsorted(s.nodes, v)
         positions = np.argsort(key, kind="stable")
         key = key[positions]
         new = np.diff(key, prepend=-1) != 0  # keys are >= 0
@@ -389,7 +387,7 @@ class PairIndex:
             times=s.t[positions],
             positions=positions,
             segment=segment,
-            nodes=nodes,
+            nodes=s.nodes,
             keys=key[first],
         )
 
@@ -400,7 +398,7 @@ class PairIndex:
         v = np.asarray(v, dtype=np.int64)
         if not self.directed:
             u, v = np.minimum(u, v), np.maximum(u, v)
-        if not len(self.nodes):
+        if not len(self.keys):
             return np.full(u.shape, -1, dtype=np.int64)
         ru = np.searchsorted(self.nodes, u).clip(max=len(self.nodes) - 1)
         rv = np.searchsorted(self.nodes, v).clip(max=len(self.nodes) - 1)
@@ -409,7 +407,8 @@ class PairIndex:
 
     @cached_property
     def ranks(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ranks of ``u`` and of ``v`` per segment, for ``find_ranks``."""
+        """The ranks (places in ``nodes``) of ``u`` and of ``v`` per
+        segment, for ``find_ranks``."""
         return np.divmod(self.keys, len(self.nodes))
 
     def find_ranks(self, ru: np.ndarray, rv: np.ndarray) -> np.ndarray:

@@ -293,8 +293,8 @@ def rewired_samples(g, samples: int, seed: int):
     as ``graph_metrics.null_model_triangles`` draws them."""
     from ls_ledger.graph_metrics import _rewired_ends
 
-    for ends in _rewired_ends(g, samples, seed):
-        yield [tuple(e) for e in g.nodes[ends].reshape(-1, 2).tolist()]
+    for a, b in _rewired_ends(g, samples, seed):
+        yield list(zip(g.nodes[a].tolist(), g.nodes[b].tolist()))
 
 
 def parsed_records(parsed) -> tuple[list, list, list]:

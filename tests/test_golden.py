@@ -79,6 +79,19 @@ CASES = {
         ("--seed", "6", "--samples", "10"),
         (),
     ),
+    # members without a single certification: an empty certification
+    # stream over a non-empty node set, read by every stage
+    "random83_nocert": (
+        lambda: random_records(83, n_members=10, n_certs=0, n_txs=60),
+        ("--seed", "4", "--samples", "5"),
+        (),
+    ),
+    # certifications without a single transaction: empty transaction streams
+    "random83_notx": (
+        lambda: random_records(83, n_members=10, n_certs=40, n_txs=0),
+        ("--seed", "4", "--samples", "5"),
+        (),
+    ),
 }
 
 

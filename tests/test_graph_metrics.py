@@ -36,16 +36,16 @@ def random_graph(rng, n, p):
 
 
 def test_degree_report_single_edge():
-    rep = degree_report(graph_of({0, 1, 2}, {(0, 1)}))
-    assert rep.out_degree.tolist() == [1, 0, 0]
-    assert rep.in_degree.tolist() == [0, 1, 0]
+    in_degree, out_degree = degree_report(graph_of({0, 1, 2}, {(0, 1)}))
+    assert out_degree.tolist() == [1, 0, 0]
+    assert in_degree.tolist() == [0, 1, 0]
 
 
 def test_degree_report_example(sample_stream):
     s, table = sample_stream
     g = induced_graph(s)
-    rep = degree_report(g)
-    out = {table.key_of(n): d for n, d in zip(g.nodes.tolist(), rep.out_degree.tolist())}
+    _, out_degree = degree_report(g)
+    out = {table.key_of(n): d for n, d in zip(g.nodes.tolist(), out_degree.tolist())}
     assert out == {"a": 2, "b": 3, "c": 2, "d": 2}
 
 
@@ -55,19 +55,19 @@ def test_degree_report_counts_edges_at_each_place():
         nodes = rng.sample(range(40), rng.randint(2, 12))
         edges = {(u, v) for u in nodes for v in nodes if u != v and rng.random() < 0.3}
         g = graph_of(nodes, edges)
-        rep = degree_report(g)
+        in_degree, out_degree = degree_report(g)
         places = g.nodes.tolist()
-        assert rep.out_degree.tolist() == [sum(u == n for u, _ in edges) for n in places]
-        assert rep.in_degree.tolist() == [sum(v == n for _, v in edges) for n in places]
+        assert out_degree.tolist() == [sum(u == n for u, _ in edges) for n in places]
+        assert in_degree.tolist() == [sum(v == n for _, v in edges) for n in places]
 
 
 def test_degree_sums_equal_edge_count():
     rng = random.Random(3)
     for trial in range(20):
         g = random_graph(rng, rng.randint(2, 12), 0.4)
-        rep = degree_report(g)
-        assert rep.in_degree.sum() == len(g.directed_edges())
-        assert rep.out_degree.sum() == len(g.directed_edges())
+        in_degree, out_degree = degree_report(g)
+        assert in_degree.sum() == len(g.directed_edges())
+        assert out_degree.sum() == len(g.directed_edges())
 
 
 def test_handshake_identity():
@@ -112,23 +112,23 @@ def test_degree_correlation_mismatched_nodes():
 
 def test_clustering_triangle_and_star():
     tri = graph_of((), {(0, 1), (1, 2), (2, 0)})
-    rep = clustering(tri)
-    assert rep.coefficients.tolist() == [1.0, 1.0, 1.0]
-    assert rep.average == 1.0
+    coefficients, average, _, _ = clustering(tri)
+    assert coefficients.tolist() == [1.0, 1.0, 1.0]
+    assert average == 1.0
 
     star = graph_of((), {(0, 1), (0, 2), (0, 3)})
-    rep = clustering(star)
-    assert rep.coefficients.tolist() == [0.0, 0.0, 0.0, 0.0]
-    assert rep.average == 0.0
+    coefficients, average, _, _ = clustering(star)
+    assert coefficients.tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert average == 0.0
 
 
 def test_clustering_includes_low_degree_at_zero():
     # path 0-1-2 plus isolated 3: averages differ between conventions
     g = graph_of({0, 1, 2, 3}, {(0, 1), (1, 2)})
-    rep = clustering(g)
-    assert rep.coefficients.tolist() == [0.0, 0.0, 0.0, 0.0]  # one per place
-    assert rep.average == 0.0
-    assert rep.average_active == 0.0  # node 1 has degree 2, no closed pair
+    coefficients, average, average_active, _ = clustering(g)
+    assert coefficients.tolist() == [0.0, 0.0, 0.0, 0.0]  # one per place
+    assert average == 0.0
+    assert average_active == 0.0  # node 1 has degree 2, no closed pair
 
 
 def test_triangle_count_small_cases():
@@ -150,8 +150,7 @@ def test_clustering_matches_triangle_formula():
     rng = random.Random(13)
     for trial in range(20):
         g = random_graph(rng, rng.randint(3, 15), rng.uniform(0.2, 0.7))
-        rep = clustering(g)
-        coefficient = dict(zip(g.nodes.tolist(), rep.coefficients.tolist()))
+        coefficient = dict(zip(g.nodes.tolist(), clustering(g)[0].tolist()))
         per_node = oracles.triangles_per_node(g)
         adj = oracles.adjacency(g)
         und = oracles.undirected_edge_set(g.directed_edges().tolist())

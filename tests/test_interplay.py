@@ -187,18 +187,18 @@ def test_fraction_by_k_bi_below_any():
 def test_match_certifications_example():
     certs = stream((10, 7, 8))
     txs = stream((8, 7, 8), (15, 8, 7), amounts=True)
-    report = match_certifications(certs, txs)
-    assert categories(MATCH_CATEGORIES, report.category) == ["before"]
-    assert report.delay.tolist() == [-2]
-    assert report.anchor.tolist() == [10]
-    assert report.both_sided == 1
+    anchor, category, delay, _, both_sided = match_certifications(certs, txs)
+    assert categories(MATCH_CATEGORIES, category) == ["before"]
+    assert delay.tolist() == [-2]
+    assert anchor.tolist() == [10]
+    assert both_sided == 1
 
 
 def test_match_certifications_no_transactions():
     certs = stream((10, 7, 8), (11, 2, 3))
-    report = match_certifications(certs, stream_of([], interval=(0, 1)))
-    assert categories(MATCH_CATEGORIES, report.category) == ["never"] * 2
-    assert share(report.fractions, MATCH_CATEGORIES, "never") == 1.0
+    _, category, _, fractions, _ = match_certifications(certs, stream_of([], interval=(0, 1)))
+    assert categories(MATCH_CATEGORIES, category) == ["never"] * 2
+    assert share(fractions, MATCH_CATEGORIES, "never") == 1.0
 
 
 def test_match_fractions_sum_to_one():
@@ -212,10 +212,10 @@ def test_match_fractions_sum_to_one():
             *[(rng.randint(0, 99), *rng.sample(range(n), 2)) for _ in range(rng.randint(0, 40))],
             amounts=True,
         ) if rng.random() < 0.9 else stream_of([], interval=(0, 99))
-        report = match_certifications(certs, txs)
-        assert len(report.fractions) == len(MATCH_CATEGORIES)
-        assert report.fractions.sum() == pytest.approx(1.0, abs=1e-12)
-        assert len(report.anchor) == len(report.category) == len(relation_sets(certs).bi)
+        anchor, category, _, fractions, _ = match_certifications(certs, txs)
+        assert len(fractions) == len(MATCH_CATEGORIES)
+        assert fractions.sum() == pytest.approx(1.0, abs=1e-12)
+        assert len(anchor) == len(category) == len(relation_sets(certs).bi)
 
 
 def test_match_is_label_order_invariant():
@@ -225,14 +225,15 @@ def test_match_is_label_order_invariant():
     ra = match_certifications(certs_a, txs)
     rb = match_certifications(certs_b, txs)
     assert pairs_of(certs_a.pairs) == pairs_of(certs_b.pairs)
-    for column in ("anchor", "category", "delay"):
-        assert getattr(ra, column).tolist() == getattr(rb, column).tolist()
+    for a, b in zip(ra[:3], rb[:3]):  # anchor, category, delay
+        assert a.tolist() == b.tolist()
 
 
 def test_match_tie_breaks_toward_earlier():
     certs = stream((10, 1, 2))
     txs = stream((8, 1, 2), (12, 1, 2), amounts=True)  # both 2 away
-    assert match_certifications(certs, txs).delay.tolist() == [-2]
+    _, _, delay, _, _ = match_certifications(certs, txs)
+    assert delay.tolist() == [-2]
 
 
 def test_preceding_transaction_count():
@@ -254,19 +255,19 @@ def test_preceding_transaction_counts_bulk():
 def test_classify_transactions_example():
     certs = stream((10, 1, 2))
     txs = stream((5, 1, 2), (10, 2, 1), (11, 1, 2), (3, 4, 5), amounts=True)
-    report = classify_transactions(txs, certs)
-    cats = dict(zip(links_of(txs), categories(TX_CATEGORIES, report.categories)))
+    codes, fractions = classify_transactions(txs, certs)
+    cats = dict(zip(links_of(txs), categories(TX_CATEGORIES, codes)))
     assert cats[(5, 1, 2)] == "future_certified"
     assert cats[(10, 2, 1)] == "already_certified"  # simultaneous counts
     assert cats[(11, 1, 2)] == "already_certified"
     assert cats[(3, 4, 5)] == "never"
-    assert report.fractions.tolist() == [0.5, 0.25, 0.25]
+    assert fractions.tolist() == [0.5, 0.25, 0.25]
 
 
 def test_classify_transactions_no_certs():
     txs = stream((5, 1, 2), amounts=True)
-    report = classify_transactions(txs, stream_of([], interval=(0, 9)))
-    assert share(report.fractions, TX_CATEGORIES, "never") == 1.0
+    _, fractions = classify_transactions(txs, stream_of([], interval=(0, 9)))
+    assert share(fractions, TX_CATEGORIES, "never") == 1.0
 
 
 def test_classify_transactions_all_after_certs():
@@ -274,24 +275,24 @@ def test_classify_transactions_all_after_certs():
     # pairs can only be already_certified
     certs = stream((1, 1, 2), (2, 3, 4))
     txs = stream((10, 2, 1), (11, 3, 4), (12, 5, 6), amounts=True)
-    report = classify_transactions(txs, certs)
-    assert share(report.fractions, TX_CATEGORIES, "future_certified") == 0.0
+    _, fractions = classify_transactions(txs, certs)
+    assert share(fractions, TX_CATEGORIES, "future_certified") == 0.0
 
 
 def test_new_transaction_cert_delays_example():
     txs = stream((100, 1, 2), amounts=True)
     certs = stream((90, 1, 2), (300, 2, 1))
-    report = new_transaction_cert_delays(txs, certs)
-    assert report.first_tx.tolist() == [100] and report.delay.tolist() == [-10]
-    assert report.certified.tolist() == [True]
-    assert report.unmatched == 0
+    first_tx, delay, certified, unmatched = new_transaction_cert_delays(txs, certs)
+    assert first_tx.tolist() == [100] and delay.tolist() == [-10]
+    assert certified.tolist() == [True]
+    assert unmatched == 0
 
 
 def test_new_transaction_cert_delays_unmatched():
     txs = stream((100, 1, 2), (50, 3, 4), amounts=True)
     certs = stream((90, 1, 2))
-    report = new_transaction_cert_delays(txs, certs)
-    assert report.unmatched == 1
+    _, delay, certified, unmatched = new_transaction_cert_delays(txs, certs)
+    assert unmatched == 1
     assert pairs_of(txs.pairs) == [(1, 2), (3, 4)]
-    assert report.certified.tolist() == [True, False]
-    assert report.delay[0] == -10
+    assert certified.tolist() == [True, False]
+    assert delay[0] == -10

@@ -73,8 +73,9 @@ def test_short_chain_fails_the_test(name):
     edges, samples = CASES[name]
     graphs = simple_graphs(degrees_of(edges))
     # the null model's per-sample seeds, with m attempts instead of 10 m
+    us, vs = zip(*edges)
     short = (
-        _double_edge_swap(edges, len(NODES), random.Random(SEED * 1_000_003 + i), attempts=len(edges))
+        zip(*_double_edge_swap(us, vs, len(NODES), random.Random(SEED * 1_000_003 + i), len(edges)))
         for i in range(samples)
     )
     assert chi_square(short, graphs) > CRITICAL[len(graphs) - 1]

@@ -173,34 +173,34 @@ def test_closures_equal_brute_force_on_ties():
 
 def test_match_kernels_equal_reference():
     for cert, tx in CASES:
-        report = match_certifications(cert, tx)
-        rows, both_sided = oracles.match_certifications(cert, tx)
+        anchor, category, delay, fractions, both_sided = match_certifications(cert, tx)
+        rows, expected_both_sided = oracles.match_certifications(cert, tx)
         cert_pairs = pairs_of(cert.pairs)
-        defined = report.category != MATCH_CATEGORIES.index("never")
+        defined = category != MATCH_CATEGORIES.index("never")
         got = zip(
             cert_pairs,
-            report.anchor.tolist(),
-            values_of(MATCH_CATEGORIES, report.category),
-            or_none(report.delay, defined),
+            anchor.tolist(),
+            values_of(MATCH_CATEGORIES, category),
+            or_none(delay, defined),
         )
         assert list(got) == rows
-        assert report.both_sided == both_sided
+        assert both_sided == expected_both_sided
         n = len(rows)
-        for cat, share in zip(MATCH_CATEGORIES, report.fractions.tolist(), strict=True):
+        for cat, share in zip(MATCH_CATEGORIES, fractions.tolist(), strict=True):
             assert share == (sum(r[2] == cat for r in rows) / n if n else 0.0)
 
         expected = oracles.preceding_transaction_counts(cert, tx)
-        got = zip(report.anchor.tolist(), preceding_transaction_counts(cert, tx).tolist())
+        got = zip(anchor.tolist(), preceding_transaction_counts(cert, tx).tolist())
         assert list(zip(cert_pairs, got)) == list(expected.items())
 
-        classes = classify_transactions(tx, cert)
-        assert values_of(TX_CATEGORIES, classes.categories) == oracles.classify_transactions(tx, cert)
+        codes, _ = classify_transactions(tx, cert)
+        assert values_of(TX_CATEGORIES, codes) == oracles.classify_transactions(tx, cert)
 
-        delays = new_transaction_cert_delays(tx, cert)
-        rows, unmatched = oracles.new_transaction_cert_delays(tx, cert)
-        got = zip(pairs_of(tx.pairs), delays.first_tx.tolist(), or_none(delays.delay, delays.certified))
+        first_tx, delay, certified, unmatched = new_transaction_cert_delays(tx, cert)
+        rows, expected_unmatched = oracles.new_transaction_cert_delays(tx, cert)
+        got = zip(pairs_of(tx.pairs), first_tx.tolist(), or_none(delay, certified))
         assert list(got) == rows
-        assert delays.unmatched == unmatched
+        assert unmatched == expected_unmatched
 
         for s in (cert, tx):
             rel = relation_sets(s)
@@ -237,6 +237,6 @@ def test_tie_rules_at_one_instant():
     # resolve to the earlier transaction
     cert = stream_of([(10, 0, 1), (10, 2, 3)])
     tx = stream_of([(10, 1, 0), (8, 2, 3), (12, 3, 2)])
-    report = match_certifications(cert, tx)
-    assert values_of(MATCH_CATEGORIES, report.category) == ["before", "before"]
-    assert report.delay.tolist() == [0, -2]
+    _, category, delay, _, _ = match_certifications(cert, tx)
+    assert values_of(MATCH_CATEGORIES, category) == ["before", "before"]
+    assert delay.tolist() == [0, -2]

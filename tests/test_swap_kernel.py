@@ -1,8 +1,9 @@
 """The integer-key double-edge swap against the tuple-based reference.
 
-Both kernels get generators seeded alike; they must return the same edge
-list in the same order and leave their generators in the same state, which
-shows that the new kernel consumes exactly the reference's random draws.
+Both kernels get generators seeded alike; they must return the same edges
+in the same order (the kernel as two columns, the reference as a list of
+rows) and leave their generators in the same state, which shows that the
+kernel consumes exactly the reference's random draws.
 """
 
 import random
@@ -18,7 +19,10 @@ def assert_same_swaps(edges, seed, attempts=None):
     attempts = 10 * len(edges) if attempts is None else attempts
     rng_new, rng_ref = random.Random(seed), random.Random(seed)
     n = max(max(e) for e in edges) + 1
-    got = _double_edge_swap(edges, n, rng_new, attempts)
+    us, vs = [u for u, _ in edges], [v for _, v in edges]
+    got_us, got_vs = _double_edge_swap(us, vs, n, rng_new, attempts)
+    assert (us, vs) == ([u for u, _ in edges], [v for _, v in edges])  # copies
+    got = list(zip(got_us, got_vs))
     want = oracles.double_edge_swap(edges, rng_ref, attempts)
     assert got == want
     assert rng_new.getstate() == rng_ref.getstate()
@@ -78,5 +82,7 @@ def test_sparse_node_handles_do_not_collide():
 
 def test_zero_attempts_copies_edges():
     edges = [(0, 1), (2, 3), (4, 5)]
-    got = assert_same_swaps(edges, 0, attempts=0)
-    assert got == edges and got is not edges
+    assert assert_same_swaps(edges, 0, attempts=0) == edges
+    us, vs = [0, 2, 4], [1, 3, 5]
+    got_us, got_vs = _double_edge_swap(us, vs, 6, random.Random(0), attempts=0)
+    assert got_us is not us and got_vs is not vs
