@@ -9,10 +9,8 @@ it runs ``cli``) imports neither numpy nor any submodule.
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinnedSeries",
     "InducedGraph",
     "LinkStream",
-    "NodeTable",
     "activity",
     "activity_series",
     "induced_graph",

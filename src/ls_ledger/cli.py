@@ -97,20 +97,24 @@ def cmd_ingest(cfg: RunConfig) -> None:
     if records.issues:  # in one write, as click.echo flushes each call
         click.echo("\n".join(f"warning: skipped line {n}: {r}" for n, r in records.issues), err=True)
 
-    table, members = ledger_ingest.classify_keys(records.identities, records.transactions)
+    keys, members = ledger_ingest.classify_keys(records.identities, records.transactions)
     # checked before anything is written, so a bad key leaves --out untouched
-    if cfg.remuniter and cfg.remuniter not in table:
+    if cfg.remuniter and cfg.remuniter not in keys:
         raise LedgerError(f"--remuniter key {cfg.remuniter!r} not present in the ledger")
-    cert, tx = ledger_ingest.build_streams(records, table, members)
-    bundle = snapshot.build_bundle(table, members, cert, tx)
+    cert, tx = ledger_ingest.build_streams(records, keys, members)
+    bundle = snapshot.build_bundle(keys, members, cert, tx)
     snapshot.save_bundle(cfg.out_dir, bundle)
 
     _write_repartition(cfg, "repartition.csv", tx, members)
+    filtered_csv = "repartition_filtered.csv"
     if cfg.remuniter:
-        filtered = ledger_ingest.filter_wallet(tx, table.id_of(cfg.remuniter))
-        _write_repartition(cfg, "repartition_filtered.csv", filtered, members, "remuniter removed")
-        miners = ledger_ingest.identify_miners(tx, table, members, cfg.remuniter)
+        wallet = keys.index(cfg.remuniter)
+        filtered = ledger_ingest.filter_wallet(tx, wallet)
+        _write_repartition(cfg, filtered_csv, filtered, members, "remuniter removed")
+        miners = ledger_ingest.identify_miners(tx, members, wallet)
         click.echo(f"miners:{len(miners)}")
+    else:  # no earlier run's table may stay beside this run's
+        (cfg.out_dir / filtered_csv).unlink(missing_ok=True)
 
     click.echo(
         f"identities:{len(records.identities)} "
@@ -144,7 +148,7 @@ def cmd_overview(cfg: RunConfig) -> None:
 
     bundle = snapshot.load_bundle(cfg.out_dir)
     cert, tx_mm = bundle.cert, bundle.tx_mm
-    keys = bundle.table.keys()
+    keys = bundle.keys
 
     # bin both streams over the common enclosing interval so the series
     # share one grid; empty streams contribute no span of their own
@@ -154,8 +158,8 @@ def cmd_overview(cfg: RunConfig) -> None:
     for name, stream in (("cert", cert), ("txmm", tx_mm)):
         widened = replace(stream, interval=common)
         try:
-            binned = stream_core.activity_series(widened, cfg.bin_width)
-            series[name] = (binned, stream_core.rolling_sum(binned, cfg.window))
+            counts = stream_core.activity_series(widened, cfg.bin_width)
+            series[name] = (counts, stream_core.rolling_sum(counts, cfg.bin_width, cfg.window))
         except (MemoryError, ValueError, OverflowError):
             # numpy raises MemoryError, or ValueError/OverflowError where the
             # grid's size does not even fit an array shape
@@ -165,14 +169,16 @@ def cmd_overview(cfg: RunConfig) -> None:
                 f"[{common[0]}, {common[1]}]; try a larger --bin"
             ) from None
 
+    # the bin starts as exact Python ints, past int64 too
+    end = common[0] + len(series["cert"][0]) * cfg.bin_width
     _write_csv(
         cfg.out_dir / "activity.csv",
         _comments("overview", cfg),
         "bin_start,cert,txmm,cert_rolling,txmm_rolling",
         zip(
-            series["cert"][0].bin_starts(),
+            range(common[0], end, cfg.bin_width),
             # the counts, then the rolling sums, each cert then txmm
-            *(series[name][i].values.tolist() for i in (0, 1) for name in ("cert", "txmm")),
+            *(series[name][i].tolist() for i in (0, 1) for name in ("cert", "txmm")),
         ),
     )
 
@@ -213,7 +219,7 @@ def cmd_overview(cfg: RunConfig) -> None:
 
     # activity correlation over the rolling sums, on the shared grid
     try:
-        rolling = (series[name][1].values for name in ("cert", "txmm"))
+        rolling = (series[name][1] for name in ("cert", "txmm"))
         r = graph_metrics.degree_correlation(*rolling)
         click.echo(f"activity_correlation:{r:.6f}")
     except (LedgerError, ValueError):
@@ -226,7 +232,7 @@ def cmd_graph(cfg: RunConfig) -> None:
     from . import graph_metrics
 
     bundle = snapshot.load_bundle(cfg.out_dir)
-    keys = bundle.table.keys()
+    keys = bundle.keys
     streams = {"cert": bundle.cert, "txmm": bundle.tx_mm, "txaa": bundle.substream("AA")}
     graphs = {name: stream_core.induced_graph(s) for name, s in streams.items()}
 
@@ -247,21 +253,26 @@ def cmd_graph(cfg: RunConfig) -> None:
         click.echo(f"triangles_{name}:{triangles}")
         click.echo(f"clustering_{name}:{average:.6f}")
 
-        if name != "txaa" and len(g.undirected_edges()) >= 2:
-            null = graph_metrics.null_model_triangles(g, triangles, cfg.samples, cfg.seed)
-            _write_csv(
-                cfg.out_dir / _stream_file("null_model", name),
-                _comments(
-                    "graph",
-                    cfg,
-                    f"stream={name}",
-                    f"observed={null.observed} mean={null.mean:.4f} "
-                    f"std={null.std:.4f} ratio={null.ratio:.4f}",
-                ),
-                "sample,triangles",
-                enumerate(null.samples),
-            )
-            click.echo(f"null_ratio_{name}:{null.ratio:.4f}")
+        if name == "txaa":
+            continue
+        null_csv = cfg.out_dir / _stream_file("null_model", name)
+        if len(g.undirected_edges()) < 2:  # no swap to draw from: no null model,
+            null_csv.unlink(missing_ok=True)  # nor an earlier run's
+            continue
+        null = graph_metrics.null_model_triangles(g, triangles, cfg.samples, cfg.seed)
+        _write_csv(
+            null_csv,
+            _comments(
+                "graph",
+                cfg,
+                f"stream={name}",
+                f"observed={null.observed} mean={null.mean:.4f} "
+                f"std={null.std:.4f} ratio={null.ratio:.4f}",
+            ),
+            "sample,triangles",
+            enumerate(null.samples),
+        )
+        click.echo(f"null_ratio_{name}:{null.ratio:.4f}")
 
     # member pairs that transact without any certification between them, and
     # their distances in the undirected certification graph, whose nodes are
@@ -291,7 +302,7 @@ def cmd_closures(cfg: RunConfig) -> None:
     from . import temporal_metrics
 
     bundle = snapshot.load_bundle(cfg.out_dir)
-    keys = bundle.table.keys()
+    keys = bundle.keys
     for name, stream in (("cert", bundle.cert), ("txmm", bundle.tx_mm)):
         times = stream.t.tolist()
         sources = _keys(keys, stream.src)
@@ -320,7 +331,7 @@ def cmd_match(cfg: RunConfig) -> None:
 
     bundle = snapshot.load_bundle(cfg.out_dir)
     cert, tx_mm = bundle.cert, bundle.tx_mm
-    keys = bundle.table.keys()
+    keys = bundle.keys
 
     anchor, category, delay, fractions, both_sided = interplay.match_certifications(cert, tx_mm)
     match_shares = list(zip(interplay.MATCH_CATEGORIES, _fixed(fractions)))
@@ -420,7 +431,7 @@ def cmd_neighborhoods(cfg: RunConfig) -> None:
     bundle = snapshot.load_bundle(cfg.out_dir)
     streams = {"cert": bundle.cert, "txmm": bundle.tx_mm}
     graphs = {name: stream_core.induced_graph(s) for name, s in streams.items()}
-    keys = bundle.table.keys()
+    keys = bundle.keys
     _write_csv(
         cfg.out_dir / "neighborhoods.csv",
         _comments("neighborhoods", cfg),

@@ -1,12 +1,13 @@
 """The ledger writer: the example ledger, seeded random ledgers, and the
 records that make them.
 
-No stage imports this module. The example events are the four-node,
-twelve-link stream over [0, 6] used throughout the tests; its closure
-values and induced graph are known exactly. ``random_records`` draws a
-ledger reproducible from a seed, for property tests, golden outputs and
-demos. ``format_record`` writes one record as a line in the ingestion
-format, which ``ledger_ingest.parse_records`` reads back.
+No stage imports this module, and it imports no pipeline module, nor
+numpy. The example events are the four-node, twelve-link stream over
+[0, 6] used throughout the tests; its closure values and induced graph
+are known exactly. ``random_records`` draws a ledger reproducible from a
+seed, for property tests, golden outputs and demos. ``format_record``
+writes one record as a line in the ingestion format, which
+``ledger_ingest.parse_records`` reads back.
 
 Run ``python -m ls_ledger.fixtures OUT.jsonl [SEED]`` to write the example
 ledger, or the random ledger of SEED.
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .atomic import atomic_file
-from .ledger_ingest import IdentityRecord
 
 EXAMPLE_EVENTS: tuple[tuple[int, str, str], ...] = (
     (0, "c", "b"),
@@ -38,6 +38,13 @@ EXAMPLE_EVENTS: tuple[tuple[int, str, str], ...] = (
     (6, "a", "b"),
     (6, "d", "a"),
 )
+
+
+@dataclass(frozen=True, slots=True)
+class IdentityRecord:
+    t: int
+    key: str
+    uid: str
 
 
 @dataclass(frozen=True, slots=True)

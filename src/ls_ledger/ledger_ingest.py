@@ -1,4 +1,5 @@
-"""Ledger record parsing, the member set, and stream construction.
+"""Ledger record parsing, the key table and member set, and stream
+construction.
 
 The input is UTF-8 line-delimited JSON, one record per line, decoupling the
 analytics from any blockchain access:
@@ -10,21 +11,23 @@ analytics from any blockchain access:
 Amounts are integers in currency centimes; no floating-point money anywhere.
 Keys are written unquoted into CSV rows and ``src|dst`` pair labels, so a
 key containing ``,``, ``|``, ``"``, whitespace or a control character, or
-starting with ``#``, is a malformed line. So is a line that is not valid
-UTF-8, and one whose JSON nests deeper than the recursion limit or holds an
-integer of more digits than Python converts.
+starting with ``#``, is a malformed line: the rule is
+``stream_core._key_fault``, which loading a snapshot applies too. So is a
+line that is not valid UTF-8, and one whose JSON nests deeper than the
+recursion limit or holds an integer of more digits than Python converts.
 Lenient parsing skips malformed lines and reports them with line numbers;
 strict parsing raises on the first one.
 
-The keys an identity names are the members; every other key is an
-anonymous wallet. Ingest keeps this split as the key table and one sorted
-member set, which the streams, the repartition and the miners read.
+The parser returns the identities as their keys, in line order. The keys
+an identity names are the members; every other key is an anonymous
+wallet. Ingest keeps this split as the key table ``keys``, a list of key
+strings whose positions are the handles, and one sorted member set, which
+the streams, the repartition and the miners read.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import reprlib
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -36,15 +39,12 @@ from .errors import IntegrityError, ParseError
 from .stream_core import (
     SUBSTREAM_LABELS,
     LinkStream,
-    NodeTable,
     _distinct_sorted,
+    _key_fault,
     class_mask,
     stream_from_columns,
 )
 
-# a key must not split a CSV row or a "src|dst" pair label, open a quoted
-# CSV field, nor read as a "#" comment line; base58 keys never match
-_BAD_KEY = re.compile(r'^#|[,|"\s\x00-\x1f\x7f-\x9f]')
 _INT64_MAX = 2**63 - 1
 _decode = json.JSONDecoder().raw_decode
 
@@ -52,13 +52,6 @@ _decode = json.JSONDecoder().raw_decode
 # characters around "...", containers to 6 levels and 6 items
 _SHOWN = reprlib.Repr()
 _SHOWN.maxstring = _SHOWN.maxlong = _SHOWN.maxother = 60
-
-
-@dataclass(frozen=True, slots=True)
-class IdentityRecord:
-    t: int
-    key: str
-    uid: str
 
 
 @dataclass
@@ -78,10 +71,10 @@ class LinkColumns:
 
 @dataclass
 class ParsedRecords:
-    """The identities, the certification and transaction columns, and the
-    per-line issues (lenient mode only)."""
+    """The identity keys, the certification and transaction columns, and
+    the per-line issues (lenient mode only)."""
 
-    identities: list[IdentityRecord]
+    identities: list[str]
     certifications: LinkColumns
     transactions: LinkColumns
     issues: list[tuple[int, str]]
@@ -115,10 +108,9 @@ def _key_field(obj: dict, name: str, line_no: int, valid_keys: dict[str, str]) -
     column entry of one key shares that object."""
     v = _str_field(obj, name, line_no)
     if v not in valid_keys:
-        bad = _BAD_KEY.search(v)
-        if bad:
-            what = "starts with '#'" if bad.group() == "#" else f"contains {bad.group()!r}"
-            raise ParseError(f"key {_SHOWN.repr(v)} in field {name!r} {what}", line_no)
+        fault = _key_fault(v)
+        if fault:
+            raise ParseError(f"key {_SHOWN.repr(v)} in field {name!r} {fault}", line_no)
         valid_keys[v] = v
     return valid_keys[v]
 
@@ -126,8 +118,8 @@ def _key_field(obj: dict, name: str, line_no: int, valid_keys: dict[str, str]) -
 def parse_records(lines: Iterable[str | bytes], strict: bool = False) -> ParsedRecords:
     """Single-pass parse of line-delimited records.
 
-    Returns the identities, and the certifications and transactions as
-    columns, each in input order.
+    Returns the keys of the identities, and the certifications and
+    transactions as columns, each in input order.
     A line with bytes that are not UTF-8 is malformed, whether it comes as
     ``bytes`` or as text read with ``errors="surrogateescape"``, which
     carries such bytes as lone surrogates.
@@ -229,40 +221,44 @@ def _parse_line(
             raise ParseError(f"duplicate identity uid {_SHOWN.repr(uid)}", line_no)
         seen_keys.add(key)
         seen_uids.add(uid)
-        parsed.identities.append(IdentityRecord(t, key, uid))
+        parsed.identities.append(key)
     else:
         raise ParseError(f"unknown record type {_SHOWN.repr(kind)}", line_no)
 
 
 def classify_keys(
-    identities: Iterable[IdentityRecord], transactions: LinkColumns
-) -> tuple[NodeTable, np.ndarray]:
-    """The key table and the member set: members are the keys with an
-    identity, and every other key of the table, a transaction endpoint
+    identity_keys: list[str], transactions: LinkColumns
+) -> tuple[list[str], np.ndarray]:
+    """The key table ``keys`` and the member set: members are the keys with
+    an identity, and every other key of the table, a transaction endpoint
     without one, is an anonymous wallet.
 
-    Handles follow first appearance: members in identity order, so theirs
-    are the smallest, then transaction endpoints, source before target, in
-    line order.
+    A key's handle is its position in ``keys``, in order of first
+    appearance: members in identity order, so theirs are the smallest,
+    then transaction endpoints, source before target, in line order.
     """
-    members = dict.fromkeys(rec.key for rec in identities)
-    table = NodeTable(chain(members, chain.from_iterable(zip(transactions.src, transactions.dst))))
-    return table, _distinct_sorted(np.arange(len(members)))
+    ends = chain.from_iterable(zip(transactions.src, transactions.dst))
+    keys = list(dict.fromkeys(chain(identity_keys, ends)))
+    return keys, _distinct_sorted(np.arange(len(set(identity_keys))))
 
 
 def build_streams(
-    records: ParsedRecords, table: NodeTable, members: np.ndarray
+    records: ParsedRecords, keys: list[str], members: np.ndarray
 ) -> tuple[LinkStream, LinkStream]:
     """Build the certification stream (over ``members``) and the
-    transaction stream (over every key of ``table``) from parsed records.
+    transaction stream (over every key of ``keys``) from parsed records.
 
     Certification links are unweighted; transaction links carry amounts.
     Each interval spans the first to the last event of its kind; a stream
     with no events gets the degenerate interval [0, 0].
     """
     certs, txs = records.certifications, records.transactions
-    src, dst = table.handles(certs.src), table.handles(certs.dst)
+    get = dict(zip(keys, range(len(keys)))).get
     # a key missing from the table has handle -1, which isin finds nowhere
+    src, dst, tx_src, tx_dst = (
+        np.array([get(k, -1) for k in column], dtype=np.int64)
+        for column in (certs.src, certs.dst, txs.src, txs.dst)
+    )
     src_ok, dst_ok = np.isin(src, members), np.isin(dst, members)
     ok = src_ok & dst_ok
     if not ok.all():
@@ -272,8 +268,7 @@ def build_streams(
             f"line {certs.line[i]}: certification involves non-member key {_SHOWN.repr(key)}"
         )
     cert = stream_from_columns(certs.t, src, dst, nodes=members)
-    tx_src, tx_dst = table.handles(txs.src), table.handles(txs.dst)
-    tx = stream_from_columns(txs.t, tx_src, tx_dst, txs.amount, nodes=np.arange(len(table)))
+    tx = stream_from_columns(txs.t, tx_src, tx_dst, txs.amount, nodes=np.arange(len(keys)))
     return cert, tx
 
 
@@ -301,16 +296,10 @@ def filter_wallet(s: LinkStream, wallet: int) -> LinkStream:
     return s.restrict((s.src != wallet) & (s.dst != wallet), s.nodes[s.nodes != wallet])
 
 
-def identify_miners(
-    tx_stream: LinkStream, table: NodeTable, members: np.ndarray, remuniter_key: str
-) -> np.ndarray:
+def identify_miners(tx_stream: LinkStream, members: np.ndarray, wallet: int) -> np.ndarray:
     """Members that received at least one transaction from the donation
-    wallet identified by ``remuniter_key``, as a node set."""
-    if remuniter_key not in table:
-        raise KeyError(f"key {remuniter_key!r} not present in the dataset")
-    wallet = table.id_of(remuniter_key)
+    wallet of handle ``wallet``, as a node set."""
     if not np.any(tx_stream.nodes == wallet):
-        raise KeyError(f"key {remuniter_key!r} not present in the transaction stream")
+        raise KeyError(f"wallet {wallet} not present in the transaction stream")
     paid = tx_stream.dst[tx_stream.src == wallet]
     return _distinct_sorted(paid[np.isin(paid, members)])
-

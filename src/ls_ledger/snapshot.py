@@ -1,12 +1,14 @@
 """Columnar snapshot of an ingested ledger.
 
 The snapshot is a zip of .npy arrays (readable with ``numpy.load``) holding
-the columns of the certification and transaction streams, the key table,
-the member set (every other key is an anonymous wallet), and the link
-indices of the four class substreams. Loading checks every array, then
-leaves the substreams unbuilt: a bundle derives each one from the
-transaction stream and the member set on its first read, so loading reads
-no ``sub_*`` array and a command builds only the substreams it reads. Zip
+the columns of the certification and transaction streams, the key table
+(``keys.npy``, the key of each handle), the member set (every other key
+is an anonymous wallet), and the link indices of the four class
+substreams. Loading checks every array, and every key by the rule ingest
+applies (``stream_core._key_fault``), then leaves the substreams unbuilt:
+a bundle derives each one from the transaction stream and the member set
+on its first read, so loading reads no ``sub_*`` array and a command
+builds only the substreams it reads. Zip
 entries get a fixed timestamp so identical data produces identical bytes,
 which the CLI's determinism guarantee relies on.
 """
@@ -26,8 +28,8 @@ from .errors import StateError
 from .stream_core import (
     SUBSTREAM_LABELS,
     LinkStream,
-    NodeTable,
     _distinct_sorted,
+    _key_fault,
     class_mask,
     substream_by_class,
 )
@@ -38,10 +40,11 @@ _EPOCH = (1980, 1, 1, 0, 0, 0)  # fixed zip timestamp for byte-stable output
 
 @dataclass(frozen=True, eq=False)
 class StreamBundle:
-    """Everything downstream commands need: key table, member set, the two
-    streams, and the four transaction substreams, each built on first read."""
+    """Everything downstream commands need: the key table ``keys`` (the key
+    of each handle), the member set, the two streams, and the four
+    transaction substreams, each built on first read."""
 
-    table: NodeTable
+    keys: list[str]
     members: np.ndarray
     cert: LinkStream
     tx: LinkStream
@@ -62,12 +65,12 @@ class StreamBundle:
 
 
 def build_bundle(
-    table: NodeTable,
+    keys: list[str],
     members: np.ndarray,
     cert: LinkStream,
     tx: LinkStream,
 ) -> StreamBundle:
-    return StreamBundle(table=table, members=members, cert=cert, tx=tx)
+    return StreamBundle(keys=keys, members=members, cert=cert, tx=tx)
 
 
 def save_bundle(out_dir: str | Path, bundle: StreamBundle) -> Path:
@@ -81,7 +84,7 @@ def save_bundle(out_dir: str | Path, bundle: StreamBundle) -> Path:
         arrays[f"{prefix}_dst"] = s.dst
         arrays[f"{prefix}_nodes"] = s.nodes
     arrays["tx_amount"] = bundle.tx.amount
-    arrays["keys"] = np.asarray(bundle.table.keys(), dtype=np.str_)
+    arrays["keys"] = np.asarray(bundle.keys, dtype=np.str_)
     arrays["members"] = bundle.members
     for label in SUBSTREAM_LABELS:
         arrays[f"sub_{label}"] = np.flatnonzero(class_mask(bundle.tx, bundle.members, label))
@@ -104,8 +107,8 @@ def load_bundle(out_dir: str | Path) -> StreamBundle:
     """Rebuild the bundle from ``out_dir``; raises StateError when the
     snapshot is missing or unreadable (truncated, not a zip, arrays missing
     or of the wrong dtype or shape, columns that break a stream invariant, a
-    repeated key, a node handle without a key, or certification nodes other
-    than the members)."""
+    repeated key or one that ingest rejects, a node handle without a key, or
+    certification nodes other than the members)."""
     path = Path(out_dir) / SNAPSHOT_NAME
     if not path.exists():
         raise StateError(f"no snapshot at {path}; run the ingest command first")
@@ -123,17 +126,31 @@ def _bundle_from(path: Path) -> StreamBundle:
     # np.load on an open handle: a truncated archive then leaves no file open
     with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
         keys = _array(data, "keys").tolist()
-        table = NodeTable(keys)
-        if len(table) != len(keys):  # the table keeps a repeated key once
-            raise ValueError("keys.npy repeats a key")
+        _check_keys(keys)
         members = _distinct_sorted(_array(data, "members"))
         cert = _stream_from(data, "cert")
         tx = _stream_from(data, "tx", amount=_array(data, "tx_amount"))
-    if not np.isin(np.concatenate((members, cert.nodes, tx.nodes)), np.arange(len(table))).all():
+    if not np.isin(np.concatenate((members, cert.nodes, tx.nodes)), np.arange(len(keys))).all():
         raise ValueError("a node handle has no key in keys.npy")
     if not np.array_equal(cert.nodes, members):  # certifications are among members only
         raise ValueError("cert_nodes.npy differs from members.npy")
-    return build_bundle(table, members, cert, tx)
+    return build_bundle(keys, members, cert, tx)
+
+
+def _check_keys(keys: list[str]) -> None:
+    """Raise ValueError if ``keys`` repeats a key or holds one that ingest
+    would reject, naming the first. No ASCII letter or digit breaks the
+    rule, so a table of non-empty keys of those alone, as base58 keys are,
+    passes without a per-key scan."""
+    if len(set(keys)) != len(keys):
+        raise ValueError("keys.npy repeats a key")
+    joined = "".join(keys)
+    if joined.isascii() and joined.encode().isalnum() and all(keys):
+        return
+    for i, key in enumerate(keys):
+        fault = _key_fault(key)
+        if fault:
+            raise ValueError(f"key {i} in keys.npy {fault}")
 
 
 def _array(data, name: str) -> np.ndarray:

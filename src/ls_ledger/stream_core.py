@@ -5,8 +5,9 @@ ordered sequence of timestamped directed links, held as sorted int64
 columns: time, source, target and, for transactions, amount. Timestamps
 are integer seconds since the Unix epoch: the data source records
 blockchain median times, and integers keep every equality test exact. Node
-identities are dense integer handles; the handle <-> public-key mapping
-lives in a :class:`NodeTable` side table so links stay small. A node set
+identities are dense integer handles, so links stay small: the key table
+``keys`` is a list of public-key strings in which a handle is a position,
+and ``_key_fault`` is the one rule of what a key may hold. A node set
 (a stream's nodes, the members or the miners) has one form: its distinct
 handles ascending in a read-only int64 array. The member set alone splits
 the keys: a handle in it is an identified member, any other handle an
@@ -17,6 +18,7 @@ are int64 arrays over a grid of fixed-width bins.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,40 +27,19 @@ import numpy as np
 
 from .errors import IntervalError, SelfLinkError
 
+# a key must not split a CSV row or a "src|dst" pair label, open a quoted
+# CSV field, nor read as a "#" comment line; base58 keys never match
+_KEY_BREAK = re.compile(r'[,|"\s\x00-\x1f\x7f-\x9f]')
 
-class NodeTable:
-    """Bijective mapping between public-key strings and dense int handles."""
 
-    def __init__(self, keys: Iterable[str] = ()):
-        """Handles in order of first appearance in ``keys``."""
-        self._keys: list[str] = list(dict.fromkeys(keys))
-        self._key_to_id: dict[str, int] = dict(zip(self._keys, range(len(self._keys))))
-
-    def id_of(self, key: str) -> int:
-        try:
-            return self._key_to_id[key]
-        except KeyError:
-            raise KeyError(f"unknown key {key!r}") from None
-
-    def handles(self, keys: Iterable[str]) -> np.ndarray:
-        """The handle of each key as an int64 array, -1 for a key not in
-        the table."""
-        get = self._key_to_id.get
-        return np.array([get(k, -1) for k in keys], dtype=np.int64)
-
-    def key_of(self, handle: int) -> str:
-        if 0 <= handle < len(self._keys):
-            return self._keys[handle]
-        raise KeyError(f"unknown node handle {handle}")
-
-    def keys(self) -> list[str]:
-        return list(self._keys)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._key_to_id
-
-    def __len__(self) -> int:
-        return len(self._keys)
+def _key_fault(key: str) -> str | None:
+    """Why ``key`` cannot be a key in the key table, or None if it can."""
+    if not key:
+        return "is empty"
+    if key[0] == "#":
+        return "starts with '#'"
+    bad = _KEY_BREAK.search(key)
+    return f"contains {bad.group()!r}" if bad else None
 
 
 def _distinct_sorted(values) -> np.ndarray:
@@ -216,21 +197,6 @@ class InducedGraph:
         return np.concatenate(([0], np.cumsum(self.degree))), self.ends.ravel()[order]
 
 
-@dataclass(frozen=True, eq=False)
-class BinnedSeries:
-    """Counts per fixed-width time bin, an int64 array; bin k covers
-    [start + k*w, start + (k+1)*w)."""
-
-    start: int
-    bin_width: int
-    values: np.ndarray
-
-    def bin_starts(self) -> list[int]:
-        """The start of every bin, as exact Python ints."""
-        end = self.start + len(self.values) * self.bin_width
-        return list(range(self.start, end, self.bin_width))
-
-
 def stream_from_columns(
     t,
     src,
@@ -280,8 +246,10 @@ def activity(s: LinkStream, t: int) -> int:
     return int(hi > lo) + int(np.count_nonzero((np.diff(src) != 0) | (np.diff(dst) != 0)))
 
 
-def activity_series(s: LinkStream, bin_width: int) -> BinnedSeries:
-    """Link counts per bin of width ``bin_width``, aligned to the interval start.
+def activity_series(s: LinkStream, bin_width: int) -> np.ndarray:
+    """Link counts per bin of width ``bin_width``, an int64 array over the
+    grid that starts at the interval start: bin k covers [t0 + k*w,
+    t0 + (k+1)*w).
 
     Counts links with multiplicity, so the series total is exactly the number
     of links whatever the bin width. A bin wider than the interval is the
@@ -293,25 +261,23 @@ def activity_series(s: LinkStream, bin_width: int) -> BinnedSeries:
     n_bins = (t1 - t0) // bin_width + 1
     # one bin needs no division, which numpy cannot do by a width past int64
     bins = (s.t - t0) // bin_width if n_bins > 1 else np.zeros_like(s.t)
-    return BinnedSeries(start=t0, bin_width=bin_width, values=np.bincount(bins, minlength=n_bins))
+    return np.bincount(bins, minlength=n_bins)
 
 
-def rolling_sum(series: BinnedSeries, window: int) -> BinnedSeries:
-    """Right-aligned rolling sum over ``window`` seconds of a binned series.
+def rolling_sum(values: np.ndarray, bin_width: int, window: int) -> np.ndarray:
+    """Right-aligned rolling sum over ``window`` seconds of a series binned
+    by ``bin_width``, as an int64 array over the same grid.
 
-    The value at bin b sums the bins whose start lies in (b.start - window,
-    b.start], current bin included; leading windows are partial sums over
-    the bins available so far.
+    The value at bin b sums the bins whose start lies in (start(b) -
+    window, start(b)], current bin included; leading windows are partial
+    sums over the bins available so far.
     """
-    if window < series.bin_width:
-        raise ValueError(
-            f"window {window} smaller than bin width {series.bin_width}"
-        )
+    if window < bin_width:
+        raise ValueError(f"window {window} smaller than bin width {bin_width}")
     # bins per window, ceil, clipped to the series so that it fits int64
-    span = min(-(-window // series.bin_width), len(series.values))
-    csum = np.cumsum(series.values, dtype=np.int64)
-    values = csum - np.concatenate((np.zeros(span, dtype=np.int64), csum[: len(csum) - span]))
-    return BinnedSeries(start=series.start, bin_width=series.bin_width, values=values)
+    span = min(-(-window // bin_width), len(values))
+    csum = np.cumsum(values, dtype=np.int64)
+    return csum - np.concatenate((np.zeros(span, dtype=np.int64), csum[: len(csum) - span]))
 
 
 def _in_class(nodes: np.ndarray, members: np.ndarray, label_class: str) -> np.ndarray:

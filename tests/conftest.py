@@ -10,5 +10,6 @@ from oracles import example_stream
 
 @pytest.fixture(scope="session")
 def sample_stream():
-    """The 12-link example stream plus its key table."""
+    """The 12-link example stream plus its key table, the key of each
+    handle."""
     return example_stream()

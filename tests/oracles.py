@@ -298,8 +298,8 @@ def rewired_samples(g, samples: int, seed: int):
 
 
 def parsed_records(parsed) -> tuple[list, list, list]:
-    """A parse's identities, certifications and transactions as records,
-    each kind in line order."""
+    """A parse's identity keys, and its certifications and transactions as
+    records, each kind in line order."""
     from ls_ledger.fixtures import CertRecord, TxRecord
 
     certs, txs = parsed.certifications, parsed.transactions
@@ -310,7 +310,7 @@ def parsed_records(parsed) -> tuple[list, list, list]:
     )
 
 
-def classify_keys(identities, transactions) -> tuple[list[str], set[int], set[int]]:
+def classify_keys(identity_keys, transactions) -> tuple[list[str], set[int], set[int]]:
     """Record by record: the key of each handle, and the member and
     anonymous handles. Keys are numbered as first met: identity keys, then
     each transaction's source and target."""
@@ -323,7 +323,7 @@ def classify_keys(identities, transactions) -> tuple[list[str], set[int], set[in
             keys.append(key)
         return handle[key]
 
-    members = {intern(rec.key) for rec in identities}
+    members = {intern(key) for key in identity_keys}
     anonymous = set()
     for rec in transactions:
         for key in (rec.src, rec.dst):
@@ -392,13 +392,12 @@ def random_stream(seed: int, max_nodes: int = 10, max_links: int = 200, t_max: i
 
 def example_stream():
     """The 12-link stream of ``fixtures.EXAMPLE_EVENTS`` over nodes a, b,
-    c, d and interval [0, 6], with its key table."""
+    c, d and interval [0, 6], with its key table: the key of each handle."""
     from ls_ledger.fixtures import EXAMPLE_EVENTS
-    from ls_ledger.stream_core import NodeTable
 
-    table = NodeTable("abcd")
-    rows = [(t, table.id_of(u), table.id_of(v)) for t, u, v in EXAMPLE_EVENTS]
-    return stream_of(rows, interval=(0, 6)), table
+    keys = list("abcd")
+    rows = [(t, keys.index(u), keys.index(v)) for t, u, v in EXAMPLE_EVENTS]
+    return stream_of(rows, interval=(0, 6)), keys
 
 
 def activity(links: list[tuple[int, int, int]], t: int) -> int:

@@ -41,8 +41,8 @@ def _report(criterion: int, message: str, started: float):
 
 def test_criterion_1_fixture_exactness():
     started = time.perf_counter()
-    s, table = example_stream()
-    a, b = table.id_of("a"), table.id_of("b")
+    s, keys = example_stream()
+    a, b = keys.index("a"), keys.index("b")
 
     assert stream_core.activity(s, 5) == 3
     assert len(induced_graph(s).directed_edges()) == 9
@@ -113,8 +113,8 @@ def test_criterion_4_partition_and_conservation():
     started = time.perf_counter()
     for records in _all_fixtures():
         parsed = ledger_ingest.parse_records(map(format_record, records))
-        key_table, members = ledger_ingest.classify_keys(parsed.identities, parsed.transactions)
-        cert_stream, tx_stream = ledger_ingest.build_streams(parsed, key_table, members)
+        keys, members = ledger_ingest.classify_keys(parsed.identities, parsed.transactions)
+        cert_stream, tx_stream = ledger_ingest.build_streams(parsed, keys, members)
 
         subs = {label: substream_by_class(tx_stream, members, label) for label in SUBSTREAM_LABELS}
         assert sum(s.link_count for s in subs.values()) == tx_stream.link_count
@@ -235,8 +235,8 @@ def test_criterion_7_dataset_conditional_reproduction():
     remuniter = os.environ.get(REMUNITER_ENV)
     with open(dump, "r", encoding="utf-8") as fh:
         records = ledger_ingest.parse_records(fh)
-    key_table, members = ledger_ingest.classify_keys(records.identities, records.transactions)
-    cert_stream, tx_stream = ledger_ingest.build_streams(records, key_table, members)
+    keys, members = ledger_ingest.classify_keys(records.identities, records.transactions)
+    cert_stream, tx_stream = ledger_ingest.build_streams(records, keys, members)
     tx_mm = substream_by_class(tx_stream, members, "MM")
     tx_aa = substream_by_class(tx_stream, members, "AA")
 
@@ -290,7 +290,7 @@ def test_criterion_7_dataset_conditional_reproduction():
 
     # miner identification
     assert remuniter, f"{REMUNITER_ENV} must accompany {DATASET_ENV}"
-    miners = ledger_ingest.identify_miners(tx_stream, key_table, members, remuniter)
+    miners = ledger_ingest.identify_miners(tx_stream, members, keys.index(remuniter))
     assert len(miners) == 158
     _report(7, "real-dataset reproduction", started)
 

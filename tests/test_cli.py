@@ -1,6 +1,7 @@
 import csv
 import errno
 import hashlib
+import string
 import zipfile
 from pathlib import Path
 
@@ -11,10 +12,16 @@ from click.testing import CliRunner
 from ls_ledger import snapshot
 from ls_ledger.cli import _write_csv, main
 from ls_ledger.errors import StateError
-from ls_ledger.fixtures import CertRecord, TxRecord, example_records, format_record, write_records
-from ls_ledger.ledger_ingest import IdentityRecord
+from ls_ledger.fixtures import (
+    CertRecord,
+    IdentityRecord,
+    TxRecord,
+    example_records,
+    format_record,
+    write_records,
+)
 from ls_ledger.snapshot import load_bundle
-from ls_ledger.stream_core import SUBSTREAM_LABELS, InducedGraph
+from ls_ledger.stream_core import SUBSTREAM_LABELS, InducedGraph, _key_fault
 
 ALL_COMMANDS = ("overview", "graph", "closures", "match", "relations", "neighborhoods")
 
@@ -68,7 +75,7 @@ def test_ingest_snapshot_round_trip(ledger_file, tmp_path):
     assert bundle.tx.link_count == 14
     assert bundle.tx_mm.link_count == 12
     assert sum(bundle.substream(label).link_count for label in SUBSTREAM_LABELS) == 14
-    assert bundle.table.key_of(0) == "a"
+    assert bundle.keys[0] == "a"
 
 
 def test_load_derives_substreams_without_sub_arrays(ledger_file, tmp_path):
@@ -333,7 +340,7 @@ def test_invalid_utf8_line_is_skipped_or_fatal(tmp_path):
         "warning: skipped line 5: not valid UTF-8",
     ]
     assert "identities:3 certs:0 txs:0" in lenient.output
-    assert load_bundle(out).table.keys() == ["A", "B", "Dé"]
+    assert load_bundle(out).keys == ["A", "B", "Dé"]
 
     strict = runner.invoke(
         main, ["ingest", "--input", str(ledger), "--out", str(tmp_path / "s"), "--strict"]
@@ -462,10 +469,10 @@ def test_graph_rejects_transacting_member_outside_cert_graph(ledger_file, tmp_pa
     x = int(bundle.tx_mm.src[0])
     keep = (bundle.cert.src != x) & (bundle.cert.dst != x)
     cert = bundle.cert.restrict(keep, bundle.cert.nodes[bundle.cert.nodes != x])
-    damaged = snapshot.StreamBundle(bundle.table, bundle.members, cert, bundle.tx)
+    damaged = snapshot.StreamBundle(bundle.keys, bundle.members, cert, bundle.tx)
     monkeypatch.setattr(snapshot, "load_bundle", lambda path: damaged)
     result = runner.invoke(main, ["graph", "--out", str(out), "--samples", "2"])
-    assert_clean_error(result, f"member {bundle.table.key_of(x)} not in the certification graph")
+    assert_clean_error(result, f"member {bundle.keys[x]} not in the certification graph")
 
 
 def test_degree_correlations_pair_the_nodes_both_graphs_hold(tmp_path):
@@ -864,3 +871,65 @@ def test_corrupt_snapshot_is_clean_state_error(ledger_file, tmp_path, damage):
     assert str(out / "snapshot.npz") in result.output
     with pytest.raises(StateError, match="unreadable snapshot"):
         load_bundle(out)
+
+
+@pytest.mark.parametrize(
+    "key, fault",
+    [
+        ("a,b", "contains ','"),
+        ("a|b", "contains '|'"),
+        ('a"b', "contains '\"'"),
+        ("a b", "contains ' '"),
+        ("a\nb", "contains '\\n'"),
+        ("#x", "starts with '#'"),
+        ("", "is empty"),
+    ],
+    ids=["comma", "pipe", "quote", "space", "newline", "hash", "empty"],
+)
+def test_snapshot_key_that_ingest_rejects_is_state_error(ledger_file, tmp_path, key, fault):
+    # written unquoted, such a key would break the CSV rows that name it
+    runner = CliRunner()
+    out = tmp_path / "o"
+    result = runner.invoke(main, ["ingest", "--input", str(ledger_file), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+
+    def bad_first_key(a):
+        keys = a["keys"].tolist()
+        keys[0] = key
+        a["keys"] = np.array(keys)
+
+    _rewrite(bad_first_key)(out / "snapshot.npz")
+    result = runner.invoke(main, ["overview", "--out", str(out)])
+    assert_clean_error(result, str(out / "snapshot.npz"), f"key 0 in keys.npy {fault}")
+    assert not (out / "degrees.csv").exists()
+
+
+def test_keys_of_ascii_letters_and_digits_pass_the_key_rule():
+    # loading a snapshot passes a table of such keys without a per-key scan
+    assert not any(map(_key_fault, string.ascii_letters + string.digits))
+
+
+def test_rerun_leaves_no_output_that_this_run_skips(ledger_file, tmp_path):
+    # a null model needs 2 edges, and the filtered repartition --remuniter:
+    # a rerun without them must not keep an earlier run's tables beside its own
+    runner = CliRunner()
+
+    def run(out, *args):
+        result = runner.invoke(main, [*args, "--out", str(out), "--samples", "2"])
+        assert result.exit_code == 0, result.output
+
+    out = tmp_path / "o"
+    run(out, "ingest", "--input", str(ledger_file), "--remuniter", "w")
+    run(out, "graph")
+    skipped = {"null_model.csv", "null_model_txmm.csv", "repartition_filtered.csv"}
+    assert skipped <= set(dir_digest(out))
+
+    small = tmp_path / "small.jsonl"
+    records = [IdentityRecord(0, "A", "a"), IdentityRecord(0, "B", "b"), CertRecord(1, "A", "B")]
+    write_records(small, records)
+    fresh = tmp_path / "fresh"
+    for where in (out, fresh):
+        run(where, "ingest", "--input", str(small))
+        run(where, "graph")
+    assert not skipped & set(dir_digest(out))
+    assert dir_digest(out) == dir_digest(fresh)

@@ -42,10 +42,10 @@ def test_degree_report_single_edge():
 
 
 def test_degree_report_example(sample_stream):
-    s, table = sample_stream
+    s, keys = sample_stream
     g = induced_graph(s)
     _, out_degree = degree_report(g)
-    out = {table.key_of(n): d for n, d in zip(g.nodes.tolist(), out_degree.tolist())}
+    out = {keys[n]: d for n, d in zip(g.nodes.tolist(), out_degree.tolist())}
     assert out == {"a": 2, "b": 3, "c": 2, "d": 2}
 
 

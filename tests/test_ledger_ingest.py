@@ -7,9 +7,15 @@ import pytest
 import oracles
 from oracles import links_of, parsed_records
 from ls_ledger.errors import IntegrityError, ParseError
-from ls_ledger.fixtures import CertRecord, TxRecord, example_records, format_record, random_records
-from ls_ledger.ledger_ingest import (
+from ls_ledger.fixtures import (
+    CertRecord,
     IdentityRecord,
+    TxRecord,
+    example_records,
+    format_record,
+    random_records,
+)
+from ls_ledger.ledger_ingest import (
     build_streams,
     classify_keys,
     filter_wallet,
@@ -42,10 +48,7 @@ def _parse(records):
 def test_parse_records_basic():
     parsed = parse_records(LINES + ['{"type":"identity","time":1,"key":"B","uid":"bob"}'])
     ids, certs, txs = parsed_records(parsed)
-    assert ids == [
-        IdentityRecord(0, "A", "alice"),
-        IdentityRecord(1, "B", "bob"),
-    ]
+    assert ids == ["A", "B"]
     assert certs == [CertRecord(0, "A", "B")]
     assert txs == [TxRecord(5, "A", "B", 150)]
     assert parsed.issues == []
@@ -263,37 +266,36 @@ def test_parse_serialize_round_trip():
     parsed = parse_records(lines)
     assert parsed.issues == []
     ids, certs, txs = parsed_records(parsed)
-    assert ids + certs + txs == [
-        r
-        for group in (IdentityRecord, CertRecord, TxRecord)
-        for r in records
-        if isinstance(r, group)
+    assert ids == [r.key for r in records if isinstance(r, IdentityRecord)]
+    assert certs + txs == [
+        r for group in (CertRecord, TxRecord) for r in records if isinstance(r, group)
     ]
-    assert [format_record(r) for r in ids] == [
-        ln for ln in lines if '"identity"' in ln
-    ]
+    for kind, parsed_kind in (("cert", certs), ("tx", txs)):
+        assert [format_record(r) for r in parsed_kind] == [
+            ln for ln in lines if f'"type":"{kind}"' in ln
+        ]
 
 
 def test_classify_keys_example():
     parsed = _parse(
         [IdentityRecord(0, "A", "a"), IdentityRecord(0, "B", "b"), TxRecord(1, "C", "A", 10)]
     )
-    t, members = classify_keys(parsed.identities, parsed.transactions)
-    assert members.tolist() == sorted([t.id_of("A"), t.id_of("B")])
-    assert t.keys() == ["A", "B", "C"]
+    keys, members = classify_keys(parsed.identities, parsed.transactions)
+    assert members.tolist() == sorted([keys.index("A"), keys.index("B")])
+    assert keys == ["A", "B", "C"]
 
 
 def test_classify_keys_no_identities():
     parsed = _parse([TxRecord(1, "X", "Y", 10)])
-    table, members = classify_keys(parsed.identities, parsed.transactions)
-    assert not len(members) and len(table) == 2
+    keys, members = classify_keys(parsed.identities, parsed.transactions)
+    assert not len(members) and keys == ["X", "Y"]
 
 
 def test_classify_keys_member_without_transactions():
     parsed = _parse([IdentityRecord(0, "A", "a")])
-    table, members = classify_keys(parsed.identities, parsed.transactions)
-    assert members.tolist() == [table.id_of("A")]
-    assert len(table) == 1
+    keys, members = classify_keys(parsed.identities, parsed.transactions)
+    assert members.tolist() == [keys.index("A")]
+    assert len(keys) == 1
 
 
 def test_classify_partition_property():
@@ -303,20 +305,20 @@ def test_classify_partition_property():
         ids = [r for r in records if isinstance(r, IdentityRecord)]
         txs = [r for r in records if isinstance(r, TxRecord)]
         parsed = _parse(records)
-        table, members = classify_keys(parsed.identities, parsed.transactions)
-        assert members.tolist() == sorted(table.id_of(r.key) for r in ids)
+        keys, members = classify_keys(parsed.identities, parsed.transactions)
+        assert members.tolist() == sorted(keys.index(r.key) for r in ids)
         seen = set(members.tolist())
         for r in txs:
-            seen |= {table.id_of(r.src), table.id_of(r.dst)}
-        assert sorted(seen) == list(range(len(table)))
+            seen |= {keys.index(r.src), keys.index(r.dst)}
+        assert sorted(seen) == list(range(len(keys)))
 
 
 def _ingest(records):
     """The parse, key table, member set and streams of ``records``."""
     parsed = _parse(records)
-    table, members = classify_keys(parsed.identities, parsed.transactions)
-    cert, tx = build_streams(parsed, table, members)
-    return parsed, table, members, cert, tx
+    keys, members = classify_keys(parsed.identities, parsed.transactions)
+    cert, tx = build_streams(parsed, keys, members)
+    return parsed, keys, members, cert, tx
 
 
 def test_build_streams_counts():
@@ -426,14 +428,14 @@ def test_repartition_shares_sum_to_one():
 
 
 def test_filter_wallet_example(sample_stream):
-    s, table = sample_stream
-    filtered = filter_wallet(s, table.id_of("c"))
-    kept = [(t, table.key_of(u), table.key_of(v)) for t, u, v in links_of(filtered)]
+    s, keys = sample_stream
+    filtered = filter_wallet(s, keys.index("c"))
+    kept = [(t, keys[u], keys[v]) for t, u, v in links_of(filtered)]
     assert kept == [
         (0, "a", "d"), (1, "d", "a"), (2, "b", "a"), (4, "b", "d"),
         (5, "a", "b"), (6, "a", "b"), (6, "d", "a"),
     ]
-    assert table.id_of("c") not in filtered.nodes
+    assert keys.index("c") not in filtered.nodes
     assert filtered.interval == s.interval
 
 
@@ -460,9 +462,9 @@ def test_identify_miners():
         TxRecord(4, "REM", "A9", 10),
         TxRecord(5, "M1", "REM", 10),
     ]
-    _, t, members, _, tx = _ingest(records)
-    miners = identify_miners(tx, t, members, "REM")
-    assert miners.tolist() == sorted([t.id_of("M1"), t.id_of("M2")])
+    _, keys, members, _, tx = _ingest(records)
+    miners = identify_miners(tx, members, keys.index("REM"))
+    assert miners.tolist() == sorted([keys.index("M1"), keys.index("M2")])
     assert np.isin(miners, members).all()
 
 
@@ -471,14 +473,15 @@ def test_identify_miners_no_outgoing():
         IdentityRecord(0, "M1", "m1"),
         TxRecord(1, "M1", "REM", 10),
     ]
-    _, table, members, _, tx = _ingest(records)
-    assert identify_miners(tx, table, members, "REM").tolist() == []
+    _, keys, members, _, tx = _ingest(records)
+    assert identify_miners(tx, members, keys.index("REM")).tolist() == []
 
 
 def test_identify_miners_unknown_key():
-    _, table, members, _, tx = _ingest(example_records())
-    with pytest.raises(KeyError):
-        identify_miners(tx, table, members, "NOT_THERE")
+    # a handle past the key table has no key and is in no stream
+    _, keys, members, _, tx = _ingest(example_records())
+    with pytest.raises(KeyError, match="not present in the transaction stream"):
+        identify_miners(tx, members, len(keys))
 
 
 
@@ -574,19 +577,20 @@ def test_columnar_ingest_matches_record_oracle():
                 parse_records(lines, strict=True)
             assert (err.value.line_no, err.value.reason) == issues[0]
         ids, certs, txs = parsed_records(parsed)
-        assert (ids, certs, txs) == tuple(
-            [r for r in records if isinstance(r, kind)]
-            for kind in (IdentityRecord, CertRecord, TxRecord)
+        assert ids == [r.key for r in records if isinstance(r, IdentityRecord)]
+        assert (certs, txs) == tuple(
+            [r for r in records if isinstance(r, kind)] for kind in (CertRecord, TxRecord)
         )
 
-        table, member_set = classify_keys(parsed.identities, parsed.transactions)
-        keys, members, anonymous = oracles.classify_keys(ids, txs)
-        assert table.keys() == keys
+        keys, member_set = classify_keys(parsed.identities, parsed.transactions)
+        oracle_keys, members, anonymous = oracles.classify_keys(ids, txs)
+        assert keys == oracle_keys
         assert member_set.tolist() == sorted(members)
-        assert sorted(members | anonymous) == list(range(len(table)))
+        assert sorted(members | anonymous) == list(range(len(keys)))
 
-        cert, tx = build_streams(parsed, table, member_set)
-        (cert_interval, cert_rows), (tx_interval, tx_rows) = oracles.build_streams(certs, txs, keys)
+        cert, tx = build_streams(parsed, keys, member_set)
+        oracle_streams = oracles.build_streams(certs, txs, oracle_keys)
+        (cert_interval, cert_rows), (tx_interval, tx_rows) = oracle_streams
         assert (cert.interval, links_of(cert)) == (cert_interval, cert_rows)
         assert tx.interval == tx_interval
         assert list(zip(*(c.tolist() for c in (tx.t, tx.src, tx.dst, tx.amount)))) == tx_rows
@@ -609,10 +613,10 @@ def test_member_set_matches_the_two_set_partition():
         )
         if seed % 2:
             rng.shuffle(records)
-        parsed, table, members, _, tx = _ingest(records)
+        parsed, keys, members, _, tx = _ingest(records)
         ids, _, txs = parsed_records(parsed)
-        keys, oracle_members, anonymous = oracles.classify_keys(ids, txs)
-        assert table.keys() == keys
+        oracle_keys, oracle_members, anonymous = oracles.classify_keys(ids, txs)
+        assert keys == oracle_keys
         of_class = {"M": oracle_members, "A": anonymous}
         count, _, amount, _ = repartition(tx, members)
         for i, label in enumerate(SUBSTREAM_LABELS):
@@ -644,7 +648,7 @@ def test_node_sets_are_sorted_int64_arrays(tmp_path):
         0, 1, 3, 7,
     ]
 
-    _, table, members, cert, tx = _ingest(random_records(31))
+    _, keys, members, cert, tx = _ingest(random_records(31))
     check(members, "members")
     check(cert.nodes, "cert")
     check(tx.nodes, "tx")
@@ -655,9 +659,9 @@ def test_node_sets_are_sorted_int64_arrays(tmp_path):
     assert wallet not in check(filter_wallet(tx, wallet).nodes, "filter_wallet")
     # a source that pays a member, so the miners are not empty
     payer = int(tx.src[np.isin(tx.dst, members)][0])
-    assert check(identify_miners(tx, table, members, table.key_of(payer)), "identify_miners")
+    assert check(identify_miners(tx, members, payer), "identify_miners")
 
-    save_bundle(tmp_path, build_bundle(table, members, cert, tx))
+    save_bundle(tmp_path, build_bundle(keys, members, cert, tx))
     bundle = load_bundle(tmp_path)
     assert check(bundle.members, "loaded members") == members.tolist()
     assert check(bundle.cert.nodes, "loaded cert") == cert.nodes.tolist()

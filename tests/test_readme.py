@@ -2,7 +2,8 @@
 
 In the "Library use" block, lines without a comment run as statements;
 each ``expr  # result`` line evaluates ``expr`` and compares it with the
-literal ``result``, so the documented API cannot drift from the code.
+literal ``result``, so the documented API cannot drift from the code, and
+the names its paragraph lists are ``ls_ledger.__all__``.
 Each command of the "Try it without any data" block runs in a fresh
 directory and must succeed.
 """
@@ -40,6 +41,16 @@ def test_library_use_snippet_results():
         assert eval(expr, namespace) == ast.literal_eval(result.strip()), line
         checked += 1
     assert checked >= 4
+
+
+def test_library_use_names_are_the_package_all():
+    import ls_ledger
+
+    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    listed = r"The names, all from `ls_ledger\.stream_core`,\s+are (.*?)\.\n"
+    names = re.search(listed, section, re.S)
+    assert names, "no name list under ## Library use"
+    assert re.findall(r"`(\w+)`", names.group(1)) == ls_ledger.__all__
 
 
 def test_try_it_without_data_commands_run(tmp_path):

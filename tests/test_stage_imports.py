@@ -8,7 +8,8 @@ a fresh interpreter, the way ``ls-ledger`` does, and compares the
 ``return_inverse`` loads on numpy 2.4) counts as one more, never expected,
 unless a bare ``import numpy`` loads it already, as numpy 1.x does.
 The package itself, which ``python -m ls_ledger.cli`` imports before
-``cli``, loads its names on first use.
+``cli``, loads its names on first use, and the ledger writer
+(``fixtures``) loads no pipeline module and not numpy.
 """
 
 from __future__ import annotations
@@ -77,15 +78,28 @@ def ingested(tmp_path_factory) -> tuple[Path, set[str]]:
     return out, loaded_modules(["ingest", "--input", str(ledger), "--out", str(out)])
 
 
+def imported(module: str) -> list[str]:
+    """Every module loaded by importing ``module`` in a fresh interpreter."""
+    code = f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    return json.loads(proc.stdout)
+
+
 def test_bare_package_import_loads_no_submodule_and_no_numpy():
     # python -m ls_ledger.cli imports the package before cli.py runs, so
     # this is what loads ahead of cli's first line
-    code = "import json, sys, ls_ledger; print(json.dumps(sorted(sys.modules)))"
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    loaded = json.loads(proc.stdout)
+    loaded = imported("ls_ledger")
     assert [m for m in loaded if m.startswith("ls_ledger")] == ["ls_ledger"]
     assert "numpy" not in loaded and "click" not in loaded
+
+
+def test_ledger_writer_loads_no_pipeline_code():
+    loaded = imported("ls_ledger.fixtures")
+    assert [m for m in loaded if m.startswith("ls_ledger")] == [
+        "ls_ledger", "ls_ledger.atomic", "ls_ledger.fixtures",
+    ]
+    assert "numpy" not in loaded
 
 
 def test_package_names_resolve_on_first_use():

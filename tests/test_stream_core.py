@@ -9,7 +9,6 @@ import oracles
 from oracles import edge_set, links_of, random_links, stream_of
 from ls_ledger.errors import IntervalError, SelfLinkError
 from ls_ledger.stream_core import (
-    BinnedSeries,
     LinkStream,
     SUBSTREAM_LABELS,
     activity,
@@ -30,7 +29,7 @@ def test_build_stream_sorts_links():
 
 
 def test_build_stream_example(sample_stream):
-    s, table = sample_stream
+    s, keys = sample_stream
     assert s.link_count == 12
     assert len(s.nodes) == 4
     assert s.interval == (0, 6)
@@ -101,10 +100,10 @@ def test_stream_invariant_names_first_offending_link(t, src, dst, index):
 
 
 def test_induced_graph_example(sample_stream):
-    s, table = sample_stream
+    s, keys = sample_stream
     g = induced_graph(s)
     assert len(g.directed_edges()) == 9
-    label = lambda e: (table.key_of(e[0]), table.key_of(e[1]))
+    label = lambda e: (keys[e[0]], keys[e[1]])
     assert {label(e) for e in g.directed_edges().tolist()} == {
         ("c", "b"), ("a", "d"), ("d", "a"), ("b", "a"), ("c", "d"),
         ("b", "d"), ("a", "b"), ("b", "c"), ("d", "c"),
@@ -147,13 +146,13 @@ def test_activity_out_of_range(sample_stream):
 
 def test_activity_series_example(sample_stream):
     s, _ = sample_stream
-    assert activity_series(s, 7).values.tolist() == [12]
-    assert activity_series(s, 1).values.tolist() == [2, 1, 2, 0, 2, 3, 2]
+    assert activity_series(s, 7).tolist() == [12]
+    assert activity_series(s, 1).tolist() == [2, 1, 2, 0, 2, 3, 2]
 
 
 def test_activity_series_empty():
     s = stream_of([], interval=(0, 9))
-    assert activity_series(s, 2).values.tolist() == [0, 0, 0, 0, 0]
+    assert activity_series(s, 2).tolist() == [0, 0, 0, 0, 0]
 
 
 def test_activity_series_rejects_bad_width(sample_stream):
@@ -164,38 +163,39 @@ def test_activity_series_rejects_bad_width(sample_stream):
 
 def test_rolling_sum_hand_example():
     series = activity_series(stream_of([(t, 0, 1) for t in range(4)]), 1)
-    assert series.values.tolist() == [1, 1, 1, 1]
-    assert rolling_sum(series, 2).values.tolist() == [1, 2, 2, 2]
+    assert series.tolist() == [1, 1, 1, 1]
+    assert rolling_sum(series, 1, 2).tolist() == [1, 2, 2, 2]
 
 
 def test_rolling_sum_full_window_equals_total(sample_stream):
     s, _ = sample_stream
     series = activity_series(s, 1)
-    rolled = rolling_sum(series, 7)
-    assert rolled.values[-1] == sum(series.values) == 12
+    rolled = rolling_sum(series, 1, 7)
+    assert rolled[-1] == sum(series) == 12
 
 
 def test_rolling_sum_zero_series():
     series = activity_series(stream_of([], interval=(0, 5)), 1)
-    assert rolling_sum(series, 3).values.tolist() == [0] * 6
+    assert rolling_sum(series, 1, 3).tolist() == [0] * 6
 
 
 def test_rolling_sum_rejects_small_window(sample_stream):
     s, _ = sample_stream
     with pytest.raises(ValueError):
-        rolling_sum(activity_series(s, 2), 1)
+        rolling_sum(activity_series(s, 2), 2, 1)
 
 
 def test_activity_series_bin_wider_than_span():
     # a bin past int64 is the one bin at the interval start, as a bin of
-    # 2**63 - 1 is
+    # 2**63 - 1 is; its start is exact as overview computes it, in Python ints
     s = stream_of([(t, 0, 1) for t in (5, 9, 9, 2**62)])
+    t0 = s.interval[0]
     for width in (2**62 - 4, 2**63 - 1, 2**63, 10**21):
         series = activity_series(s, width)
-        assert series.values.tolist() == [4], width
-        assert series.bin_starts() == [5], width
-        assert rolling_sum(series, 10**24).values.tolist() == [4], width
-    assert activity_series(s, 2**62 - 5).values.tolist() == [3, 1]
+        assert series.tolist() == [4], width
+        assert list(range(t0, t0 + len(series) * width, width)) == [5], width
+        assert rolling_sum(series, width, 10**24).tolist() == [4], width
+    assert activity_series(s, 2**62 - 5).tolist() == [3, 1]
 
 
 def test_rolling_sum_matches_per_bin_reference():
@@ -204,36 +204,34 @@ def test_rolling_sum_matches_per_bin_reference():
     for trial in range(300):
         width = rng.randint(1, 9)
         values = [rng.choice((0, 0, 1, 3, 50)) for _ in range(rng.randint(1, 40))]
-        series = BinnedSeries(start=rng.randint(0, 10**6), bin_width=width, values=np.array(values))
         span = width * len(values)
         drawn = (width, rng.randint(width, 3 * width), rng.randint(width, span + width))
         window = rng.choice((*drawn, span + 1, 10**24))
         seen.add("bin" if window == width else "ceil" if window % width else "multiple")
         seen.add("past" if window > span else "inside")
-        rolled = rolling_sum(series, window)
-        assert rolled.values.dtype == np.int64
-        assert rolled.values.tolist() == oracles.rolling_sum(values, width, window), trial
-        assert (rolled.start, rolled.bin_width) == (series.start, width)
+        rolled = rolling_sum(np.array(values), width, window)
+        assert rolled.dtype == np.int64
+        assert rolled.tolist() == oracles.rolling_sum(values, width, window), trial
     assert seen == {"bin", "ceil", "multiple", "past", "inside"}
 
 
 def test_substream_by_class_example(sample_stream):
-    s, table = sample_stream
-    members = np.array([table.id_of(k) for k in "ab"])
+    s, keys = sample_stream
+    members = np.array([keys.index(k) for k in "ab"])
     mm = substream_by_class(s, members, "MM")
-    assert [(t, table.key_of(u), table.key_of(v)) for t, u, v in links_of(mm)] == [
+    assert [(t, keys[u], keys[v]) for t, u, v in links_of(mm)] == [
         (2, "b", "a"), (5, "a", "b"), (6, "a", "b"),
     ]
     aa = substream_by_class(s, members, "AA")
-    assert [(t, table.key_of(u), table.key_of(v)) for t, u, v in links_of(aa)] == [
+    assert [(t, keys[u], keys[v]) for t, u, v in links_of(aa)] == [
         (2, "c", "d"), (5, "d", "c"),
     ]
     assert mm.interval == aa.interval == s.interval
 
 
 def test_substream_all_members_is_identity(sample_stream):
-    s, table = sample_stream
-    mm = substream_by_class(s, np.array([table.id_of(k) for k in "abcd"]), "MM")
+    s, keys = sample_stream
+    mm = substream_by_class(s, np.array([keys.index(k) for k in "abcd"]), "MM")
     assert links_of(mm) == links_of(s) and mm.nodes.tolist() == s.nodes.tolist()
 
 
@@ -272,7 +270,7 @@ def test_activity_conservation_random():
         assert per_t_pairs == expected
         # binned series counts links with multiplicity, any width conserves
         for width in (1, 3, 7, 1000):
-            assert sum(activity_series(s, width).values) == s.link_count
+            assert sum(activity_series(s, width)) == s.link_count
 
 
 def test_activity_matches_distinct_pair_reference():
@@ -294,9 +292,10 @@ def test_rolling_sum_window_covering_span_random():
     rng = random.Random(9)
     for trial in range(20):
         s = stream_of(random_links(rng, rng.randint(2, 6), rng.randint(1, 40)))
-        series = activity_series(s, rng.randint(1, 5))
-        span = series.bin_width * len(series.values)
-        assert rolling_sum(series, span).values[-1] == sum(series.values)
+        width = rng.randint(1, 5)
+        series = activity_series(s, width)
+        span = width * len(series)
+        assert rolling_sum(series, width, span)[-1] == sum(series)
 
 
 def test_induced_graph_idempotent_under_duplication():

@@ -24,9 +24,9 @@ SAMPLE_K3 = {
 
 
 def test_neighborhood_example(sample_stream):
-    s, table = sample_stream
-    cluster = neighborhood(s, table.id_of("a"))
-    labeled = {(t, table.key_of(n)) for t, n in cluster.elements}
+    s, keys = sample_stream
+    cluster = neighborhood(s, keys.index("a"))
+    labeled = {(t, keys[n]) for t, n in cluster.elements}
     assert labeled == {(0, "d"), (1, "d"), (2, "b"), (5, "b"), (6, "b"), (6, "d")}
 
 
@@ -46,10 +46,10 @@ def csr_neighborhood(g, node: int) -> frozenset[int]:
 
 
 def test_aggregated_neighborhood_example(sample_stream):
-    s, table = sample_stream
-    a = table.id_of("a")
+    s, keys = sample_stream
+    a = keys.index("a")
     agg = csr_neighborhood(induced_graph(s), a)
-    assert {table.key_of(n) for n in agg} == {"b", "d"}
+    assert {keys[n] for n in agg} == {"b", "d"}
     assert oracles.aggregated_neighborhood(s, a) == agg
 
 
@@ -111,8 +111,8 @@ def _lookback(s, k, t, u, v):
 
 
 def test_two_closure_example(sample_stream):
-    s, table = sample_stream
-    a, b = table.id_of("a"), table.id_of("b")
+    s, keys = sample_stream
+    a, b = keys.index("a"), keys.index("b")
     assert _lookback(s, 2, 6, a, b) == 4
     assert _lookback(s, 2, 2, b, a) is None
 
@@ -124,8 +124,8 @@ def test_two_closure_simultaneous_reverse():
 
 
 def test_three_closure_example(sample_stream):
-    s, table = sample_stream
-    assert _lookback(s, 3, 6, table.id_of("a"), table.id_of("b")) == 5
+    s, keys = sample_stream
+    assert _lookback(s, 3, 6, keys.index("a"), keys.index("b")) == 5
 
 
 def test_three_closure_single_link():
@@ -143,11 +143,11 @@ def test_three_closure_requires_strictly_earlier_supports():
 
 
 def test_closure_distribution_full_tables(sample_stream):
-    s, table = sample_stream
+    s, keys = sample_stream
     for k, expected in ((2, SAMPLE_K2), (3, SAMPLE_K3)):
         dist = closure_distribution(s, k=k)
         got = {
-            (t, table.key_of(u), table.key_of(v)): lookback
+            (t, keys[u], keys[v]): lookback
             for (t, u, v), lookback in zip(links_of(s), lookbacks(dist))
         }
         assert got == expected
