@@ -8,7 +8,10 @@ output directories.
 
 Each stage runs as its own process, so a command imports its metric
 module itself and calls through it: a process loads only the metric code
-its stage runs. :func:`run` is that process's entry point.
+its stage runs. A metric command loads the snapshot's four parts once and
+builds the transaction substreams it reads from them: ``graph`` the
+member (MM) and anonymous (AA) ones, every other command MM alone.
+:func:`run` is that process's entry point.
 """
 
 import gc
@@ -99,15 +102,14 @@ def cmd_ingest(cfg: RunConfig) -> None:
 
     keys, members = ledger_ingest.classify_keys(records.identities, records.transactions)
     # checked before anything is written, so a bad key leaves --out untouched
-    if cfg.remuniter and cfg.remuniter not in keys:
+    if cfg.remuniter is not None and cfg.remuniter not in keys:
         raise LedgerError(f"--remuniter key {cfg.remuniter!r} not present in the ledger")
     cert, tx = ledger_ingest.build_streams(records, keys, members)
-    bundle = snapshot.build_bundle(keys, members, cert, tx)
-    snapshot.save_bundle(cfg.out_dir, bundle)
+    snapshot.save_bundle(cfg.out_dir, snapshot.build_bundle(keys, members, cert, tx))
 
     _write_repartition(cfg, "repartition.csv", tx, members)
     filtered_csv = "repartition_filtered.csv"
-    if cfg.remuniter:
+    if cfg.remuniter is not None:
         wallet = keys.index(cfg.remuniter)
         filtered = ledger_ingest.filter_wallet(tx, wallet)
         _write_repartition(cfg, filtered_csv, filtered, members, "remuniter removed")
@@ -146,9 +148,8 @@ def cmd_overview(cfg: RunConfig) -> None:
     transaction streams, their correlation, and degree reports."""
     from . import graph_metrics
 
-    bundle = snapshot.load_bundle(cfg.out_dir)
-    cert, tx_mm = bundle.cert, bundle.tx_mm
-    keys = bundle.keys
+    keys, members, cert, tx = snapshot.load_bundle(cfg.out_dir)
+    tx_mm = stream_core.substream_by_class(tx, members, "MM")
 
     # bin both streams over the common enclosing interval so the series
     # share one grid; empty streams contribute no span of their own
@@ -182,9 +183,9 @@ def cmd_overview(cfg: RunConfig) -> None:
         ),
     )
 
-    graphs, degrees = {}, {}
+    degrees = {}
     for name, stream in (("cert", cert), ("txmm", tx_mm)):
-        g = graphs[name] = stream_core.induced_graph(stream)
+        g = stream_core.induced_graph(stream)
         in_degree, out_degree = degrees[name] = graph_metrics.degree_report(g)
         _write_csv(
             cfg.out_dir / _stream_file("degrees", name),
@@ -193,16 +194,14 @@ def cmd_overview(cfg: RunConfig) -> None:
             zip(_keys(keys, g.nodes), in_degree.tolist(), out_degree.tolist()),
         )
 
-    # the places in each graph of the nodes both graphs hold, ascending
-    cert_nodes, txmm_nodes = graphs["cert"].nodes, graphs["txmm"].nodes
-    in_cert = np.flatnonzero(np.isin(cert_nodes, txmm_nodes))
-    in_txmm = np.searchsorted(txmm_nodes, cert_nodes[in_cert])
+    # both graphs' nodes are the members, so their degree columns pair
+    # node by node
     (c_in, c_out), (x_in, x_out) = degrees["cert"], degrees["txmm"]
     pairings = (
         ("cert_in~cert_out", c_in, c_out),
         ("txmm_in~txmm_out", x_in, x_out),
-        ("cert_out~txmm_out", c_out[in_cert], x_out[in_txmm]),
-        ("cert_in~txmm_in", c_in[in_cert], x_in[in_txmm]),
+        ("cert_out~txmm_out", c_out, x_out),
+        ("cert_in~txmm_in", c_in, x_in),
     )
     corr_rows = []
     for label, xs, ys in pairings:
@@ -231,9 +230,12 @@ def cmd_graph(cfg: RunConfig) -> None:
     certification distances of transacting-but-uncertified pairs."""
     from . import graph_metrics
 
-    bundle = snapshot.load_bundle(cfg.out_dir)
-    keys = bundle.keys
-    streams = {"cert": bundle.cert, "txmm": bundle.tx_mm, "txaa": bundle.substream("AA")}
+    keys, members, cert, tx = snapshot.load_bundle(cfg.out_dir)
+    streams = {
+        "cert": cert,
+        "txmm": stream_core.substream_by_class(tx, members, "MM"),
+        "txaa": stream_core.substream_by_class(tx, members, "AA"),
+    }
     graphs = {name: stream_core.induced_graph(s) for name, s in streams.items()}
 
     for name, g in graphs.items():
@@ -278,10 +280,7 @@ def cmd_graph(cfg: RunConfig) -> None:
     # their distances in the undirected certification graph, whose nodes are
     # the members, so every pair is measured
     rows = graphs["txmm"].undirected_edges()
-    uncertified = rows[bundle.cert.pairs.find(rows[:, 0], rows[:, 1]) < 0]
-    known = np.isin(uncertified, graphs["cert"].nodes)
-    if not known.all():
-        raise LedgerError(f"member {keys[uncertified[~known][0]]} not in the certification graph")
+    uncertified = rows[cert.pairs.find(rows[:, 0], rows[:, 1]) < 0]
     at = np.searchsorted(graphs["cert"].nodes, uncertified)
     dist = graph_metrics.distance_distribution(at[:, 0], at[:, 1], graphs["cert"])
     _write_csv(
@@ -301,9 +300,9 @@ def cmd_closures(cfg: RunConfig) -> None:
     member transaction stream."""
     from . import temporal_metrics
 
-    bundle = snapshot.load_bundle(cfg.out_dir)
-    keys = bundle.keys
-    for name, stream in (("cert", bundle.cert), ("txmm", bundle.tx_mm)):
+    keys, members, cert, tx = snapshot.load_bundle(cfg.out_dir)
+    tx_mm = stream_core.substream_by_class(tx, members, "MM")
+    for name, stream in (("cert", cert), ("txmm", tx_mm)):
         times = stream.t.tolist()
         sources = _keys(keys, stream.src)
         targets = _keys(keys, stream.dst)
@@ -329,9 +328,8 @@ def cmd_match(cfg: RunConfig) -> None:
     certification classes, and first-transaction delays."""
     from . import interplay
 
-    bundle = snapshot.load_bundle(cfg.out_dir)
-    cert, tx_mm = bundle.cert, bundle.tx_mm
-    keys = bundle.keys
+    keys, members, cert, tx = snapshot.load_bundle(cfg.out_dir)
+    tx_mm = stream_core.substream_by_class(tx, members, "MM")
 
     anchor, category, delay, fractions, both_sided = interplay.match_certifications(cert, tx_mm)
     match_shares = list(zip(interplay.MATCH_CATEGORIES, _fixed(fractions)))
@@ -394,10 +392,11 @@ def cmd_relations(cfg: RunConfig) -> None:
     transaction count."""
     from . import interplay
 
-    bundle = snapshot.load_bundle(cfg.out_dir)
-    cert_rel = interplay.relation_sets(bundle.cert)
-    tx_rel = interplay.relation_sets(bundle.tx_mm)
-    n_members = len(bundle.members)
+    _, members, cert, tx = snapshot.load_bundle(cfg.out_dir)
+    tx_mm = stream_core.substream_by_class(tx, members, "MM")
+    cert_rel = interplay.relation_sets(cert)
+    tx_rel = interplay.relation_sets(tx_mm)
+    n_members = len(members)
     numerator, denominator, value = interplay.relation_ratio_table(
         cert_rel, tx_rel, n_members, ordered_pairs=cfg.ordered_pairs
     )
@@ -413,7 +412,7 @@ def cmd_relations(cfg: RunConfig) -> None:
         ),
     )
 
-    tau = interplay.pair_transaction_counts(bundle.tx_mm)
+    tau = interplay.pair_transaction_counts(tx_mm)
     k, n_pairs, frac_any, frac_bi = interplay.certification_fraction_by_k(tau, tx_rel, cert_rel)
     _write_csv(
         cfg.out_dir / "fraction_by_k.csv",
@@ -428,10 +427,9 @@ def cmd_neighborhoods(cfg: RunConfig) -> None:
     neighborhoods within certification neighborhoods."""
     from . import temporal_metrics
 
-    bundle = snapshot.load_bundle(cfg.out_dir)
-    streams = {"cert": bundle.cert, "txmm": bundle.tx_mm}
-    graphs = {name: stream_core.induced_graph(s) for name, s in streams.items()}
-    keys = bundle.keys
+    keys, members, cert, tx = snapshot.load_bundle(cfg.out_dir)
+    tx_mm = stream_core.substream_by_class(tx, members, "MM")
+    graphs = {"cert": stream_core.induced_graph(cert), "txmm": stream_core.induced_graph(tx_mm)}
     _write_csv(
         cfg.out_dir / "neighborhoods.csv",
         _comments("neighborhoods", cfg),

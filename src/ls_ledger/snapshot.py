@@ -4,13 +4,12 @@ The snapshot is a zip of .npy arrays (readable with ``numpy.load``) holding
 the columns of the certification and transaction streams, the key table
 (``keys.npy``, the key of each handle), the member set (every other key
 is an anonymous wallet), and the link indices of the four class
-substreams. Loading checks every array, and every key by the rule ingest
-applies (``stream_core._key_fault``), then leaves the substreams unbuilt:
-a bundle derives each one from the transaction stream and the member set
-on its first read, so loading reads no ``sub_*`` array and a command
-builds only the substreams it reads. Zip
-entries get a fixed timestamp so identical data produces identical bytes,
-which the CLI's determinism guarantee relies on.
+substreams. Its contents are four parts, ``(keys, members, cert, tx)``:
+:func:`build_bundle` checks that they agree, at ingest and at load, and
+:func:`load_bundle` returns them, reading no ``sub_*`` array; each stage
+builds the substreams it reads from ``tx`` and ``members``. Zip entries
+get a fixed timestamp so identical data produces identical bytes, which
+the CLI's determinism guarantee relies on.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 import io
 import zipfile
 import zlib
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,37 +29,12 @@ from .stream_core import (
     _distinct_sorted,
     _key_fault,
     class_mask,
-    substream_by_class,
 )
 
 SNAPSHOT_NAME = "snapshot.npz"
 _EPOCH = (1980, 1, 1, 0, 0, 0)  # fixed zip timestamp for byte-stable output
 
-
-@dataclass(frozen=True, eq=False)
-class StreamBundle:
-    """Everything downstream commands need: the key table ``keys`` (the key
-    of each handle), the member set, the two streams, and the four
-    transaction substreams, each built on first read."""
-
-    keys: list[str]
-    members: np.ndarray
-    cert: LinkStream
-    tx: LinkStream
-    _built: dict[str, LinkStream] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    def substream(self, label: str) -> LinkStream:
-        """The transaction substream ``label`` (MM / MA / AM / AA); later
-        reads return the same object."""
-        if label not in self._built:
-            self._built[label] = substream_by_class(self.tx, self.members, label)
-        return self._built[label]
-
-    @property
-    def tx_mm(self) -> LinkStream:
-        return self.substream("MM")
+Parts = tuple[list[str], np.ndarray, LinkStream, LinkStream]
 
 
 def build_bundle(
@@ -69,25 +42,39 @@ def build_bundle(
     members: np.ndarray,
     cert: LinkStream,
     tx: LinkStream,
-) -> StreamBundle:
-    return StreamBundle(keys=keys, members=members, cert=cert, tx=tx)
+) -> Parts:
+    """The snapshot's parts ``(keys, members, cert, tx)``: the key table
+    (the key of each handle), the member set and the two streams. Raise
+    ValueError, naming the array that breaks the rule, unless no key
+    repeats, every key passes ingest's rule, every member is a handle, the
+    certification nodes are the members, and the transaction nodes are
+    every handle."""
+    _check_keys(keys)
+    if not ((members >= 0) & (members < len(keys))).all():
+        raise ValueError("a handle of members.npy has no key in keys.npy")
+    if not np.array_equal(cert.nodes, members):  # certifications are among members only
+        raise ValueError("cert_nodes.npy differs from members.npy")
+    if not np.array_equal(tx.nodes, np.arange(len(keys))):
+        raise ValueError("tx_nodes.npy is not every handle of keys.npy")
+    return keys, members, cert, tx
 
 
-def save_bundle(out_dir: str | Path, bundle: StreamBundle) -> Path:
-    """Write the snapshot into ``out_dir`` and return its path; a failed
-    write leaves any previous snapshot in place."""
+def save_bundle(out_dir: str | Path, parts: Parts) -> Path:
+    """Write the snapshot of ``parts`` into ``out_dir`` and return its path;
+    a failed write leaves any previous snapshot in place."""
+    keys, members, cert, tx = parts
     arrays: dict[str, np.ndarray] = {}
-    for prefix, s in (("cert", bundle.cert), ("tx", bundle.tx)):
+    for prefix, s in (("cert", cert), ("tx", tx)):
         arrays[f"{prefix}_interval"] = np.asarray(s.interval, dtype=np.int64)
         arrays[f"{prefix}_t"] = s.t
         arrays[f"{prefix}_src"] = s.src
         arrays[f"{prefix}_dst"] = s.dst
         arrays[f"{prefix}_nodes"] = s.nodes
-    arrays["tx_amount"] = bundle.tx.amount
-    arrays["keys"] = np.asarray(bundle.keys, dtype=np.str_)
-    arrays["members"] = bundle.members
+    arrays["tx_amount"] = tx.amount
+    arrays["keys"] = np.asarray(keys, dtype=np.str_)
+    arrays["members"] = members
     for label in SUBSTREAM_LABELS:
-        arrays[f"sub_{label}"] = np.flatnonzero(class_mask(bundle.tx, bundle.members, label))
+        arrays[f"sub_{label}"] = np.flatnonzero(class_mask(tx, members, label))
 
     path = Path(out_dir) / SNAPSHOT_NAME
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -103,12 +90,12 @@ def save_bundle(out_dir: str | Path, bundle: StreamBundle) -> Path:
     return path
 
 
-def load_bundle(out_dir: str | Path) -> StreamBundle:
-    """Rebuild the bundle from ``out_dir``; raises StateError when the
-    snapshot is missing or unreadable (truncated, not a zip, arrays missing
-    or of the wrong dtype or shape, columns that break a stream invariant, a
-    repeated key or one that ingest rejects, a node handle without a key, or
-    certification nodes other than the members)."""
+def load_bundle(out_dir: str | Path) -> Parts:
+    """The parts ``(keys, members, cert, tx)`` of the snapshot in
+    ``out_dir``; raises StateError when the snapshot is missing or
+    unreadable (truncated, not a zip, arrays missing or of the wrong dtype
+    or shape, columns that break a stream invariant, or parts that
+    :func:`build_bundle` rejects)."""
     path = Path(out_dir) / SNAPSHOT_NAME
     if not path.exists():
         raise StateError(f"no snapshot at {path}; run the ingest command first")
@@ -122,18 +109,13 @@ def load_bundle(out_dir: str | Path) -> StreamBundle:
         ) from err
 
 
-def _bundle_from(path: Path) -> StreamBundle:
+def _bundle_from(path: Path) -> Parts:
     # np.load on an open handle: a truncated archive then leaves no file open
     with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
         keys = _array(data, "keys").tolist()
-        _check_keys(keys)
         members = _distinct_sorted(_array(data, "members"))
         cert = _stream_from(data, "cert")
         tx = _stream_from(data, "tx", amount=_array(data, "tx_amount"))
-    if not np.isin(np.concatenate((members, cert.nodes, tx.nodes)), np.arange(len(keys))).all():
-        raise ValueError("a node handle has no key in keys.npy")
-    if not np.array_equal(cert.nodes, members):  # certifications are among members only
-        raise ValueError("cert_nodes.npy differs from members.npy")
     return build_bundle(keys, members, cert, tx)
 
 

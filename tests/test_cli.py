@@ -2,6 +2,7 @@ import csv
 import errno
 import hashlib
 import string
+import sys
 import zipfile
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ls_ledger import snapshot
+from ls_ledger import snapshot, stream_core
 from ls_ledger.cli import _write_csv, main
 from ls_ledger.errors import StateError
 from ls_ledger.fixtures import (
@@ -21,7 +22,7 @@ from ls_ledger.fixtures import (
     write_records,
 )
 from ls_ledger.snapshot import load_bundle
-from ls_ledger.stream_core import SUBSTREAM_LABELS, InducedGraph, _key_fault
+from ls_ledger.stream_core import SUBSTREAM_LABELS, InducedGraph, _key_fault, substream_by_class
 
 ALL_COMMANDS = ("overview", "graph", "closures", "match", "relations", "neighborhoods")
 
@@ -44,9 +45,10 @@ def run_all(runner, ledger, out_dir, extra=()):
     return out_dir
 
 
-def substreams(bundle):
-    """Every transaction substream of the bundle, keyed by label."""
-    return {label: bundle.substream(label) for label in SUBSTREAM_LABELS}
+def substreams(parts):
+    """Every transaction substream of a snapshot's parts, keyed by label."""
+    _, members, _, tx = parts
+    return {label: substream_by_class(tx, members, label) for label in SUBSTREAM_LABELS}
 
 
 def dir_digest(path: Path) -> dict[str, str]:
@@ -70,12 +72,15 @@ def test_ingest_snapshot_round_trip(ledger_file, tmp_path):
     runner = CliRunner()
     out = tmp_path / "o"
     runner.invoke(main, ["ingest", "--input", str(ledger_file), "--out", str(out)])
-    bundle = load_bundle(out)
-    assert bundle.cert.link_count == 12
-    assert bundle.tx.link_count == 14
-    assert bundle.tx_mm.link_count == 12
-    assert sum(bundle.substream(label).link_count for label in SUBSTREAM_LABELS) == 14
-    assert bundle.keys[0] == "a"
+    parts = load_bundle(out)
+    keys, members, cert, tx = parts
+    assert cert.link_count == 12
+    assert tx.link_count == 14
+    subs = substreams(parts)
+    assert subs["MM"].link_count == 12
+    assert sum(s.link_count for s in subs.values()) == 14
+    assert keys[0] == "a"
+    assert members.tolist() == [0, 1, 2, 3]
 
 
 def test_load_derives_substreams_without_sub_arrays(ledger_file, tmp_path):
@@ -97,34 +102,32 @@ def test_load_derives_substreams_without_sub_arrays(ledger_file, tmp_path):
     assert columns(after) == columns(before)
 
 
-def test_substreams_are_built_on_first_read(ledger_file, tmp_path, monkeypatch):
-    build = snapshot.substream_by_class
+def test_substreams_are_built_by_the_stage_that_reads_them(ledger_file, tmp_path, monkeypatch):
+    build = stream_core.substream_by_class
     calls = []
 
     def counted(*args):
-        calls.append(args[2:])
+        calls.append(args[2])
         return build(*args)
 
-    monkeypatch.setattr(snapshot, "substream_by_class", counted)
+    # every module that binds it, so no stage or load builds one uncounted
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ls_ledger") and getattr(module, "substream_by_class", None) is build:
+            monkeypatch.setattr(module, "substream_by_class", counted)
     out = tmp_path / "o"
-    result = CliRunner().invoke(main, ["ingest", "--input", str(ledger_file), "--out", str(out)])
+    runner = CliRunner()
+    result = runner.invoke(main, ["ingest", "--input", str(ledger_file), "--out", str(out)])
     assert result.exit_code == 0, result.output
-    bundle = load_bundle(out)
+    load_bundle(out)
     assert calls == []
 
-    mm = bundle.tx_mm
-    assert bundle.tx_mm is mm
-    assert calls == [("MM",)]
-    subs = substreams(bundle)
-    assert len(calls) == 4 and subs["MM"] is mm
-    assert list(subs) == ["MM", "MA", "AM", "AA"]
-    for label in SUBSTREAM_LABELS:
-        eager, lazy = build(bundle.tx, bundle.members, label), subs[label]
-        assert lazy.interval == eager.interval, label
-        assert lazy.nodes.tolist() == eager.nodes.tolist(), label
-        for column in ("t", "src", "dst", "amount"):
-            assert getattr(lazy, column).tolist() == getattr(eager, column).tolist(), label
-    assert len(calls) == 4
+    built = {}
+    for command in ALL_COMMANDS:
+        calls.clear()
+        result = runner.invoke(main, [command, "--out", str(out), "--samples", "2"])
+        assert result.exit_code == 0, f"{command}: {result.output}"
+        built[command] = list(calls)
+    assert built == {command: ["MM"] for command in ALL_COMMANDS} | {"graph": ["MM", "AA"]}
 
 
 def test_closures_file_contains_pinned_row(ledger_file, tmp_path):
@@ -340,7 +343,7 @@ def test_invalid_utf8_line_is_skipped_or_fatal(tmp_path):
         "warning: skipped line 5: not valid UTF-8",
     ]
     assert "identities:3 certs:0 txs:0" in lenient.output
-    assert load_bundle(out).keys == ["A", "B", "Dé"]
+    assert load_bundle(out)[0] == ["A", "B", "Dé"]
 
     strict = runner.invoke(
         main, ["ingest", "--input", str(ledger), "--out", str(tmp_path / "s"), "--strict"]
@@ -459,61 +462,6 @@ def test_overview_bin_past_int64_is_one_bin(ledger_file, tmp_path):
     assert rows[10**21] == rows[2**63 - 1] == [["0", "12", "12", "12", "12"]]
 
 
-def test_graph_rejects_transacting_member_outside_cert_graph(ledger_file, tmp_path, monkeypatch):
-    # a loaded snapshot's certification nodes are its members, so only a
-    # bundle built otherwise can hold a transacting member the cert graph lacks
-    runner = CliRunner()
-    out = tmp_path / "o"
-    runner.invoke(main, ["ingest", "--input", str(ledger_file), "--out", str(out)])
-    bundle = load_bundle(out)
-    x = int(bundle.tx_mm.src[0])
-    keep = (bundle.cert.src != x) & (bundle.cert.dst != x)
-    cert = bundle.cert.restrict(keep, bundle.cert.nodes[bundle.cert.nodes != x])
-    damaged = snapshot.StreamBundle(bundle.keys, bundle.members, cert, bundle.tx)
-    monkeypatch.setattr(snapshot, "load_bundle", lambda path: damaged)
-    result = runner.invoke(main, ["graph", "--out", str(out), "--samples", "2"])
-    assert_clean_error(result, f"member {bundle.keys[x]} not in the certification graph")
-
-
-def test_degree_correlations_pair_the_nodes_both_graphs_hold(tmp_path):
-    # members a..f all certify and only b, d, e and f transact; a snapshot
-    # whose transaction nodes are those four loads, and their places in the
-    # txmm graph then differ from those in the cert graph
-    members = "abcdef"
-    certs = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("e", "f"), ("f", "a"), ("a", "c")]
-    certs += [("b", "d"), ("b", "e"), ("e", "d")]
-    txs = [("b", "d"), ("d", "e"), ("e", "b"), ("b", "f"), ("f", "d"), ("d", "b")]
-    records = [IdentityRecord(0, k.upper(), k) for k in members]
-    records += [CertRecord(i, u.upper(), v.upper()) for i, (u, v) in enumerate(certs)]
-    records += [TxRecord(10 + i, u.upper(), v.upper(), 1) for i, (u, v) in enumerate(txs)]
-    ledger = tmp_path / "ledger.jsonl"
-    write_records(ledger, records)
-    out = tmp_path / "o"
-    runner = CliRunner()
-    result = runner.invoke(main, ["ingest", "--input", str(ledger), "--out", str(out)])
-    assert result.exit_code == 0, result.output
-
-    def transacting_nodes_only(a):
-        a["tx_nodes"] = np.unique(np.concatenate((a["tx_src"], a["tx_dst"])))
-
-    _rewrite(transacting_nodes_only)(out / "snapshot.npz")
-    result = runner.invoke(main, ["overview", "--out", str(out)])
-    assert result.exit_code == 0, result.output
-
-    cert = {node: (int(i), int(o)) for node, i, o in read_rows(out / "degrees.csv")}
-    txmm = {node: (int(i), int(o)) for node, i, o in read_rows(out / "degrees_txmm.csv")}
-    common = sorted(set(cert) & set(txmm))
-    assert len(cert) == 6 and common == sorted(txmm) == ["B", "D", "E", "F"]
-    expected = {}
-    for label, side in (("cert_out~txmm_out", 1), ("cert_in~txmm_in", 0)):
-        xs = np.array([cert[n][side] for n in common])
-        ys = np.array([txmm[n][side] for n in common])
-        expected[label] = f"{np.corrcoef(xs, ys)[0, 1]:.6f}"
-    got = dict(read_rows(out / "degree_correlations.csv"))
-    for label, r in expected.items():
-        assert float(got[label]) == pytest.approx(float(r), abs=2e-6), label
-
-
 def test_out_dir_from_environment(ledger_file, tmp_path):
     runner = CliRunner()
     out = tmp_path / "env_out"
@@ -594,6 +542,17 @@ def test_unknown_remuniter_writes_nothing(ledger_file, tmp_path):
     )
     assert result.exit_code == 1
     assert result.output == "Error: --remuniter key 'nope' not present in the ledger\n"
+    assert list(out.iterdir()) == []
+
+
+def test_empty_remuniter_is_unknown_key(ledger_file, tmp_path):
+    # no key is empty, so --remuniter "" names no wallet of the ledger
+    out = tmp_path / "o"
+    out.mkdir()
+    result = CliRunner().invoke(
+        main, ["ingest", "--input", str(ledger_file), "--out", str(out), "--remuniter", ""]
+    )
+    assert_clean_error(result, "Error: --remuniter key '' not present in the ledger")
     assert list(out.iterdir()) == []
 
 
@@ -685,7 +644,7 @@ def test_failed_snapshot_write_keeps_previous_snapshot(ledger_file, tmp_path, mo
     result = CliRunner().invoke(main, ["ingest", "--input", str(ledger_file), "--out", str(out)])
     assert result.exit_code == 0, result.output
     before = (out / "snapshot.npz").read_bytes()
-    bundle = load_bundle(out)
+    parts = load_bundle(out)
 
     calls = []
 
@@ -698,7 +657,7 @@ def test_failed_snapshot_write_keeps_previous_snapshot(ledger_file, tmp_path, mo
     real_save = snapshot.np.save
     monkeypatch.setattr(snapshot.np, "save", save_then_fail)
     with pytest.raises(OSError, match="disk full"):
-        snapshot.save_bundle(out, bundle)
+        snapshot.save_bundle(out, parts)
     assert (out / "snapshot.npz").read_bytes() == before
     assert not [p.name for p in out.iterdir() if p.name.startswith(".")]
 
@@ -807,6 +766,11 @@ def _cert_nodes_not_members(a):
     a["cert_nodes"] = np.append(a["cert_nodes"], wallet)
 
 
+def _tx_nodes_not_every_handle(a):
+    # a key that no stream holds: its handle is no transaction node
+    a["keys"] = np.append(a["keys"], "x")
+
+
 def _float_times(a):
     # an int64 cast would truncate every time by 0.7 s
     a["cert_t"] = a["cert_t"] + 0.7
@@ -847,6 +811,7 @@ def _two_dimensional_interval(a):
                 _repeated_key,
                 _unkeyed_member,
                 _cert_nodes_not_members,
+                _tx_nodes_not_every_handle,
                 _float_times,
                 _float_members,
                 _integer_keys,
@@ -871,6 +836,28 @@ def test_corrupt_snapshot_is_clean_state_error(ledger_file, tmp_path, damage):
     assert str(out / "snapshot.npz") in result.output
     with pytest.raises(StateError, match="unreadable snapshot"):
         load_bundle(out)
+
+
+def test_snapshot_whose_tx_nodes_miss_a_handle_is_state_error(tmp_path):
+    # c certifies but never transacts; loaded over tx nodes [a, b], its
+    # row would vanish from degrees_txmm.csv
+    records = [IdentityRecord(0, k, k) for k in "abc"]
+    records += [CertRecord(1, u, v) for u, v in ("ab", "bc", "ca")]
+    records += [TxRecord(2, u, v, 1) for u, v in ("ab", "ba")]
+    ledger = tmp_path / "ledger.jsonl"
+    write_records(ledger, records)
+    out = tmp_path / "o"
+    runner = CliRunner()
+    result = runner.invoke(main, ["ingest", "--input", str(ledger), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+
+    def transacting_nodes_only(a):
+        a["tx_nodes"] = np.array([0, 1])
+
+    _rewrite(transacting_nodes_only)(out / "snapshot.npz")
+    result = runner.invoke(main, ["overview", "--out", str(out)])
+    assert_clean_error(result, str(out / "snapshot.npz"), "tx_nodes.npy")
+    assert not (out / "degrees_txmm.csv").exists()
 
 
 @pytest.mark.parametrize(

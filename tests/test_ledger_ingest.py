@@ -662,7 +662,7 @@ def test_node_sets_are_sorted_int64_arrays(tmp_path):
     assert check(identify_miners(tx, members, payer), "identify_miners")
 
     save_bundle(tmp_path, build_bundle(keys, members, cert, tx))
-    bundle = load_bundle(tmp_path)
-    assert check(bundle.members, "loaded members") == members.tolist()
-    assert check(bundle.cert.nodes, "loaded cert") == cert.nodes.tolist()
-    assert check(bundle.tx.nodes, "loaded tx") == tx.nodes.tolist()
+    _, loaded_members, loaded_cert, loaded_tx = load_bundle(tmp_path)
+    assert check(loaded_members, "loaded members") == members.tolist()
+    assert check(loaded_cert.nodes, "loaded cert") == cert.nodes.tolist()
+    assert check(loaded_tx.nodes, "loaded tx") == tx.nodes.tolist()
