@@ -96,15 +96,15 @@ def cmd_ingest(cfg: RunConfig) -> None:
     # bytes that are not UTF-8 become lone surrogates, which the parser
     # rejects with their line number
     with open(cfg.input_path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        records = ledger_ingest.parse_records(fh, strict=cfg.strict)
-    if records.issues:  # in one write, as click.echo flushes each call
-        click.echo("\n".join(f"warning: skipped line {n}: {r}" for n, r in records.issues), err=True)
+        identities, certs, txs, issues = ledger_ingest.parse_records(fh, strict=cfg.strict)
+    if issues:  # in one write, as click.echo flushes each call
+        click.echo("\n".join(f"warning: skipped line {n}: {r}" for n, r in issues), err=True)
 
-    keys, members = ledger_ingest.classify_keys(records.identities, records.transactions)
+    keys, members = ledger_ingest.classify_keys(identities, txs)
     # checked before anything is written, so a bad key leaves --out untouched
     if cfg.remuniter is not None and cfg.remuniter not in keys:
         raise LedgerError(f"--remuniter key {cfg.remuniter!r} not present in the ledger")
-    cert, tx = ledger_ingest.build_streams(records, keys, members)
+    cert, tx = ledger_ingest.build_streams(certs, txs, keys, members)
     snapshot.save_bundle(cfg.out_dir, snapshot.build_bundle(keys, members, cert, tx))
 
     _write_repartition(cfg, "repartition.csv", tx, members)
@@ -118,10 +118,7 @@ def cmd_ingest(cfg: RunConfig) -> None:
     else:  # no earlier run's table may stay beside this run's
         (cfg.out_dir / filtered_csv).unlink(missing_ok=True)
 
-    click.echo(
-        f"identities:{len(records.identities)} "
-        f"certs:{len(records.certifications)} txs:{len(records.transactions)}"
-    )
+    click.echo(f"identities:{len(identities)} certs:{len(certs)} txs:{len(txs)}")
 
 
 def _write_repartition(cfg: RunConfig, fname: str, tx, members, *extra: str) -> None:
@@ -261,20 +258,21 @@ def cmd_graph(cfg: RunConfig) -> None:
         if len(g.undirected_edges()) < 2:  # no swap to draw from: no null model,
             null_csv.unlink(missing_ok=True)  # nor an earlier run's
             continue
-        null = graph_metrics.null_model_triangles(g, triangles, cfg.samples, cfg.seed)
+        observed, samples, mean, std, ratio = graph_metrics.null_model_triangles(
+            g, triangles, cfg.samples, cfg.seed
+        )
         _write_csv(
             null_csv,
             _comments(
                 "graph",
                 cfg,
                 f"stream={name}",
-                f"observed={null.observed} mean={null.mean:.4f} "
-                f"std={null.std:.4f} ratio={null.ratio:.4f}",
+                f"observed={observed} mean={mean:.4f} std={std:.4f} ratio={ratio:.4f}",
             ),
             "sample,triangles",
-            enumerate(null.samples),
+            enumerate(samples),
         )
-        click.echo(f"null_ratio_{name}:{null.ratio:.4f}")
+        click.echo(f"null_ratio_{name}:{ratio:.4f}")
 
     # member pairs that transact without any certification between them, and
     # their distances in the undirected certification graph, whose nodes are
@@ -282,16 +280,12 @@ def cmd_graph(cfg: RunConfig) -> None:
     rows = graphs["txmm"].undirected_edges()
     uncertified = rows[cert.pairs.find(rows[:, 0], rows[:, 1]) < 0]
     at = np.searchsorted(graphs["cert"].nodes, uncertified)
-    dist = graph_metrics.distance_distribution(at[:, 0], at[:, 1], graphs["cert"])
+    counts, unreachable = graph_metrics.distance_distribution(at[:, 0], at[:, 1], graphs["cert"])
     _write_csv(
         cfg.out_dir / "distances.csv",
-        _comments(
-            "graph",
-            cfg,
-            f"pairs={len(uncertified)} unreachable={dist.unreachable}",
-        ),
+        _comments("graph", cfg, f"pairs={len(uncertified)} unreachable={unreachable}"),
         "distance,count",
-        ((d, c) for d, c in enumerate(dist.counts.tolist()) if c),
+        ((d, c) for d, c in enumerate(counts.tolist()) if c),
     )
 
 
@@ -307,19 +301,12 @@ def cmd_closures(cfg: RunConfig) -> None:
         sources = _keys(keys, stream.src)
         targets = _keys(keys, stream.dst)
         for k in (2, 3):
-            dist = temporal_metrics.closure_distribution(stream, k=k)
+            _, lookback, infinite = temporal_metrics.closure_distribution(stream, k=k)
             _write_csv(
                 cfg.out_dir / _stream_file(f"closures_k{k}", name),
-                _comments(
-                    "closures", cfg, f"links={len(dist.results)} infinite={dist.infinite_count}"
-                ),
+                _comments("closures", cfg, f"links={len(lookback)} infinite={infinite}"),
                 "t,source,target,lookback",
-                zip(
-                    times,
-                    sources,
-                    targets,
-                    ["inf" if b < 0 else b for b in dist.results.tolist()],
-                ),
+                zip(times, sources, targets, ["inf" if b < 0 else b for b in lookback.tolist()]),
             )
 
 

@@ -10,17 +10,18 @@ of places; distances take pairs as two columns of places, read the CSR
 neighbor slices and count per distance in an array. Link multiplicities
 per pair belong to the cross-stream interplay metrics.
 
-The degree and clustering kernels return a tuple of what they compute,
-per-place columns first, in the order their docstrings name; the null
-model and the distance histogram return objects, whose attributes the
-stage tracer ``bench/trace_stage.py`` reads.
+Every kernel returns a tuple of what it computes, per-place columns
+first, in the order its docstring names. The null model and the distance
+histogram return named tuples, ``NullModelResult`` and
+``DistanceDistribution``, whose field names the stage tracer
+``bench/trace_stage.py`` reads.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,8 +121,7 @@ def _node_triangles(a: np.ndarray, b: np.ndarray, rank: np.ndarray) -> np.ndarra
     return tri[rank]
 
 
-@dataclass(frozen=True)
-class NullModelResult:
+class NullModelResult(NamedTuple):
     observed: int
     samples: tuple[int, ...]
     mean: float
@@ -165,6 +165,11 @@ def null_model_triangles(
     i), which makes the sequence independent of evaluation order. ``seed``
     must be >= 0: ``random.Random`` seeds by absolute value, so a negative
     seed would repeat another seed's samples.
+
+    Returns ``(observed, samples, mean, std, ratio)``: ``observed``, the
+    triangle count of every sample in sample order, their mean and
+    population standard deviation, and observed / mean (inf for a mean of
+    0 below a positive count, NaN for 0 / 0).
     """
     # swaps keep every degree, so g's ranks orient each sample as well
     counts = [
@@ -176,13 +181,7 @@ def null_model_triangles(
         ratio = observed / mean
     else:
         ratio = math.inf if observed else math.nan
-    return NullModelResult(
-        observed=observed,
-        samples=tuple(counts),
-        mean=mean,
-        std=math.sqrt(var),
-        ratio=ratio,
-    )
+    return NullModelResult(observed, tuple(counts), mean, math.sqrt(var), ratio)
 
 
 def _double_edge_swap(
@@ -260,8 +259,7 @@ def _double_edge_swap(
     return us, vs
 
 
-@dataclass(frozen=True, eq=False)
-class DistanceDistribution:
+class DistanceDistribution(NamedTuple):
     counts: np.ndarray  # pairs at each finite distance, indexed by the distance
     unreachable: int
 
@@ -287,6 +285,10 @@ def distance_distribution(u: np.ndarray, v: np.ndarray, g: InducedGraph) -> Dist
     nodes and S distinct sources. Intended for the pairs that transact
     without a certification, measured in the undirected certification
     graph.
+
+    Returns ``(counts, unreachable)``: the number of pairs at each finite
+    distance, indexed by the distance and without trailing zeros, and the
+    number of pairs never found; ``total()`` is the number of distinct pairs.
     """
     n = len(g.nodes)
     u, v = (np.asarray(x, dtype=np.int64) for x in (u, v))
@@ -328,4 +330,4 @@ def distance_distribution(u: np.ndarray, v: np.ndarray, g: InducedGraph) -> Dist
             break
         reach |= frontier
     counts = np.trim_zeros(np.array(found, dtype=np.int64), "b")
-    return DistanceDistribution(counts=counts, unreachable=remaining)
+    return DistanceDistribution(counts, remaining)

@@ -9,10 +9,9 @@ Every per-pair or per-link result is an int64 or bool array aligned with
 the pairs or the links of the stream its docstring names, a category is
 a code, its position in its label tuple, and a table is columns aligned
 with its label tuple. A kernel returns a tuple of its columns, shares and
-counts, in the order its docstring names them. The one class,
-``RelationSets``, is what ``relation_sets`` builds as the input of two
-kernels, not a result to write out. Callers hold the indexes and turn the
-results into rows.
+counts, in the order its docstring names them. ``relation_sets`` returns
+the named tuple ``RelationSets``, the input of two kernels, not a result
+to write out. Callers hold the indexes and turn the results into rows.
 
 Tie conventions, chosen once and applied everywhere: an event exactly
 simultaneous with an anchor counts as "already there" (<= comparisons),
@@ -21,15 +20,14 @@ and among equally close events in absolute time the earlier one wins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .stream_core import LinkStream, PairIndex
 
 
-@dataclass(frozen=True, eq=False)
-class RelationSets:
+class RelationSets(NamedTuple):
     """The unordered pairs of a stream with at least one link (any), and
     which of them have links in both directions (bi); the others have links
     in one direction only (uni)."""
@@ -43,7 +41,7 @@ def relation_sets(s: LinkStream) -> RelationSets:
     idx = s.pairs
     forward = np.bincount(idx.segment[s.src < s.dst], minlength=len(idx.u))
     backward = np.diff(idx.starts) - forward
-    return RelationSets(pairs=idx, bi=(forward > 0) & (backward > 0))
+    return RelationSets(idx, (forward > 0) & (backward > 0))
 
 
 def _cert_kind(txs: RelationSets, certs: RelationSets) -> np.ndarray:

@@ -32,6 +32,7 @@ import reprlib
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,10 +70,10 @@ class LinkColumns:
         return len(self.t)
 
 
-@dataclass
-class ParsedRecords:
+class ParsedRecords(NamedTuple):
     """The identity keys, the certification and transaction columns, and
-    the per-line issues (lenient mode only)."""
+    the per-line issues (lenient mode only). ``LinkColumns`` is no named
+    tuple: its ``len()`` is its link count."""
 
     identities: list[str]
     certifications: LinkColumns
@@ -118,8 +119,9 @@ def _key_field(obj: dict, name: str, line_no: int, valid_keys: dict[str, str]) -
 def parse_records(lines: Iterable[str | bytes], strict: bool = False) -> ParsedRecords:
     """Single-pass parse of line-delimited records.
 
-    Returns the keys of the identities, and the certifications and
-    transactions as columns, each in input order.
+    Returns ``(identities, certifications, transactions, issues)``: the
+    keys of the identities, and the certifications and transactions as
+    columns, each in input order, then the issues.
     A line with bytes that are not UTF-8 is malformed, whether it comes as
     ``bytes`` or as text read with ``errors="surrogateescape"``, which
     carries such bytes as lone surrogates.
@@ -243,16 +245,16 @@ def classify_keys(
 
 
 def build_streams(
-    records: ParsedRecords, keys: list[str], members: np.ndarray
+    certs: LinkColumns, txs: LinkColumns, keys: list[str], members: np.ndarray
 ) -> tuple[LinkStream, LinkStream]:
     """Build the certification stream (over ``members``) and the
-    transaction stream (over every key of ``keys``) from parsed records.
+    transaction stream (over every key of ``keys``) from the parsed
+    certification and transaction columns.
 
     Certification links are unweighted; transaction links carry amounts.
     Each interval spans the first to the last event of its kind; a stream
     with no events gets the degenerate interval [0, 0].
     """
-    certs, txs = records.certifications, records.transactions
     get = dict(zip(keys, range(len(keys)))).get
     # a key missing from the table has handle -1, which isin finds nowhere
     src, dst, tx_src, tx_dst = (

@@ -5,7 +5,10 @@ directed k-closure of links for k in {2, 3}: the minimal look-back from a
 link to its reverse link, or to a directed triangle completing it. The
 overlaps read two induced graphs' degrees and the rows they share, and
 return columns over the union of their node sets; both closures read the
-stream's directed pair index.
+stream's directed pair index and return the named tuple
+``ClosureDistribution``, a column over the links and its count of
+infinite closures, whose field names the stage tracer
+``bench/trace_stage.py`` reads.
 
 Closure conventions. For the 2-closure, a reverse link at exactly the same
 instant qualifies (look-back 0). For the 3-closure, the two supporting
@@ -16,7 +19,7 @@ shrink the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,23 +56,21 @@ def neighborhood_overlaps(
     return nodes, inclusion, jaccard
 
 
-@dataclass(frozen=True, eq=False)
-class ClosureDistribution:
+class ClosureDistribution(NamedTuple):
     k: int
     results: np.ndarray  # look-back per link, stream order; -1 marks an infinite closure
     infinite_count: int
 
 
 def closure_distribution(s: LinkStream, k: int) -> ClosureDistribution:
-    """k-closure of every link of the stream, with the number of links
-    whose closure is infinite."""
+    """k-closure of every link of the stream: ``(k, results,
+    infinite_count)``, the look-back of every link in stream order (-1 for
+    an infinite closure, read-only) and the number of infinite ones."""
     if k not in (2, 3):
         raise ValueError(f"k must be 2 or 3, got {k}")
     lookback = _two_closure(s) if k == 2 else _three_closure(s)
     lookback.setflags(write=False)
-    return ClosureDistribution(
-        k=k, results=lookback, infinite_count=int(np.count_nonzero(lookback < 0))
-    )
+    return ClosureDistribution(k, lookback, int(np.count_nonzero(lookback < 0)))
 
 
 def _two_closure(s: LinkStream) -> np.ndarray:

@@ -310,6 +310,20 @@ def parsed_records(parsed) -> tuple[list, list, list]:
     )
 
 
+def key_table_fault(keys: list[str]) -> str | None:
+    """Key by key: why a snapshot's key table is rejected, naming its first
+    faulty key by position, or None if every key passes ingest's rule."""
+    from ls_ledger.stream_core import _key_fault
+
+    if len(set(keys)) != len(keys):
+        return "keys.npy repeats a key"
+    for i, key in enumerate(keys):
+        fault = _key_fault(key)
+        if fault:
+            return f"key {i} in keys.npy {fault}"
+    return None
+
+
 def classify_keys(identity_keys, transactions) -> tuple[list[str], set[int], set[int]]:
     """Record by record: the key of each handle, and the member and
     anonymous handles. Keys are numbered as first met: identity keys, then

@@ -112,9 +112,9 @@ def _all_fixtures():
 def test_criterion_4_partition_and_conservation():
     started = time.perf_counter()
     for records in _all_fixtures():
-        parsed = ledger_ingest.parse_records(map(format_record, records))
-        keys, members = ledger_ingest.classify_keys(parsed.identities, parsed.transactions)
-        cert_stream, tx_stream = ledger_ingest.build_streams(parsed, keys, members)
+        identities, certs, txs, _ = ledger_ingest.parse_records(map(format_record, records))
+        keys, members = ledger_ingest.classify_keys(identities, txs)
+        cert_stream, tx_stream = ledger_ingest.build_streams(certs, txs, keys, members)
 
         subs = {label: substream_by_class(tx_stream, members, label) for label in SUBSTREAM_LABELS}
         assert sum(s.link_count for s in subs.values()) == tx_stream.link_count
@@ -234,9 +234,9 @@ def test_criterion_7_dataset_conditional_reproduction():
     started = time.perf_counter()
     remuniter = os.environ.get(REMUNITER_ENV)
     with open(dump, "r", encoding="utf-8") as fh:
-        records = ledger_ingest.parse_records(fh)
-    keys, members = ledger_ingest.classify_keys(records.identities, records.transactions)
-    cert_stream, tx_stream = ledger_ingest.build_streams(records, keys, members)
+        identities, certs, txs, _ = ledger_ingest.parse_records(fh)
+    keys, members = ledger_ingest.classify_keys(identities, txs)
+    cert_stream, tx_stream = ledger_ingest.build_streams(certs, txs, keys, members)
     tx_mm = substream_by_class(tx_stream, members, "MM")
     tx_aa = substream_by_class(tx_stream, members, "AA")
 

@@ -1,6 +1,7 @@
 import csv
 import errno
 import hashlib
+import random
 import string
 import sys
 import zipfile
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import oracles
 from ls_ledger import snapshot, stream_core
 from ls_ledger.cli import _write_csv, main
 from ls_ledger.errors import StateError
@@ -894,6 +896,29 @@ def test_snapshot_key_that_ingest_rejects_is_state_error(ledger_file, tmp_path, 
 def test_keys_of_ascii_letters_and_digits_pass_the_key_rule():
     # loading a snapshot passes a table of such keys without a per-key scan
     assert not any(map(_key_fault, string.ascii_letters + string.digits))
+
+
+# keys the rule accepts though they are not ASCII letters and digits, and
+# keys it rejects, which a table may hold in any place
+LEGAL_KEYS = ("é", "-", "_", "naïve", "a-b_c", "Ω", "x#")
+FAULTY_KEYS = ("", "#", "#a", "#a,b", "a,b", "a|b", 'a"', "a b", "é\t", "\n", "a\x00", "\x7f", "é\x85")
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_key_check_names_the_first_faulty_key_as_a_per_key_scan_does(seed):
+    rng = random.Random(seed)
+    keys = [f"k{i}{rng.choice(LEGAL_KEYS)}" for i in range(rng.randint(1, 40))]
+    if seed % 5:
+        keys.insert(0, rng.choice(LEGAL_KEYS))
+    for fault in rng.sample(FAULTY_KEYS, (0, 1, 2, 3)[seed % 4]):
+        keys.insert(rng.choice((0, rng.randint(0, len(keys)), len(keys))), fault)
+    want = oracles.key_table_fault(keys)
+    if want is None:
+        snapshot._check_keys(keys)
+    else:
+        with pytest.raises(ValueError) as err:
+            snapshot._check_keys(keys)
+        assert str(err.value) == want
 
 
 def test_rerun_leaves_no_output_that_this_run_skips(ledger_file, tmp_path):

@@ -317,7 +317,7 @@ def _ingest(records):
     """The parse, key table, member set and streams of ``records``."""
     parsed = _parse(records)
     keys, members = classify_keys(parsed.identities, parsed.transactions)
-    cert, tx = build_streams(parsed, keys, members)
+    cert, tx = build_streams(parsed.certifications, parsed.transactions, keys, members)
     return parsed, keys, members, cert, tx
 
 
@@ -588,7 +588,9 @@ def test_columnar_ingest_matches_record_oracle():
         assert member_set.tolist() == sorted(members)
         assert sorted(members | anonymous) == list(range(len(keys)))
 
-        cert, tx = build_streams(parsed, keys, member_set)
+        cert, tx = build_streams(
+            parsed.certifications, parsed.transactions, keys, member_set
+        )
         oracle_streams = oracles.build_streams(certs, txs, oracle_keys)
         (cert_interval, cert_rows), (tx_interval, tx_rows) = oracle_streams
         assert (cert.interval, links_of(cert)) == (cert_interval, cert_rows)

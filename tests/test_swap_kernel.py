@@ -80,6 +80,24 @@ def test_sparse_node_handles_do_not_collide():
         assert_same_swaps([(0, 977), (3, 40), (3, 977), (40, 976), (1, 2)], seed)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_chains_compose(seed):
+    # a attempts, then 10m - a more from the returned columns with the same
+    # generator, end where one chain of 10m attempts ends: a shorter chain
+    # is a prefix of the longer one
+    rng = random.Random(seed)
+    edges = random_edges(rng, rng.sample(range(60), rng.randint(4, 30)), rng.randint(2, 120))
+    m, n = len(edges), max(max(e) for e in edges) + 1
+    us, vs = [u for u, _ in edges], [v for _, v in edges]
+    rng_whole = random.Random(seed)
+    whole = _double_edge_swap(us, vs, n, rng_whole, 10 * m)
+    for a in (0, 1, m // 2, 3 * m):
+        rng_split = random.Random(seed)
+        head = _double_edge_swap(us, vs, n, rng_split, a)
+        assert _double_edge_swap(*head, n, rng_split, 10 * m - a) == whole, a
+        assert rng_split.getstate() == rng_whole.getstate()
+
+
 def test_zero_attempts_copies_edges():
     edges = [(0, 1), (2, 3), (4, 5)]
     assert assert_same_swaps(edges, 0, attempts=0) == edges
