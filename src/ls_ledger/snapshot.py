@@ -17,8 +17,6 @@ from __future__ import annotations
 import io
 import zipfile
 import zlib
-from bisect import bisect_right
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +24,6 @@ import numpy as np
 from .atomic import atomic_file
 from .errors import StateError
 from .stream_core import (
-    _KEY_BREAK,
     SUBSTREAM_LABELS,
     LinkStream,
     _distinct_sorted,
@@ -126,20 +123,16 @@ def _check_keys(keys: list[str]) -> None:
     """Raise ValueError if ``keys`` repeats a key or holds one that ingest
     would reject, naming the first. No ASCII letter or digit breaks the
     rule, so a table of non-empty keys of those alone, as base58 keys are,
-    passes with no further test; any other table gets one search of the
-    joined keys for a character that breaks a key, whose key is found by
-    its offset, and one pass for an empty key or a leading ``#``."""
+    passes without a per-key scan."""
     if len(set(keys)) != len(keys):
         raise ValueError("keys.npy repeats a key")
     joined = "".join(keys)
     if joined.isascii() and joined.encode().isalnum() and all(keys):
         return
-    first = next((i for i, key in enumerate(keys) if not key or key[0] == "#"), len(keys))
-    bad = _KEY_BREAK.search(joined)
-    if bad:  # the key holding that character: an empty key holds none
-        first = min(first, bisect_right(list(accumulate(map(len, keys))), bad.start()))
-    if first < len(keys):
-        raise ValueError(f"key {first} in keys.npy {_key_fault(keys[first])}")
+    for i, key in enumerate(keys):
+        fault = _key_fault(key)
+        if fault:
+            raise ValueError(f"key {i} in keys.npy {fault}")
 
 
 def _array(data, name: str) -> np.ndarray:
