@@ -12,6 +12,11 @@ its stage runs. A metric command loads the snapshot's four parts once and
 builds the transaction substreams it reads from them: ``graph`` the
 member (MM) and anonymous (AA) ones, every other command MM alone.
 :func:`run` is that process's entry point.
+
+Click checks each option alone (``--bin`` and ``--samples`` at least 1,
+``--seed`` at least 0); every command passes its parameters as they are
+to :func:`_config`, which checks that the window covers at least one bin
+and returns them as the named tuple :class:`RunConfig`.
 """
 
 import gc
@@ -24,9 +29,9 @@ if __name__ == "__main__":
     # with collection off.
     gc.disable()
 
-from dataclasses import dataclass, replace
 from itertools import chain, repeat, starmap
 from pathlib import Path
+from typing import NamedTuple
 
 import click
 import numpy as np
@@ -40,8 +45,10 @@ DEFAULT_WINDOW = 2_592_000  # 30 days
 DEFAULT_SAMPLES = 100
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
+    """The options of one command, each field named as its click
+    parameter; :func:`_config` builds it from them."""
+
     out_dir: Path
     input_path: Path | None = None
     remuniter: str | None = None
@@ -51,14 +58,6 @@ class RunConfig:
     seed: int = 0
     strict: bool = False
     ordered_pairs: bool = False
-
-    def __post_init__(self):
-        if self.bin_width <= 0:
-            raise ValueError("bin width must be positive")
-        if self.window < self.bin_width:
-            raise ValueError("window must be at least the bin width")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
 
 
 def _write_csv(path: Path, comments: list[str], header: str, rows) -> None:
@@ -154,7 +153,7 @@ def cmd_overview(cfg: RunConfig) -> None:
     common = (min(t0 for t0, _ in spans), max(t1 for _, t1 in spans))
     series = {}
     for name, stream in (("cert", cert), ("txmm", tx_mm)):
-        widened = replace(stream, interval=common)
+        widened = stream_core.LinkStream(common, stream.nodes, stream.t, stream.src, stream.dst)
         try:
             counts = stream_core.activity_series(widened, cfg.bin_width)
             series[name] = (counts, stream_core.rolling_sum(counts, cfg.bin_width, cfg.window))
@@ -480,8 +479,12 @@ def _common_options(fn):
         help="Output directory (env: LS_LEDGER_OUT).",
     )(fn)
     fn = click.option("--window", default=DEFAULT_WINDOW, show_default=True, help="Rolling window (s).")(fn)
-    fn = click.option("--bin", "bin_width", default=DEFAULT_BIN, show_default=True, help="Bin width (s).")(fn)
-    fn = click.option("--samples", default=DEFAULT_SAMPLES, show_default=True, help="Null-model samples.")(fn)
+    fn = click.option(
+        "--bin", "bin_width", default=DEFAULT_BIN, show_default=True, type=click.IntRange(min=1), help="Bin width (s)."
+    )(fn)
+    fn = click.option(
+        "--samples", default=DEFAULT_SAMPLES, show_default=True, type=click.IntRange(min=1), help="Null-model samples."
+    )(fn)
     fn = click.option(
         "--seed", default=0, show_default=True, type=click.IntRange(min=0), help="Null-model seed."
     )(fn)
@@ -493,11 +496,12 @@ def _common_options(fn):
     return fn
 
 
-def _config(out_dir: Path, input_path: Path | None = None, **kw) -> RunConfig:
-    try:
-        return RunConfig(out_dir=out_dir, input_path=input_path, **kw)
-    except ValueError as err:
-        raise click.UsageError(str(err))
+def _config(**params) -> RunConfig:
+    """The command's click parameters as its configuration, once the
+    window covers at least one bin."""
+    if params["window"] < params["bin_width"]:
+        raise click.BadParameter("window must be at least the bin width", param_hint="'--window'")
+    return RunConfig(**params)
 
 
 def _run(command, cfg: RunConfig) -> None:
@@ -528,35 +532,16 @@ def main():
 @click.option("--remuniter", default=None, help="Donation wallet key.")
 @click.option("--strict", is_flag=True, help="Abort on the first malformed line.")
 @_common_options
-def ingest_command(input_path, remuniter, strict, out_dir, window, bin_width, samples, seed, ordered_pairs):
+def ingest_command(**params):
     """Parse records, build all streams, and persist the snapshot."""
-    cfg = _config(
-        out_dir,
-        input_path,
-        remuniter=remuniter,
-        window=window,
-        bin_width=bin_width,
-        samples=samples,
-        seed=seed,
-        strict=strict,
-        ordered_pairs=ordered_pairs,
-    )
-    _run(cmd_ingest, cfg)
+    _run(cmd_ingest, _config(**params))
 
 
 def _metric_command(name, fn, help_text):
     @main.command(name, help=help_text)
     @_common_options
-    def _command(out_dir, window, bin_width, samples, seed, ordered_pairs):
-        cfg = _config(
-            out_dir,
-            window=window,
-            bin_width=bin_width,
-            samples=samples,
-            seed=seed,
-            ordered_pairs=ordered_pairs,
-        )
-        _run(fn, cfg)
+    def _command(**params):
+        _run(fn, _config(**params))
 
     _command.__name__ = f"{name}_command"
     return _command

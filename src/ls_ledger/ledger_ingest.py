@@ -30,7 +30,6 @@ from __future__ import annotations
 import json
 import reprlib
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple
 
@@ -55,16 +54,17 @@ _SHOWN = reprlib.Repr()
 _SHOWN.maxstring = _SHOWN.maxlong = _SHOWN.maxother = 60
 
 
-@dataclass
 class LinkColumns:
     """Parsed links in line order, as parallel lists: times, source and
-    target keys, and amounts of transactions or line numbers of certifications."""
+    target keys, and amounts of transactions or line numbers of
+    certifications. ``amount`` and ``line`` stay None unless given; a
+    column set's ``len()`` is its link count."""
 
-    t: list[int] = field(default_factory=list)
-    src: list[str] = field(default_factory=list)
-    dst: list[str] = field(default_factory=list)
-    amount: list[int] | None = None
-    line: list[int] | None = None
+    def __init__(self, amount: list[int] | None = None, line: list[int] | None = None):
+        self.t: list[int] = []
+        self.src: list[str] = []
+        self.dst: list[str] = []
+        self.amount, self.line = amount, line
 
     def __len__(self) -> int:
         return len(self.t)

@@ -15,6 +15,7 @@ the CLI's determinism guarantee relies on.
 from __future__ import annotations
 
 import io
+import math
 import zipfile
 import zlib
 from pathlib import Path
@@ -138,6 +139,7 @@ def _check_keys(keys: list[str]) -> None:
 def _array(data, name: str) -> np.ndarray:
     """The array ``name``: ``keys`` a 1-D unicode array, every other one a
     1-D int64 array, of length 2 for an interval."""
+    _check_claimed_size(data, name)
     value = data[name]
     if not isinstance(value, np.ndarray):  # np.load returns a non-npy entry as bytes
         raise ValueError(f"{name}.npy is not an npy array")
@@ -146,6 +148,25 @@ def _array(data, name: str) -> np.ndarray:
     if value.shape != (length,) or not np.issubdtype(value.dtype, kind):
         raise ValueError(f"{name}.npy has dtype {value.dtype} and shape {value.shape}")
     return value
+
+
+def _check_claimed_size(data, name: str) -> None:
+    """Raise ValueError if the header of ``name``.npy claims more values
+    than its zip entry holds, before ``data[name]`` allocates room for them.
+    An entry without the npy magic is left to ``_array``, which rejects it."""
+    info = data.zip.getinfo(f"{name}.npy")
+    with data.zip.open(info) as fh:
+        try:
+            version = np.lib.format.read_magic(fh)
+        except ValueError:
+            return
+        if version == (1, 0):
+            shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+        else:
+            shape, _, dtype = np.lib.format.read_array_header_2_0(fh)
+        held = info.file_size - fh.tell()
+    if math.prod(shape) * dtype.itemsize > held:
+        raise ValueError(f"{name}.npy claims shape {shape} of {dtype}, but holds {held} bytes")
 
 
 def _stream_from(data, prefix: str, amount: np.ndarray | None = None) -> LinkStream:

@@ -13,14 +13,14 @@ handles ascending in a read-only int64 array. The member set alone splits
 the keys: a handle in it is an identified member, any other handle an
 anonymous wallet, and a substream is named by its label, the classes of
 its links' sources and targets (MM, MA, AM, AA). Binned activity series
-are int64 arrays over a grid of fixed-width bins.
+are int64 arrays over a grid of fixed-width bins. Every stage imports
+this module, so its classes are plain classes: none loads ``dataclasses``.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -55,36 +55,31 @@ def _distinct_sorted(values) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True, eq=False)
 class LinkStream:
     """A time interval, a node set, and links sorted by (t, source, target).
 
     The links are the columns ``t``, ``src``, ``dst`` and ``amount``:
     read-only int64 arrays of one length, ``amount`` being ``None`` for
-    certifications; ``nodes`` is a node set. Instances are immutable after
-    construction; every read operation is safe to share across threads. Use
+    certifications; ``nodes`` is a node set. A stream keeps private copies
+    of the columns it is given, so no caller can change it, and every read
+    operation is safe to share across threads. Use
     :func:`stream_from_columns` to build a stream from columns in any order.
     """
 
-    interval: tuple[int, int]
-    nodes: np.ndarray
-    t: np.ndarray
-    src: np.ndarray
-    dst: np.ndarray
-    amount: np.ndarray | None = None
-
-    def __post_init__(self):
-        for name in ("t", "src", "dst", "amount"):
-            if getattr(self, name) is not None:  # keep a private read-only copy
-                col = np.array(getattr(self, name), dtype=np.int64)
-                col.setflags(write=False)
-                object.__setattr__(self, name, col)
-        object.__setattr__(self, "nodes", _distinct_sorted(self.nodes))
-        t, src, dst, amount = self.t, self.src, self.dst, self.amount
+    def __init__(self, interval, nodes, t, src, dst, amount=None):
+        # private read-only copies, which no caller's array can change
+        t, src, dst, amount = (
+            c if c is None else np.array(c, dtype=np.int64) for c in (t, src, dst, amount)
+        )
+        for c in (t, src, dst, amount):
+            if c is not None:
+                c.setflags(write=False)
+        self.interval, self.nodes = interval, _distinct_sorted(nodes)
+        self.t, self.src, self.dst, self.amount = t, src, dst, amount
         if t.ndim != 1 or any(c.shape != t.shape for c in (src, dst, amount) if c is not None):
             raise ValueError("link columns must be one-dimensional and of one length")
         n = len(t)
-        t0, t1 = self.interval
+        t0, t1 = interval
         if t0 > t1:
             raise IntervalError(f"empty interval [{t0}, {t1}]")
         if not n:
@@ -122,12 +117,12 @@ class LinkStream:
     def pairs(self) -> PairIndex:
         """Link times per unordered pair, both directions pooled; built on
         first use."""
-        return PairIndex.of(self, directed=False)
+        return PairIndex(self, directed=False)
 
     @cached_property
     def directed_pairs(self) -> PairIndex:
         """Link times per (source, target) pair; built on first use."""
-        return PairIndex.of(self, directed=True)
+        return PairIndex(self, directed=True)
 
     def restrict(self, keep: np.ndarray, nodes: np.ndarray) -> LinkStream:
         """The links where the boolean mask ``keep`` holds, over ``nodes``;
@@ -147,14 +142,14 @@ class LinkStream:
 SUBSTREAM_LABELS = ("MM", "MA", "AM", "AA")
 
 
-@dataclass(frozen=True, eq=False)
 class InducedGraph:
     """Static directed graph aggregated from a stream: one edge per node pair
     that interacted at least once. A view of the stream's pair indexes,
     which alone decide how links group into edges and in what order. Its
     kernels, built on first read, number nodes by place: an index in ``nodes``."""
 
-    stream: LinkStream
+    def __init__(self, stream: LinkStream):
+        self.stream = stream
 
     @property
     def nodes(self) -> np.ndarray:
@@ -307,7 +302,6 @@ def substream_by_class(s: LinkStream, members: np.ndarray, label: str) -> LinkSt
     return s.restrict(keep, s.nodes[kept])
 
 
-@dataclass(frozen=True, eq=False)
 class PairIndex:
     """A stream's links grouped by node pair, from one stable sort of the
     links by pair, so times stay ascending within each pair.
@@ -322,18 +316,7 @@ class PairIndex:
     composite key overflows int64 whatever the handles and times.
     """
 
-    directed: bool
-    u: np.ndarray
-    v: np.ndarray
-    starts: np.ndarray
-    times: np.ndarray
-    positions: np.ndarray
-    segment: np.ndarray
-    nodes: np.ndarray  # the stream's node set: a node's rank is its place there
-    keys: np.ndarray  # rank(u) * len(nodes) + rank(v) per segment, ascending
-
-    @classmethod
-    def of(cls, s: LinkStream, directed: bool) -> PairIndex:
+    def __init__(self, s: LinkStream, directed: bool):
         u, v = s.src, s.dst
         if not directed:
             u, v = np.minimum(u, v), np.maximum(u, v)
@@ -345,17 +328,15 @@ class PairIndex:
         first = np.flatnonzero(new)
         segment = np.empty(n, dtype=np.int64)
         segment[positions] = np.cumsum(new) - 1
-        return cls(
-            directed=directed,
-            u=u[positions[first]],
-            v=v[positions[first]],
-            starts=np.append(first, n),
-            times=s.t[positions],
-            positions=positions,
-            segment=segment,
-            nodes=s.nodes,
-            keys=key[first],
-        )
+        self.directed = directed
+        self.u = u[positions[first]]
+        self.v = v[positions[first]]
+        self.starts = np.append(first, n)
+        self.times = s.t[positions]
+        self.positions = positions
+        self.segment = segment
+        self.nodes = s.nodes  # the stream's node set: a node's rank is its place there
+        self.keys = key[first]  # rank(u) * len(nodes) + rank(v) per segment, ascending
 
     def find(self, u, v) -> np.ndarray:
         """Segment of each pair ``(u[i], v[i])``, -1 where the pair has no

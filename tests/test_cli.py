@@ -1,6 +1,7 @@
 import csv
 import errno
 import hashlib
+import io
 import random
 import string
 import sys
@@ -485,7 +486,9 @@ def test_window_must_cover_bin(ledger_file, tmp_path):
             "--bin", "100", "--window", "10",
         ],
     )
-    assert result.exit_code != 0
+    assert result.exit_code == 2, result.output  # click usage error
+    assert "Invalid value for '--window'" in result.output
+    assert not (tmp_path / "o").exists()
 
 
 def test_remuniter_flow(tmp_path):
@@ -578,6 +581,26 @@ def test_negative_seed_is_usage_error(ledger_file, tmp_path, command):
     )
     assert result.exit_code == 2, result.output
     assert "Invalid value for '--seed'" in result.output
+    assert not (tmp_path / "o").exists()
+
+
+# each option click rejects, and the arguments that break it
+BAD_OPTIONS = {
+    "--bin": ["--bin", "0"],
+    "--samples": ["--samples", "0"],
+    "--window": ["--bin", "100", "--window", "99"],
+}
+
+
+@pytest.mark.parametrize("command", ["ingest", *ALL_COMMANDS])
+@pytest.mark.parametrize("option", BAD_OPTIONS)
+def test_bad_option_is_usage_error_naming_it(ledger_file, tmp_path, command, option):
+    args = ["--input", str(ledger_file)] if command == "ingest" else []
+    result = CliRunner().invoke(
+        main, [command, *args, "--out", str(tmp_path / "o"), *BAD_OPTIONS[option]]
+    )
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{option}'" in result.output
     assert not (tmp_path / "o").exists()
 
 
@@ -727,6 +750,34 @@ def _rewrite(change):
     return damage
 
 
+def _claims_values(name: str, exponent: int):
+    """A damage that rewrites the header of ``name``.npy to claim 2**exponent
+    values and keeps its data bytes, far too few for them."""
+
+    def damage(path: Path) -> None:
+        with zipfile.ZipFile(path) as zf:
+            entries = {info.filename: zf.read(info) for info in zf.infolist()}
+        fh = io.BytesIO(entries[f"{name}.npy"])
+        np.lib.format.read_magic(fh)
+        _, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header,
+            {
+                "descr": np.lib.format.dtype_to_descr(dtype),
+                "fortran_order": fortran_order,
+                "shape": (2**exponent,),
+            },
+        )
+        entries[f"{name}.npy"] = header.getvalue() + fh.read()
+        with zipfile.ZipFile(path, "w") as zf:
+            for entry, data in entries.items():
+                zf.writestr(entry, data)
+
+    damage.__name__ = f"_{name}_claims_2^{exponent}_values"
+    return damage
+
+
 def _unequal_columns(a):
     a["tx_src"] = a["tx_src"][:-1]
 
@@ -821,6 +872,10 @@ def _two_dimensional_interval(a):
                 _two_dimensional_interval,
             ],
         ),
+        # each allocation numpy would make for the claim fails at once
+        _claims_values("cert_t", 40),
+        _claims_values("keys", 45),
+        _claims_values("tx_amount", 61),
     ],
 )
 def test_corrupt_snapshot_is_clean_state_error(ledger_file, tmp_path, damage):

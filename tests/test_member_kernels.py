@@ -8,7 +8,6 @@ neighborhoods give, on seeded random graphs with sparse handles, isolated
 nodes and several components.
 """
 
-import dataclasses
 import random
 from itertools import chain
 
@@ -171,7 +170,8 @@ def random_stream(rng: random.Random, nodes: list[int]) -> LinkStream:
 
 def stream_over(nodes, links: list[tuple[int, int, int]], interval: tuple[int, int]) -> LinkStream:
     """A stream whose node set may also hold nodes without any link."""
-    return dataclasses.replace(stream_of(links, interval), nodes=frozenset(nodes))
+    s = stream_of(links, interval)
+    return LinkStream(s.interval, frozenset(nodes), s.t, s.src, s.dst, s.amount)
 
 
 def test_neighborhood_overlaps_match_per_node_rescan():

@@ -5,8 +5,10 @@ of ``cli`` would be paid for by every stage. Each case runs one command in
 a fresh interpreter, the way ``ls-ledger`` does, and compares the
 ``ls_ledger`` submodules loaded at its end with the exact set expected;
 ``numpy.ma`` (about 1.4 MB and 10 ms, which ``np.unique`` without
-``return_inverse`` loads on numpy 2.4) counts as one more, never expected,
-unless a bare ``import numpy`` loads it already, as numpy 1.x does.
+``return_inverse`` loads on numpy 2.4) and ``dataclasses`` (about 1 ms,
+plus 0.5-0.75 ms per class defined) each count as one more, never
+expected, unless a bare ``import numpy`` loads it already, as numpy 1.x
+does ``numpy.ma``.
 The package itself, which ``python -m ls_ledger.cli`` imports before
 ``cli``, loads its names on first use, and the ledger writer
 (``fixtures``) loads no pipeline module and not numpy.
@@ -30,11 +32,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 BASE = {"atomic", "cli", "errors", "snapshot", "stream_core"}
 
 # run main(), then print the loaded submodules as the last stdout line,
-# numpy.ma among them only where a bare numpy import does not load it
+# numpy.ma and dataclasses among them only where a bare numpy import does
+# not load them
 PROBE = """
 import json, sys
 import numpy
-eager = "numpy.ma" in sys.modules
+pinned = [m for m in ("numpy.ma", "dataclasses") if m not in sys.modules]
 from ls_ledger.cli import main
 try:
     main(sys.argv[1:])
@@ -42,7 +45,7 @@ except SystemExit as exit:
     code = exit.code
 print(json.dumps([code, sorted(
     m.split(".", 1)[1] for m in sys.modules if m.startswith("ls_ledger.")
-) + ["numpy.ma"] * ("numpy.ma" in sys.modules and not eager)]))
+) + [m for m in pinned if m in sys.modules]]))
 """
 
 EXPECTED = {
@@ -125,6 +128,17 @@ def test_numpy_ma_pin_is_exact_on_numpy_2():
     unique_first = PROBE.replace(run, "    numpy.unique(numpy.arange(3))\n" + run)
     assert unique_first != PROBE
     assert loaded_modules(["--help"], unique_first) == EXPECTED["--help"] | {"numpy.ma"}
+
+
+def test_dataclasses_pin_counts_a_stage_that_loads_it():
+    code = "import sys, numpy; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    if proc.stdout.split() != ["False"]:
+        pytest.skip("a bare numpy import loads dataclasses")
+    run = "    main(sys.argv[1:])"
+    dataclasses_first = PROBE.replace(run, "    import dataclasses\n" + run)
+    assert dataclasses_first != PROBE
+    assert loaded_modules(["--help"], dataclasses_first) == EXPECTED["--help"] | {"dataclasses"}
 
 
 def test_help_loads_no_metric_module():

@@ -61,6 +61,34 @@ def test_stream_columns_are_read_only_int64(sample_stream):
     assert s.amount is None
 
 
+def test_streams_keep_private_read_only_columns():
+    # what a stream holds stays as built, whatever the caller then does to
+    # the arrays it passed in
+    t, src, dst, amount, nodes = (
+        np.array(c, dtype=np.int64)
+        for c in ([1, 2, 3], [0, 1, 2], [1, 2, 0], [5, 6, 7], [0, 1, 2, 3])
+    )
+    keep = np.array([True, False, True])
+    direct = LinkStream(interval=(0, 10), nodes=nodes, t=t, src=src, dst=dst, amount=amount)
+    streams = [
+        direct,
+        stream_from_columns(t, src, dst, amount, interval=(0, 10), nodes=nodes),
+        direct.restrict(keep, nodes),
+    ]
+
+    def contents(s):
+        return [c.tolist() for c in (s.nodes, s.t, s.src, s.dst, s.amount)]
+
+    before = [contents(s) for s in streams]
+    for col in (t, src, dst, amount, nodes):
+        col[:] = 9
+    keep[:] = False
+    assert [contents(s) for s in streams] == before
+    for s in streams:
+        for col in (s.nodes, s.t, s.src, s.dst, s.amount):
+            assert not col.flags.writeable
+
+
 def _columns(t, src, dst, amount=None, interval=(0, 10), nodes=(0, 1, 2)):
     return LinkStream(
         interval=interval, nodes=frozenset(nodes), t=t, src=src, dst=dst, amount=amount
