@@ -88,11 +88,6 @@ def clustering(g: InducedGraph) -> tuple[np.ndarray, float, float, int]:
     )
 
 
-def triangle_count(g: InducedGraph) -> int:
-    """Number of unordered node triples mutually adjacent in the undirected view."""
-    return int(_node_triangles(*g.ends, g.rank).sum()) // 3
-
-
 def _node_triangles(a: np.ndarray, b: np.ndarray, rank: np.ndarray) -> np.ndarray:
     """Triangles through every node of the simple graph with edges
     ``(a[i], b[i])`` over the node places that ``rank`` orders.
@@ -155,8 +150,7 @@ def null_model_triangles(
     g: InducedGraph, observed: int, samples: int = 100, seed: int = 0
 ) -> NullModelResult:
     """Triangle counts under the degree-preserving null model, against the
-    ``observed`` triangle count of ``g`` (as :func:`clustering` or
-    :func:`triangle_count` give it).
+    ``observed`` triangle count of ``g`` (as :func:`clustering` gives it).
 
     Each sample randomizes the undirected view with 10 * |edges|
     double-edge swap attempts; attempts that would create a self-loop or
@@ -209,7 +203,11 @@ def _double_edge_swap(
     check reads one byte and takes n * n bytes.
     """
     m = len(us)
-    us, vs = list(us), list(vs)
+    # the copies share one int object per node (tolist() gives each entry
+    # above 256 its own), which keeps the loop's reads in cache; swaps only
+    # move these objects, so they stay shared
+    place = list(range(n))
+    us, vs = [place[u] for u in us], [place[v] for v in vs]
     present = bytearray(n * n)
     for u, v in zip(us, vs):
         present[u * n + v] = 1

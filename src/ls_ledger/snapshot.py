@@ -3,13 +3,17 @@
 The snapshot is a zip of .npy arrays (readable with ``numpy.load``) holding
 the columns of the certification and transaction streams, the key table
 (``keys.npy``, the key of each handle), the member set (every other key
-is an anonymous wallet), and the link indices of the four class
-substreams. Its contents are four parts, ``(keys, members, cert, tx)``:
-:func:`build_bundle` checks that they agree, at ingest and at load, and
-:func:`load_bundle` returns them, reading no ``sub_*`` array; each stage
-builds the substreams it reads from ``tx`` and ``members``. Zip entries
-get a fixed timestamp so identical data produces identical bytes, which
-the CLI's determinism guarantee relies on.
+is an anonymous wallet), the node set of each stream and the link indices
+of the four class substreams. Its contents are four parts, ``(keys,
+members, cert, tx)``: :func:`build_bundle` checks that they agree, at
+ingest and at load, and :func:`load_bundle` returns them. A load opens the
+zip once and reads each of the eleven arrays it uses once: ``keys``,
+``members``, ``tx_amount`` and each stream's ``interval``, ``t``, ``src``
+and ``dst``. It reads neither ``*_nodes`` nor ``sub_*``: the certification
+stream is over the members and the transaction stream over every handle,
+and each stage builds the substreams it reads from ``tx`` and ``members``.
+Zip entries get a fixed timestamp so identical data produces identical
+bytes, which the CLI's determinism guarantee relies on.
 """
 
 from __future__ import annotations
@@ -47,16 +51,10 @@ def build_bundle(
     """The snapshot's parts ``(keys, members, cert, tx)``: the key table
     (the key of each handle), the member set and the two streams. Raise
     ValueError, naming the array that breaks the rule, unless no key
-    repeats, every key passes ingest's rule, every member is a handle, the
-    certification nodes are the members, and the transaction nodes are
-    every handle."""
+    repeats, every key passes ingest's rule and every member is a handle."""
     _check_keys(keys)
     if not ((members >= 0) & (members < len(keys))).all():
         raise ValueError("a handle of members.npy has no key in keys.npy")
-    if not np.array_equal(cert.nodes, members):  # certifications are among members only
-        raise ValueError("cert_nodes.npy differs from members.npy")
-    if not np.array_equal(tx.nodes, np.arange(len(keys))):
-        raise ValueError("tx_nodes.npy is not every handle of keys.npy")
     return keys, members, cert, tx
 
 
@@ -94,9 +92,9 @@ def save_bundle(out_dir: str | Path, parts: Parts) -> Path:
 def load_bundle(out_dir: str | Path) -> Parts:
     """The parts ``(keys, members, cert, tx)`` of the snapshot in
     ``out_dir``; raises StateError when the snapshot is missing or
-    unreadable (truncated, not a zip, arrays missing or of the wrong dtype
-    or shape, columns that break a stream invariant, or parts that
-    :func:`build_bundle` rejects)."""
+    unreadable (truncated, not a zip, arrays missing, of the wrong dtype or
+    shape or of other than the bytes their header claims, columns that
+    break a stream invariant, or parts that :func:`build_bundle` rejects)."""
     path = Path(out_dir) / SNAPSHOT_NAME
     if not path.exists():
         raise StateError(f"no snapshot at {path}; run the ingest command first")
@@ -111,12 +109,12 @@ def load_bundle(out_dir: str | Path) -> Parts:
 
 
 def _bundle_from(path: Path) -> Parts:
-    # np.load on an open handle: a truncated archive then leaves no file open
-    with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
-        keys = _array(data, "keys").tolist()
-        members = _distinct_sorted(_array(data, "members"))
-        cert = _stream_from(data, "cert")
-        tx = _stream_from(data, "tx", amount=_array(data, "tx_amount"))
+    with zipfile.ZipFile(path) as zf:
+        keys = _array(zf, "keys").tolist()
+        members = _distinct_sorted(_array(zf, "members"))
+        # certifications are among members only, transactions over every handle
+        cert = _stream_from(zf, "cert", members)
+        tx = _stream_from(zf, "tx", np.arange(len(keys)), amount=_array(zf, "tx_amount"))
     return build_bundle(keys, members, cert, tx)
 
 
@@ -136,46 +134,37 @@ def _check_keys(keys: list[str]) -> None:
             raise ValueError(f"key {i} in keys.npy {fault}")
 
 
-def _array(data, name: str) -> np.ndarray:
+def _array(zf: zipfile.ZipFile, name: str) -> np.ndarray:
     """The array ``name``: ``keys`` a 1-D unicode array, every other one a
-    1-D int64 array, of length 2 for an interval."""
-    _check_claimed_size(data, name)
-    value = data[name]
-    if not isinstance(value, np.ndarray):  # np.load returns a non-npy entry as bytes
-        raise ValueError(f"{name}.npy is not an npy array")
+    1-D int64 array, of length 2 for an interval. The entry is read once,
+    its CRC checked, and must hold exactly the bytes its header claims; the
+    array is a read-only view of them."""
+    raw = zf.read(f"{name}.npy")
+    fh = io.BytesIO(raw)
+    version = np.lib.format.read_magic(fh)  # ValueError on a non-npy entry
+    if version == (1, 0):
+        shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+    else:
+        shape, _, dtype = np.lib.format.read_array_header_2_0(fh)
     kind = np.str_ if name == "keys" else np.int64
-    length = 2 if name.endswith("_interval") else value.size  # a 0-d or 2-D array fails
-    if value.shape != (length,) or not np.issubdtype(value.dtype, kind):
-        raise ValueError(f"{name}.npy has dtype {value.dtype} and shape {value.shape}")
-    return value
-
-
-def _check_claimed_size(data, name: str) -> None:
-    """Raise ValueError if the header of ``name``.npy claims more values
-    than its zip entry holds, before ``data[name]`` allocates room for them.
-    An entry without the npy magic is left to ``_array``, which rejects it."""
-    info = data.zip.getinfo(f"{name}.npy")
-    with data.zip.open(info) as fh:
-        try:
-            version = np.lib.format.read_magic(fh)
-        except ValueError:
-            return
-        if version == (1, 0):
-            shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
-        else:
-            shape, _, dtype = np.lib.format.read_array_header_2_0(fh)
-        held = info.file_size - fh.tell()
-    if math.prod(shape) * dtype.itemsize > held:
+    length = 2 if name.endswith("_interval") else math.prod(shape)  # a 0-d or 2-D array fails
+    if shape != (length,) or not np.issubdtype(dtype, kind):
+        raise ValueError(f"{name}.npy has dtype {dtype} and shape {shape}")
+    held = len(raw) - fh.tell()
+    if length * dtype.itemsize != held:
         raise ValueError(f"{name}.npy claims shape {shape} of {dtype}, but holds {held} bytes")
+    return np.frombuffer(raw, dtype=dtype, offset=fh.tell())
 
 
-def _stream_from(data, prefix: str, amount: np.ndarray | None = None) -> LinkStream:
-    t0, t1 = _array(data, f"{prefix}_interval").tolist()
+def _stream_from(
+    zf: zipfile.ZipFile, prefix: str, nodes: np.ndarray, amount: np.ndarray | None = None
+) -> LinkStream:
+    t0, t1 = _array(zf, f"{prefix}_interval").tolist()
     return LinkStream(
         interval=(t0, t1),
-        nodes=_array(data, f"{prefix}_nodes"),
-        t=_array(data, f"{prefix}_t"),
-        src=_array(data, f"{prefix}_src"),
-        dst=_array(data, f"{prefix}_dst"),
+        nodes=nodes,
+        t=_array(zf, f"{prefix}_t"),
+        src=_array(zf, f"{prefix}_src"),
+        dst=_array(zf, f"{prefix}_dst"),
         amount=amount,
     )

@@ -41,21 +41,20 @@ COUNTED_SPANS = {
 
 # per_layer metrics that already read 0 and are to be replaced in the
 # benchmark itself (ROADMAP item 2, "Stale per-layer metrics")
-STALE = {"temporal_metrics.aggregated_neighborhood", "temporal_metrics.neighborhood_overlap"}
+STALE = {
+    "temporal_metrics.aggregated_neighborhood",
+    "temporal_metrics.neighborhood_overlap",
+    "graph_metrics.triangle_count",
+}
 
 # per_layer times that no stage records, each with the reason; the
 # benchmark reads them as 0
-UNRECORDED = {
-    **dict.fromkeys(STALE, "no such function is left in src/"),
-    "graph_metrics.triangle_count": "public, but no stage calls it: clustering counts "
-    "the observed triangles that null_model_triangles takes",
-}
+UNRECORDED = dict.fromkeys(STALE, "no such function is left in src/")
 
 # public functions of the traced modules that no stage reaches on the
 # example ledger, each with the reason it stays in src/
 UNREACHED = {
     "stream_core.activity": "library API, in ls_ledger.__all__",
-    "graph_metrics.triangle_count": "named by a per_layer metric of BENCHMARK.json",
     "cli.run": "the process entry point, which bench/trace_stage.py bypasses",
 }
 

@@ -86,23 +86,62 @@ def test_ingest_snapshot_round_trip(ledger_file, tmp_path):
     assert members.tolist() == [0, 1, 2, 3]
 
 
-def test_load_derives_substreams_without_sub_arrays(ledger_file, tmp_path):
+# the arrays load_bundle reads; every other entry of the snapshot it skips
+LOADED = (
+    "keys",
+    "members",
+    "tx_amount",
+    *(f"{prefix}_{column}" for prefix in ("cert", "tx") for column in ("interval", "t", "src", "dst")),
+)
+
+
+def parts_columns(parts):
+    """The key table, member set, stream intervals, nodes and columns, and
+    substream columns of a snapshot's parts, as lists."""
+    keys, members, cert, tx = parts
+    streams = [cert, tx, *substreams(parts).values()]
+    return keys, members.tolist(), [
+        [s.interval, *(c.tolist() for c in (s.nodes, s.t, s.src, s.dst, s.amount) if c is not None)]
+        for s in streams
+    ]
+
+
+def test_load_reads_neither_node_sets_nor_sub_arrays(ledger_file, tmp_path):
     runner = CliRunner()
     out = tmp_path / "o"
     runner.invoke(main, ["ingest", "--input", str(ledger_file), "--out", str(out)])
-    before = substreams(load_bundle(out))
+    intact = (out / "snapshot.npz").read_bytes()
+    before = parts_columns(load_bundle(out))
 
-    def drop_sub_arrays(arrays):
-        for label in ("MM", "MA", "AM", "AA"):
-            del arrays[f"sub_{label}"]
+    def drop_unread_arrays(arrays):
+        for name in ("cert_nodes", "tx_nodes", *(f"sub_{label}" for label in SUBSTREAM_LABELS)):
+            del arrays[name]
 
-    _rewrite(drop_sub_arrays)(out / "snapshot.npz")
-    after = substreams(load_bundle(out))
+    def transacting_nodes_only(arrays):
+        # loaded over tx nodes [a, b], the other handles' rows would vanish
+        arrays["tx_nodes"] = np.array([0, 1])
 
-    def columns(subs):
-        return {k: [c.tolist() for c in (s.t, s.src, s.dst, s.amount)] for k, s in subs.items()}
+    for change in (drop_unread_arrays, transacting_nodes_only):
+        (out / "snapshot.npz").write_bytes(intact)
+        _rewrite(change)(out / "snapshot.npz")
+        assert parts_columns(load_bundle(out)) == before, change.__name__
 
-    assert columns(after) == columns(before)
+
+def test_load_reads_each_array_it_uses_once(ledger_file, tmp_path, monkeypatch):
+    out = tmp_path / "o"
+    result = CliRunner().invoke(main, ["ingest", "--input", str(ledger_file), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    opened = []
+    zip_open = zipfile.ZipFile.open
+
+    def counted(self, name, *args, **kwargs):
+        opened.append(getattr(name, "filename", name))
+        return zip_open(self, name, *args, **kwargs)
+
+    # ZipFile.read opens the entry through ZipFile.open, so each read counts once
+    monkeypatch.setattr(zipfile.ZipFile, "open", counted)
+    load_bundle(out)
+    assert sorted(opened) == sorted(f"{name}.npy" for name in LOADED)
 
 
 def test_substreams_are_built_by_the_stage_that_reads_them(ledger_file, tmp_path, monkeypatch):
@@ -157,7 +196,7 @@ def test_every_export_has_header_row(ledger_file, tmp_path):
 
 
 def test_graph_orders_each_graph_once(ledger_file, tmp_path, monkeypatch):
-    # clustering, triangle_count and null_model_triangles share one
+    # clustering and null_model_triangles share one
     # (degree, id) order per graph: cert, txmm and txaa
     ordered = []
     rank = InducedGraph.rank.func
@@ -813,17 +852,6 @@ def _unkeyed_member(a):
     a["members"] = np.append(a["members"], len(a["keys"]))
 
 
-def _cert_nodes_not_members(a):
-    # an anonymous wallet among the certification nodes
-    (wallet,) = np.setdiff1d(np.arange(len(a["keys"])), a["members"])
-    a["cert_nodes"] = np.append(a["cert_nodes"], wallet)
-
-
-def _tx_nodes_not_every_handle(a):
-    # a key that no stream holds: its handle is no transaction node
-    a["keys"] = np.append(a["keys"], "x")
-
-
 def _float_times(a):
     # an int64 cast would truncate every time by 0.7 s
     a["cert_t"] = a["cert_t"] + 0.7
@@ -863,8 +891,6 @@ def _two_dimensional_interval(a):
                 _unkeyed_handle,
                 _repeated_key,
                 _unkeyed_member,
-                _cert_nodes_not_members,
-                _tx_nodes_not_every_handle,
                 _float_times,
                 _float_members,
                 _integer_keys,
@@ -895,26 +921,89 @@ def test_corrupt_snapshot_is_clean_state_error(ledger_file, tmp_path, damage):
         load_bundle(out)
 
 
-def test_snapshot_whose_tx_nodes_miss_a_handle_is_state_error(tmp_path):
-    # c certifies but never transacts; loaded over tx nodes [a, b], its
-    # row would vanish from degrees_txmm.csv
-    records = [IdentityRecord(0, k, k) for k in "abc"]
-    records += [CertRecord(1, u, v) for u, v in ("ab", "bc", "ca")]
-    records += [TxRecord(2, u, v, 1) for u, v in ("ab", "ba")]
-    ledger = tmp_path / "ledger.jsonl"
-    write_records(ledger, records)
-    out = tmp_path / "o"
+# seeded damages to one array that load reads, a 1-D array of at least one
+# value; a changed value stays small, so a damaged interval never asks
+# overview for more bins than memory holds
+def _changed_value(rng, a):
+    values = a.tolist()
+    i = rng.randrange(len(values))
+    if a.dtype.kind == "U":
+        values[i] = rng.choice(("", "x", "a,b", values[0]))
+    else:
+        values[i] = rng.choice((-1, 0, 1, values[i] + 1, values[i] - 1))
+    return np.array(values)
+
+
+def _truncated(rng, a):
+    return a[: rng.randrange(len(a))]
+
+
+def _reversed(rng, a):
+    return a[::-1]
+
+
+def _float_dtype(rng, a):
+    return (np.arange(len(a)) if a.dtype.kind == "U" else a).astype(np.float64)
+
+
+def _repeated_element(rng, a):
+    i = rng.randrange(len(a))
+    return np.insert(a, i, a[i])
+
+
+def _emptied(rng, a):
+    return a[:0]
+
+
+def _zero_dimensional(rng, a):
+    return np.array(a[rng.randrange(len(a))])
+
+
+def _swapped_ends(rng, a):
+    a = a.copy()
+    a[[0, -1]] = a[[-1, 0]]
+    return a
+
+
+SEEDED_DAMAGES = (
+    _changed_value,
+    _truncated,
+    _reversed,
+    _float_dtype,
+    _repeated_element,
+    _emptied,
+    _zero_dimensional,
+    _swapped_ends,
+)
+
+
+def test_seeded_snapshot_damage_runs_or_is_clean_state_error(ledger_file, tmp_path):
+    # each case damages one or two of the arrays load reads; every metric
+    # stage then runs, or fails through an Error: line naming the snapshot
     runner = CliRunner()
-    result = runner.invoke(main, ["ingest", "--input", str(ledger), "--out", str(out)])
+    out = tmp_path / "o"
+    result = runner.invoke(main, ["ingest", "--input", str(ledger_file), "--out", str(out)])
     assert result.exit_code == 0, result.output
-
-    def transacting_nodes_only(a):
-        a["tx_nodes"] = np.array([0, 1])
-
-    _rewrite(transacting_nodes_only)(out / "snapshot.npz")
-    result = runner.invoke(main, ["overview", "--out", str(out)])
-    assert_clean_error(result, str(out / "snapshot.npz"), "tx_nodes.npy")
-    assert not (out / "degrees_txmm.csv").exists()
+    path = out / "snapshot.npz"
+    with np.load(path) as data:
+        intact = {name: data[name] for name in data.files}
+    rng = random.Random(5)
+    for case in range(36):
+        arrays, damages = dict(intact), []
+        for name in rng.sample(LOADED, rng.randint(1, 2)):
+            damage = rng.choice(SEEDED_DAMAGES)
+            arrays[name] = damage(rng, arrays[name])
+            damages.append(f"{damage.__name__}({name})")
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        for command in ALL_COMMANDS:
+            result = runner.invoke(main, [command, "--out", str(out), "--samples", "2"])
+            context = (case, damages, command, result.output)
+            # a ClickException exits through SystemExit; anything else is a traceback
+            assert isinstance(result.exception, (SystemExit, type(None))), (*context, result.exception)
+            assert result.exit_code in (0, 1) and "Traceback" not in result.output, context
+            errors = [line for line in result.output.splitlines() if line.startswith("Error: ")]
+            assert bool(result.exit_code) == any(str(path) in line for line in errors), context
 
 
 @pytest.mark.parametrize(

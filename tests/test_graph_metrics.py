@@ -14,7 +14,6 @@ from ls_ledger.graph_metrics import (
     degree_report,
     distance_distribution,
     null_model_triangles,
-    triangle_count,
 )
 from ls_ledger.stream_core import induced_graph
 
@@ -133,9 +132,9 @@ def test_clustering_includes_low_degree_at_zero():
 
 def test_triangle_count_small_cases():
     k4 = graph_of((), {(u, v) for u, v in combinations(range(4), 2)})
-    assert triangle_count(k4) == 4
+    assert clustering(k4)[3] == 4
     tree = graph_of((), {(0, 1), (1, 2), (1, 3), (3, 4)})
-    assert triangle_count(tree) == 0
+    assert clustering(tree)[3] == 0
 
 
 def test_triangle_count_matches_enumeration():
@@ -143,7 +142,7 @@ def test_triangle_count_matches_enumeration():
     for trial in range(30):
         g = random_graph(rng, rng.randint(3, 20), rng.uniform(0.1, 0.6))
         und = oracles.undirected_edge_set(g.directed_edges().tolist())
-        assert triangle_count(g) == oracles.triangle_count(g.nodes, und)
+        assert clustering(g)[3] == oracles.triangle_count(g.nodes, und)
 
 
 def test_clustering_matches_triangle_formula():
@@ -167,7 +166,7 @@ def test_clustering_matches_triangle_formula():
 def test_null_model_preserves_degrees_and_is_deterministic():
     rng = random.Random(14)
     g = random_graph(rng, 12, 0.3)
-    observed = triangle_count(g)
+    observed = clustering(g)[3]
     res1 = null_model_triangles(g, observed, samples=8, seed=42)
     res2 = null_model_triangles(g, observed, samples=8, seed=42)
     assert res1.samples == res2.samples  # bit-identical under a fixed seed
@@ -177,7 +176,7 @@ def test_null_model_preserves_degrees_and_is_deterministic():
 
 def test_null_model_complete_graph_ratio_one():
     k5 = graph_of((), {(u, v) for u, v in combinations(range(5), 2)})
-    res = null_model_triangles(k5, triangle_count(k5), samples=5, seed=1)
+    res = null_model_triangles(k5, clustering(k5)[3], samples=5, seed=1)
     assert res.ratio == pytest.approx(1.0)
     assert set(res.samples) == {res.observed}
 
@@ -193,7 +192,7 @@ def test_null_model_rejects_negative_seed(seed):
     # sample 0
     g = random_graph(random.Random(14), 12, 0.3)
     with pytest.raises(ValueError, match="seed must be >= 0"):
-        null_model_triangles(g, triangle_count(g), samples=2, seed=seed)
+        null_model_triangles(g, clustering(g)[3], samples=2, seed=seed)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         list(rewired_samples(g, samples=2, seed=seed))
 
@@ -201,7 +200,7 @@ def test_null_model_rejects_negative_seed(seed):
 def test_null_model_sample_mean_and_std():
     rng = random.Random(15)
     g = random_graph(rng, 10, 0.4)
-    res = null_model_triangles(g, triangle_count(g), samples=16, seed=7)
+    res = null_model_triangles(g, clustering(g)[3], samples=16, seed=7)
     assert res.mean == pytest.approx(sum(res.samples) / 16)
     var = sum((c - res.mean) ** 2 for c in res.samples) / 16
     assert res.std == pytest.approx(math.sqrt(var))

@@ -17,7 +17,7 @@ import pytest
 import oracles
 from oracles import graph_of, rewired_samples
 from ls_ledger import graph_metrics, stream_core
-from ls_ledger.graph_metrics import clustering, null_model_triangles, triangle_count
+from ls_ledger.graph_metrics import clustering, null_model_triangles
 from ls_ledger.stream_core import InducedGraph
 
 
@@ -134,14 +134,15 @@ def test_triangle_counts_equal_references(name):
     expected = oracles.triangles_per_node(g)
     assert list(triangles_per_node(g).items()) == list(expected.items())
     assert list(kernel_triangles(g).items()) == list(expected.items())
-    assert triangle_count(g) == oracles.triangles_in_adjacency(oracles.adjacency(g))
-    assert triangle_count(g) == sum(expected.values()) // 3
+    triangles = clustering(g)[3]
+    assert triangles == oracles.triangles_in_adjacency(oracles.adjacency(g))
+    assert triangles == sum(expected.values()) // 3
 
 
 def test_triangle_counts_equal_enumeration():
     for name, g in shaped_graphs().items():
         und = oracles.undirected_edge_set(g.directed_edges().tolist())
-        assert triangle_count(g) == oracles.triangle_count(g.nodes, und), name
+        assert clustering(g)[3] == oracles.triangle_count(g.nodes, und), name
         per_node, kernel = triangles_per_node(g), kernel_triangles(g)
         for node in g.nodes:
             assert per_node[node] == oracles.triangles_through(node, g.nodes, und), name
@@ -156,7 +157,7 @@ NULL_GRAPHS = sorted(
 @pytest.mark.parametrize("name", NULL_GRAPHS)
 def test_null_model_samples_equal_reference_counts(name):
     g = GRAPHS[name]
-    result = null_model_triangles(g, triangle_count(g), samples=6, seed=11)
+    result = null_model_triangles(g, clustering(g)[3], samples=6, seed=11)
     expected = [oracles.triangles_in_edges(r, g.nodes) for r in rewired_samples(g, 6, 11)]
     assert list(result.samples) == expected
     assert result.observed == oracles.triangles_in_adjacency(oracles.adjacency(g))
@@ -167,7 +168,7 @@ def test_null_model_on_hubs_and_scattered_handles():
     graphs = {name: GRAPHS[name] for name in names}
     graphs["components_2^62"] = relabel(GRAPHS["components"], lambda n: 2**62 + 977 * n)
     for name, g in graphs.items():
-        result = null_model_triangles(g, triangle_count(g), samples=4, seed=5)
+        result = null_model_triangles(g, clustering(g)[3], samples=4, seed=5)
         expected = [
             oracles.triangles_in_edges(r, g.nodes) for r in rewired_samples(g, 4, 5)
         ]
@@ -217,7 +218,7 @@ def test_kernel_equals_oracle_kernel(block, monkeypatch):
             assert got[node] == oracles.triangles_through(node, g.nodes, und), name
         total = oracles.triangle_count(g.nodes, und)
         assert total == oracles.triangle_total(out) == sum(got.values()) // 3, name
-        assert triangle_count(g) == clustering(g)[3] == total, name
+        assert clustering(g)[3] == total, name
         if name in TRIANGLE_FREE:
             assert total == 0, name
         if name.startswith("K"):
