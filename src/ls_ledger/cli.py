@@ -254,7 +254,7 @@ def cmd_graph(cfg: RunConfig) -> None:
         if name == "txaa":
             continue
         null_csv = cfg.out_dir / _stream_file("null_model", name)
-        if len(g.undirected_edges()) < 2:  # no swap to draw from: no null model,
+        if g.ends.shape[1] < 2:  # no swap to draw from: no null model,
             null_csv.unlink(missing_ok=True)  # nor an earlier run's
             continue
         observed, samples, mean, std, ratio = graph_metrics.null_model_triangles(
@@ -274,15 +274,14 @@ def cmd_graph(cfg: RunConfig) -> None:
         click.echo(f"null_ratio_{name}:{ratio:.4f}")
 
     # member pairs that transact without any certification between them, and
-    # their distances in the undirected certification graph, whose nodes are
-    # the members, so every pair is measured
-    rows = graphs["txmm"].undirected_edges()
-    uncertified = rows[cert.pairs.find(rows[:, 0], rows[:, 1]) < 0]
-    at = np.searchsorted(graphs["cert"].nodes, uncertified)
-    counts, unreachable = graph_metrics.distance_distribution(at[:, 0], at[:, 1], graphs["cert"])
+    # their distances in the undirected certification graph; both graphs'
+    # nodes are the members, so a txmm edge's ends are places in either
+    txmm = graphs["txmm"]
+    uncertified = txmm.ends[:, cert.pairs.find_pairs(txmm.stream.pairs) < 0]
+    counts, unreachable = graph_metrics.distance_distribution(*uncertified, graphs["cert"])
     _write_csv(
         cfg.out_dir / "distances.csv",
-        _comments("graph", cfg, f"pairs={len(uncertified)} unreachable={unreachable}"),
+        _comments("graph", cfg, f"pairs={uncertified.shape[1]} unreachable={unreachable}"),
         "distance,count",
         ((d, c) for d, c in enumerate(counts.tolist()) if c),
     )

@@ -1,10 +1,12 @@
 """Cross-stream analyses between the certification stream and the
 member-to-member transaction stream.
 
-Everything here works on unordered member pairs, the segments of a
-stream's ``pairs`` index: relation sets, the 12-cell ratio table, per-pair
-transaction counts and the certification fraction as a function of that
-count, and the time matching of certifications against transactions.
+Both streams must be over one node set, the members, as a loaded
+snapshot gives them. Everything here works on unordered member pairs, the
+segments of a stream's ``pairs`` index: relation sets, the 12-cell ratio
+table, per-pair transaction counts and the certification fraction as a
+function of that count, and the time matching of certifications against
+transactions.
 Every per-pair or per-link result is an int64 or bool array aligned with
 the pairs or the links of the stream its docstring names, a category is
 a code, its position in its label tuple, and a table is columns aligned
@@ -47,7 +49,7 @@ def relation_sets(s: LinkStream) -> RelationSets:
 def _cert_kind(txs: RelationSets, certs: RelationSets) -> np.ndarray:
     """For each pair of ``txs``, its relation in ``certs``: 0 none, 1 uni,
     2 bi."""
-    seg = certs.pairs.find(txs.pairs.u, txs.pairs.v)
+    seg = certs.pairs.find_pairs(txs.pairs)
     kind = np.zeros(len(seg), dtype=np.int64)
     found = seg >= 0
     kind[found] = 1 + certs.bi[seg[found]]
@@ -179,7 +181,7 @@ def match_certifications(
     """
     certs = cert_stream.pairs
     anchor = _first_times(certs)
-    seg = tx_mm.pairs.find(certs.u, certs.v)
+    seg = tx_mm.pairs.find_pairs(certs)
     before, has_after, delay = _nearest(tx_mm.pairs, seg, anchor)
     code = np.where(seg < 0, 2, np.where(before >= 0, 0, 1))  # MATCH_CATEGORIES order
     both_sided = int(np.count_nonzero((before >= 0) & has_after))
@@ -191,7 +193,7 @@ def preceding_transaction_counts(cert_stream: LinkStream, tx_mm: LinkStream) -> 
     strictly earlier than its first certification; pairs with none count 0,
     so callers can split the distribution themselves."""
     certs, txs = cert_stream.pairs, tx_mm.pairs
-    seg = txs.find(certs.u, certs.v)
+    seg = txs.find_pairs(certs)
     before = txs.latest(seg, _first_times(certs), inclusive=False)
     return np.where(before >= 0, before - txs.starts[seg] + 1, 0)
 
@@ -210,7 +212,7 @@ def classify_transactions(
     ``TX_CATEGORIES``.
     """
     certs = cert_stream.pairs
-    seg = certs.find(tx_mm.src, tx_mm.dst)
+    seg = certs.find_pairs(tx_mm.pairs)[tx_mm.pairs.segment]
     first_cert = certs.time_at(np.where(seg >= 0, certs.starts[seg], -1))  # -1: never
     code = np.where(first_cert < 0, 2, np.where(first_cert <= tx_mm.t, 0, 1))  # TX_CATEGORIES order
     return code, _fractions(code, TX_CATEGORIES)
@@ -231,7 +233,7 @@ def new_transaction_cert_delays(
     """
     txs, certs = tx_mm.pairs, cert_stream.pairs
     first_tx = _first_times(txs)
-    seg = certs.find(txs.u, txs.v)
+    seg = certs.find_pairs(txs)
     _, _, delay = _nearest(certs, seg, first_tx)
     certified = seg >= 0
     return first_tx, delay, certified, len(seg) - int(np.count_nonzero(certified))

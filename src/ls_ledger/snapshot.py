@@ -51,10 +51,14 @@ def build_bundle(
     """The snapshot's parts ``(keys, members, cert, tx)``: the key table
     (the key of each handle), the member set and the two streams. Raise
     ValueError, naming the array that breaks the rule, unless no key
-    repeats, every key passes ingest's rule and every member is a handle."""
+    repeats, every key passes ingest's rule, every member is a handle and
+    each stream's interval spans its links, [0, 0] without links."""
     _check_keys(keys)
     if not ((members >= 0) & (members < len(keys))).all():
         raise ValueError("a handle of members.npy has no key in keys.npy")
+    for prefix, s in (("cert", cert), ("tx", tx)):
+        if s.interval != ((s.t[0], s.t[-1]) if s.link_count else (0, 0)):
+            raise ValueError(f"{prefix}_interval.npy is not the span of the {prefix} links")
     return keys, members, cert, tx
 
 

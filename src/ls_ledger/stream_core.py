@@ -338,19 +338,13 @@ class PairIndex:
         self.nodes = s.nodes  # the stream's node set: a node's rank is its place there
         self.keys = key[first]  # rank(u) * len(nodes) + rank(v) per segment, ascending
 
-    def find(self, u, v) -> np.ndarray:
-        """Segment of each pair ``(u[i], v[i])``, -1 where the pair has no
-        link; an unordered index takes the endpoints in either order."""
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        if not self.directed:
-            u, v = np.minimum(u, v), np.maximum(u, v)
-        if not len(self.keys):
-            return np.full(u.shape, -1, dtype=np.int64)
-        ru = np.searchsorted(self.nodes, u).clip(max=len(self.nodes) - 1)
-        rv = np.searchsorted(self.nodes, v).clip(max=len(self.nodes) - 1)
-        known = (self.nodes[ru] == u) & (self.nodes[rv] == v)
-        return np.where(known, self.find_ranks(ru, rv), -1)
+    def find_pairs(self, other: PairIndex) -> np.ndarray:
+        """Segment of each pair of ``other``, -1 where this index has no
+        link between its ends. Both indexes must be of one kind and over
+        equal node sets, which key a pair alike; else ValueError."""
+        if other.directed != self.directed or not np.array_equal(other.nodes, self.nodes):
+            raise ValueError("pair indexes of different kinds or over different node sets")
+        return self._find(other.keys)
 
     @cached_property
     def ranks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -361,7 +355,12 @@ class PairIndex:
     def find_ranks(self, ru: np.ndarray, rv: np.ndarray) -> np.ndarray:
         """Segment of each pair ``(nodes[ru[i]], nodes[rv[i]])``, -1 where
         the pair has no link."""
-        key = ru * len(self.nodes) + rv
+        return self._find(ru * len(self.nodes) + rv)
+
+    def _find(self, key: np.ndarray) -> np.ndarray:
+        """Segment of each pair key, -1 where the pair has no link."""
+        if not len(self.keys):
+            return np.full(np.shape(key), -1, dtype=np.int64)
         j = np.searchsorted(self.keys, key).clip(max=len(self.keys) - 1)
         return np.where(self.keys[j] == key, j, -1)
 

@@ -4,7 +4,7 @@ Covers the overlap of aggregated neighborhoods across streams and the
 directed k-closure of links for k in {2, 3}: the minimal look-back from a
 link to its reverse link, or to a directed triangle completing it. The
 overlaps read two induced graphs' degrees and the rows they share, and
-return columns over the union of their node sets; both closures read the
+return columns over their one node set; both closures read the
 stream's directed pair index and return the named tuple
 ``ClosureDistribution``, a column over the links and its count of
 infinite closures, whose field names the stage tracer
@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .stream_core import InducedGraph, LinkStream, _blocks, _expand, _distinct_sorted
+from .stream_core import InducedGraph, LinkStream, _blocks, _expand
 
 # slots per linked pair, at least, in the 3-closure's filter of closing pairs
 _SLOTS_PER_PAIR = 16
@@ -32,28 +32,23 @@ _SLOTS_PER_PAIR = 16
 def neighborhood_overlaps(
     g1: InducedGraph, g2: InducedGraph
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For every node of either graph, ascending, how much of its
-    neighborhood in ``g2`` lies inside its neighborhood in ``g1``: the
-    nodes as a node set, and per node the inclusion |N2 & N1| / |N2| and
-    the Jaccard index |N2 & N1| / |N2 | N1|, float64, NaN on a 0 denominator.
+    """For every node of the graphs, which must share one node set, how
+    much of its neighborhood in ``g2`` lies inside its neighborhood in
+    ``g1``: the nodes, and per node the inclusion |N2 & N1| / |N2| and the
+    Jaccard index |N2 & N1| / |N2 | N1|, float64, NaN on a 0 denominator.
 
     A node's neighborhood in the induced graph of a stream is its
-    aggregated neighborhood there: everyone who ever interacted with it. A
-    node absent from a graph has an empty neighborhood there. The neighbors
-    a node shares are the ``g2`` rows at it that ``g1``'s pair index holds
-    too.
+    aggregated neighborhood there: everyone who ever interacted with it.
+    The neighbors a node shares are the ``g2`` rows at it that ``g1``'s
+    pair index holds too.
     """
-    nodes = _distinct_sorted(np.concatenate((g1.nodes, g2.nodes)))
-    at1, at2 = (np.searchsorted(nodes, g.nodes) for g in (g1, g2))
-    deg1, deg2 = np.zeros((2, len(nodes)), dtype=np.int64)
-    deg1[at1], deg2[at2] = g1.degree, g2.degree
-    both = g1.stream.pairs.find(*g2.undirected_edges().T) >= 0
-    shared = np.bincount(at2[g2.ends[:, both]].ravel(), minlength=len(nodes))
-    union = deg1 + deg2 - shared
-    inclusion, jaccard = np.full((2, len(nodes)), np.nan)
-    np.divide(shared, deg2, out=inclusion, where=deg2 > 0)
+    both = g1.stream.pairs.find_pairs(g2.stream.pairs) >= 0
+    shared = np.bincount(g2.ends[:, both].ravel(), minlength=len(g2.nodes))
+    union = g1.degree + g2.degree - shared
+    inclusion, jaccard = np.full((2, len(g1.nodes)), np.nan)
+    np.divide(shared, g2.degree, out=inclusion, where=g2.degree > 0)
     np.divide(shared, union, out=jaccard, where=union > 0)
-    return nodes, inclusion, jaccard
+    return g1.nodes, inclusion, jaccard
 
 
 class ClosureDistribution(NamedTuple):

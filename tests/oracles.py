@@ -378,6 +378,16 @@ def stream_of(rows, interval: tuple[int, int] | None = None):
     return stream_from_columns(*columns, interval=interval)
 
 
+def over_one_node_set(*streams):
+    """The streams, each with its links and interval, over the union of
+    their node sets: one node set, as a loaded snapshot gives the
+    certification and member transaction streams."""
+    from ls_ledger.stream_core import LinkStream
+
+    nodes = sorted(set().union(*(s.nodes.tolist() for s in streams)))
+    return tuple(LinkStream(s.interval, nodes, s.t, s.src, s.dst, s.amount) for s in streams)
+
+
 def random_links(
     rng: random.Random,
     n_nodes: int,

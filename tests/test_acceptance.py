@@ -275,13 +275,10 @@ def test_criterion_7_dataset_conditional_reproduction():
     assert graph_metrics.clustering(g_aa)[3] == 393
 
     # distance shares of transacting-but-uncertified member pairs
-    tx_pairs = tx_rel.pairs
-    uncertified = cert_rel.pairs.find(tx_pairs.u, tx_pairs.v) < 0
-    # the cert graph's nodes are the members, so every end has a place
-    u, v = (
-        np.searchsorted(g_cert.nodes, ends[uncertified]) for ends in (tx_pairs.u, tx_pairs.v)
-    )
-    dist = graph_metrics.distance_distribution(u, v, g_cert)
+    uncertified = cert_rel.pairs.find_pairs(tx_rel.pairs) < 0
+    # both graphs' nodes are the members, so a txmm edge's ends are places
+    # in the cert graph too
+    dist = graph_metrics.distance_distribution(*g_mm.ends[:, uncertified], g_cert)
     shares = dict(enumerate((dist.counts / dist.total()).tolist()))
     assert shares.get(2, 0.0) == pytest.approx(0.78, abs=0.01)
     assert shares.get(3, 0.0) == pytest.approx(0.19, abs=0.01)

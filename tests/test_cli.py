@@ -2,6 +2,7 @@ import csv
 import errno
 import hashlib
 import io
+import json
 import random
 import string
 import sys
@@ -22,6 +23,7 @@ from ls_ledger.fixtures import (
     TxRecord,
     example_records,
     format_record,
+    random_records,
     write_records,
 )
 from ls_ledger.snapshot import load_bundle
@@ -874,6 +876,11 @@ def _two_dimensional_interval(a):
     a["cert_interval"] = a["cert_interval"].reshape(2, 1)
 
 
+def _wide_interval(a):
+    # every link still lies inside, but overview would bin the days up to it
+    a["cert_interval"][1] = a["cert_t"][-1] + 86_400
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -896,6 +903,7 @@ def _two_dimensional_interval(a):
                 _integer_keys,
                 _two_dimensional_members,
                 _two_dimensional_interval,
+                _wide_interval,
             ],
         ),
         # each allocation numpy would make for the claim fails at once
@@ -1004,6 +1012,102 @@ def test_seeded_snapshot_damage_runs_or_is_clean_state_error(ledger_file, tmp_pa
             assert result.exit_code in (0, 1) and "Traceback" not in result.output, context
             errors = [line for line in result.output.splitlines() if line.startswith("Error: ")]
             assert bool(result.exit_code) == any(str(path) in line for line in errors), context
+
+
+# seeded damages to a ledger file's bytes, lines or fields
+def _flipped_byte(rng, data):
+    if not data:
+        return data
+    i = rng.randrange(len(data))
+    return data[:i] + bytes([data[i] ^ (1 << rng.randrange(8))]) + data[i + 1 :]
+
+
+def _truncated_bytes(rng, data):
+    return data[: rng.randrange(len(data) + 1)]
+
+
+def _on_lines(change):
+    """A damage that changes the list of the ledger's lines."""
+
+    def damage(rng, data):
+        lines = data.split(b"\n")
+        change(rng, lines)
+        return b"\n".join(lines)
+
+    damage.__name__ = change.__name__
+    return damage
+
+
+@_on_lines
+def _repeated_line(rng, lines):
+    i = rng.randrange(len(lines))
+    lines.insert(i, lines[i])
+
+
+@_on_lines
+def _deleted_line(rng, lines):
+    del lines[rng.randrange(len(lines))]
+
+
+@_on_lines
+def _swapped_lines(rng, lines):
+    i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+    lines[i], lines[j] = lines[j], lines[i]
+
+
+@_on_lines
+def _changed_field(rng, lines):
+    i = rng.randrange(len(lines))
+    try:
+        record = json.loads(lines[i])
+        field = rng.choice(sorted(record))
+    except (ValueError, TypeError, IndexError):  # no JSON object, or an empty one
+        return
+    if rng.random() < 0.3:
+        del record[field]
+    else:
+        record[field] = rng.choice(
+            (None, -1, 0, 1.5, 2**63, 2**70, "", "x", "a,b", "#c", "é", [], {}, True, "5")
+        )
+    lines[i] = json.dumps(record).encode()
+
+
+LEDGER_DAMAGES = (
+    _flipped_byte,
+    _truncated_bytes,
+    _repeated_line,
+    _deleted_line,
+    _swapped_lines,
+    _changed_field,
+)
+
+
+def test_seeded_ledger_damage_ingests_or_is_one_clean_error(tmp_path):
+    # ingest of a damaged ledger, strict or not, with a donation wallet or
+    # without, exits 0, or 1 with one Error: line and no traceback
+    ledgers = []
+    for records, wallet in ((example_records(), "w"), (random_records(9), "A000")):
+        write_records(tmp_path / "ledger.jsonl", records)
+        ledgers.append(((tmp_path / "ledger.jsonl").read_bytes(), wallet))
+    runner = CliRunner()
+    path, out = tmp_path / "damaged.jsonl", tmp_path / "o"
+    rng = random.Random(17)
+    for case in range(60):
+        data, wallet = ledgers[case % 2]
+        damages = rng.sample(LEDGER_DAMAGES, rng.randint(1, 3))
+        for damage in damages:
+            data = damage(rng, data)
+        path.write_bytes(data)
+        remuniter = f"--remuniter={wallet}"
+        for extra in ([], ["--strict"], [remuniter], ["--strict", remuniter]):
+            result = runner.invoke(main, ["ingest", f"--input={path}", f"--out={out}", *extra])
+            context = (case, [d.__name__ for d in damages], extra, result.output)
+            # a ClickException exits through SystemExit; anything else is a traceback
+            error = result.exception
+            assert isinstance(error, (SystemExit, type(None))), (*context, error)
+            assert result.exit_code in (0, 1) and "Traceback" not in result.output, context
+            errors = [line for line in result.output.splitlines() if line.startswith("Error: ")]
+            assert len(errors) == result.exit_code, context
 
 
 @pytest.mark.parametrize(

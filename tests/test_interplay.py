@@ -4,7 +4,7 @@ from itertools import compress
 
 import pytest
 
-from oracles import links_of, stream_of
+from oracles import links_of, over_one_node_set, stream_of
 from ls_ledger.interplay import (
     MATCH_CATEGORIES,
     RATIO_CELLS,
@@ -85,8 +85,9 @@ def test_relation_sets_partition_property():
 
 
 def test_ratio_table_example():
-    certs = relation_sets(stream((0, 1, 2), (1, 2, 1), (2, 1, 3)))
-    txs = relation_sets(stream((5, 1, 2)))
+    certs, txs = map(
+        relation_sets, over_one_node_set(stream((0, 1, 2), (1, 2, 1), (2, 1, 3)), stream((5, 1, 2)))
+    )
     table = relation_ratio_table(certs, txs, n_members=3)
     assert value(table, "T_any&C_any/C_any") == pytest.approx(0.5)
     assert value(table, "C_any/pairs") == pytest.approx(2 / 3)
@@ -134,21 +135,20 @@ def test_pair_counts_conservation():
             (rng.randint(0, 99), *rng.sample(range(n), 2))
             for _ in range(rng.randint(1, 70))
         ]
-        s = stream(*events, amounts=True)
+        s, certs = over_one_node_set(stream(*events, amounts=True), stream((0, 0, 1)))
         tau = pair_transaction_counts(s)
         assert sum(tau.tolist()) == s.link_count
         # grouping by exact count conserves links too
         k, n_pairs, _, _ = certification_fraction_by_k(
-            tau, relation_sets(s), relation_sets(stream((0, 0, 1)))
+            tau, relation_sets(s), relation_sets(certs)
         )
         assert int((k * n_pairs).sum()) == s.link_count
 
 
 def test_certification_fraction_by_k():
-    certs = relation_sets(stream((0, 1, 2)))
-    txs = counts_stream({(1, 2): 2, (3, 4): 2})
+    certs, txs = over_one_node_set(stream((0, 1, 2)), counts_stream({(1, 2): 2, (3, 4): 2}))
     k, n_pairs, frac_any, frac_bi = certification_fraction_by_k(
-        pair_transaction_counts(txs), relation_sets(txs), certs
+        pair_transaction_counts(txs), relation_sets(txs), relation_sets(certs)
     )
     assert k.tolist() == [2] and n_pairs.tolist() == [2]
     assert frac_any.tolist() == pytest.approx([0.5])
@@ -177,10 +177,11 @@ def test_fraction_by_k_bi_below_any():
             (rng.randint(0, 99), *rng.sample(range(n), 2))
             for _ in range(rng.randint(1, 50))
         ]
-        certs = relation_sets(stream(*cert_events))
-        txs = stream(*tx_events, amounts=True)
+        certs, txs = over_one_node_set(stream(*cert_events), stream(*tx_events, amounts=True))
         tau = pair_transaction_counts(txs)
-        _, _, frac_any, frac_bi = certification_fraction_by_k(tau, relation_sets(txs), certs)
+        _, _, frac_any, frac_bi = certification_fraction_by_k(
+            tau, relation_sets(txs), relation_sets(certs)
+        )
         assert (frac_bi <= frac_any + 1e-12).all()
 
 
@@ -195,8 +196,8 @@ def test_match_certifications_example():
 
 
 def test_match_certifications_no_transactions():
-    certs = stream((10, 7, 8), (11, 2, 3))
-    _, category, _, fractions, _ = match_certifications(certs, stream_of([], interval=(0, 1)))
+    certs, txs = over_one_node_set(stream((10, 7, 8), (11, 2, 3)), stream_of([], interval=(0, 1)))
+    _, category, _, fractions, _ = match_certifications(certs, txs)
     assert categories(MATCH_CATEGORIES, category) == ["never"] * 2
     assert share(fractions, MATCH_CATEGORIES, "never") == 1.0
 
@@ -212,6 +213,7 @@ def test_match_fractions_sum_to_one():
             *[(rng.randint(0, 99), *rng.sample(range(n), 2)) for _ in range(rng.randint(0, 40))],
             amounts=True,
         ) if rng.random() < 0.9 else stream_of([], interval=(0, 99))
+        certs, txs = over_one_node_set(certs, txs)
         anchor, category, _, fractions, _ = match_certifications(certs, txs)
         assert len(fractions) == len(MATCH_CATEGORIES)
         assert fractions.sum() == pytest.approx(1.0, abs=1e-12)
@@ -241,7 +243,8 @@ def test_preceding_transaction_count():
     assert preceding_transaction_counts(stream((10, 1, 2)), txs).tolist() == [2]
     # strict: the transaction at the anchor time does not count
     assert preceding_transaction_counts(stream((3, 2, 1)), txs).tolist() == [0]
-    assert preceding_transaction_counts(stream((10, 4, 5)), txs).tolist() == [0]
+    certs, txs = over_one_node_set(stream((10, 4, 5)), txs)
+    assert preceding_transaction_counts(certs, txs).tolist() == [0]
 
 
 def test_preceding_transaction_counts_bulk():
@@ -253,8 +256,9 @@ def test_preceding_transaction_counts_bulk():
 
 
 def test_classify_transactions_example():
-    certs = stream((10, 1, 2))
-    txs = stream((5, 1, 2), (10, 2, 1), (11, 1, 2), (3, 4, 5), amounts=True)
+    certs, txs = over_one_node_set(
+        stream((10, 1, 2)), stream((5, 1, 2), (10, 2, 1), (11, 1, 2), (3, 4, 5), amounts=True)
+    )
     codes, fractions = classify_transactions(txs, certs)
     cats = dict(zip(links_of(txs), categories(TX_CATEGORIES, codes)))
     assert cats[(5, 1, 2)] == "future_certified"
@@ -265,16 +269,17 @@ def test_classify_transactions_example():
 
 
 def test_classify_transactions_no_certs():
-    txs = stream((5, 1, 2), amounts=True)
-    _, fractions = classify_transactions(txs, stream_of([], interval=(0, 9)))
+    txs, certs = over_one_node_set(stream((5, 1, 2), amounts=True), stream_of([], interval=(0, 9)))
+    _, fractions = classify_transactions(txs, certs)
     assert share(fractions, TX_CATEGORIES, "never") == 1.0
 
 
 def test_classify_transactions_all_after_certs():
     # every transaction strictly later than every certification: certified
     # pairs can only be already_certified
-    certs = stream((1, 1, 2), (2, 3, 4))
-    txs = stream((10, 2, 1), (11, 3, 4), (12, 5, 6), amounts=True)
+    certs, txs = over_one_node_set(
+        stream((1, 1, 2), (2, 3, 4)), stream((10, 2, 1), (11, 3, 4), (12, 5, 6), amounts=True)
+    )
     _, fractions = classify_transactions(txs, certs)
     assert share(fractions, TX_CATEGORIES, "future_certified") == 0.0
 
@@ -289,8 +294,9 @@ def test_new_transaction_cert_delays_example():
 
 
 def test_new_transaction_cert_delays_unmatched():
-    txs = stream((100, 1, 2), (50, 3, 4), amounts=True)
-    certs = stream((90, 1, 2))
+    txs, certs = over_one_node_set(
+        stream((100, 1, 2), (50, 3, 4), amounts=True), stream((90, 1, 2))
+    )
     _, delay, certified, unmatched = new_transaction_cert_delays(txs, certs)
     assert unmatched == 1
     assert pairs_of(txs.pairs) == [(1, 2), (3, 4)]

@@ -26,6 +26,7 @@ from ls_ledger.ledger_ingest import (
 from ls_ledger.snapshot import build_bundle, load_bundle, save_bundle
 from ls_ledger.stream_core import (
     SUBSTREAM_LABELS,
+    LinkStream,
     class_mask,
     stream_from_columns,
     substream_by_class,
@@ -668,3 +669,35 @@ def test_node_sets_are_sorted_int64_arrays(tmp_path):
     assert check(loaded_members, "loaded members") == members.tolist()
     assert check(loaded_cert.nodes, "loaded cert") == cert.nodes.tolist()
     assert check(loaded_tx.nodes, "loaded tx") == tx.nodes.tolist()
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["example", "random"])
+def test_loaded_streams_are_over_the_members(tmp_path, sparse):
+    # 8 members, 3 certifications and 4 transactions: some member has no
+    # certification and some member no transaction
+    records = random_records(7, n_members=8, n_certs=3, n_txs=4) if sparse else example_records()
+    _, keys, members, cert, tx = _ingest(records)
+    save_bundle(tmp_path, build_bundle(keys, members, cert, tx))
+    _, members, cert, tx = load_bundle(tmp_path)
+    tx_mm = substream_by_class(tx, members, "MM")
+    assert cert.nodes.tolist() == tx_mm.nodes.tolist() == members.tolist()
+    if sparse:
+        for s in (cert, tx):
+            assert set(members.tolist()) - set(s.src.tolist()) - set(s.dst.tolist())
+
+
+def test_bundle_intervals_span_their_links():
+    _, keys, members, cert, tx = _ingest(random_records(31))
+    build_bundle(keys, members, cert, tx)
+    for prefix, s in (("cert", cert), ("tx", tx)):
+        t0, t1 = s.interval
+        for interval in ((0, t1), (t0, t1 + 1), (t0 - 1, t1)):
+            widened = LinkStream(interval, s.nodes, s.t, s.src, s.dst, s.amount)
+            streams = (widened, tx) if prefix == "cert" else (cert, widened)
+            with pytest.raises(ValueError, match=f"^{prefix}_interval.npy "):
+                build_bundle(keys, members, *streams)
+    # without links the interval is [0, 0]
+    empty = stream_from_columns([], [], [], nodes=members)
+    build_bundle(keys, members, empty, tx)
+    with pytest.raises(ValueError, match="^cert_interval.npy "):
+        build_bundle(keys, members, LinkStream((1, 1), members, [], [], []), tx)

@@ -15,7 +15,14 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import distance_counts, graph_of, overlap_rows, pair_places, stream_of
+from oracles import (
+    distance_counts,
+    graph_of,
+    over_one_node_set,
+    overlap_rows,
+    pair_places,
+    stream_of,
+)
 from ls_ledger import stream_core
 from ls_ledger.graph_metrics import distance_distribution
 from ls_ledger.stream_core import InducedGraph, LinkStream, induced_graph
@@ -176,34 +183,39 @@ def stream_over(nodes, links: list[tuple[int, int, int]], interval: tuple[int, i
 
 def test_neighborhood_overlaps_match_per_node_rescan():
     rng = random.Random(303)
+    # whether a node has neighbors in g1, in g2
+    sides = {
+        (True, False): "only 1",
+        (False, True): "only 2",
+        (True, True): "both",
+        (False, False): "neither",
+    }
     seen = set()
     for trial in range(TRIALS):
         nodes = random_handles(rng, rng.randint(1, 14))
-        s1, s2 = random_stream(rng, nodes), random_stream(rng, nodes)
+        s1, s2 = over_one_node_set(random_stream(rng, nodes), random_stream(rng, nodes))
         g1, g2 = induced_graph(s1), induced_graph(s2)
         columns = neighborhood_overlaps(g1, g2)
         assert all(c.dtype == np.float64 for c in columns[1:])
         results = overlap_rows(*columns)
-        either = sorted({*s1.nodes.tolist(), *s2.nodes.tolist()})
-        assert [v for v, _, _ in results] == either
+        assert [v for v, _, _ in results] == s1.nodes.tolist()
         for v, inclusion, jaccard in results:
             expected = oracles.neighborhood_overlap(v, s1, s2)
             assert (inclusion, jaccard) == expected, (trial, v)
         sets = oracles.neighborhood_overlaps(oracles.adjacency(g1), oracles.adjacency(g2))
         assert results == sets, trial
-        linked = set(chain(s1.src.tolist(), s1.dst.tolist(), s2.src.tolist(), s2.dst.tolist()))
-        for v in either:
-            seen.add("only 1" if v not in s2.nodes else "only 2" if v not in s1.nodes else "both")
-            seen.add("linked" if v in linked else "isolated")
-    assert seen == {"only 1", "only 2", "both", "linked", "isolated"}
+        linked1, linked2 = (set(chain(s.src.tolist(), s.dst.tolist())) for s in (s1, s2))
+        seen.update(sides[v in linked1, v in linked2] for v in s1.nodes.tolist())
+    assert seen == set(sides.values())
 
 
 def test_neighborhood_overlaps_na_cells():
     # 0 links in both streams, 1 only in the cert stream, 4 only in the
-    # transaction stream, 3 sits in the cert node set without a link, and 5
-    # sits in both node sets without any link
-    cert = stream_over({0, 1, 2, 3, 5}, [(1, 0, 2), (2, 1, 2)], (0, 9))
-    txmm = stream_over({0, 2, 4, 5}, [(3, 0, 2), (4, 4, 0)], (0, 9))
+    # transaction stream, and 3 and 5 sit in the node set without any link
+    cert, txmm = over_one_node_set(
+        stream_over({0, 1, 2, 3, 5}, [(1, 0, 2), (2, 1, 2)], (0, 9)),
+        stream_over({0, 2, 4, 5}, [(3, 0, 2), (4, 4, 0)], (0, 9)),
+    )
     columns = neighborhood_overlaps(induced_graph(cert), induced_graph(txmm))
     results = {v: (inclusion, jaccard) for v, inclusion, jaccard in overlap_rows(*columns)}
     assert results == {

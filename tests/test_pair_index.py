@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import stream_of
+from oracles import over_one_node_set, stream_of
 from ls_ledger import stream_core
 from ls_ledger.interplay import (
     MATCH_CATEGORIES,
@@ -123,14 +123,21 @@ def test_index_groups_links_by_pair(directed):
 def test_find_and_latest_equal_bisect(directed):
     rng = random.Random(61)
     for cert, tx in CASES:
+        cert, tx = over_one_node_set(cert, tx)
         idx = tx.directed_pairs if directed else tx.pairs
         times = oracles.pair_times(tx) if directed else oracles.pair_event_times(tx)
-        ends = sorted({*tx.nodes.tolist(), *cert.nodes.tolist(), 0, 2**62 + 5})
+        ends = tx.nodes.tolist()
+        if not ends:  # no pair to probe; test_find_pairs_equals_dict_lookup covers it
+            continue
         us = [rng.choice(ends) for _ in range(30)]
         vs = [rng.choice(ends) for _ in range(30)]
         probes = (0, 1, 5, 39, T_LIMIT - 1, T_LIMIT, *tx.t.tolist()[:3])
         ts = [rng.choice(probes) for _ in range(30)]
-        seg = idx.find(us, vs)
+        # a pair's ranks are its ends' places in the node set
+        ru, rv = (np.searchsorted(idx.nodes, x) for x in (us, vs))
+        if not directed:
+            ru, rv = np.sort((ru, rv), axis=0)
+        seg = idx.find_ranks(ru, rv)
         for inclusive in (True, False):
             pos = idx.latest(seg, np.array(ts, dtype=np.int64), inclusive)
             got = idx.time_at(pos).tolist()
@@ -144,6 +151,35 @@ def test_find_and_latest_equal_bisect(directed):
                 assert (idx.u[j], idx.v[j]) == key
                 i = bisect_right(ts_pair, t) if inclusive else bisect_left(ts_pair, t)
                 assert latest == (ts_pair[i - 1] if i else -1)
+
+
+def test_find_pairs_equals_dict_lookup():
+    nowhere = np.full(3, -1)
+    for cert, tx in CASES:
+        for a, b in (over_one_node_set(cert, tx), over_one_node_set(tx, cert)):
+            for directed in (True, False):
+                idx, other = (s.directed_pairs if directed else s.pairs for s in (a, b))
+                segment = {pair: j for j, pair in enumerate(pairs_of(idx))}
+                expected = [segment.get(pair, -1) for pair in pairs_of(other)]
+                assert idx.find_pairs(other).tolist() == expected
+                # a pair without links has no latest link, in an empty index too
+                latest = idx.latest(nowhere, np.array([0, 5, T_LIMIT]), inclusive=True)
+                assert latest.tolist() == [-1] * 3
+
+
+def test_find_pairs_needs_one_kind_and_one_node_set():
+    a = stream_of([(1, 0, 1)])
+    # over {0, 2}, over {0, 1, 2} and over no node
+    for b in (stream_of([(2, 0, 2)]), stream_of([(2, 1, 2), (3, 0, 1)]), stream_of([])):
+        for kind in ("pairs", "directed_pairs"):
+            with pytest.raises(ValueError, match="pair indexes of different"):
+                getattr(a, kind).find_pairs(getattr(b, kind))
+    a, b = over_one_node_set(a, stream_of([(2, 1, 2)]))
+    for idx, other in ((a.pairs, b.directed_pairs), (a.directed_pairs, b.pairs)):
+        with pytest.raises(ValueError, match="pair indexes of different"):
+            idx.find_pairs(other)
+    assert a.pairs.find_pairs(b.pairs).tolist() == [-1]
+    assert b.directed_pairs.find_pairs(a.directed_pairs).tolist() == [-1]
 
 
 @pytest.mark.parametrize("block", [1, 3, stream_core._BLOCK])
@@ -173,6 +209,7 @@ def test_closures_equal_brute_force_on_ties():
 
 def test_match_kernels_equal_reference():
     for cert, tx in CASES:
+        cert, tx = over_one_node_set(cert, tx)
         anchor, category, delay, fractions, both_sided = match_certifications(cert, tx)
         rows, expected_both_sided = oracles.match_certifications(cert, tx)
         cert_pairs = pairs_of(cert.pairs)

@@ -6,7 +6,15 @@ import oracles
 from ls_ledger import temporal_metrics
 from ls_ledger.stream_core import induced_graph
 from ls_ledger.temporal_metrics import closure_distribution, neighborhood_overlaps
-from oracles import links_of, neighborhood, overlap_rows, random_links, random_stream, stream_of
+from oracles import (
+    links_of,
+    neighborhood,
+    over_one_node_set,
+    overlap_rows,
+    random_links,
+    random_stream,
+    stream_of,
+)
 
 # frozen brute-force tables for the 12-link example (see tests/oracles.py)
 SAMPLE_K2 = {
@@ -72,8 +80,8 @@ def test_neighborhood_size_with_distinct_elements():
 
 def _overlaps(s1, s2):
     """Node -> (inclusion, jaccard) of the bulk form on the two streams,
-    None where the column holds NaN."""
-    columns = neighborhood_overlaps(induced_graph(s1), induced_graph(s2))
+    rebuilt over one node set, None where the column holds NaN."""
+    columns = neighborhood_overlaps(*map(induced_graph, over_one_node_set(s1, s2)))
     return {v: (inclusion, jaccard) for v, inclusion, jaccard in overlap_rows(*columns)}
 
 
@@ -91,7 +99,7 @@ def test_overlap_examples():
 
 def test_overlap_empty_neighborhood_markers():
     s1 = stream_of([(0, 0, 1)])
-    s2 = stream_of([(0, 2, 3)])  # node 0 absent
+    s2 = stream_of([(0, 2, 3)])  # no link at node 0
     results = _overlaps(s1, s2)
     inclusion, jaccard = results[0]
     assert inclusion is None  # empty transaction-side neighborhood
