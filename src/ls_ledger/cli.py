@@ -452,7 +452,8 @@ def _keys(keys, handles) -> list[str]:
 
 def _pair_labels(keys: list[str], idx: stream_core.PairIndex) -> list[str]:
     """The ``u|v`` key label of every pair of the index."""
-    return [f"{keys[u]}|{keys[v]}" for u, v in zip(idx.u.tolist(), idx.v.tolist())]
+    u, v = (idx.nodes[r].tolist() for r in idx.ranks)
+    return [f"{keys[a]}|{keys[b]}" for a, b in zip(u, v)]
 
 
 def _fixed(values: np.ndarray, places: int = 4) -> list[str]:

@@ -41,7 +41,7 @@ class RelationSets(NamedTuple):
 def relation_sets(s: LinkStream) -> RelationSets:
     """Build the relation sets of a stream restricted to members."""
     idx = s.pairs
-    forward = np.bincount(idx.segment[s.src < s.dst], minlength=len(idx.u))
+    forward = np.bincount(idx.segment[s.src < s.dst], minlength=len(idx.keys))
     backward = np.diff(idx.starts) - forward
     return RelationSets(idx, (forward > 0) & (backward > 0))
 

@@ -41,7 +41,7 @@ from .stream_core import (
     LinkStream,
     _distinct_sorted,
     _key_fault,
-    class_mask,
+    link_classes,
     stream_from_columns,
 )
 
@@ -285,9 +285,12 @@ def repartition(
     are computed once, at the end, from exact integer totals; they sum to 1
     whenever the corresponding total is non-zero, and are 0 otherwise.
     """
-    keep = [class_mask(tx_stream, members, label) for label in SUBSTREAM_LABELS]
-    count = np.array([np.count_nonzero(k) for k in keep])
-    amount = [0 if tx_stream.amount is None else sum(tx_stream.amount[k].tolist()) for k in keep]
+    code = link_classes(tx_stream, members)
+    count = np.bincount(code, minlength=len(SUBSTREAM_LABELS))
+    amount = [
+        0 if tx_stream.amount is None else sum(tx_stream.amount[code == c].tolist())
+        for c in range(len(SUBSTREAM_LABELS))
+    ]
     total = max(sum(amount), 1)
     return count, count / max(count.sum(), 1), amount, np.array([a / total for a in amount])
 

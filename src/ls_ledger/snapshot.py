@@ -33,7 +33,7 @@ from .stream_core import (
     LinkStream,
     _distinct_sorted,
     _key_fault,
-    class_mask,
+    link_classes,
 )
 
 SNAPSHOT_NAME = "snapshot.npz"
@@ -76,8 +76,9 @@ def save_bundle(out_dir: str | Path, parts: Parts) -> Path:
     arrays["tx_amount"] = tx.amount
     arrays["keys"] = np.asarray(keys, dtype=np.str_)
     arrays["members"] = members
-    for label in SUBSTREAM_LABELS:
-        arrays[f"sub_{label}"] = np.flatnonzero(class_mask(tx, members, label))
+    code = link_classes(tx, members)
+    for c, label in enumerate(SUBSTREAM_LABELS):
+        arrays[f"sub_{label}"] = np.flatnonzero(code == c)
 
     path = Path(out_dir) / SNAPSHOT_NAME
     path.parent.mkdir(parents=True, exist_ok=True)

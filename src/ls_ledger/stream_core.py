@@ -155,15 +155,9 @@ class InducedGraph:
     def nodes(self) -> np.ndarray:
         return self.stream.nodes
 
-    def directed_edges(self) -> np.ndarray:
-        """One (source, target) row per directed pair, ascending."""
-        p = self.stream.directed_pairs
-        return np.column_stack((p.u, p.v))
-
     def undirected_edges(self) -> np.ndarray:
         """Symmetrized view: one (min, max) row per unordered pair, ascending."""
-        p = self.stream.pairs
-        return np.column_stack((p.u, p.v))
+        return self.nodes[self.ends.T]
 
     @cached_property
     def ends(self) -> np.ndarray:
@@ -275,19 +269,11 @@ def rolling_sum(values: np.ndarray, bin_width: int, window: int) -> np.ndarray:
     return csum - np.concatenate((np.zeros(span, dtype=np.int64), csum[: len(csum) - span]))
 
 
-def _in_class(nodes: np.ndarray, members: np.ndarray, label_class: str) -> np.ndarray:
-    """Which ``nodes`` are of the class ``label_class``: ``M`` a member,
-    ``A`` any other handle."""
-    is_member = np.isin(nodes, members)
-    return is_member if label_class == "M" else ~is_member
-
-
-def class_mask(s: LinkStream, members: np.ndarray, label: str) -> np.ndarray:
-    """Which links of ``s`` belong to the substream ``label`` (MM / MA / AM
-    / AA) under the member set ``members``."""
-    if label not in SUBSTREAM_LABELS:
-        raise ValueError(f"unknown substream label {label!r}")
-    return _in_class(s.src, members, label[0]) & _in_class(s.dst, members, label[1])
+def link_classes(s: LinkStream, members: np.ndarray) -> np.ndarray:
+    """The substream of every link of ``s`` under the member set
+    ``members``, as its position in ``SUBSTREAM_LABELS``: 2 * (source
+    anonymous) + (target anonymous)."""
+    return 2 * ~np.isin(s.src, members) + ~np.isin(s.dst, members)
 
 
 def substream_by_class(s: LinkStream, members: np.ndarray, label: str) -> LinkStream:
@@ -297,9 +283,12 @@ def substream_by_class(s: LinkStream, members: np.ndarray, label: str) -> LinkSt
     interval) and the node set is the class-restricted node set, so nodes
     without any retained link stay present.
     """
-    keep = class_mask(s, members, label)  # checks the label first
-    kept = _in_class(s.nodes, members, label[0]) | _in_class(s.nodes, members, label[1])
-    return s.restrict(keep, s.nodes[kept])
+    if label not in SUBSTREAM_LABELS:
+        raise ValueError(f"unknown substream label {label!r}")
+    code = SUBSTREAM_LABELS.index(label)
+    anonymous = ~np.isin(s.nodes, members)  # a node's class: 0 member, 1 anonymous
+    kept = (anonymous == code >> 1) | (anonymous == code & 1)
+    return s.restrict(link_classes(s, members) == code, s.nodes[kept])
 
 
 class PairIndex:
@@ -307,21 +296,24 @@ class PairIndex:
     links by pair, so times stay ascending within each pair.
 
     Pairs are directed ``(source, target)``, or unordered ``(min, max)``
-    with both directions pooled. Segment ``j`` is the pair ``(u[j], v[j])``,
-    in ascending ``(u, v)`` order, and holds the grouped links
-    ``starts[j]:starts[j + 1]``: their times in ``times`` and their places
-    in the stream in ``positions``. ``segment`` gives every stream link its
-    segment. Lookups key pairs by the ranks of their ends, which are their
-    places in the stream's ``nodes``, and times by dense ranks, so no
-    composite key overflows int64 whatever the handles and times.
+    with both directions pooled. A pair ``(u, v)`` is held only as its key
+    ``rank(u) * len(nodes) + rank(v)``, a rank being a place in the
+    stream's ``nodes``; ``ranks`` splits the keys back into the two ends.
+    Segment ``j`` is the pair ``keys[j]``, in ascending key order, which is
+    ``(u, v)`` order, and holds the grouped links ``starts[j]:starts[j +
+    1]``: their times in ``times`` and their places in the stream in
+    ``positions``. ``segment`` gives every stream link its segment. Times
+    are keyed by dense ranks, so no composite key overflows int64 whatever
+    the handles and times.
     """
 
     def __init__(self, s: LinkStream, directed: bool):
-        u, v = s.src, s.dst
+        # ranks ascend with handles, so they order pairs as handles do
+        u, v = np.searchsorted(s.nodes, s.src), np.searchsorted(s.nodes, s.dst)
         if not directed:
             u, v = np.minimum(u, v), np.maximum(u, v)
         n = s.link_count
-        key = np.searchsorted(s.nodes, u) * len(s.nodes) + np.searchsorted(s.nodes, v)
+        key = u * len(s.nodes) + v
         positions = np.argsort(key, kind="stable")
         key = key[positions]
         new = np.diff(key, prepend=-1) != 0  # keys are >= 0
@@ -329,8 +321,6 @@ class PairIndex:
         segment = np.empty(n, dtype=np.int64)
         segment[positions] = np.cumsum(new) - 1
         self.directed = directed
-        self.u = u[positions[first]]
-        self.v = v[positions[first]]
         self.starts = np.append(first, n)
         self.times = s.t[positions]
         self.positions = positions
@@ -349,7 +339,7 @@ class PairIndex:
     @cached_property
     def ranks(self) -> tuple[np.ndarray, np.ndarray]:
         """The ranks (places in ``nodes``) of ``u`` and of ``v`` per
-        segment, for ``find_ranks``."""
+        segment."""
         return np.divmod(self.keys, len(self.nodes))
 
     def find_ranks(self, ru: np.ndarray, rv: np.ndarray) -> np.ndarray:

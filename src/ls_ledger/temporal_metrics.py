@@ -91,9 +91,9 @@ def _three_closure(s: LinkStream) -> np.ndarray:
     """
     idx = s.directed_pairs
     # segments ascend by source, so the pairs leaving a node are contiguous
-    out_start = np.searchsorted(idx.u, idx.v)
-    out_degree = np.searchsorted(idx.u, idx.v, side="right") - out_start
     rank_u, rank_v = idx.ranks
+    out_start = np.searchsorted(rank_u, rank_v)
+    out_degree = np.searchsorted(rank_u, rank_v, side="right") - out_start
     mask = (1 << (_SLOTS_PER_PAIR * len(idx.keys)).bit_length()) - 1
     linked = np.zeros(mask + 1, dtype=bool)
     linked[idx.keys & mask] = True

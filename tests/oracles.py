@@ -92,6 +92,24 @@ def edge_set(rows) -> set[tuple[int, int]]:
     return set(map(tuple, rows.tolist()))
 
 
+def pair_handles(idx) -> list[tuple[int, int]]:
+    """The (u, v) node handles of every segment of a pair index, in
+    segment order, from its rank columns; it reads the index under test and
+    is not a reference."""
+    u, v = (idx.nodes[r].tolist() for r in idx.ranks)
+    return list(zip(u, v))
+
+
+def directed_edges(g):
+    """One (source, target) row of node handles per directed pair of an
+    induced graph, in the order of its stream's directed pair index; it
+    reads the index under test and is not a reference."""
+    import numpy as np
+
+    p = g.stream.directed_pairs
+    return np.column_stack([p.nodes[r] for r in p.ranks])
+
+
 def graph_of(nodes, edges):
     """The induced graph under test of a stream with one link per directed
     edge, all at t=0, over ``nodes`` and the edges' endpoints; it makes test

@@ -12,6 +12,7 @@ benchmark reading zeros.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from ls_ledger import stream_core
 from ls_ledger.fixtures import example_records, write_records
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -141,3 +143,22 @@ def test_every_public_function_is_reached_or_listed(example_spans):
     # a span is named module.function, with a suffix for some kernels
     reached = {".".join(name.split(".")[:2]) for name, _, _, _, _ in example_spans}
     assert public - reached == set(UNREACHED)
+
+
+def test_every_stream_class_attribute_is_read_outside_tests():
+    """No public method, property or instance attribute of a stream class
+    exists only for tests: each is read, as an attribute, somewhere in
+    ``src/`` or ``bench/`` (a ``def`` or an assignment is no read)."""
+    read = set()
+    for path in (*(ROOT / "src").rglob("*.py"), *(ROOT / "bench").rglob("*.py")):
+        read |= {
+            node.attr
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+    s = stream_core.stream_from_columns([0, 1], [1, 2], [2, 1])
+    unread = set()
+    for obj in (s, s.pairs, stream_core.induced_graph(s)):
+        public = {name for name in (*vars(type(obj)), *vars(obj)) if not name.startswith("_")}
+        unread |= {f"{type(obj).__name__}.{name}" for name in public - read}
+    assert unread == set()

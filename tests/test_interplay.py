@@ -4,7 +4,7 @@ from itertools import compress
 
 import pytest
 
-from oracles import links_of, over_one_node_set, stream_of
+from oracles import links_of, over_one_node_set, pair_handles, stream_of
 from ls_ledger.interplay import (
     MATCH_CATEGORIES,
     RATIO_CELLS,
@@ -29,13 +29,9 @@ def value(table, label):
     return dict(zip(RATIO_CELLS, table[2].tolist()))[label]
 
 
-def pairs_of(idx):
-    return list(zip(idx.u.tolist(), idx.v.tolist()))
-
-
 def sets_of(rel):
     """The (any, uni, bi) sets of pairs that relation sets mark."""
-    pairs = pairs_of(rel.pairs)
+    pairs = pair_handles(rel.pairs)
     bi = set(compress(pairs, rel.bi.tolist()))
     return set(pairs), set(pairs) - bi, bi
 
@@ -57,7 +53,7 @@ def counts_stream(counts):
 def test_relation_sets_example():
     s = stream((0, 1, 2), (1, 2, 1), (2, 1, 3))
     rel = relation_sets(s)
-    assert pairs_of(rel.pairs) == [(1, 2), (1, 3)]
+    assert pair_handles(rel.pairs) == [(1, 2), (1, 3)]
     assert rel.bi.tolist() == [True, False]
     assert sets_of(rel) == ({(1, 2), (1, 3)}, {(1, 3)}, {(1, 2)})
 
@@ -65,7 +61,7 @@ def test_relation_sets_example():
 def test_relation_sets_empty_and_single():
     empty = stream_of([], interval=(0, 10))
     rel = relation_sets(empty)
-    assert len(rel.pairs.u) == len(rel.bi) == 0
+    assert len(rel.pairs.keys) == len(rel.bi) == 0
     single = stream((5, 3, 4))
     rel = relation_sets(single)
     assert sets_of(rel) == ({(3, 4)}, {(3, 4)}, set())
@@ -123,7 +119,7 @@ def test_ratio_table_ordered_convention_halves_rows_1_2():
 def test_pair_transaction_counts():
     s = stream((1, 5, 6), (2, 6, 5), (3, 5, 6), amounts=True)
     tau = pair_transaction_counts(s)
-    assert pairs_of(s.pairs) == [(5, 6)] and tau.tolist() == [3]
+    assert pair_handles(s.pairs) == [(5, 6)] and tau.tolist() == [3]
     assert pair_transaction_counts(stream_of([], interval=(0, 1))).tolist() == []
 
 
@@ -226,7 +222,7 @@ def test_match_is_label_order_invariant():
     txs = stream((8, 2, 1), (13, 1, 2), amounts=True)
     ra = match_certifications(certs_a, txs)
     rb = match_certifications(certs_b, txs)
-    assert pairs_of(certs_a.pairs) == pairs_of(certs_b.pairs)
+    assert pair_handles(certs_a.pairs) == pair_handles(certs_b.pairs)
     for a, b in zip(ra[:3], rb[:3]):  # anchor, category, delay
         assert a.tolist() == b.tolist()
 
@@ -251,7 +247,7 @@ def test_preceding_transaction_counts_bulk():
     certs = stream((10, 1, 2), (20, 3, 4))
     txs = stream((3, 1, 2), (8, 2, 1), (25, 3, 4), amounts=True)
     bulk = preceding_transaction_counts(certs, txs)
-    assert pairs_of(certs.pairs) == [(1, 2), (3, 4)]
+    assert pair_handles(certs.pairs) == [(1, 2), (3, 4)]
     assert bulk.tolist() == [2, 0]
 
 
@@ -299,6 +295,6 @@ def test_new_transaction_cert_delays_unmatched():
     )
     _, delay, certified, unmatched = new_transaction_cert_delays(txs, certs)
     assert unmatched == 1
-    assert pairs_of(txs.pairs) == [(1, 2), (3, 4)]
+    assert pair_handles(txs.pairs) == [(1, 2), (3, 4)]
     assert certified.tolist() == [True, False]
     assert delay[0] == -10

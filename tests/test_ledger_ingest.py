@@ -27,7 +27,7 @@ from ls_ledger.snapshot import build_bundle, load_bundle, save_bundle
 from ls_ledger.stream_core import (
     SUBSTREAM_LABELS,
     LinkStream,
-    class_mask,
+    link_classes,
     stream_from_columns,
     substream_by_class,
 )
@@ -622,16 +622,38 @@ def test_member_set_matches_the_two_set_partition():
         assert keys == oracle_keys
         of_class = {"M": oracle_members, "A": anonymous}
         count, _, amount, _ = repartition(tx, members)
+        codes = link_classes(tx, members)
         for i, label in enumerate(SUBSTREAM_LABELS):
             sources, targets = of_class[label[0]], of_class[label[1]]
             want = [
                 u in sources and v in targets for u, v in zip(tx.src.tolist(), tx.dst.tolist())
             ]
-            assert class_mask(tx, members, label).tolist() == want, (seed, label)
+            assert (codes == i).tolist() == want, (seed, label)
             sub = substream_by_class(tx, members, label)
             assert sub.nodes.tolist() == sorted(sources | targets), (seed, label)
             amounts = [a for a, kept in zip(tx.amount.tolist(), want) if kept]
             assert (count[i], amount[i]) == (len(amounts), sum(amounts)), (seed, label)
+
+
+@pytest.mark.parametrize("seed", [None, *range(12)], ids=lambda s: "example" if s is None else s)
+def test_link_classes_are_the_substream_codes(tmp_path, seed):
+    """A link's class code is its label's position in SUBSTREAM_LABELS, and
+    the codes give the repartition counts and the saved substream arrays."""
+    records = example_records() if seed is None else random_records(seed, n_txs=10 * seed)
+    _, keys, members, cert, tx = _ingest(records)
+    codes = link_classes(tx, members)
+    assert codes.dtype.kind == "i" and codes.shape == (tx.link_count,)
+    member = set(members.tolist())
+    want = [
+        SUBSTREAM_LABELS.index("".join("M" if x in member else "A" for x in (u, v)))
+        for u, v in zip(tx.src.tolist(), tx.dst.tolist())
+    ]
+    assert codes.tolist() == want
+    count, _, _, _ = repartition(tx, members)
+    assert np.bincount(codes, minlength=len(SUBSTREAM_LABELS)).tolist() == count.tolist()
+    with np.load(save_bundle(tmp_path, build_bundle(keys, members, cert, tx))) as snapshot:
+        for c, label in enumerate(SUBSTREAM_LABELS):
+            assert snapshot[f"sub_{label}"].tolist() == np.flatnonzero(codes == c).tolist()
 
 
 def test_node_sets_are_sorted_int64_arrays(tmp_path):

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import over_one_node_set, stream_of
+from oracles import over_one_node_set, pair_handles, stream_of
 from ls_ledger import stream_core
 from ls_ledger.interplay import (
     MATCH_CATEGORIES,
@@ -87,10 +87,6 @@ def as_minus_one(lookbacks):
     return [-1 if b is None else b for b in lookbacks]
 
 
-def pairs_of(idx):
-    return list(zip(idx.u.tolist(), idx.v.tolist()))
-
-
 def values_of(labels, codes):
     return [labels[c] for c in codes.tolist()]
 
@@ -105,7 +101,7 @@ def test_index_groups_links_by_pair(directed):
         for s in (cert, tx):
             idx = s.directed_pairs if directed else s.pairs
             expected = oracles.pair_times(s) if directed else oracles.pair_event_times(s)
-            pairs = list(zip(idx.u.tolist(), idx.v.tolist()))
+            pairs = pair_handles(idx)
             assert pairs == sorted(expected)
             got = {
                 pair: idx.times[idx.starts[j] : idx.starts[j + 1]].tolist()
@@ -138,6 +134,7 @@ def test_find_and_latest_equal_bisect(directed):
         if not directed:
             ru, rv = np.sort((ru, rv), axis=0)
         seg = idx.find_ranks(ru, rv)
+        pairs = pair_handles(idx)
         for inclusive in (True, False):
             pos = idx.latest(seg, np.array(ts, dtype=np.int64), inclusive)
             got = idx.time_at(pos).tolist()
@@ -148,7 +145,7 @@ def test_find_and_latest_equal_bisect(directed):
                 if ts_pair is None:
                     assert latest == -1
                     continue
-                assert (idx.u[j], idx.v[j]) == key
+                assert pairs[j] == key
                 i = bisect_right(ts_pair, t) if inclusive else bisect_left(ts_pair, t)
                 assert latest == (ts_pair[i - 1] if i else -1)
 
@@ -159,8 +156,8 @@ def test_find_pairs_equals_dict_lookup():
         for a, b in (over_one_node_set(cert, tx), over_one_node_set(tx, cert)):
             for directed in (True, False):
                 idx, other = (s.directed_pairs if directed else s.pairs for s in (a, b))
-                segment = {pair: j for j, pair in enumerate(pairs_of(idx))}
-                expected = [segment.get(pair, -1) for pair in pairs_of(other)]
+                segment = {pair: j for j, pair in enumerate(pair_handles(idx))}
+                expected = [segment.get(pair, -1) for pair in pair_handles(other)]
                 assert idx.find_pairs(other).tolist() == expected
                 # a pair without links has no latest link, in an empty index too
                 latest = idx.latest(nowhere, np.array([0, 5, T_LIMIT]), inclusive=True)
@@ -212,7 +209,7 @@ def test_match_kernels_equal_reference():
         cert, tx = over_one_node_set(cert, tx)
         anchor, category, delay, fractions, both_sided = match_certifications(cert, tx)
         rows, expected_both_sided = oracles.match_certifications(cert, tx)
-        cert_pairs = pairs_of(cert.pairs)
+        cert_pairs = pair_handles(cert.pairs)
         defined = category != MATCH_CATEGORIES.index("never")
         got = zip(
             cert_pairs,
@@ -235,13 +232,13 @@ def test_match_kernels_equal_reference():
 
         first_tx, delay, certified, unmatched = new_transaction_cert_delays(tx, cert)
         rows, expected_unmatched = oracles.new_transaction_cert_delays(tx, cert)
-        got = zip(pairs_of(tx.pairs), first_tx.tolist(), or_none(delay, certified))
+        got = zip(pair_handles(tx.pairs), first_tx.tolist(), or_none(delay, certified))
         assert list(got) == rows
         assert unmatched == expected_unmatched
 
         for s in (cert, tx):
             rel = relation_sets(s)
-            pairs = pairs_of(rel.pairs)
+            pairs = pair_handles(rel.pairs)
             bi = set(compress(pairs, rel.bi.tolist()))
             assert (set(pairs), set(pairs) - bi, bi) == oracles.relation_sets(s)
             counts = {p: len(ts) for p, ts in oracles.pair_event_times(s).items()}
