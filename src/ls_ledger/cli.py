@@ -203,7 +203,7 @@ def cmd_overview(cfg: RunConfig) -> None:
     for label, xs, ys in pairings:
         try:
             corr_rows.append((label, f"{graph_metrics.degree_correlation(xs, ys):.6f}"))
-        except (LedgerError, ValueError):
+        except ValueError:
             corr_rows.append((label, "NA"))
     _write_csv(
         cfg.out_dir / "degree_correlations.csv",
@@ -217,7 +217,7 @@ def cmd_overview(cfg: RunConfig) -> None:
         rolling = (series[name][1] for name in ("cert", "txmm"))
         r = graph_metrics.degree_correlation(*rolling)
         click.echo(f"activity_correlation:{r:.6f}")
-    except (LedgerError, ValueError):
+    except ValueError:
         click.echo("activity_correlation:NA (undefined)")
 
 
@@ -507,7 +507,7 @@ def _config(**params) -> RunConfig:
 def _run(command, cfg: RunConfig) -> None:
     try:
         command(cfg)
-    except (LedgerError, ValueError, KeyError) as err:
+    except (ValueError, KeyError) as err:
         raise click.ClickException(str(err))
     except OSError as err:
         # name the output that failed, not the temporary file it went

@@ -1,22 +1,21 @@
 """Error types raised by the library.
 
-Everything derives from :class:`LedgerError` so callers can catch the whole
-family at once; the CLI maps any of these to a non-zero exit status.
+Everything derives from :class:`LedgerError`, a :class:`ValueError`, so
+callers can catch the whole family at once; the CLI maps any of these to a
+non-zero exit status. A fault with nothing to carry but its message is a
+plain ``LedgerError``.
 """
 
 from __future__ import annotations
 
 
-class LedgerError(Exception):
+class LedgerError(ValueError):
     """Base class for all errors raised by this package."""
 
 
-class SelfLinkError(LedgerError, ValueError):
-    """A link with identical source and target."""
-
-
-class IntervalError(LedgerError, ValueError):
-    """A time lies outside a stream interval.
+class IntervalError(LedgerError):
+    """A link breaks a stream invariant: a self-link, a time outside the
+    stream interval, an endpoint outside the node set or links out of order.
 
     Carries ``index`` when the offending item is a link of a sequence.
     """
@@ -26,12 +25,7 @@ class IntervalError(LedgerError, ValueError):
         self.index = index
 
 
-class IntegrityError(LedgerError, ValueError):
-    """A record violates a dataset-level constraint (e.g. a certification
-    endpoint without an identity)."""
-
-
-class ParseError(LedgerError, ValueError):
+class ParseError(LedgerError):
     """A malformed input line, fatal in strict mode. Carries ``line_no`` and
     the ``reason`` without the line number."""
 
@@ -39,14 +33,6 @@ class ParseError(LedgerError, ValueError):
         super().__init__(f"line {line_no}: {reason}")
         self.line_no = line_no
         self.reason = reason
-
-
-class UndefinedCorrelationError(LedgerError, ValueError):
-    """Pearson correlation requested on a degenerate (zero-variance) series."""
-
-
-class DegenerateModelError(LedgerError, ValueError):
-    """The null model cannot perform any rewiring on this graph."""
 
 
 class StateError(LedgerError, RuntimeError):

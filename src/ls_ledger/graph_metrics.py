@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateModelError, UndefinedCorrelationError
+from .errors import LedgerError
 from .stream_core import InducedGraph, _blocks, _expand, _distinct_sorted
 
 
@@ -57,7 +57,7 @@ def degree_correlation(xs, ys) -> float:
     sxx = sum((x - mx) ** 2 for x in xv)
     syy = sum((y - my) ** 2 for y in yv)
     if sxx == 0.0 or syy == 0.0:
-        raise UndefinedCorrelationError("zero variance on one of the series")
+        raise LedgerError("zero variance on one of the series")
     sxy = sum((x - mx) * (y - my) for x, y in zip(xv, yv))
     return sxy / math.sqrt(sxx * syy)
 
@@ -135,7 +135,7 @@ def _rewired_ends(g: InducedGraph, samples: int, seed: int):
         raise ValueError(f"seed must be >= 0, got {seed}")
     us, vs = g.ends.tolist()
     if len(us) < 2:
-        raise DegenerateModelError(f"need at least 2 undirected edges to rewire, got {len(us)}")
+        raise LedgerError(f"need at least 2 undirected edges to rewire, got {len(us)}")
     for i in range(samples):
         rng = random.Random(seed * 1_000_003 + i)
         ends = np.array(

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IntegrityError, ParseError
+from .errors import LedgerError, ParseError
 from .stream_core import (
     SUBSTREAM_LABELS,
     LinkStream,
@@ -266,7 +266,7 @@ def build_streams(
     if not ok.all():
         i = int(ok.argmin())  # the first offending cert
         key = certs.src[i] if not src_ok[i] else certs.dst[i]
-        raise IntegrityError(
+        raise LedgerError(
             f"line {certs.line[i]}: certification involves non-member key {_SHOWN.repr(key)}"
         )
     cert = stream_from_columns(certs.t, src, dst, nodes=members)

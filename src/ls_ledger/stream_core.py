@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import IntervalError, SelfLinkError
+from .errors import IntervalError
 
 # a key must not split a CSV row or a "src|dst" pair label, open a quoted
 # CSV field, nor read as a "#" comment line; base58 keys never match
@@ -87,7 +87,7 @@ class LinkStream:
         loops = np.flatnonzero(src == dst)
         if len(loops):
             i = int(loops[0])
-            raise SelfLinkError(f"self-link rejected: ({t[i]}, {src[i]}, {dst[i]})")
+            raise IntervalError(f"self-link rejected: ({t[i]}, {src[i]}, {dst[i]})", index=i)
         if t.min() < 0:
             raise ValueError(f"negative timestamp {t.min()}")
         if amount is not None and amount.min() < 0:

@@ -4,13 +4,15 @@ with its measured runtime (visible under ``pytest -s`` or ``-rP``).
 Criterion 7 needs a real ledger dump; point LS_LEDGER_DATASET at the
 line-delimited record file and LS_LEDGER_REMUNITER at the donation wallet
 key to enable it. Without the dump, the seeded property suites (criteria
-1-6) stand in for it, and the test reports a skip.
+1-6) stand in for it, and the test reports a skip; criterion 7's checks
+still run on a seeded ledger, against that ledger's own figures.
 """
 
 import hashlib
 import os
 import random
 import time
+from collections import defaultdict
 from itertools import combinations, compress
 
 import numpy as np
@@ -24,11 +26,6 @@ from ls_ledger.cli import main
 from ls_ledger.fixtures import example_records, format_record, random_records, write_records
 from ls_ledger.stream_core import SUBSTREAM_LABELS, induced_graph, substream_by_class
 from ls_ledger.temporal_metrics import closure_distribution
-
-
-def value(table, label):
-    """The value of the ratio cell labeled ``label``."""
-    return dict(zip(interplay.RATIO_CELLS, table[2].tolist()))[label]
 
 
 def _or_minus_one(lookback):
@@ -224,6 +221,108 @@ TABLE1 = {
     "C_any&T_bi/T_bi": 0.715,
 }
 
+# Criterion 7's figures: each share is (figures, absolute tolerance), each
+# count is exact. These are the real dataset's.
+PAPER_TARGETS = {
+    # certification stream starts at the first certification, 2017-03-08 15:32:07
+    "cert_start": 1488987127,
+    "ratios": (TABLE1, 0.002),
+    "match": ({"never": 0.73, "before": 0.16, "after": 0.11}, 0.02),
+    "tx_classes": ({"already_certified": 0.42, "future_certified": 0.22, "never": 0.36}, 0.02),
+    "clustering": ({"cert": 0.49, "txmm": 0.31}, 0.02),
+    "triangles": {"cert": 6589, "txmm": 1990, "txaa": 393},
+    "distances": ({2: 0.78, 3: 0.19, 4: 0.028, 5: 0.002}, 0.01),
+    "miners": 158,
+}
+
+# The same figures of the seeded ledger below, donation wallet A000, as the
+# pipeline gives them; they say nothing about the real currency and stand
+# only for criterion 7's code.
+SEEDED_TARGETS = {
+    "cert_start": 9,
+    "ratios": (
+        {
+            "C_any/pairs": 32 / 45,
+            "C_uni/pairs": 22 / 45,
+            "C_bi/pairs": 10 / 45,
+            "T_any/pairs": 24 / 45,
+            "T_uni/pairs": 19 / 45,
+            "T_bi/pairs": 5 / 45,
+            "T_any&C_any/C_any": 17 / 32,
+            "T_any&C_uni/C_uni": 11 / 22,
+            "T_any&C_bi/C_bi": 6 / 10,
+            "C_any&T_any/T_any": 17 / 24,
+            "C_any&T_uni/T_uni": 13 / 19,
+            "C_any&T_bi/T_bi": 4 / 5,
+        },
+        1e-12,
+    ),
+    "match": ({"never": 15 / 32, "before": 8 / 32, "after": 9 / 32}, 1e-12),
+    "tx_classes": (
+        {"already_certified": 15 / 37, "future_certified": 11 / 37, "never": 11 / 37},
+        1e-12,
+    ),
+    "clustering": ({"cert": 0.6745238095238095, "txmm": 0.47666666666666657}, 1e-12),
+    "triangles": {"cert": 39, "txmm": 15, "txaa": 0},
+    "distances": ({2: 1.0, 3: 0.0, 4: 0.0, 5: 0.0}, 1e-12),
+    "miners": 5,
+}
+
+
+def _assert_near(got, target):
+    """Every figure of ``target = (figures, tolerance)`` is within the
+    tolerance of ``got``'s figure of that label."""
+    figures, tolerance = target
+    for label, expected in figures.items():
+        assert got[label] == pytest.approx(expected, abs=tolerance), label
+
+
+def check_criterion_7(lines, remuniter, targets):
+    """Criterion 7's checks: read the ledger's record ``lines``, with the
+    donation wallet ``remuniter``, and compare what the pipeline computes
+    with ``targets``, shaped like ``PAPER_TARGETS``."""
+    identities, certs, txs, _ = ledger_ingest.parse_records(lines)
+    keys, members = ledger_ingest.classify_keys(identities, txs)
+    cert_stream, tx_stream = ledger_ingest.build_streams(certs, txs, keys, members)
+    tx_mm = substream_by_class(tx_stream, members, "MM")
+    tx_aa = substream_by_class(tx_stream, members, "AA")
+
+    assert cert_stream.interval[0] == targets["cert_start"]
+
+    # relation ratio table
+    cert_rel = interplay.relation_sets(cert_stream)
+    tx_rel = interplay.relation_sets(tx_mm)
+    table = interplay.relation_ratio_table(cert_rel, tx_rel, len(members))
+    _assert_near(dict(zip(interplay.RATIO_CELLS, table[2].tolist())), targets["ratios"])
+
+    # match fractions
+    _, _, _, fractions, _ = interplay.match_certifications(cert_stream, tx_mm)
+    _assert_near(dict(zip(interplay.MATCH_CATEGORIES, fractions.tolist())), targets["match"])
+
+    # transaction classes
+    _, fractions = interplay.classify_transactions(tx_mm, cert_stream)
+    _assert_near(dict(zip(interplay.TX_CATEGORIES, fractions.tolist())), targets["tx_classes"])
+
+    # clustering averages and exact triangle counts
+    streams = {"cert": cert_stream, "txmm": tx_mm, "txaa": tx_aa}
+    graphs = {name: induced_graph(s) for name, s in streams.items()}
+    reports = {name: graph_metrics.clustering(g) for name, g in graphs.items()}
+    _assert_near({name: r[1] for name, r in reports.items()}, targets["clustering"])
+    assert {name: r[3] for name, r in reports.items()} == targets["triangles"]
+
+    # distance shares of transacting-but-uncertified member pairs
+    uncertified = cert_rel.pairs.find_pairs(tx_rel.pairs) < 0
+    # both graphs' nodes are the members, so a txmm edge's ends are places
+    # in the cert graph too
+    g_cert, g_mm = graphs["cert"], graphs["txmm"]
+    dist = graph_metrics.distance_distribution(*g_mm.ends[:, uncertified], g_cert)
+    shares = defaultdict(float, enumerate((dist.counts / dist.total()).tolist()))
+    _assert_near(shares, targets["distances"])
+
+    # miner identification
+    miners = ledger_ingest.identify_miners(tx_stream, members, keys.index(remuniter))
+    assert len(miners) == targets["miners"]
+
 
 def test_criterion_7_dataset_conditional_reproduction():
     dump = os.environ.get(DATASET_ENV)
@@ -233,63 +332,18 @@ def test_criterion_7_dataset_conditional_reproduction():
         )
     started = time.perf_counter()
     remuniter = os.environ.get(REMUNITER_ENV)
-    with open(dump, "r", encoding="utf-8") as fh:
-        identities, certs, txs, _ = ledger_ingest.parse_records(fh)
-    keys, members = ledger_ingest.classify_keys(identities, txs)
-    cert_stream, tx_stream = ledger_ingest.build_streams(certs, txs, keys, members)
-    tx_mm = substream_by_class(tx_stream, members, "MM")
-    tx_aa = substream_by_class(tx_stream, members, "AA")
-
-    # certification stream starts at the first certification, 2017-03-08 15:32:07
-    assert cert_stream.interval[0] == 1488987127
-
-    # relation ratio table
-    cert_rel = interplay.relation_sets(cert_stream)
-    tx_rel = interplay.relation_sets(tx_mm)
-    table = interplay.relation_ratio_table(cert_rel, tx_rel, len(members))
-    for label, expected in TABLE1.items():
-        assert value(table, label) == pytest.approx(expected, abs=0.002), label
-
-    # match fractions
-    _, _, _, fractions, _ = interplay.match_certifications(cert_stream, tx_mm)
-    match = dict(zip(interplay.MATCH_CATEGORIES, fractions.tolist()))
-    assert match["never"] == pytest.approx(0.73, abs=0.02)
-    assert match["before"] == pytest.approx(0.16, abs=0.02)
-    assert match["after"] == pytest.approx(0.11, abs=0.02)
-
-    # transaction classes
-    _, fractions = interplay.classify_transactions(tx_mm, cert_stream)
-    tx = dict(zip(interplay.TX_CATEGORIES, fractions.tolist()))
-    assert tx["already_certified"] == pytest.approx(0.42, abs=0.02)
-    assert tx["future_certified"] == pytest.approx(0.22, abs=0.02)
-    assert tx["never"] == pytest.approx(0.36, abs=0.02)
-
-    # clustering averages and exact triangle counts
-    g_cert = induced_graph(cert_stream)
-    g_mm = induced_graph(tx_mm)
-    g_aa = induced_graph(tx_aa)
-    assert graph_metrics.clustering(g_cert)[1] == pytest.approx(0.49, abs=0.02)
-    assert graph_metrics.clustering(g_mm)[1] == pytest.approx(0.31, abs=0.02)
-    assert graph_metrics.clustering(g_cert)[3] == 6589
-    assert graph_metrics.clustering(g_mm)[3] == 1990
-    assert graph_metrics.clustering(g_aa)[3] == 393
-
-    # distance shares of transacting-but-uncertified member pairs
-    uncertified = cert_rel.pairs.find_pairs(tx_rel.pairs) < 0
-    # both graphs' nodes are the members, so a txmm edge's ends are places
-    # in the cert graph too
-    dist = graph_metrics.distance_distribution(*g_mm.ends[:, uncertified], g_cert)
-    shares = dict(enumerate((dist.counts / dist.total()).tolist()))
-    assert shares.get(2, 0.0) == pytest.approx(0.78, abs=0.01)
-    assert shares.get(3, 0.0) == pytest.approx(0.19, abs=0.01)
-    assert shares.get(4, 0.0) == pytest.approx(0.028, abs=0.01)
-    assert shares.get(5, 0.0) == pytest.approx(0.002, abs=0.01)
-
-    # miner identification
     assert remuniter, f"{REMUNITER_ENV} must accompany {DATASET_ENV}"
-    miners = ledger_ingest.identify_miners(tx_stream, members, keys.index(remuniter))
-    assert len(miners) == 158
+    with open(dump, "r", encoding="utf-8") as fh:
+        check_criterion_7(fh, remuniter, PAPER_TARGETS)
     _report(7, "real-dataset reproduction", started)
+
+
+def test_criterion_7_checks_on_a_seeded_ledger():
+    # criterion 7's code on a ledger every run has, against its own figures
+    started = time.perf_counter()
+    records = random_records(77, n_members=10, n_certs=60, n_txs=90)
+    check_criterion_7(map(format_record, records), "A000", SEEDED_TARGETS)
+    _report(7, "seeded-ledger run of the real-dataset checks", started)
 
 
 def test_criterion_8_cli_determinism(tmp_path):

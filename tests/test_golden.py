@@ -36,7 +36,8 @@ CASES = {
         ("--seed", "5", "--samples", "40"),
         (),
     ),
-    # the donation wallet A000 pays 7 members: pins repartition_filtered.csv
+    # the donation wallet A000 pays 5 members in 7 transactions: pins
+    # repartition_filtered.csv
     "random77_remuniter": (
         lambda: random_records(77, n_members=10, n_certs=60, n_txs=90),
         ("--seed", "5", "--samples", "40"),

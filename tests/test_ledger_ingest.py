@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from oracles import links_of, parsed_records
-from ls_ledger.errors import IntegrityError, ParseError
+from ls_ledger.errors import LedgerError, ParseError
 from ls_ledger.fixtures import (
     CertRecord,
     IdentityRecord,
@@ -337,7 +337,7 @@ def test_build_streams_rejects_non_member_cert():
         IdentityRecord(0, "A", "a"),
         CertRecord(1, "A", "GHOST"),
     ]
-    with pytest.raises(IntegrityError) as err:
+    with pytest.raises(LedgerError, match="non-member key 'GHOST'") as err:
         _ingest(records)
     assert "GHOST" in str(err.value)
     assert str(err.value) == "line 2: certification involves non-member key 'GHOST'"
@@ -349,7 +349,7 @@ def test_build_streams_rejects_non_member_cert():
         CertRecord(2, "A", "A" + "x" * 100_000),
         CertRecord(0, "Y", "A"),
     ]
-    with pytest.raises(IntegrityError) as err:
+    with pytest.raises(LedgerError, match="^line 3: certification involves non-member key") as err:
         _ingest(records)
     message = str(err.value)
     assert message.startswith("line 3: certification involves non-member key 'Axxx")

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from itertools import chain
 
@@ -7,7 +8,7 @@ import pytest
 
 import oracles
 from oracles import edge_set, links_of, random_links, stream_of
-from ls_ledger.errors import IntervalError, SelfLinkError
+from ls_ledger.errors import IntervalError
 from ls_ledger.stream_core import (
     LinkStream,
     SUBSTREAM_LABELS,
@@ -99,8 +100,9 @@ def test_stream_rejects_bad_columns():
         _columns([1, 2], [0, 1], [1])
     with pytest.raises(ValueError, match="one length"):
         _columns([1, 2], [0, 1], [1, 0], amount=[5])
-    with pytest.raises(SelfLinkError):
+    with pytest.raises(IntervalError, match=re.escape("self-link rejected: (2, 1, 1)")) as err:
         _columns([1, 2], [0, 1], [1, 1])
+    assert err.value.index == 1
     with pytest.raises(ValueError, match="negative timestamp"):
         _columns([-1, 2], [0, 1], [1, 0], interval=(-5, 10))
     with pytest.raises(ValueError, match="negative amount"):
@@ -118,6 +120,8 @@ def test_stream_rejects_bad_columns():
         ([1, 1, 2], [1, 0, 0], [0, 1, 1], 1),  # source decreases at equal time
         ([1, 1, 2], [0, 0, 0], [2, 1, 1], 1),  # target decreases at equal (t, source)
         ([1, 1, 11], [0, 0, 0], [2, 1, 1], 1),  # the first offending link wins
+        ([1, 2, 3], [0, 1, 2], [1, 0, 2], 2),  # a self-link
+        ([1, 1, 3], [1, 0, 2], [0, 1, 2], 2),  # a self-link wins over an earlier fault
     ],
 )
 def test_stream_invariant_names_first_offending_link(t, src, dst, index):
