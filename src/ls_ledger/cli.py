@@ -379,11 +379,9 @@ def cmd_relations(cfg: RunConfig) -> None:
 
     _, members, cert, tx = snapshot.load_bundle(cfg.out_dir)
     tx_mm = stream_core.substream_by_class(tx, members, "MM")
-    cert_rel = interplay.relation_sets(cert)
-    tx_rel = interplay.relation_sets(tx_mm)
     n_members = len(members)
     numerator, denominator, value = interplay.relation_ratio_table(
-        cert_rel, tx_rel, n_members, ordered_pairs=cfg.ordered_pairs
+        cert, tx_mm, n_members, ordered_pairs=cfg.ordered_pairs
     )
     _write_csv(
         cfg.out_dir / "ratios.csv",
@@ -397,8 +395,7 @@ def cmd_relations(cfg: RunConfig) -> None:
         ),
     )
 
-    tau = interplay.pair_transaction_counts(tx_mm)
-    k, n_pairs, frac_any, frac_bi = interplay.certification_fraction_by_k(tau, tx_rel, cert_rel)
+    k, n_pairs, frac_any, frac_bi = interplay.certification_fraction_by_k(tx_mm, cert)
     _write_csv(
         cfg.out_dir / "fraction_by_k.csv",
         _comments("relations", cfg),

@@ -11,9 +11,9 @@ Every per-pair or per-link result is an int64 or bool array aligned with
 the pairs or the links of the stream its docstring names, a category is
 a code, its position in its label tuple, and a table is columns aligned
 with its label tuple. A kernel returns a tuple of its columns, shares and
-counts, in the order its docstring names them. ``relation_sets`` returns
-the named tuple ``RelationSets``, the input of two kernels, not a result
-to write out. Callers hold the indexes and turn the results into rows.
+counts, in the order its docstring names them. Every kernel of two
+streams takes them as streams, the one its result follows first. Callers
+hold the indexes and turn the results into rows.
 
 Tie conventions, chosen once and applied everywhere: an event exactly
 simultaneous with an anchor counts as "already there" (<= comparisons),
@@ -22,37 +22,28 @@ and among equally close events in absolute time the earlier one wins.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .stream_core import LinkStream, PairIndex
 
 
-class RelationSets(NamedTuple):
-    """The unordered pairs of a stream with at least one link (any), and
-    which of them have links in both directions (bi); the others have links
-    in one direction only (uni)."""
-
-    pairs: PairIndex
-    bi: np.ndarray  # bool per pair of ``pairs``
-
-
-def relation_sets(s: LinkStream) -> RelationSets:
-    """Build the relation sets of a stream restricted to members."""
+def relation_sets(s: LinkStream) -> np.ndarray:
+    """Which unordered pairs of ``s.pairs``, the pairs with at least one
+    link (any), have links in both directions (bi): a bool per pair. The
+    others have links in one direction only (uni)."""
     idx = s.pairs
     forward = np.bincount(idx.segment[s.src < s.dst], minlength=len(idx.keys))
     backward = np.diff(idx.starts) - forward
-    return RelationSets(idx, (forward > 0) & (backward > 0))
+    return (forward > 0) & (backward > 0)
 
 
-def _cert_kind(txs: RelationSets, certs: RelationSets) -> np.ndarray:
-    """For each pair of ``txs``, its relation in ``certs``: 0 none, 1 uni,
-    2 bi."""
-    seg = certs.pairs.find_pairs(txs.pairs)
+def _cert_kind(tx_mm: LinkStream, cert: LinkStream, cert_bi: np.ndarray) -> np.ndarray:
+    """For each pair of ``tx_mm.pairs``, its relation in ``cert``, whose
+    ``relation_sets`` is ``cert_bi``: 0 none, 1 uni, 2 bi."""
+    seg = cert.pairs.find_pairs(tx_mm.pairs)
     kind = np.zeros(len(seg), dtype=np.int64)
     found = seg >= 0
-    kind[found] = 1 + certs.bi[seg[found]]
+    kind[found] = 1 + cert_bi[seg[found]]
     return kind
 
 
@@ -75,14 +66,15 @@ RATIO_CELLS = (
 
 
 def relation_ratio_table(
-    certs: RelationSets,
-    txs: RelationSets,
+    cert: LinkStream,
+    tx_mm: LinkStream,
     n_members: int,
     ordered_pairs: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 12 link-probability ratios between certification and transaction
-    relation sets, as numerator, denominator and value columns aligned with
-    ``RATIO_CELLS``; the value is NaN where the denominator is 0.
+    """The 12 link-probability ratios between the relation sets of the
+    certification and the transaction stream, as numerator, denominator and
+    value columns aligned with ``RATIO_CELLS``; the value is NaN where the
+    denominator is 0.
 
     Rows 1-2 normalize each set by the number of member pairs, n*(n-1)/2
     unordered by default (the sets themselves are unordered; the ordered
@@ -93,12 +85,13 @@ def relation_ratio_table(
     n_pairs = n_members * (n_members - 1)
     if not ordered_pairs:
         n_pairs //= 2
-    c_any, c_bi = len(certs.bi), int(np.count_nonzero(certs.bi))
-    t_any, t_bi = len(txs.bi), int(np.count_nonzero(txs.bi))
-    kind = _cert_kind(txs, certs)
+    cert_bi, tx_bi = relation_sets(cert), relation_sets(tx_mm)
+    c_any, c_bi = len(cert_bi), int(np.count_nonzero(cert_bi))
+    t_any, t_bi = len(tx_bi), int(np.count_nonzero(tx_bi))
+    kind = _cert_kind(tx_mm, cert, cert_bi)
     _, t_c_uni, t_c_bi = np.bincount(kind, minlength=3).tolist()
     t_c_any = t_c_uni + t_c_bi
-    t_bi_c_any = int(np.count_nonzero(txs.bi & (kind > 0)))
+    t_bi_c_any = int(np.count_nonzero(tx_bi & (kind > 0)))
     # the any, uni and bi sets of each stream: rows 1-2 count them, rows
     # 3-4 divide by them
     sizes = [c_any, c_any - c_bi, c_bi, t_any, t_any - t_bi, t_bi]
@@ -119,15 +112,15 @@ def pair_transaction_counts(tx_mm: LinkStream) -> np.ndarray:
 
 
 def certification_fraction_by_k(
-    tau: np.ndarray, txs: RelationSets, certs: RelationSets
+    tx_mm: LinkStream, cert: LinkStream
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """For each transaction count k, the certified share of the pairs that
-    made exactly k transactions; ``tau`` holds the count of every pair of
-    ``txs``. Returns the columns k (ascending), n_pairs, frac_any (the share
-    with any certification) and frac_bi (with a bidirectional one);
+    """For each transaction count k (``pair_transaction_counts``), the
+    certified share of the pairs of ``tx_mm`` that made exactly k
+    transactions. Returns the columns k (ascending), n_pairs, frac_any (the
+    share with any certification) and frac_bi (with a bidirectional one);
     frac_bi <= frac_any pointwise."""
-    ks, k_of = np.unique(tau, return_inverse=True)
-    kind = _cert_kind(txs, certs)
+    ks, k_of = np.unique(pair_transaction_counts(tx_mm), return_inverse=True)
+    kind = _cert_kind(tx_mm, cert, relation_sets(cert))
     n_pairs = np.bincount(k_of, minlength=len(ks))
     n_any, n_bi = (np.bincount(k_of[mask], minlength=len(ks)) for mask in (kind > 0, kind == 2))
     return ks, n_pairs, n_any / n_pairs, n_bi / n_pairs

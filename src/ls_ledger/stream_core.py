@@ -308,11 +308,14 @@ class PairIndex:
     """
 
     def __init__(self, s: LinkStream, directed: bool):
-        # ranks ascend with handles, so they order pairs as handles do
-        u, v = np.searchsorted(s.nodes, s.src), np.searchsorted(s.nodes, s.dst)
+        # ranks ascend with handles, so they order pairs as handles do; the
+        # node set holds every link end, so the distinct values below are
+        # the node set, and each end's inverse is its rank
+        n = s.link_count
+        _, place = np.unique(np.concatenate((s.nodes, s.src, s.dst)), return_inverse=True)
+        u, v = place[len(s.nodes) :].reshape(2, n)
         if not directed:
             u, v = np.minimum(u, v), np.maximum(u, v)
-        n = s.link_count
         key = u * len(s.nodes) + v
         positions = np.argsort(key, kind="stable")
         key = key[positions]

@@ -6,17 +6,20 @@ For the cert and txmm graphs of the golden ledgers (``test_golden.CASES``),
 the three benchmark ledgers at ``--seed 1`` and the north-star ledger, this
 runs the chains of null-model samples 0 .. SAMPLES - 1 of seed SEED (the
 generators ``null_model_triangles`` gives them) and prints, at each budget of
-BUDGETS swap attempts per edge, the triangle count and the share of the
-original edges still present: the range over the chains, one Markdown table
-row per graph. Each budget is a prefix of one 10m chain, run in segments
-(``test_swap_kernel.test_chains_compose``), so the 10m column is what the
-null model samples. Read Ray, Pinar & Seshadhri, *Are we there yet? When to
-stop a Markov chain while generating random graphs* (WAW 2012), for why the
-edge share is watched.
+BUDGETS swap attempts per edge, the triangle count, the share of the
+original edges still present and the acceptance share (swaps made over
+attempts, from the first attempt on): the range over the chains, one
+Markdown table row per graph. Each budget is a prefix of one 10m chain, run
+in segments (``test_swap_kernel.test_chains_compose``), so the 10m column is
+what the null model samples. The chains run on ``oracles.double_edge_swap``,
+which draws as the null model's kernel does and counts the swaps it makes.
+Read Ray, Pinar & Seshadhri, *Are we there yet? When to stop a Markov chain
+while generating random graphs* (WAW 2012), for why the edge and the
+acceptance shares are watched.
 
 The benchmark ledgers come from ``bench/workloads.py``, which this script
 loads but does not change. Pytest does not collect this module; the
-generated ledgers go to a temporary directory. The run takes about 7 s on
+generated ledgers go to a temporary directory. The run takes about 15 s on
 a 2-core x86-64 VM, most of it the north-star ledger's chains.
 """
 
@@ -31,9 +34,10 @@ from pathlib import Path
 
 import numpy as np
 
+import oracles
 from ls_ledger import ledger_ingest
 from ls_ledger.fixtures import format_record
-from ls_ledger.graph_metrics import _double_edge_swap, _node_triangles, clustering
+from ls_ledger.graph_metrics import _node_triangles, clustering
 from ls_ledger.stream_core import induced_graph, substream_by_class
 
 BUDGETS = (0.5, 1, 2, 3, 5, 10)  # swap attempts per edge
@@ -59,24 +63,24 @@ def graphs(lines) -> dict:
     return {"cert": induced_graph(cert), "txmm": induced_graph(tx_mm)}
 
 
-def chains(g, seed: int = SEED, samples: int = SAMPLES) -> list[list[tuple[int, float]]]:
+def chains(g, seed: int = SEED, samples: int = SAMPLES) -> list[list[tuple[int, float, float]]]:
     """Per null-model sample 0 .. ``samples`` - 1 of ``seed`` on ``g``, which
-    has at least 2 edges: the triangle count and the share of g's edges still
-    present after each budget of BUDGETS."""
-    us, vs = g.ends.tolist()
-    m, n = len(us), len(g.nodes)
+    has at least 2 edges: the triangle count, the share of g's edges still
+    present and the share of the attempts so far that made a swap, after
+    each budget of BUDGETS."""
+    m, n = g.ends.shape[1], len(g.nodes)
     original = g.ends[0] * n + g.ends[1]  # each row holds u < v, as the swaps keep it
     result = []
     for i in range(samples):
         rng = random.Random(seed * 1_000_003 + i)  # as null_model_triangles seeds sample i
-        columns, done, row = (us, vs), 0, []
+        edges, done, made, row = list(zip(*g.ends.tolist())), 0, 0, []
         for budget in BUDGETS:
             stop = int(budget * m)
-            columns = _double_edge_swap(*columns, n, rng, stop - done)
-            done = stop
-            a, b = np.array(columns, dtype=np.int64)
+            edges, swaps = oracles.double_edge_swap(edges, rng, stop - done)
+            done, made = stop, made + swaps
+            a, b = np.array(edges, dtype=np.int64).T
             triangles = int(_node_triangles(a, b, g.rank).sum()) // 3
-            row.append((triangles, float(np.isin(a * n + b, original).mean())))
+            row.append((triangles, float(np.isin(a * n + b, original).mean()), made / stop))
         result.append(row)
     return result
 
@@ -88,11 +92,13 @@ def _span(values, spec: str) -> str:
 
 def table_row(name: str, g) -> str:
     """One Markdown row: the graph, its edges and observed triangles, then
-    per budget the triangle counts and the edge shares over the chains."""
+    per budget the triangle counts, the edge shares and the acceptance
+    shares over the chains."""
     cells = []
     for column in zip(*chains(g)):
-        triangles, kept = zip(*column)
-        cells.append(f"{_span(triangles, ',')} / {_span([100 * k for k in kept], '.1f')}%")
+        triangles, kept, accepted = zip(*column)
+        shares = (_span([100 * x for x in xs], ".1f") for xs in (kept, accepted))
+        cells.append(f"{_span(triangles, ',')} / {'% / '.join(shares)}%")
     return f"| {name}, m = {g.ends.shape[1]:,} (obs. {clustering(g)[3]:,}) | {' | '.join(cells)} |"
 
 

@@ -274,13 +274,14 @@ def triangle_total(out) -> int:
 
 def double_edge_swap(
     edges: list[tuple[int, int]], rng: random.Random, attempts: int
-) -> list[tuple[int, int]]:
+) -> tuple[list[tuple[int, int]], int]:
     """Tuple-based double-edge swap: ``randrange`` draws and ``min``/``max``
-    ordering. ``graph_metrics._double_edge_swap`` must match it sample for
-    sample."""
+    ordering. Returns the edges, which ``graph_metrics._double_edge_swap``
+    must match sample for sample, and the number of swaps made."""
     edges = list(edges)
     present = set(edges)
     m = len(edges)
+    made = 0
     for _ in range(attempts):
         i = rng.randrange(m)
         j = rng.randrange(m)
@@ -303,7 +304,8 @@ def double_edge_swap(
         present.add(e2)
         edges[i] = e1
         edges[j] = e2
-    return edges
+        made += 1
+    return edges, made
 
 
 def rewired_samples(g, samples: int, seed: int):

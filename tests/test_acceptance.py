@@ -123,9 +123,7 @@ def test_criterion_4_partition_and_conservation():
         tx_mm = subs["MM"]
         tau = interplay.pair_transaction_counts(tx_mm)
         assert sum(tau.tolist()) == tx_mm.link_count
-        k, n_pairs, _, _ = interplay.certification_fraction_by_k(
-            tau, interplay.relation_sets(tx_mm), interplay.relation_sets(cert_stream)
-        )
+        k, n_pairs, _, _ = interplay.certification_fraction_by_k(tx_mm, cert_stream)
         assert int((k * n_pairs).sum()) == tx_mm.link_count
     _report(4, "partition + conservation on all bundled fixtures", started)
 
@@ -143,15 +141,15 @@ def test_criterion_5_relation_set_algebra():
         # conditional denominator below is populated
         events += [(0, 0, 1), (1, 1, 0), (2, n, n + 1)]
         s = stream_of(events)
-        rel = interplay.relation_sets(s)
+        rel_bi = interplay.relation_sets(s)
 
-        pairs = oracles.pair_handles(rel.pairs)
+        pairs = oracles.pair_handles(s.pairs)
         any_, uni, bi = oracles.relation_sets(s)
         assert pairs == sorted(any_)
-        assert set(compress(pairs, rel.bi.tolist())) == bi
-        assert set(compress(pairs, (~rel.bi).tolist())) == uni
+        assert set(compress(pairs, rel_bi.tolist())) == bi
+        assert set(compress(pairs, (~rel_bi).tolist())) == uni
 
-        _, denominator, ratio = interplay.relation_ratio_table(rel, rel, n_members=n + 2)
+        _, denominator, ratio = interplay.relation_ratio_table(s, s, n_members=n + 2)
         assert (denominator[6:] > 0).all()
         assert ratio[6:].tolist() == pytest.approx([1.0] * 6, abs=1e-12)
     _report(5, "500 random member streams: set algebra + C=T ratios", started)
@@ -290,9 +288,7 @@ def check_criterion_7(lines, remuniter, targets):
     assert cert_stream.interval[0] == targets["cert_start"]
 
     # relation ratio table
-    cert_rel = interplay.relation_sets(cert_stream)
-    tx_rel = interplay.relation_sets(tx_mm)
-    table = interplay.relation_ratio_table(cert_rel, tx_rel, len(members))
+    table = interplay.relation_ratio_table(cert_stream, tx_mm, len(members))
     _assert_near(dict(zip(interplay.RATIO_CELLS, table[2].tolist())), targets["ratios"])
 
     # match fractions
@@ -311,7 +307,7 @@ def check_criterion_7(lines, remuniter, targets):
     assert {name: r[3] for name, r in reports.items()} == targets["triangles"]
 
     # distance shares of transacting-but-uncertified member pairs
-    uncertified = cert_rel.pairs.find_pairs(tx_rel.pairs) < 0
+    uncertified = cert_stream.pairs.find_pairs(tx_mm.pairs) < 0
     # both graphs' nodes are the members, so a txmm edge's ends are places
     # in the cert graph too
     g_cert, g_mm = graphs["cert"], graphs["txmm"]

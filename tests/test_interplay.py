@@ -29,10 +29,11 @@ def value(table, label):
     return dict(zip(RATIO_CELLS, table[2].tolist()))[label]
 
 
-def sets_of(rel):
-    """The (any, uni, bi) sets of pairs that relation sets mark."""
-    pairs = pair_handles(rel.pairs)
-    bi = set(compress(pairs, rel.bi.tolist()))
+def sets_of(s):
+    """The (any, uni, bi) sets of pairs that the relation sets of stream
+    ``s`` mark."""
+    pairs = pair_handles(s.pairs)
+    bi = set(compress(pairs, relation_sets(s).tolist()))
     return set(pairs), set(pairs) - bi, bi
 
 
@@ -52,19 +53,16 @@ def counts_stream(counts):
 
 def test_relation_sets_example():
     s = stream((0, 1, 2), (1, 2, 1), (2, 1, 3))
-    rel = relation_sets(s)
-    assert pair_handles(rel.pairs) == [(1, 2), (1, 3)]
-    assert rel.bi.tolist() == [True, False]
-    assert sets_of(rel) == ({(1, 2), (1, 3)}, {(1, 3)}, {(1, 2)})
+    assert pair_handles(s.pairs) == [(1, 2), (1, 3)]
+    assert relation_sets(s).tolist() == [True, False]
+    assert sets_of(s) == ({(1, 2), (1, 3)}, {(1, 3)}, {(1, 2)})
 
 
 def test_relation_sets_empty_and_single():
     empty = stream_of([], interval=(0, 10))
-    rel = relation_sets(empty)
-    assert len(rel.pairs.keys) == len(rel.bi) == 0
+    assert len(empty.pairs.keys) == len(relation_sets(empty)) == 0
     single = stream((5, 3, 4))
-    rel = relation_sets(single)
-    assert sets_of(rel) == ({(3, 4)}, {(3, 4)}, set())
+    assert sets_of(single) == ({(3, 4)}, {(3, 4)}, set())
 
 
 def test_relation_sets_partition_property():
@@ -75,15 +73,13 @@ def test_relation_sets_partition_property():
             (rng.randint(0, 50), *rng.sample(range(n), 2))
             for _ in range(rng.randint(1, 60))
         ]
-        any_, uni, bi = sets_of(relation_sets(stream(*events)))
+        any_, uni, bi = sets_of(stream(*events))
         assert uni | bi == any_
         assert not uni & bi
 
 
 def test_ratio_table_example():
-    certs, txs = map(
-        relation_sets, over_one_node_set(stream((0, 1, 2), (1, 2, 1), (2, 1, 3)), stream((5, 1, 2)))
-    )
+    certs, txs = over_one_node_set(stream((0, 1, 2), (1, 2, 1), (2, 1, 3)), stream((5, 1, 2)))
     table = relation_ratio_table(certs, txs, n_members=3)
     assert value(table, "T_any&C_any/C_any") == pytest.approx(0.5)
     assert value(table, "C_any/pairs") == pytest.approx(2 / 3)
@@ -93,14 +89,13 @@ def test_ratio_table_example():
 
 def test_ratio_table_identical_streams_all_conditionals_one():
     s = stream((0, 1, 2), (1, 2, 1), (2, 1, 3), (3, 4, 1))
-    rel = relation_sets(s)
-    table = relation_ratio_table(rel, rel, n_members=5)
+    table = relation_ratio_table(s, s, n_members=5)
     assert table[2][6:].tolist() == pytest.approx([1.0] * 6)
 
 
 def test_ratio_table_empty_denominator_marker():
-    certs = relation_sets(stream((0, 1, 2)))  # no bidirectional pair
-    txs = relation_sets(stream((0, 1, 2)))
+    certs = stream((0, 1, 2))  # no bidirectional pair
+    txs = stream((0, 1, 2))
     table = relation_ratio_table(certs, txs, n_members=2)
     assert math.isnan(value(table, "T_any&C_bi/C_bi"))
     assert dict(zip(RATIO_CELLS, table[1].tolist()))["T_any&C_bi/C_bi"] == 0
@@ -108,9 +103,9 @@ def test_ratio_table_empty_denominator_marker():
 
 
 def test_ratio_table_ordered_convention_halves_rows_1_2():
-    rel = relation_sets(stream((0, 1, 2)))
-    unordered = relation_ratio_table(rel, rel, n_members=4)
-    ordered = relation_ratio_table(rel, rel, n_members=4, ordered_pairs=True)
+    s = stream((0, 1, 2))
+    unordered = relation_ratio_table(s, s, n_members=4)
+    ordered = relation_ratio_table(s, s, n_members=4, ordered_pairs=True)
     assert value(unordered, "C_any/pairs") == pytest.approx(1 / 6)
     assert value(ordered, "C_any/pairs") == pytest.approx(1 / 12)
     assert value(ordered, "T_any&C_any/C_any") == value(unordered, "T_any&C_any/C_any")
@@ -135,28 +130,22 @@ def test_pair_counts_conservation():
         tau = pair_transaction_counts(s)
         assert sum(tau.tolist()) == s.link_count
         # grouping by exact count conserves links too
-        k, n_pairs, _, _ = certification_fraction_by_k(
-            tau, relation_sets(s), relation_sets(certs)
-        )
+        k, n_pairs, _, _ = certification_fraction_by_k(s, certs)
         assert int((k * n_pairs).sum()) == s.link_count
 
 
 def test_certification_fraction_by_k():
     certs, txs = over_one_node_set(stream((0, 1, 2)), counts_stream({(1, 2): 2, (3, 4): 2}))
-    k, n_pairs, frac_any, frac_bi = certification_fraction_by_k(
-        pair_transaction_counts(txs), relation_sets(txs), relation_sets(certs)
-    )
+    k, n_pairs, frac_any, frac_bi = certification_fraction_by_k(txs, certs)
     assert k.tolist() == [2] and n_pairs.tolist() == [2]
     assert frac_any.tolist() == pytest.approx([0.5])
     assert frac_bi.tolist() == [0.0]
 
 
 def test_certification_fraction_all_certified():
-    certs = relation_sets(stream((0, 1, 2), (0, 2, 1), (0, 3, 4), (0, 4, 3)))
+    certs = stream((0, 1, 2), (0, 2, 1), (0, 3, 4), (0, 4, 3))
     txs = counts_stream({(1, 2): 1, (3, 4): 5})
-    _, _, frac_any, frac_bi = certification_fraction_by_k(
-        pair_transaction_counts(txs), relation_sets(txs), certs
-    )
+    _, _, frac_any, frac_bi = certification_fraction_by_k(txs, certs)
     assert frac_any.tolist() == [1.0, 1.0]
     assert frac_bi.tolist() == [1.0, 1.0]
 
@@ -174,10 +163,7 @@ def test_fraction_by_k_bi_below_any():
             for _ in range(rng.randint(1, 50))
         ]
         certs, txs = over_one_node_set(stream(*cert_events), stream(*tx_events, amounts=True))
-        tau = pair_transaction_counts(txs)
-        _, _, frac_any, frac_bi = certification_fraction_by_k(
-            tau, relation_sets(txs), relation_sets(certs)
-        )
+        _, _, frac_any, frac_bi = certification_fraction_by_k(txs, certs)
         assert (frac_bi <= frac_any + 1e-12).all()
 
 
@@ -213,7 +199,7 @@ def test_match_fractions_sum_to_one():
         anchor, category, _, fractions, _ = match_certifications(certs, txs)
         assert len(fractions) == len(MATCH_CATEGORIES)
         assert fractions.sum() == pytest.approx(1.0, abs=1e-12)
-        assert len(anchor) == len(category) == len(relation_sets(certs).bi)
+        assert len(anchor) == len(category) == len(relation_sets(certs))
 
 
 def test_match_is_label_order_invariant():

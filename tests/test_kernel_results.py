@@ -10,7 +10,7 @@ this order.
 import pytest
 
 from oracles import example_stream
-from ls_ledger import graph_metrics, interplay, ledger_ingest, temporal_metrics
+from ls_ledger import graph_metrics, ledger_ingest, temporal_metrics
 from ls_ledger.fixtures import example_records, format_record
 from ls_ledger.stream_core import induced_graph
 
@@ -35,10 +35,6 @@ KERNELS = {
     "closure_distribution": (
         lambda: temporal_metrics.closure_distribution(example_stream()[0], k=3),
         ("k", "results", "infinite_count"),
-    ),
-    "relation_sets": (
-        lambda: interplay.relation_sets(example_stream()[0]),
-        ("pairs", "bi"),
     ),
 }
 

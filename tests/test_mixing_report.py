@@ -22,4 +22,5 @@ def test_last_budget_is_the_null_model_sample(ledger, seed):
         assert [len(row) for row in rows] == [len(mixing_report.BUDGETS)] * 3
         expected = null_model_triangles(g, clustering(g)[3], samples=3, seed=seed).samples
         assert tuple(row[-1][0] for row in rows) == expected, name
-        assert all(0.0 <= kept <= 1.0 for row in rows for _, kept in row), name
+        assert all(0.0 <= kept <= 1.0 for row in rows for _, kept, _ in row), name
+        assert all(0.0 <= accepted <= 1.0 for row in rows for _, _, accepted in row), name

@@ -237,25 +237,21 @@ def test_match_kernels_equal_reference():
         assert unmatched == expected_unmatched
 
         for s in (cert, tx):
-            rel = relation_sets(s)
-            pairs = pair_handles(rel.pairs)
-            bi = set(compress(pairs, rel.bi.tolist()))
+            pairs = pair_handles(s.pairs)
+            bi = set(compress(pairs, relation_sets(s).tolist()))
             assert (set(pairs), set(pairs) - bi, bi) == oracles.relation_sets(s)
             counts = {p: len(ts) for p, ts in oracles.pair_event_times(s).items()}
             assert dict(zip(pairs, pair_transaction_counts(s).tolist())) == counts
 
-        cert_rel, tx_rel = relation_sets(cert), relation_sets(tx)
         cert_sets, tx_sets = oracles.relation_sets(cert), oracles.relation_sets(tx)
         for n_members in (0, 1, len({*cert.nodes.tolist(), *tx.nodes.tolist()})):
             for ordered in (False, True):
-                num, den, value = relation_ratio_table(
-                    cert_rel, tx_rel, n_members, ordered_pairs=ordered
-                )
+                num, den, value = relation_ratio_table(cert, tx, n_members, ordered_pairs=ordered)
                 got = list(zip(RATIO_CELLS, num.tolist(), den.tolist(), or_none(value, den > 0)))
                 assert np.isnan(value).tolist() == (den == 0).tolist()
                 assert got == oracles.relation_ratio_table(cert_sets, tx_sets, n_members, ordered)
         tau = {p: len(ts) for p, ts in oracles.pair_event_times(tx).items()}
-        columns = certification_fraction_by_k(pair_transaction_counts(tx), tx_rel, cert_rel)
+        columns = certification_fraction_by_k(tx, cert)
         got = list(zip(*(c.tolist() for c in columns)))
         assert got == oracles.certification_fraction_by_k(tau, cert_sets)
 

@@ -23,7 +23,7 @@ def assert_same_swaps(edges, seed, attempts=None):
     got_us, got_vs = _double_edge_swap(us, vs, n, rng_new, attempts)
     assert (us, vs) == ([u for u, _ in edges], [v for _, v in edges])  # copies
     got = list(zip(got_us, got_vs))
-    want = oracles.double_edge_swap(edges, rng_ref, attempts)
+    want, _ = oracles.double_edge_swap(edges, rng_ref, attempts)
     assert got == want
     assert rng_new.getstate() == rng_ref.getstate()
     return got
@@ -96,6 +96,22 @@ def test_chains_compose(seed):
         head = _double_edge_swap(us, vs, n, rng_split, a)
         assert _double_edge_swap(*head, n, rng_split, 10 * m - a) == whole, a
         assert rng_split.getstate() == rng_whole.getstate()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_reference_counts_the_swaps_it_makes(seed):
+    # a swap always puts in an edge that was absent, so an attempt made a
+    # swap exactly when it changed the edges; one attempt at a time, the
+    # counts add up to what one chain of as many attempts reports
+    rng = random.Random(seed)
+    edges = random_edges(rng, rng.sample(range(60), rng.randint(4, 30)), rng.randint(2, 120))
+    rng_steps, rng_whole = random.Random(seed), random.Random(seed)
+    current, made = edges, 0
+    for _ in range(10 * len(edges)):
+        step, swaps = oracles.double_edge_swap(current, rng_steps, 1)
+        assert swaps == (step != current)
+        current, made = step, made + swaps
+    assert oracles.double_edge_swap(edges, rng_whole, 10 * len(edges)) == (current, made)
 
 
 def test_zero_attempts_copies_edges():
