@@ -13,10 +13,13 @@ builds the transaction substreams it reads from them: ``graph`` the
 member (MM) and anonymous (AA) ones, every other command MM alone.
 :func:`run` is that process's entry point.
 
+Each command takes ``--out`` and the options its ``cmd_*`` reads, no
+other: ``ingest`` its input, ``overview`` the bin and window, ``graph``
+the null model's samples and seed, ``relations`` the pair convention.
 Click checks each option alone (``--bin`` and ``--samples`` at least 1,
-``--seed`` at least 0); every command passes its parameters as they are
-to :func:`_config`, which checks that the window covers at least one bin
-and returns them as the named tuple :class:`RunConfig`.
+``--seed`` at least 0), and ``overview`` checks that the window covers at
+least one bin; :func:`_run` passes the parameters to the ``cmd_*`` as the
+named tuple :class:`RunConfig`.
 """
 
 import gc
@@ -46,8 +49,9 @@ DEFAULT_SAMPLES = 100
 
 
 class RunConfig(NamedTuple):
-    """The options of one command, each field named as its click
-    parameter; :func:`_config` builds it from them."""
+    """The options of every command, each field named as its click
+    parameter; a command's own options fill their fields, and every other
+    field keeps its default."""
 
     out_dir: Path
     input_path: Path | None = None
@@ -75,6 +79,8 @@ def _write_csv(path: Path, comments: list[str], header: str, rows) -> None:
 
 
 def _comments(command: str, cfg: RunConfig, *extra: str) -> list[str]:
+    # all five knobs on every file, a command's own or their defaults, as
+    # bench/digests.json pins these lines
     parts = [f"ls-ledger {command}"]
     knobs = (
         f"bin={cfg.bin_width} window={cfg.window} samples={cfg.samples} "
@@ -465,43 +471,21 @@ def _or_na(values, defined, spec: str = "") -> list:
 
 # ------------------------------------------------------------------- click
 
-
-def _common_options(fn):
-    fn = click.option(
-        "--out",
-        "out_dir",
-        envvar="LS_LEDGER_OUT",
-        required=True,
-        type=click.Path(file_okay=False, path_type=Path),
-        help="Output directory (env: LS_LEDGER_OUT).",
-    )(fn)
-    fn = click.option("--window", default=DEFAULT_WINDOW, show_default=True, help="Rolling window (s).")(fn)
-    fn = click.option(
-        "--bin", "bin_width", default=DEFAULT_BIN, show_default=True, type=click.IntRange(min=1), help="Bin width (s)."
-    )(fn)
-    fn = click.option(
-        "--samples", default=DEFAULT_SAMPLES, show_default=True, type=click.IntRange(min=1), help="Null-model samples."
-    )(fn)
-    fn = click.option(
-        "--seed", default=0, show_default=True, type=click.IntRange(min=0), help="Null-model seed."
-    )(fn)
-    fn = click.option(
-        "--ordered-pairs",
-        is_flag=True,
-        help="Normalize ratio rows 1-2 by ordered member pairs (default: unordered).",
-    )(fn)
-    return fn
+_out = click.option(
+    "--out",
+    "out_dir",
+    envvar="LS_LEDGER_OUT",
+    required=True,
+    type=click.Path(file_okay=False, path_type=Path),
+    help="Output directory (env: LS_LEDGER_OUT).",
+)
 
 
-def _config(**params) -> RunConfig:
-    """The command's click parameters as its configuration, once the
-    window covers at least one bin."""
-    if params["window"] < params["bin_width"]:
-        raise click.BadParameter("window must be at least the bin width", param_hint="'--window'")
-    return RunConfig(**params)
-
-
-def _run(command, cfg: RunConfig) -> None:
+def _run(command, params: dict) -> None:
+    """Call ``command`` with the click parameters ``params`` as its
+    configuration; an option the command does not take keeps its
+    :class:`RunConfig` default."""
+    cfg = RunConfig(**params)
     try:
         command(cfg)
     except (ValueError, KeyError) as err:
@@ -528,28 +512,60 @@ def main():
 )
 @click.option("--remuniter", default=None, help="Donation wallet key.")
 @click.option("--strict", is_flag=True, help="Abort on the first malformed line.")
-@_common_options
+@_out
 def ingest_command(**params):
     """Parse records, build all streams, and persist the snapshot."""
-    _run(cmd_ingest, _config(**params))
+    _run(cmd_ingest, params)
 
 
-def _metric_command(name, fn, help_text):
+@main.command("overview")
+@click.option(
+    "--bin", "bin_width", default=DEFAULT_BIN, show_default=True, type=click.IntRange(min=1), help="Bin width (s)."
+)
+@click.option("--window", default=DEFAULT_WINDOW, show_default=True, help="Rolling window (s).")
+@_out
+def overview_command(**params):
+    """Activity series, rolling sums, degrees."""
+    if params["window"] < params["bin_width"]:
+        raise click.BadParameter("window must be at least the bin width", param_hint="'--window'")
+    _run(cmd_overview, params)
+
+
+@main.command("graph")
+@click.option(
+    "--samples", default=DEFAULT_SAMPLES, show_default=True, type=click.IntRange(min=1), help="Null-model samples."
+)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0), help="Null-model seed.")
+@_out
+def graph_command(**params):
+    """Clustering, triangles, null model, distances."""
+    _run(cmd_graph, params)
+
+
+@main.command("relations")
+@click.option(
+    "--ordered-pairs",
+    is_flag=True,
+    help="Normalize ratio rows 1-2 by ordered member pairs (default: unordered).",
+)
+@_out
+def relations_command(**params):
+    """Relation-set ratios and fraction by k."""
+    _run(cmd_relations, params)
+
+
+def _out_only_command(name, fn, help_text):
+    """Register ``fn`` as the command ``name``, which takes ``--out`` alone."""
+
     @main.command(name, help=help_text)
-    @_common_options
-    def _command(**params):
-        _run(fn, _config(**params))
-
-    _command.__name__ = f"{name}_command"
-    return _command
+    @_out
+    def command(**params):
+        _run(fn, params)
 
 
-_metric_command("overview", cmd_overview, "Activity series, rolling sums, degrees.")
-_metric_command("graph", cmd_graph, "Clustering, triangles, null model, distances.")
-_metric_command("closures", cmd_closures, "2- and 3-closure of every link.")
-_metric_command("match", cmd_match, "Certification/transaction time matching.")
-_metric_command("relations", cmd_relations, "Relation-set ratios and fraction by k.")
-_metric_command("neighborhoods", cmd_neighborhoods, "Neighborhoods and overlap.")
+_out_only_command("closures", cmd_closures, "2- and 3-closure of every link.")
+_out_only_command("match", cmd_match, "Certification/transaction time matching.")
+_out_only_command("neighborhoods", cmd_neighborhoods, "Neighborhoods and overlap.")
 
 
 def run():

@@ -1,3 +1,4 @@
+import ast
 import csv
 import errno
 import hashlib
@@ -14,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 import oracles
-from ls_ledger import snapshot, stream_core
+from ls_ledger import cli, snapshot, stream_core
 from ls_ledger.cli import _write_csv, main
 from ls_ledger.errors import StateError
 from ls_ledger.fixtures import (
@@ -31,6 +32,19 @@ from ls_ledger.stream_core import SUBSTREAM_LABELS, InducedGraph, _key_fault, su
 
 ALL_COMMANDS = ("overview", "graph", "closures", "match", "relations", "neighborhoods")
 
+# the options of each command besides --out: those its stage reads
+OPTIONS = {
+    "ingest": ("--input", "--remuniter", "--strict"),
+    "overview": ("--bin", "--window"),
+    "graph": ("--samples", "--seed"),
+    "closures": (),
+    "match": (),
+    "relations": ("--ordered-pairs",),
+    "neighborhoods": (),
+}
+# a null model of 2 samples keeps a full run short
+QUICK = {"graph": ["--samples", "2"]}
+
 
 @pytest.fixture()
 def ledger_file(tmp_path):
@@ -39,13 +53,15 @@ def ledger_file(tmp_path):
     return path
 
 
-def run_all(runner, ledger, out_dir, extra=()):
+def run_all(runner, ledger, out_dir, options=None):
+    """Ingest ``ledger`` and run every stage, each given its ``options``."""
+    options = options or {}
     result = runner.invoke(
-        main, ["ingest", "--input", str(ledger), "--out", str(out_dir), *extra]
+        main, ["ingest", "--input", str(ledger), "--out", str(out_dir), *options.get("ingest", ())]
     )
     assert result.exit_code == 0, result.output
     for command in ALL_COMMANDS:
-        result = runner.invoke(main, [command, "--out", str(out_dir), *extra])
+        result = runner.invoke(main, [command, "--out", str(out_dir), *options.get(command, ())])
         assert result.exit_code == 0, f"{command}: {result.output}"
     return out_dir
 
@@ -168,7 +184,7 @@ def test_substreams_are_built_by_the_stage_that_reads_them(ledger_file, tmp_path
     built = {}
     for command in ALL_COMMANDS:
         calls.clear()
-        result = runner.invoke(main, [command, "--out", str(out), "--samples", "2"])
+        result = runner.invoke(main, [command, "--out", str(out), *QUICK.get(command, ())])
         assert result.exit_code == 0, f"{command}: {result.output}"
         built[command] = list(calls)
     assert built == {command: ["MM"] for command in ALL_COMMANDS} | {"graph": ["MM", "AA"]}
@@ -220,8 +236,8 @@ def test_graph_orders_each_graph_once(ledger_file, tmp_path, monkeypatch):
 
 def test_cli_determinism_byte_identical(ledger_file, tmp_path):
     runner = CliRunner()
-    a = run_all(runner, ledger_file, tmp_path / "a", extra=["--seed", "9"])
-    b = run_all(runner, ledger_file, tmp_path / "b", extra=["--seed", "9"])
+    a = run_all(runner, ledger_file, tmp_path / "a", options={"graph": ["--seed", "9"]})
+    b = run_all(runner, ledger_file, tmp_path / "b", options={"graph": ["--seed", "9"]})
     assert dir_digest(a) == dir_digest(b)
 
 
@@ -518,14 +534,10 @@ def test_out_dir_from_environment(ledger_file, tmp_path):
     assert (out / "snapshot.npz").exists()
 
 
-def test_window_must_cover_bin(ledger_file, tmp_path):
+def test_window_must_cover_bin(tmp_path):
     runner = CliRunner()
     result = runner.invoke(
-        main,
-        [
-            "ingest", "--input", str(ledger_file), "--out", str(tmp_path / "o"),
-            "--bin", "100", "--window", "10",
-        ],
+        main, ["overview", "--out", str(tmp_path / "o"), "--bin", "100", "--window", "10"]
     )
     assert result.exit_code == 2, result.output  # click usage error
     assert "Invalid value for '--window'" in result.output
@@ -602,30 +614,94 @@ def test_empty_remuniter_is_unknown_key(ledger_file, tmp_path):
     assert list(out.iterdir()) == []
 
 
+def test_each_command_takes_its_stage_options_and_out():
+    taken = {name: sorted(opt for p in c.params for opt in p.opts) for name, c in main.commands.items()}
+    assert taken == {name: sorted(["--out", *options]) for name, options in OPTIONS.items()}
+
+
+def test_each_command_takes_exactly_the_config_fields_its_stage_reads():
+    # the RunConfig fields that each function of cli reads, by the
+    # commands whose run calls it; a field is named as its click parameter
+    reads = {}
+    for fn in ast.parse(Path(cli.__file__).read_text(encoding="utf-8")).body:
+        if isinstance(fn, ast.FunctionDef):
+            fields = {
+                node.attr
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "cfg"
+            }
+            if fields:
+                reads[fn.name] = fields
+    serves = {f"cmd_{name}": {name} for name in OPTIONS}
+    serves |= {"_write_repartition": {"ingest"}, "_run": set(OPTIONS)}
+    # _comments records all five knobs on every file, a command's own or
+    # their defaults, until the snapshot-format change records only a
+    # command's own
+    assert reads.keys() - serves.keys() == {"_comments"}
+    for name, command in main.commands.items():
+        read = set().union(*(reads[fn] for fn, commands in serves.items() if name in commands))
+        assert read == {p.name for p in command.params}, name
+
+
+def assert_usage_error(result, command: str, args: list[str], option: str) -> None:
+    """``result`` is click's usage error for ``command`` given ``args``, a
+    bad value of ``option``: it names the first option of ``args`` that the
+    command does not take, else the value of ``option``."""
+    assert result.exit_code == 2, result.output
+    error = result.output.splitlines()[-1]
+    foreign = [a for a in args if a.startswith("--") and a not in ("--out", *OPTIONS[command])]
+    if foreign:
+        # click words it "No such option: --x" or "No such option '--x'."
+        assert "No such option" in error and foreign[0] in error, error
+    else:
+        assert f"Invalid value for '{option}'" in error, error
+
+
 @pytest.mark.parametrize("command", ALL_COMMANDS)
-@pytest.mark.parametrize("option", [["--strict"], ["--remuniter", "w"]])
+@pytest.mark.parametrize(
+    "option",
+    [
+        ["--strict"],
+        ["--remuniter", "w"],
+        # every option of another metric command, which each one but
+        # that command rejects as well
+        *(
+            pytest.param(args, id=args[0])
+            for args in (
+                ["--bin", "1"],
+                ["--window", "86400"],
+                ["--samples", "1"],
+                ["--seed", "1"],
+                ["--ordered-pairs"],
+            )
+        ),
+    ],
+)
 def test_metric_commands_reject_ingest_options(tmp_path, command, option):
     runner = CliRunner()
     result = runner.invoke(main, [command, "--out", str(tmp_path / "o"), *option])
-    assert result.exit_code == 2  # click usage error
-    assert "No such option" in result.output
+    if option[0] in OPTIONS[command]:  # taken: the run gets as far as the snapshot
+        assert result.exit_code == 1 and "no snapshot" in result.output, result.output
+    else:
+        assert_usage_error(result, command, option, option[0])
     assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["ingest", *ALL_COMMANDS])
 def test_negative_seed_is_usage_error(ledger_file, tmp_path, command):
     # random.Random(-1) draws what random.Random(1) draws, so --seed -1
-    # would repeat --seed 1's null-model samples under another label
+    # would repeat --seed 1's null-model samples under another label; a
+    # command without a null model takes no --seed at all
     args = ["--input", str(ledger_file)] if command == "ingest" else []
     result = CliRunner().invoke(
         main, [command, *args, "--out", str(tmp_path / "o"), "--seed", "-1"]
     )
-    assert result.exit_code == 2, result.output
-    assert "Invalid value for '--seed'" in result.output
+    assert_usage_error(result, command, ["--seed"], "--seed")
     assert not (tmp_path / "o").exists()
 
 
-# each option click rejects, and the arguments that break it
+# each option click rejects, and the arguments that break it; a command
+# that does not take one rejects it as no option of its own
 BAD_OPTIONS = {
     "--bin": ["--bin", "0"],
     "--samples": ["--samples", "0"],
@@ -640,8 +716,7 @@ def test_bad_option_is_usage_error_naming_it(ledger_file, tmp_path, command, opt
     result = CliRunner().invoke(
         main, [command, *args, "--out", str(tmp_path / "o"), *BAD_OPTIONS[option]]
     )
-    assert result.exit_code == 2, result.output
-    assert f"Invalid value for '{option}'" in result.output
+    assert_usage_error(result, command, BAD_OPTIONS[option], option)
     assert not (tmp_path / "o").exists()
 
 
@@ -1005,7 +1080,7 @@ def test_seeded_snapshot_damage_runs_or_is_clean_state_error(ledger_file, tmp_pa
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
         for command in ALL_COMMANDS:
-            result = runner.invoke(main, [command, "--out", str(out), "--samples", "2"])
+            result = runner.invoke(main, [command, "--out", str(out), *QUICK.get(command, ())])
             context = (case, damages, command, result.output)
             # a ClickException exits through SystemExit; anything else is a traceback
             assert isinstance(result.exception, (SystemExit, type(None))), (*context, result.exception)
@@ -1175,7 +1250,7 @@ def test_rerun_leaves_no_output_that_this_run_skips(ledger_file, tmp_path):
     runner = CliRunner()
 
     def run(out, *args):
-        result = runner.invoke(main, [*args, "--out", str(out), "--samples", "2"])
+        result = runner.invoke(main, [*args, "--out", str(out), *QUICK.get(args[0], ())])
         assert result.exit_code == 0, result.output
 
     out = tmp_path / "o"

@@ -72,13 +72,12 @@ def test_stages_write_what_click_runner_writes(tmp_path):
     write_records(ledger, example_records())
     runner = CliRunner()
     outs = {side: tmp_path / side for side in ("process", "runner")}
-    for command in ("ingest", "graph", "closures"):
-        args = [command, "--input", str(ledger)] if command == "ingest" else [command, "--samples", "5"]
+    for args in (["ingest", "--input", str(ledger)], ["graph", "--samples", "5"], ["closures"]):
         proc = stage(*args, "--out", str(outs["process"]))
         assert proc.returncode == 0, proc.stderr
         result = runner.invoke(main, [*args, "--out", str(outs["runner"])])
         assert result.exit_code == 0, result.output
-        assert proc.stdout == result.stdout, command
+        assert proc.stdout == result.stdout, args[0]
     names = sorted(p.name for p in outs["runner"].iterdir())
     assert names == sorted(p.name for p in outs["process"].iterdir())
     assert "closures_k3.csv" in names and "null_model.csv" in names
