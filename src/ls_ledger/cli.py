@@ -8,8 +8,8 @@ output directories.
 
 Each stage runs as its own process, so a command imports its metric
 module itself and calls through it: a process loads only the metric code
-its stage runs. A metric command loads the snapshot's four parts once and
-builds the transaction substreams it reads from them: ``graph`` the
+its stage runs. A metric command loads the snapshot's three parts once
+and builds the transaction substreams it reads from them: ``graph`` the
 member (MM) and anonymous (AA) ones, every other command MM alone.
 :func:`run` is that process's entry point.
 
@@ -110,7 +110,7 @@ def cmd_ingest(cfg: RunConfig) -> None:
     if cfg.remuniter is not None and cfg.remuniter not in keys:
         raise LedgerError(f"--remuniter key {cfg.remuniter!r} not present in the ledger")
     cert, tx = ledger_ingest.build_streams(certs, txs, keys, members)
-    snapshot.save_bundle(cfg.out_dir, snapshot.build_bundle(keys, members, cert, tx))
+    snapshot.save_bundle(cfg.out_dir, snapshot.build_bundle(keys, cert, tx))
 
     _write_repartition(cfg, "repartition.csv", tx, members)
     filtered_csv = "repartition_filtered.csv"
@@ -150,8 +150,8 @@ def cmd_overview(cfg: RunConfig) -> None:
     transaction streams, their correlation, and degree reports."""
     from . import graph_metrics
 
-    keys, members, cert, tx = snapshot.load_bundle(cfg.out_dir)
-    tx_mm = stream_core.substream_by_class(tx, members, "MM")
+    keys, cert, tx = snapshot.load_bundle(cfg.out_dir)
+    tx_mm = stream_core.substream_by_class(tx, cert.nodes, "MM")
 
     # bin both streams over the common enclosing interval so the series
     # share one grid; empty streams contribute no span of their own
@@ -232,11 +232,11 @@ def cmd_graph(cfg: RunConfig) -> None:
     certification distances of transacting-but-uncertified pairs."""
     from . import graph_metrics
 
-    keys, members, cert, tx = snapshot.load_bundle(cfg.out_dir)
+    keys, cert, tx = snapshot.load_bundle(cfg.out_dir)
     streams = {
         "cert": cert,
-        "txmm": stream_core.substream_by_class(tx, members, "MM"),
-        "txaa": stream_core.substream_by_class(tx, members, "AA"),
+        "txmm": stream_core.substream_by_class(tx, cert.nodes, "MM"),
+        "txaa": stream_core.substream_by_class(tx, cert.nodes, "AA"),
     }
     graphs = {name: stream_core.induced_graph(s) for name, s in streams.items()}
 
@@ -298,8 +298,8 @@ def cmd_closures(cfg: RunConfig) -> None:
     member transaction stream."""
     from . import temporal_metrics
 
-    keys, members, cert, tx = snapshot.load_bundle(cfg.out_dir)
-    tx_mm = stream_core.substream_by_class(tx, members, "MM")
+    keys, cert, tx = snapshot.load_bundle(cfg.out_dir)
+    tx_mm = stream_core.substream_by_class(tx, cert.nodes, "MM")
     for name, stream in (("cert", cert), ("txmm", tx_mm)):
         times = stream.t.tolist()
         sources = _keys(keys, stream.src)
@@ -319,8 +319,8 @@ def cmd_match(cfg: RunConfig) -> None:
     certification classes, and first-transaction delays."""
     from . import interplay
 
-    keys, members, cert, tx = snapshot.load_bundle(cfg.out_dir)
-    tx_mm = stream_core.substream_by_class(tx, members, "MM")
+    keys, cert, tx = snapshot.load_bundle(cfg.out_dir)
+    tx_mm = stream_core.substream_by_class(tx, cert.nodes, "MM")
 
     anchor, category, delay, fractions, both_sided = interplay.match_certifications(cert, tx_mm)
     match_shares = list(zip(interplay.MATCH_CATEGORIES, _fixed(fractions)))
@@ -383,15 +383,14 @@ def cmd_relations(cfg: RunConfig) -> None:
     transaction count."""
     from . import interplay
 
-    _, members, cert, tx = snapshot.load_bundle(cfg.out_dir)
-    tx_mm = stream_core.substream_by_class(tx, members, "MM")
-    n_members = len(members)
+    _, cert, tx = snapshot.load_bundle(cfg.out_dir)
+    tx_mm = stream_core.substream_by_class(tx, cert.nodes, "MM")
     numerator, denominator, value = interplay.relation_ratio_table(
-        cert, tx_mm, n_members, ordered_pairs=cfg.ordered_pairs
+        cert, tx_mm, ordered_pairs=cfg.ordered_pairs
     )
     _write_csv(
         cfg.out_dir / "ratios.csv",
-        _comments("relations", cfg, f"members={n_members}"),
+        _comments("relations", cfg, f"members={len(cert.nodes)}"),
         "cell,numerator,denominator,value",
         zip(
             interplay.RATIO_CELLS,
@@ -415,8 +414,8 @@ def cmd_neighborhoods(cfg: RunConfig) -> None:
     neighborhoods within certification neighborhoods."""
     from . import temporal_metrics
 
-    keys, members, cert, tx = snapshot.load_bundle(cfg.out_dir)
-    tx_mm = stream_core.substream_by_class(tx, members, "MM")
+    keys, cert, tx = snapshot.load_bundle(cfg.out_dir)
+    tx_mm = stream_core.substream_by_class(tx, cert.nodes, "MM")
     graphs = {"cert": stream_core.induced_graph(cert), "txmm": stream_core.induced_graph(tx_mm)}
     _write_csv(
         cfg.out_dir / "neighborhoods.csv",
@@ -432,12 +431,12 @@ def cmd_neighborhoods(cfg: RunConfig) -> None:
             for name, g in graphs.items()
         ),
     )
-    nodes, *fractions = temporal_metrics.neighborhood_overlaps(graphs["cert"], graphs["txmm"])
+    fractions = temporal_metrics.neighborhood_overlaps(graphs["cert"], graphs["txmm"])
     _write_csv(
         cfg.out_dir / "overlap.csv",
         _comments("neighborhoods", cfg, "inclusion of txmm neighborhood in cert neighborhood"),
         "node,inclusion,jaccard",
-        zip(_keys(keys, nodes), *(_or_na(x, ~np.isnan(x), ".4f") for x in fractions)),
+        zip(_keys(keys, cert.nodes), *(_or_na(x, ~np.isnan(x), ".4f") for x in fractions)),
     )
 
 

@@ -2,7 +2,9 @@
 member-to-member transaction stream.
 
 Both streams must be over one node set, the members, as a loaded
-snapshot gives them. Everything here works on unordered member pairs, the
+snapshot gives them: the ratio table counts the member pairs of that set,
+and every kernel that matches pairs across the streams raises ValueError
+on two node sets. Everything here works on unordered member pairs, the
 segments of a stream's ``pairs`` index: relation sets, the 12-cell ratio
 table, per-pair transaction counts and the certification fraction as a
 function of that count, and the time matching of certifications against
@@ -68,7 +70,6 @@ RATIO_CELLS = (
 def relation_ratio_table(
     cert: LinkStream,
     tx_mm: LinkStream,
-    n_members: int,
     ordered_pairs: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 12 link-probability ratios between the relation sets of the
@@ -76,13 +77,14 @@ def relation_ratio_table(
     value columns aligned with ``RATIO_CELLS``; the value is NaN where the
     denominator is 0.
 
+    The members are the node set the two streams share (else ValueError).
     Rows 1-2 normalize each set by the number of member pairs, n*(n-1)/2
     unordered by default (the sets themselves are unordered; the ordered
     convention merely doubles the denominator). Rows 3-4 are conditional:
     the share of one stream's pairs also related in the other. With fewer
     than 2 members there are no member pairs, so rows 1-2 are NaN.
     """
-    n_pairs = n_members * (n_members - 1)
+    n_pairs = len(cert.nodes) * (len(cert.nodes) - 1)
     if not ordered_pairs:
         n_pairs //= 2
     cert_bi, tx_bi = relation_sets(cert), relation_sets(tx_mm)

@@ -9,12 +9,13 @@ analytics from any blockchain access:
     {"type":"tx","time":<int>,"from":"<str>","to":"<str>","amount":<int>}
 
 Amounts are integers in currency centimes; no floating-point money anywhere.
-Keys are written unquoted into CSV rows and ``src|dst`` pair labels, so a
-key containing ``,``, ``|``, ``"``, whitespace or a control character, or
-starting with ``#``, is a malformed line: the rule is
-``stream_core._key_fault``, which loading a snapshot applies too. So is a
-line that is not valid UTF-8, and one whose JSON nests deeper than the
-recursion limit or holds an integer of more digits than Python converts.
+Keys are written unquoted into UTF-8 CSV rows and ``src|dst`` pair labels,
+so a key containing ``,``, ``|``, ``"``, whitespace, a control character or
+a lone surrogate (a JSON escape), or starting with ``#``, is a malformed
+line: the rule is ``stream_core._key_fault``, which loading a snapshot
+applies too. So is a line that is not valid UTF-8, and one whose JSON nests
+deeper than the recursion limit or holds an integer of more digits than
+Python converts.
 Lenient parsing skips malformed lines and reports them with line numbers;
 strict parsing raises on the first one.
 

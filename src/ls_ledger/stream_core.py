@@ -28,8 +28,9 @@ import numpy as np
 from .errors import IntervalError
 
 # a key must not split a CSV row or a "src|dst" pair label, open a quoted
-# CSV field, nor read as a "#" comment line; base58 keys never match
-_KEY_BREAK = re.compile(r'[,|"\s\x00-\x1f\x7f-\x9f]')
+# CSV field, read as a "#" comment line, nor hold a lone surrogate, which
+# no UTF-8 file can hold; base58 keys never match
+_KEY_BREAK = re.compile(r'[,|"\s\x00-\x1f\x7f-\x9f\ud800-\udfff]')
 
 
 def _key_fault(key: str) -> str | None:
@@ -203,16 +204,20 @@ def stream_from_columns(
     t, src, dst = (np.asarray(c, dtype=np.int64) for c in (t, src, dst))
     order = np.lexsort((dst, src, t))
     t, src, dst = t[order], src[order], dst[order]
-    if interval is None:
-        interval = (int(t[0]), int(t[-1])) if len(t) else (0, 0)
     return LinkStream(
-        interval=interval,
+        interval=_span(t) if interval is None else interval,
         nodes=np.concatenate((src, dst)) if nodes is None else nodes,
         t=t,
         src=src,
         dst=dst,
         amount=None if amount is None else np.asarray(amount, dtype=np.int64)[order],
     )
+
+
+def _span(t: np.ndarray) -> tuple[int, int]:
+    """The interval of links at the ascending times ``t``: [first, last],
+    or [0, 0] without links."""
+    return (int(t[0]), int(t[-1])) if len(t) else (0, 0)
 
 
 def induced_graph(s: LinkStream) -> InducedGraph:

@@ -29,13 +29,12 @@ from .stream_core import InducedGraph, LinkStream, _blocks, _expand
 _SLOTS_PER_PAIR = 16
 
 
-def neighborhood_overlaps(
-    g1: InducedGraph, g2: InducedGraph
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def neighborhood_overlaps(g1: InducedGraph, g2: InducedGraph) -> tuple[np.ndarray, np.ndarray]:
     """For every node of the graphs, which must share one node set, how
     much of its neighborhood in ``g2`` lies inside its neighborhood in
-    ``g1``: the nodes, and per node the inclusion |N2 & N1| / |N2| and the
-    Jaccard index |N2 & N1| / |N2 | N1|, float64, NaN on a 0 denominator.
+    ``g1``: the inclusion |N2 & N1| / |N2| and the Jaccard index
+    |N2 & N1| / |N2 | N1|, float64 columns aligned with the nodes, NaN on
+    a 0 denominator.
 
     A node's neighborhood in the induced graph of a stream is its
     aggregated neighborhood there: everyone who ever interacted with it.
@@ -48,7 +47,7 @@ def neighborhood_overlaps(
     inclusion, jaccard = np.full((2, len(g1.nodes)), np.nan)
     np.divide(shared, g2.degree, out=inclusion, where=g2.degree > 0)
     np.divide(shared, union, out=jaccard, where=union > 0)
-    return g1.nodes, inclusion, jaccard
+    return inclusion, jaccard
 
 
 class ClosureDistribution(NamedTuple):

@@ -147,9 +147,9 @@ def distance_counts(dist) -> dict[int, int]:
 
 
 def overlap_rows(nodes, inclusion, jaccard) -> list[tuple[int, float | None, float | None]]:
-    """The columns of ``temporal_metrics.neighborhood_overlaps`` as the
-    (node, inclusion, jaccard) rows of :func:`neighborhood_overlaps`, None
-    for NaN."""
+    """The graphs' nodes and the columns of
+    ``temporal_metrics.neighborhood_overlaps`` as the (node, inclusion,
+    jaccard) rows of :func:`neighborhood_overlaps`, None for NaN."""
     return [
         (v, *(None if x != x else x for x in cells))
         for v, *cells in zip(nodes.tolist(), inclusion.tolist(), jaccard.tolist())
@@ -398,13 +398,14 @@ def stream_of(rows, interval: tuple[int, int] | None = None):
     return stream_from_columns(*columns, interval=interval)
 
 
-def over_one_node_set(*streams):
-    """The streams, each with its links and interval, over the union of
-    their node sets: one node set, as a loaded snapshot gives the
-    certification and member transaction streams."""
+def over_one_node_set(*streams, nodes=None):
+    """The streams, each with its links and interval, over ``nodes``, by
+    default the union of their node sets: one node set, as a loaded
+    snapshot gives the certification and member transaction streams."""
     from ls_ledger.stream_core import LinkStream
 
-    nodes = sorted(set().union(*(s.nodes.tolist() for s in streams)))
+    if nodes is None:
+        nodes = sorted(set().union(*(s.nodes.tolist() for s in streams)))
     return tuple(LinkStream(s.interval, nodes, s.t, s.src, s.dst, s.amount) for s in streams)
 
 

@@ -20,7 +20,7 @@ import pytest
 from click.testing import CliRunner
 
 import oracles
-from oracles import example_stream, random_links, rewired_samples, stream_of
+from oracles import example_stream, over_one_node_set, random_links, rewired_samples, stream_of
 from ls_ledger import graph_metrics, interplay, ledger_ingest, stream_core
 from ls_ledger.cli import main
 from ls_ledger.fixtures import example_records, format_record, random_records, write_records
@@ -140,7 +140,7 @@ def test_criterion_5_relation_set_algebra():
         # force one bidirectional and one single-direction pair so every
         # conditional denominator below is populated
         events += [(0, 0, 1), (1, 1, 0), (2, n, n + 1)]
-        s = stream_of(events)
+        (s,) = over_one_node_set(stream_of(events), nodes=range(n + 2))
         rel_bi = interplay.relation_sets(s)
 
         pairs = oracles.pair_handles(s.pairs)
@@ -149,7 +149,7 @@ def test_criterion_5_relation_set_algebra():
         assert set(compress(pairs, rel_bi.tolist())) == bi
         assert set(compress(pairs, (~rel_bi).tolist())) == uni
 
-        _, denominator, ratio = interplay.relation_ratio_table(s, s, n_members=n + 2)
+        _, denominator, ratio = interplay.relation_ratio_table(s, s)
         assert (denominator[6:] > 0).all()
         assert ratio[6:].tolist() == pytest.approx([1.0] * 6, abs=1e-12)
     _report(5, "500 random member streams: set algebra + C=T ratios", started)
@@ -288,7 +288,7 @@ def check_criterion_7(lines, remuniter, targets):
     assert cert_stream.interval[0] == targets["cert_start"]
 
     # relation ratio table
-    table = interplay.relation_ratio_table(cert_stream, tx_mm, len(members))
+    table = interplay.relation_ratio_table(cert_stream, tx_mm)
     _assert_near(dict(zip(interplay.RATIO_CELLS, table[2].tolist())), targets["ratios"])
 
     # match fractions

@@ -1,18 +1,21 @@
 """Golden outputs: the sha256 of every file the CLI writes to ``--out``, and
-of each CSV's data rows (its lines without the ``#`` comment lines).
+of each CSV's rows (its lines without the configuration lines).
 
 Two runs of the same code agreeing (``test_cli_determinism_byte_identical``)
 does not show that a refactor kept the numbers; these hashes pin them across
-versions. The data-row hashes keep a change of comment lines alone apart
-from one that moves a row: a re-record of comment lines leaves every one of
-them as it was. Some comment lines hold figures too (the match fractions,
-the average clustering, the null model's mean), which the file hashes
-alone pin. After a deliberate output change, regenerate them with
+versions. The configuration lines are the ``#`` comment lines that record
+how a file was made: ``# ls-ledger <command>``, the ``# bin=... window=...``
+knobs line and ``# input=...``. The row hashes keep a change of those alone
+apart from one that moves a result: a re-record of configuration lines
+leaves every one of them as it was. Every other line is hashed, the
+comment lines that hold results too (the match fractions, the average
+clustering, the null model's mean). After a deliberate output change,
+regenerate them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-which prints the files whose comment lines alone changed and those whose
-data rows changed, and name in CHANGES.md which files changed and why.
+which prints the files whose configuration lines alone changed and those
+whose rows changed, and name in CHANGES.md which files changed and why.
 """
 
 from __future__ import annotations
@@ -97,14 +100,20 @@ def shuffled(records: list, seed: int) -> list:
     return records
 
 
+# the starts of the comment lines that record a run's configuration
+CONFIGURATION = (b"# ls-ledger ", b"# bin=", b"# input=")
+
+
 def data_rows(data: bytes) -> bytes:
-    """A CSV's lines without its ``#`` comment lines: the header and the rows."""
-    return b"".join(ln for ln in data.splitlines(keepends=True) if not ln.startswith(b"#"))
+    """A CSV's lines without its configuration lines: its result comment
+    lines, the header and the rows."""
+    return b"".join(ln for ln in data.splitlines(keepends=True) if not ln.startswith(CONFIGURATION))
 
 
 def output_hashes(case: str, workdir: Path) -> dict[str, dict[str, str]]:
     """Run every stage on the case's ledger; hash each file in ``--out``
-    (``files``) and each CSV's data rows (``rows``).
+    (``files``) and each CSV's rows without its configuration lines
+    (``rows``).
 
     The ledger and output paths are relative to ``workdir`` because the
     ingest comment lines record the input path.
@@ -142,7 +151,7 @@ def test_outputs_match_golden_hashes(case, tmp_path):
     expected = json.loads(GOLDEN.read_text())[case]
     actual = output_hashes(case, tmp_path)
     rows = differing(expected["rows"], actual["rows"])
-    assert not rows, f"{case}: data rows differ from {GOLDEN.name}: {rows}"
+    assert not rows, f"{case}: rows differ from {GOLDEN.name}: {rows}"
     files = differing(expected["files"], actual["files"])
     assert not files, f"{case}: outputs differ from {GOLDEN.name}: {files}"
 
@@ -157,4 +166,4 @@ if __name__ == "__main__":
         old = recorded.get(case, {"files": {}, "rows": {}})
         rows = differing(old.get("rows", {}), new["rows"])
         comments = [n for n in differing(old["files"], new["files"]) if n not in rows]
-        print(f"{case}: comment lines alone: {comments}; data rows: {rows}", file=sys.stderr)
+        print(f"{case}: configuration lines alone: {comments}; rows: {rows}", file=sys.stderr)

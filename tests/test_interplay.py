@@ -79,8 +79,11 @@ def test_relation_sets_partition_property():
 
 
 def test_ratio_table_example():
-    certs, txs = over_one_node_set(stream((0, 1, 2), (1, 2, 1), (2, 1, 3)), stream((5, 1, 2)))
-    table = relation_ratio_table(certs, txs, n_members=3)
+    certs, txs = stream((0, 1, 2), (1, 2, 1), (2, 1, 3)), stream((5, 1, 2))
+    # the members are the one node set of both streams, here {1, 2, 3}
+    with pytest.raises(ValueError, match="different node sets"):
+        relation_ratio_table(certs, txs)
+    table = relation_ratio_table(*over_one_node_set(certs, txs))
     assert value(table, "T_any&C_any/C_any") == pytest.approx(0.5)
     assert value(table, "C_any/pairs") == pytest.approx(2 / 3)
     assert value(table, "C_bi/pairs") == pytest.approx(1 / 3)
@@ -88,24 +91,24 @@ def test_ratio_table_example():
 
 
 def test_ratio_table_identical_streams_all_conditionals_one():
-    s = stream((0, 1, 2), (1, 2, 1), (2, 1, 3), (3, 4, 1))
-    table = relation_ratio_table(s, s, n_members=5)
+    (s,) = over_one_node_set(stream((0, 1, 2), (1, 2, 1), (2, 1, 3), (3, 4, 1)), nodes=range(5))
+    table = relation_ratio_table(s, s)
     assert table[2][6:].tolist() == pytest.approx([1.0] * 6)
 
 
 def test_ratio_table_empty_denominator_marker():
     certs = stream((0, 1, 2))  # no bidirectional pair
     txs = stream((0, 1, 2))
-    table = relation_ratio_table(certs, txs, n_members=2)
+    table = relation_ratio_table(certs, txs)  # both over the 2 members {1, 2}
     assert math.isnan(value(table, "T_any&C_bi/C_bi"))
     assert dict(zip(RATIO_CELLS, table[1].tolist()))["T_any&C_bi/C_bi"] == 0
     assert value(table, "C_bi/pairs") == 0.0
 
 
 def test_ratio_table_ordered_convention_halves_rows_1_2():
-    s = stream((0, 1, 2))
-    unordered = relation_ratio_table(s, s, n_members=4)
-    ordered = relation_ratio_table(s, s, n_members=4, ordered_pairs=True)
+    (s,) = over_one_node_set(stream((0, 1, 2)), nodes=range(4))
+    unordered = relation_ratio_table(s, s)
+    ordered = relation_ratio_table(s, s, ordered_pairs=True)
     assert value(unordered, "C_any/pairs") == pytest.approx(1 / 6)
     assert value(ordered, "C_any/pairs") == pytest.approx(1 / 12)
     assert value(ordered, "T_any&C_any/C_any") == value(unordered, "T_any&C_any/C_any")

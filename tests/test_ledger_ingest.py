@@ -230,6 +230,8 @@ def test_bom_on_the_first_line_is_malformed():
         '{"type":"tx","time":0,"from":"A","to":"B\\u2003","amount":1}',
         '{"type":"identity","time":0,"key":"\\"a","uid":"qa"}',
         '{"type":"cert","time":0,"from":"A","to":"B\\""}',
+        # a JSON escape for a lone surrogate, which no UTF-8 file can hold
+        '{"type":"tx","time":5,"from":"A","to":"w\\ud800x","amount":7}',
     ],
 )
 def test_parse_rejects_keys_that_break_csv_rows(record):
@@ -651,7 +653,7 @@ def test_link_classes_are_the_substream_codes(tmp_path, seed):
     assert codes.tolist() == want
     count, _, _, _ = repartition(tx, members)
     assert np.bincount(codes, minlength=len(SUBSTREAM_LABELS)).tolist() == count.tolist()
-    with np.load(save_bundle(tmp_path, build_bundle(keys, members, cert, tx))) as snapshot:
+    with np.load(save_bundle(tmp_path, build_bundle(keys, cert, tx))) as snapshot:
         for c, label in enumerate(SUBSTREAM_LABELS):
             assert snapshot[f"sub_{label}"].tolist() == np.flatnonzero(codes == c).tolist()
 
@@ -686,10 +688,9 @@ def test_node_sets_are_sorted_int64_arrays(tmp_path):
     payer = int(tx.src[np.isin(tx.dst, members)][0])
     assert check(identify_miners(tx, members, payer), "identify_miners")
 
-    save_bundle(tmp_path, build_bundle(keys, members, cert, tx))
-    _, loaded_members, loaded_cert, loaded_tx = load_bundle(tmp_path)
-    assert check(loaded_members, "loaded members") == members.tolist()
-    assert check(loaded_cert.nodes, "loaded cert") == cert.nodes.tolist()
+    save_bundle(tmp_path, build_bundle(keys, cert, tx))
+    _, loaded_cert, loaded_tx = load_bundle(tmp_path)
+    assert check(loaded_cert.nodes, "loaded cert") == cert.nodes.tolist() == members.tolist()
     assert check(loaded_tx.nodes, "loaded tx") == tx.nodes.tolist()
 
 
@@ -699,9 +700,9 @@ def test_loaded_streams_are_over_the_members(tmp_path, sparse):
     # certification and some member no transaction
     records = random_records(7, n_members=8, n_certs=3, n_txs=4) if sparse else example_records()
     _, keys, members, cert, tx = _ingest(records)
-    save_bundle(tmp_path, build_bundle(keys, members, cert, tx))
-    _, members, cert, tx = load_bundle(tmp_path)
-    tx_mm = substream_by_class(tx, members, "MM")
+    save_bundle(tmp_path, build_bundle(keys, cert, tx))
+    _, cert, tx = load_bundle(tmp_path)
+    tx_mm = substream_by_class(tx, cert.nodes, "MM")
     assert cert.nodes.tolist() == tx_mm.nodes.tolist() == members.tolist()
     if sparse:
         for s in (cert, tx):
@@ -710,16 +711,16 @@ def test_loaded_streams_are_over_the_members(tmp_path, sparse):
 
 def test_bundle_intervals_span_their_links():
     _, keys, members, cert, tx = _ingest(random_records(31))
-    build_bundle(keys, members, cert, tx)
+    build_bundle(keys, cert, tx)
     for prefix, s in (("cert", cert), ("tx", tx)):
         t0, t1 = s.interval
         for interval in ((0, t1), (t0, t1 + 1), (t0 - 1, t1)):
             widened = LinkStream(interval, s.nodes, s.t, s.src, s.dst, s.amount)
             streams = (widened, tx) if prefix == "cert" else (cert, widened)
             with pytest.raises(ValueError, match=f"^{prefix}_interval.npy "):
-                build_bundle(keys, members, *streams)
+                build_bundle(keys, *streams)
     # without links the interval is [0, 0]
     empty = stream_from_columns([], [], [], nodes=members)
-    build_bundle(keys, members, empty, tx)
+    build_bundle(keys, empty, tx)
     with pytest.raises(ValueError, match="^cert_interval.npy "):
-        build_bundle(keys, members, LinkStream((1, 1), members, [], [], []), tx)
+        build_bundle(keys, LinkStream((1, 1), members, [], [], []), tx)

@@ -196,8 +196,8 @@ def test_neighborhood_overlaps_match_per_node_rescan():
         s1, s2 = over_one_node_set(random_stream(rng, nodes), random_stream(rng, nodes))
         g1, g2 = induced_graph(s1), induced_graph(s2)
         columns = neighborhood_overlaps(g1, g2)
-        assert all(c.dtype == np.float64 for c in columns[1:])
-        results = overlap_rows(*columns)
+        assert len(columns) == 2 and all(c.dtype == np.float64 for c in columns)
+        results = overlap_rows(g1.nodes, *columns)
         assert [v for v, _, _ in results] == s1.nodes.tolist()
         for v, inclusion, jaccard in results:
             expected = oracles.neighborhood_overlap(v, s1, s2)
@@ -217,7 +217,8 @@ def test_neighborhood_overlaps_na_cells():
         stream_over({0, 2, 4, 5}, [(3, 0, 2), (4, 4, 0)], (0, 9)),
     )
     columns = neighborhood_overlaps(induced_graph(cert), induced_graph(txmm))
-    results = {v: (inclusion, jaccard) for v, inclusion, jaccard in overlap_rows(*columns)}
+    rows = overlap_rows(cert.nodes, *columns)
+    results = {v: (inclusion, jaccard) for v, inclusion, jaccard in rows}
     assert results == {
         0: (0.5, 0.5),
         1: (None, 0.0),

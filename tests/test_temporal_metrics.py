@@ -81,8 +81,9 @@ def test_neighborhood_size_with_distinct_elements():
 def _overlaps(s1, s2):
     """Node -> (inclusion, jaccard) of the bulk form on the two streams,
     rebuilt over one node set, None where the column holds NaN."""
-    columns = neighborhood_overlaps(*map(induced_graph, over_one_node_set(s1, s2)))
-    return {v: (inclusion, jaccard) for v, inclusion, jaccard in overlap_rows(*columns)}
+    g1, g2 = map(induced_graph, over_one_node_set(s1, s2))
+    rows = overlap_rows(g1.nodes, *neighborhood_overlaps(g1, g2))
+    return {v: (inclusion, jaccard) for v, inclusion, jaccard in rows}
 
 
 def test_overlap_examples():
